@@ -1,8 +1,8 @@
 """Picklability and backend purity at the execution seam.
 
-* ``pickle-callable`` — the first argument to ``map_graphs``/
-  ``map_partitions*``/``run_async`` crosses a process (or socket) boundary,
-  so it must be a module-level callable.  Lambdas and functions defined
+* ``pickle-callable`` — the first argument to ``map_graphs`` and to a
+  resident session's ``run`` crosses a process (or socket) boundary, so it
+  must be a module-level callable.  Lambdas and functions defined
   inside another function close over frames and fail (or silently diverge)
   under the chunked and distributed backends.  ``functools.partial`` is
   unwrapped — its underlying callable is checked instead.
@@ -23,9 +23,8 @@ from .modules import ModuleInfo
 #: Seam entry points whose first positional argument must be picklable.
 SEAM_CALLS: Tuple[str, ...] = (
     "map_graphs",
-    "map_partitions",
     "map_partitions_resident",
-    "run_async",
+    "run",
 )
 
 #: Concrete backend classes; only these modules may instantiate them.

@@ -52,15 +52,9 @@ Partition-parallel mode (intra-graph sharding)::
 every graph of a parts-aware experiment into ``k`` parts, runs the MIS /
 coloring / aggregation kernels through the partition-parallel drivers, and
 *verifies bit-identicality against the unpartitioned reference*; boundary and
-ghost-exchange stats land in the rows and deterministic counts.
-``--no-resident`` selects the re-ship-everything baseline (``_p<k>nr``
-records), ``--full-halo`` the full-halo delta wire format (``_p<k>fh``
-records) and ``--no-overlap`` the barrier superstep schedule (``_p<k>nv``
-records) — all bit-identical, kept runnable so ``compare`` can gate the
-resident and changed-delta shipped-bytes wins and the overlap wall-clock
-win (overlap leaves every deterministic count and byte field unchanged by
-construction). ``--backend distributed``
-runs the partitioned drivers over localhost rank processes through the
+ghost-exchange stats land in the rows and deterministic counts, and records
+persist under a ``_p<k>`` infix. ``--backend distributed`` runs the
+partitioned drivers over localhost rank processes through the
 socket transport (``--jobs`` sets the rank count); results stay
 bit-identical and the logical byte counts unchanged, while the cluster
 additionally meters actual on-the-wire bytes
@@ -165,26 +159,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="intra-graph partition count for parts-aware experiments "
                              "(partition-parallel runs are verified bit-identical to "
                              "the unpartitioned reference; 'partitioned' defaults to 4)")
-    parser.add_argument("--no-resident", action="store_true",
-                        help="with --parts: run the non-resident baseline that "
-                             "re-ships each part every superstep instead of the "
-                             "rank-resident path (bit-identical results; records "
-                             "persist with a _p<k>nr infix so the shipped-bytes "
-                             "win is comparable)")
-    parser.add_argument("--full-halo", action="store_true",
-                        help="with --parts: ship the full-halo wire format "
-                             "(whole halos every ghost-reading phase, worklists "
-                             "re-sent per phase) instead of changed-only deltas "
-                             "(bit-identical results; records persist with a "
-                             "_p<k>fh infix so the changed-delta win is "
-                             "comparable)")
-    parser.add_argument("--no-overlap", action="store_true",
-                        help="with --parts: run the barrier superstep schedule "
-                             "(every phase a full sync point) instead of the "
-                             "overlapped boundary/interior sub-phases "
-                             "(bit-identical results, supersteps and shipped "
-                             "bytes; records persist with a _p<k>nv infix so "
-                             "the wall-clock overlap win is comparable)")
     parser.add_argument("--json", action="store_true",
                         help="persist each run as benchmarks/results/BENCH_*.json")
     parser.add_argument("--tolerance", type=float, default=0.25,
@@ -199,12 +173,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         parser.error("--jobs must be >= 1")
     if args.parts is not None and args.parts < 1:
         parser.error("--parts must be >= 1")
-    if args.no_resident and args.parts is None and args.experiment != "partitioned":
-        parser.error("--no-resident is only meaningful with --parts / 'partitioned'")
-    if args.full_halo and args.parts is None and args.experiment != "partitioned":
-        parser.error("--full-halo is only meaningful with --parts / 'partitioned'")
-    if args.no_overlap and args.parts is None and args.experiment != "partitioned":
-        parser.error("--no-overlap is only meaningful with --parts / 'partitioned'")
     if args.candidate is not None and args.experiment != "compare":
         parser.error("a third positional argument is only valid with 'compare'")
 
@@ -245,9 +213,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         matrices=tuple(args.matrices) if args.matrices else None,
         backend=args.backend,
         parts=args.parts,
-        resident=not args.no_resident,
-        changed_deltas=not args.full_halo,
-        overlap=not args.no_overlap,
     )
 
     if args.experiment == "sweep":
@@ -295,15 +260,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     backend_name = config.backend or default_backend().name
     print(f"backend: {backend_name}")
     if config.parts is not None:
-        mode = "rank-resident" if config.resident else "non-resident baseline"
-        if not config.changed_deltas:
-            mode += ", full-halo deltas"
-        if not config.overlap:
-            mode += ", barrier supersteps"
-        print(
-            f"parts: {config.parts} (partition-parallel, {mode}, "
-            f"verified vs reference)"
-        )
+        print(f"parts: {config.parts} (partition-parallel, verified vs reference)")
     print()
     for name in names:
         result, text = EXPERIMENTS[name].run_and_render(config, jobs=args.jobs)

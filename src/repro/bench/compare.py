@@ -7,15 +7,11 @@
 * **deterministic-count drift is a failure** (exit code 1) — the counts are
   the paper's portability guarantee, identical across backends, pool widths
   and partition counts, so any difference means an algorithmic change;
-* **shipped-bytes counts are gated directionally across execution
-  configurations** — keys ending in ``_bytes`` measure communication volume,
-  not algorithmic output, so when the records differ in resident mode, delta
-  wire format (changed-only vs full-halo), superstep schedule or partition
-  count a *smaller*
-  candidate value is reported as an improvement (this is how the resident
-  path's win over the non-resident baseline and the changed-delta protocol's
-  win over full-halo shipping are gated in CI) while a *larger* one still
-  fails like any other drift. Between records of the *same* configuration
+* **shipped-bytes counts are gated directionally across partition counts**
+  — keys ending in ``_bytes`` measure communication volume, not algorithmic
+  output, so when the records differ in partition count a *smaller*
+  candidate value is reported as an improvement while a *larger* one still
+  fails like any other drift. Between records of the *same* partition count
   the counts must be bit-identical — a smaller value there is
   under-accounting and fails. A count key missing from one record entirely
   is reported as "missing from baseline/candidate", never as a value
@@ -25,13 +21,10 @@
   baseline (default 25%) is reported loudly but does not fail the gate
   (``--strict-elapsed`` promotes it to a failure for curated trajectories).
 
-Records whose run context differs (``backend``, ``parts``, ``resident`` mode,
-delta wire format or superstep schedule) are still comparable — the counts
-must match regardless — but the mismatch is called out explicitly in the
-rendered output so a wrong-pair comparison never gates silently. The
-overlap-vs-barrier pair is the extreme case: the schedules are byte-identical
-by construction, so that comparison gates *zero* count drift while the
-wall-clock line shows the overlap win.
+Records whose run context differs (``backend`` or ``parts``) are still
+comparable — the counts must match regardless — but the mismatch is called
+out explicitly in the rendered output so a wrong-pair comparison never gates
+silently.
 """
 
 from __future__ import annotations
@@ -60,10 +53,9 @@ class ComparisonReport:
     #: ``_bytes`` counts where the candidate ships *less* than the baseline
     #: (reported, never a failure — shrinking communication is the goal).
     bytes_improved: List[str] = field(default_factory=list)
-    #: Run-context fields (backend, parts, resident, delta format) that
-    #: differ between the records. Informational: counts must match
-    #: regardless, but the mismatch is rendered so a wrong-pair comparison
-    #: never gates silently.
+    #: Run-context fields (backend, parts) that differ between the records.
+    #: Informational: counts must match regardless, but the mismatch is
+    #: rendered so a wrong-pair comparison never gates silently.
     context_mismatch: List[str] = field(default_factory=list)
     #: ``candidate.elapsed_seconds / baseline.elapsed_seconds`` (None when the
     #: baseline recorded a non-positive duration).
@@ -87,12 +79,6 @@ class ComparisonReport:
 
         def label(result: ExperimentResult) -> str:
             parts = f", {result.parts} parts" if result.parts else ""
-            if result.parts and not result.resident:
-                parts += ", non-resident"
-            if result.parts and not result.changed_deltas:
-                parts += ", full-halo"
-            if result.parts and not result.overlap:
-                parts += ", no-overlap"
             return f"{result.experiment} ({result.backend}{parts})"
 
         lines = [f"bench compare: {label(self.baseline)} vs {label(self.candidate)}"]
@@ -152,43 +138,17 @@ def compare_results(
         drift.append(
             f"experiment: {baseline.experiment!r} != {candidate.experiment!r}"
         )
-    # Differing run context is legitimate (that is what cross-backend and
-    # resident-vs-baseline gates compare) but must be visible, not silent.
+    # Differing run context is legitimate (that is what the cross-backend
+    # gates compare) but must be visible, not silent.
     if baseline.backend != candidate.backend:
         context.append(f"backends differ: {baseline.backend!r} vs {candidate.backend!r}")
     if baseline.parts != candidate.parts:
         context.append(f"partition counts differ: {baseline.parts!r} vs {candidate.parts!r}")
-    if baseline.resident != candidate.resident:
-        context.append(
-            f"execution paths differ: "
-            f"{'resident' if baseline.resident else 'non-resident'} vs "
-            f"{'resident' if candidate.resident else 'non-resident'}"
-        )
-    if baseline.changed_deltas != candidate.changed_deltas:
-        context.append(
-            f"delta formats differ: "
-            f"{'changed-only' if baseline.changed_deltas else 'full-halo'} vs "
-            f"{'changed-only' if candidate.changed_deltas else 'full-halo'}"
-        )
-    if baseline.overlap != candidate.overlap:
-        context.append(
-            f"superstep schedules differ: "
-            f"{'overlapped' if baseline.overlap else 'barrier'} vs "
-            f"{'overlapped' if candidate.overlap else 'barrier'} "
-            f"(byte counts must still match — the schedules ship identical bytes)"
-        )
-    # The directional bytes exemption applies only across *different*
-    # execution configurations (resident vs non-resident, changed-only vs
-    # full-halo deltas, different part counts), where shipping less is the
-    # improvement being gated. Two records of the *same* configuration must
-    # agree on every byte count — there a smaller value is under-accounting,
-    # i.e. ordinary drift.
-    modes_differ = (
-        baseline.resident != candidate.resident
-        or baseline.parts != candidate.parts
-        or baseline.changed_deltas != candidate.changed_deltas
-        or baseline.overlap != candidate.overlap
-    )
+    # The directional bytes exemption applies only across different part
+    # counts, where shipping less is an improvement. Two records of the same
+    # part count must agree on every byte count — there a smaller value is
+    # under-accounting, i.e. ordinary drift.
+    parts_differ = baseline.parts != candidate.parts
     for key in sorted(set(baseline.counts) | set(candidate.counts)):
         a, b = baseline.counts.get(key), candidate.counts.get(key)
         # A key absent from one record is structural drift (the experiments
@@ -205,14 +165,14 @@ def compare_results(
         if a == b:
             continue
         if (
-            modes_differ
+            parts_differ
             and _is_bytes_key(key)
             and isinstance(a, (int, float))
             and isinstance(b, (int, float))
             and b < a
         ):
-            # Shipping less than the baseline is the point of the resident
-            # path — an improvement, not drift. (More is still a failure.)
+            # Shipping less than the baseline is an improvement, not drift.
+            # (More is still a failure.)
             improved.append(f"counts[{key}]: {a!r} -> {b!r}")
             continue
         drift.append(f"counts[{key}]: {a!r} != {b!r}")

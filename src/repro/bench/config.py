@@ -57,28 +57,6 @@ class BenchConfig:
     #: additionally *verify* bit-identicality against the unpartitioned kernels
     #: and record boundary/ghost-exchange/shipped-bytes stats.
     parts: Optional[int] = None
-    #: Partitioned execution path: rank-resident (default — each part's CSR
-    #: ships to its pinned worker once, supersteps exchange halo deltas) or
-    #: the non-resident baseline (``False`` — every superstep re-ships each
-    #: part whole). Results are bit-identical either way; only the recorded
-    #: shipped-bytes counts (and the wall clock) differ. Ignored when
-    #: ``parts`` is None.
-    resident: bool = True
-    #: Partitioned delta wire format: changed-only halo deltas with
-    #: once-per-iteration worklist shipment (default) or the full-halo
-    #: format (``False`` — whole halos every ghost-reading phase, worklists
-    #: re-sent to every phase that reads them). Results are bit-identical
-    #: either way; only the recorded shipped-bytes counts differ. Ignored
-    #: when ``parts`` is None.
-    changed_deltas: bool = True
-    #: Partitioned superstep schedule: overlapped boundary/interior
-    #: sub-phases (default — the next phase's halo deltas ship while workers
-    #: compute interior sub-worklists) or the barrier baseline (``False`` —
-    #: every phase is a full sync point). Results, supersteps and
-    #: shipped-byte counts are bit-identical either way; only wall-clock
-    #: differs. Ignored when ``parts`` is None (and on non-resident runs,
-    #: which always use the barrier schedule).
-    overlap: bool = True
 
     def matrix_names(self) -> List[str]:
         """Names of the matrices this configuration covers, in Table II order."""

@@ -106,22 +106,11 @@ def _jsonable(value: Any) -> Any:
     return value
 
 
-def _record_infix(
-    parts: Optional[int], resident: bool, changed_deltas: bool, overlap: bool = True
-) -> str:
-    """The ``_p<k>[nr][fh][nv]`` filename infix distinguishing partitioned-run
-    records (shared by per-backend results and sweep summaries — the CI
-    compare gates rely on the two staying pairable)."""
-    if not parts:
-        return ""
-    infix = f"_p{parts}"
-    if not resident:
-        infix += "nr"
-    if not changed_deltas:
-        infix += "fh"
-    if not overlap:
-        infix += "nv"
-    return infix
+def _record_infix(parts: Optional[int]) -> str:
+    """The ``_p<k>`` filename infix distinguishing partitioned-run records
+    (shared by per-backend results and sweep summaries — the CI compare gates
+    rely on the two staying pairable)."""
+    return f"_p{parts}" if parts else ""
 
 
 @dataclass
@@ -145,19 +134,6 @@ class ExperimentResult:
     rows: List[Any] = field(default_factory=list)
     #: Intra-graph partition count the run used (None = unpartitioned).
     parts: Optional[int] = None
-    #: Whether a partitioned run used the rank-resident execution path
-    #: (True, the default) or the re-ship-everything baseline. Always True
-    #: for unpartitioned runs.
-    resident: bool = True
-    #: Whether a partitioned run shipped changed-only halo deltas (True, the
-    #: default) or the full-halo wire format. Always True for unpartitioned
-    #: runs.
-    changed_deltas: bool = True
-    #: Whether a partitioned run used the overlapped boundary/interior
-    #: superstep schedule (True, the default) or the barrier baseline.
-    #: Always True for unpartitioned runs. Overlap changes only wall-clock —
-    #: every deterministic count and byte field is identical either way.
-    overlap: bool = True
 
     def to_dict(self) -> Dict[str, Any]:
         rows = [
@@ -173,9 +149,6 @@ class ExperimentResult:
             "trials": self.trials,
             "units": self.units,
             "parts": self.parts,
-            "resident": self.resident,
-            "changed_deltas": self.changed_deltas,
-            "overlap": self.overlap,
             "elapsed_seconds": self.elapsed_seconds,
             "counts": _jsonable(self.counts),
             "rows": rows,
@@ -198,9 +171,6 @@ class ExperimentResult:
             counts=dict(data["counts"]),
             rows=list(data["rows"]),
             parts=data.get("parts"),
-            resident=data.get("resident", True),
-            changed_deltas=data.get("changed_deltas", True),
-            overlap=data.get("overlap", True),
         )
 
     @classmethod
@@ -211,14 +181,10 @@ class ExperimentResult:
     def filename(self) -> str:
         """The ``BENCH_*`` perf-trajectory filename this result persists under.
 
-        Partitioned runs get a ``_p<k>`` infix (``_p<k>nr`` on the
-        non-resident baseline path, ``_p<k>fh`` under the full-halo wire
-        format, ``_p<k>nv`` under the no-overlap barrier schedule) so they
-        never clobber the unpartitioned — or each other's — trajectory
-        records.
+        Partitioned runs get a ``_p<k>`` infix so they never clobber the
+        unpartitioned — or each other's — trajectory records.
         """
-        infix = _record_infix(self.parts, self.resident, self.changed_deltas, self.overlap)
-        return f"BENCH_{self.experiment}{infix}_{self.backend}.json"
+        return f"BENCH_{self.experiment}{_record_infix(self.parts)}_{self.backend}.json"
 
     def save(self, directory: "Optional[Path | str]" = None) -> Path:
         """Write the JSON record under ``directory`` (default: ``benchmarks/results/``)."""
@@ -352,9 +318,6 @@ class Experiment:
             counts=self.counts(rows),
             rows=list(rows),
             parts=config.parts,
-            resident=config.resident if config.parts is not None else True,
-            changed_deltas=config.changed_deltas if config.parts is not None else True,
-            overlap=config.overlap if config.parts is not None else True,
         )
 
     def run_and_render(
@@ -435,19 +398,15 @@ class SweepResult:
             "experiment": self.experiment,
             "backends": [r.backend for r in self.results],
             "parts": self.reference.parts,
-            "resident": self.reference.resident,
-            "changed_deltas": self.reference.changed_deltas,
-            "overlap": self.reference.overlap,
             "elapsed_seconds": {r.backend: r.elapsed_seconds for r in self.results},
             "speedups": _jsonable({r.backend: self.speedup(r) for r in self.results}),
         }
 
     def save(self, directory: "Optional[Path | str]" = None) -> Path:
-        """Persist the sweep summary as ``BENCH_sweep_<exp>[_p<k>[nr][fh][nv]].json``."""
+        """Persist the sweep summary as ``BENCH_sweep_<exp>[_p<k>].json``."""
         directory = Path(directory) if directory is not None else default_results_dir()
         directory.mkdir(parents=True, exist_ok=True)
-        ref = self.reference
-        infix = _record_infix(ref.parts, ref.resident, ref.changed_deltas, ref.overlap)
+        infix = _record_infix(self.reference.parts)
         path = directory / f"BENCH_sweep_{self.experiment}{infix}.json"
         path.write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n")
         return path
@@ -515,12 +474,6 @@ def sweep_table(result: SweepResult) -> Table:
     partitioned = (
         f"; {result.reference.parts} parts/graph" if result.reference.parts else ""
     )
-    if result.reference.parts and not result.reference.resident:
-        partitioned += " (non-resident)"
-    if result.reference.parts and not result.reference.changed_deltas:
-        partitioned += " (full-halo)"
-    if result.reference.parts and not result.reference.overlap:
-        partitioned += " (no-overlap)"
     table = Table(
         ["backend", "jobs", "units", "wall-clock", "speedup", "counts"],
         title=(

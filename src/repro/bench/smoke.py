@@ -47,34 +47,25 @@ class SmokeRow:
     #: Ghost-exchange supersteps executed by the partitioned MIS + coloring runs.
     ghost_supersteps: int = 0
     #: Logical bytes shipped once at session open by the partitioned MIS +
-    #: coloring runs (per-part CSR + index maps + initial state); 0 on the
-    #: non-resident baseline, where everything re-ships every superstep.
+    #: coloring runs (per-part CSR + index maps + initial state).
     resident_bytes: int = 0
-    #: Logical bytes shipped across all supersteps, both directions (changed
-    #: halo deltas out + touched-entry results back on the resident path;
-    #: whole parts + deltas + returning state on the non-resident baseline).
+    #: Logical bytes shipped across all supersteps, both directions
+    #: (worklists, halo values and scalars out + results back).
     superstep_bytes: int = 0
-    #: Largest single-superstep shipment across the partitioned runs — the
-    #: O(changed halo)-after-superstep-1 acceptance gate for the resident
-    #: path.
+    #: Largest single-superstep shipment across the partitioned runs.
     max_superstep_bytes: int = 0
     #: ``resident_bytes + superstep_bytes`` — everything the run shipped. This
-    #: (with ``max_superstep_bytes``) is the gated deterministic count: the
-    #: resident path must ship strictly less in total than the non-resident
-    #: baseline, while the one-time/per-superstep breakdown above stays a
-    #: row-level detail (a one-time cost is not comparable *per key* across
-    #: execution paths).
+    #: (with ``max_superstep_bytes``) is the gated deterministic count, while
+    #: the one-time/per-superstep breakdown above stays a row-level detail.
     total_shipped_bytes: int = 0
     #: Coordinator wall-clock the partitioned MIS + coloring runs spent
     #: computing between session calls. Like the two meters below this is
     #: ``perf_counter``-based and machine-varying — the timing triple is
-    #: deliberately NOT a deterministic field; it exists so the overlap win
-    #: is measurable, not asserted.
+    #: deliberately NOT a deterministic field.
     compute_seconds: float = 0.0
     #: Wall-clock spent preparing/shipping phase deltas across those runs.
     exchange_seconds: float = 0.0
-    #: Wall-clock the coordinator spent blocked on phase results — the
-    #: number the overlapped schedule exists to shrink.
+    #: Wall-clock the coordinator spent blocked on phase results.
     idle_seconds: float = 0.0
 
 
@@ -133,25 +124,12 @@ def smoke_task(unit: Tuple[str, int, int, int], config: BenchConfig) -> SmokeRow
         from ..parallel.partitioned import build_partition_layout
 
         layout = build_partition_layout(graph, config.parts)
-        pmis = kk_mis2(
-            graph,
-            seed=config.seed,
-            partitions=layout,
-            resident=config.resident,
-            changed_deltas=config.changed_deltas,
-            overlap=config.overlap,
-        )
+        pmis = kk_mis2(graph, seed=config.seed, partitions=layout)
         if not (np.array_equal(pmis.in_set, mis.in_set) and pmis.iterations == mis.iterations):
             raise RuntimeError(
                 f"smoke check failed: partitioned MIS-2 diverged from the reference on {label}"
             )
-        pcoloring = greedy_color(
-            graph,
-            partitions=layout,
-            resident=config.resident,
-            changed_deltas=config.changed_deltas,
-            overlap=config.overlap,
-        )
+        pcoloring = greedy_color(graph, partitions=layout)
         if not (
             np.array_equal(pcoloring.colors, coloring.colors)
             and pcoloring.rounds == coloring.rounds
@@ -162,15 +140,7 @@ def smoke_task(unit: Tuple[str, int, int, int], config: BenchConfig) -> SmokeRow
         # pmis is already verified identical to mis, so reuse it for phase 1
         # (as the unpartitioned path reuses mis) — only the phase-2 sub-MIS
         # still runs partitioned.
-        pagg = mis2_aggregation(
-            graph,
-            mis=pmis,
-            seed=config.seed,
-            partitions=layout,
-            resident=config.resident,
-            changed_deltas=config.changed_deltas,
-            overlap=config.overlap,
-        )
+        pagg = mis2_aggregation(graph, mis=pmis, seed=config.seed, partitions=layout)
         if not (
             np.array_equal(pagg.labels, agg.labels)
             and pagg.num_aggregates == agg.num_aggregates

@@ -83,9 +83,6 @@ def greedy_color(
     max_rounds: Optional[int] = None,
     backend: "Optional[str | ExecutionBackend]" = None,
     partitions=None,
-    resident: bool = True,
-    changed_deltas: bool = True,
-    overlap: bool = True,
 ) -> ColoringResult:
     """Distance-1 greedy coloring of ``graph``.
 
@@ -103,18 +100,6 @@ def greedy_color(
         When not ``None``, shard the run within the graph (part count, label
         array or layout); the partition-parallel driver is bit-identical to
         the unpartitioned kernel.
-    resident:
-        Only meaningful with ``partitions``: rank-resident execution
-        (default) vs the re-ship-everything baseline; results are
-        bit-identical either way.
-    changed_deltas:
-        Only meaningful with ``partitions``: changed-only halo deltas with
-        once-per-round worklist shipment (default) vs the full-halo wire
-        format; results are bit-identical either way.
-    overlap:
-        Only meaningful with ``partitions`` and ``resident=True``: the
-        overlapped boundary/interior schedule (default) vs the barrier
-        schedule; results and shipped-byte counts are identical either way.
 
     Returns
     -------
@@ -129,9 +114,6 @@ def greedy_color(
             partitions,
             max_rounds=max_rounds,
             backend=backend,
-            resident=resident,
-            changed_deltas=changed_deltas,
-            overlap=overlap,
         )
     B = resolve_backend(backend)
     n = graph.num_vertices

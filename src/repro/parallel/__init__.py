@@ -51,8 +51,6 @@ from .backends import (
     ChunkedBackend,
     ThreadedBackend,
     NumbaBackend,
-    PhaseFuture,
-    StepGroupError,
     ResidentSession,
     register_backend,
     get_backend,
@@ -95,7 +93,6 @@ from .costmodel import (
 # repro.coloring at call time, and their module depends on .backends above.
 from .partitioned import (
     GraphPart,
-    HaloDeltaTracker,
     PartitionLayout,
     PartitionStats,
     build_partition_layout,
@@ -127,8 +124,6 @@ __all__ = [
     "ChunkedBackend",
     "ThreadedBackend",
     "NumbaBackend",
-    "PhaseFuture",
-    "StepGroupError",
     "ResidentSession",
     "register_backend",
     "get_backend",
@@ -148,7 +143,6 @@ __all__ = [
     "RankDeathError",
     "shutdown_rank_clusters",
     "GraphPart",
-    "HaloDeltaTracker",
     "PartitionLayout",
     "PartitionStats",
     "build_partition_layout",

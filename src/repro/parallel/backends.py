@@ -65,8 +65,6 @@ __all__ = [
     "ChunkedBackend",
     "ThreadedBackend",
     "NumbaBackend",
-    "PhaseFuture",
-    "StepGroupError",
     "ResidentSession",
     "register_backend",
     "get_backend",
@@ -94,12 +92,11 @@ def _pool_map(executor_cls, width: Optional[int], fn: Callable, items: Sequence)
         return list(pool.map(fn, items))
 
 
-# Persistent process pools for ``map_partitions``: partitioned kernels dispatch
-# one small batch of per-part tasks per superstep phase, many times per run, so
-# paying a fresh ProcessPoolExecutor spin-up on every phase would dominate the
-# wall clock. Pools are keyed by width, created lazily, shared by every
-# ChunkedBackend instance in the process and torn down at interpreter exit.
-_PARTITION_POOLS: "Dict[int, ProcessPoolExecutor]" = {}  # guarded-by: _PARTITION_POOL_LOCK
+# Guards the persistent partition pools below: the threaded sessions' thread
+# pools and the chunked sessions' slot workers. Partitioned kernels run one
+# small batch of per-part tasks per superstep phase, many times per run, so
+# the pools are created lazily, shared by every backend instance in the
+# process and torn down at interpreter exit.
 _PARTITION_POOL_LOCK = threading.Lock()
 
 
@@ -116,9 +113,8 @@ def _in_worker_process() -> bool:
     return multiprocessing.parent_process() is not None
 
 
-# The threaded backend gets the same persistence: supersteps are just as
-# frequent there, and while thread spin-up is far cheaper than a process pool,
-# paying it 3x per kernel iteration is still pointless.
+# Thread pools of the threaded backend's sessions, keyed by width: thread
+# spin-up is cheap, but paying it 3x per kernel iteration is still pointless.
 _PARTITION_THREAD_POOLS: "Dict[int, ThreadPoolExecutor]" = {}  # guarded-by: _PARTITION_POOL_LOCK
 
 
@@ -137,7 +133,6 @@ def _drop_inherited_partition_pools() -> None:
     # a fork at all); drop the references so a child that does reach the pool
     # path builds its own. Resident slot pools (and the coordinator's view of
     # what their workers hold) go the same way.
-    _PARTITION_POOLS.clear()  # analysis-ok: lock-guard -- at-fork child is single-threaded; the inherited lock may be held by a parent thread that did not survive the fork, so taking it here could deadlock
     _PARTITION_THREAD_POOLS.clear()  # analysis-ok: lock-guard -- at-fork child is single-threaded; the inherited lock may be held by a parent thread that did not survive the fork, so taking it here could deadlock
     _RESIDENT_SLOT_POOLS.clear()  # analysis-ok: lock-guard -- at-fork child is single-threaded; the inherited lock may be held by a parent thread that did not survive the fork, so taking it here could deadlock
     _RESIDENT_SLOT_HAS.clear()  # analysis-ok: lock-guard -- at-fork child is single-threaded; the inherited lock may be held by a parent thread that did not survive the fork, so taking it here could deadlock
@@ -147,32 +142,11 @@ if hasattr(os, "register_at_fork"):  # pragma: no branch - POSIX
     os.register_at_fork(after_in_child=_drop_inherited_partition_pools)
 
 
-def _partition_pool(workers: int) -> ProcessPoolExecutor:
-    with _PARTITION_POOL_LOCK:
-        pool = _PARTITION_POOLS.get(workers)
-        if pool is None:
-            pool = ProcessPoolExecutor(max_workers=workers)
-            _PARTITION_POOLS[workers] = pool
-        return pool
-
-
-def _evict_partition_pool(workers: int, pool: ProcessPoolExecutor) -> None:
-    """Drop a broken pool from the cache so the next call builds a fresh one."""
-    with _PARTITION_POOL_LOCK:
-        if _PARTITION_POOLS.get(workers) is pool:
-            del _PARTITION_POOLS[workers]
-    pool.shutdown(wait=False, cancel_futures=True)
-
-
 def shutdown_partition_pools() -> None:
-    """Shut down every persistent ``map_partitions``/resident pool (idempotent)."""
+    """Shut down every persistent partition pool: the threaded sessions'
+    thread pools and the chunked sessions' slot workers (idempotent)."""
     with _PARTITION_POOL_LOCK:
-        pools = (
-            list(_PARTITION_POOLS.values())
-            + list(_PARTITION_THREAD_POOLS.values())
-            + list(_RESIDENT_SLOT_POOLS.values())
-        )
-        _PARTITION_POOLS.clear()
+        pools = list(_PARTITION_THREAD_POOLS.values()) + list(_RESIDENT_SLOT_POOLS.values())
         _PARTITION_THREAD_POOLS.clear()
         _RESIDENT_SLOT_POOLS.clear()
         _RESIDENT_SLOT_HAS.clear()
@@ -185,16 +159,14 @@ atexit.register(shutdown_partition_pools)
 
 # ------------------------------------------------------------ resident sessions
 #
-# ``map_partitions`` ships every per-part task whole, which re-pickles the
-# loop-invariant per-part CSR on every superstep of a partitioned kernel. The
-# resident seam fixes that: a kernel run opens a *session* that ships each
-# part's immutable payload (local CSR, index maps, static parameters) and its
-# initial mutable state exactly once, pins part ``i`` to worker ``i % width``
-# for the life of the run, and afterwards ships only the per-superstep deltas
-# (changed-only halo updates, once-per-iteration worklist indices, phase
-# scalars) out and the touched-entry results back. This is the same execution
-# model a distributed backend needs — parts resident on ranks, supersteps
-# exchanging halo messages — expressed over a local process pool.
+# A partitioned kernel run opens a *session* that ships each part's immutable
+# payload (local CSR, index maps, static parameters) and its initial mutable
+# state exactly once, pins part ``i`` to worker ``i % width`` for the life of
+# the run, and afterwards ships only the per-superstep deltas (worklist
+# indices, halo values, phase scalars) out and the results back. This is the
+# same execution model the distributed backend runs — parts resident on
+# ranks, supersteps exchanging halo messages — expressed over a local process
+# pool.
 
 
 def shipped_nbytes(obj: Any) -> int:
@@ -202,8 +174,7 @@ def shipped_nbytes(obj: Any) -> int:
 
     Counts NumPy array payloads (``nbytes``), one 8-byte word per numeric
     scalar, the encoded length of strings/bytes, recursing through
-    tuples/lists/dicts; ``None`` (an elided payload member, e.g. the dense
-    marker of a sparse halo update) costs 0. The measure is *logical* — what
+    tuples/lists/dicts; ``None`` costs 0. The measure is *logical* — what
     the data costs to move, independent of how (or whether) a particular
     backend actually serialises it — so the shipped-bytes accounting recorded
     on partitioned results is bit-identical across backends and gateable by
@@ -245,233 +216,79 @@ def shipped_nbytes(obj: Any) -> int:
     )
 
 
-class _StepGroup:
-    """Accounting unit joining the sub-phases of one logical superstep.
-
-    An overlapped driver splits a superstep phase into a boundary and an
-    interior :meth:`ResidentSession.run_async` call; both must land in the
-    *same* superstep of the byte accounting (one ``supersteps`` increment,
-    one combined byte total, completion-order independent) or the overlap
-    schedule would drift from the barrier baseline on every gated count.
-    """
-
-    __slots__ = ("bytes", "pending", "closed", "failed")
-
-    def __init__(self) -> None:
-        #: Bytes accumulated by the group's resolved sub-phases so far.
-        self.bytes = 0
-        #: Sub-phases submitted but not yet resolved.
-        self.pending = 0
-        #: True once the committing (final) sub-phase has been submitted.
-        self.closed = False
-        #: The exception that poisoned the group, if any member's collect
-        #: raised. A failed group can never commit — its supersteps increment
-        #: and byte totals are dropped wholesale rather than half-counted.
-        self.failed: Optional[BaseException] = None
-
-
-class StepGroupError(RuntimeError):
-    """A sibling sub-phase of the same accounting superstep already failed.
-
-    Raised by :meth:`PhaseFuture.result` (and by :meth:`ResidentSession.run_async`
-    when asked to join a poisoned open group) so that a failure inside *one*
-    member of a ``commit=False`` step group is loud on every member: no caller
-    can quietly consume a sibling's results while the superstep's statistics
-    were silently thrown away.
-    """
-
-
-class PhaseFuture:
-    """Handle for an in-flight :meth:`ResidentSession.run_async` phase.
-
-    :meth:`result` blocks until the phase's results are available, closes its
-    share of the superstep byte accounting, and returns the per-task results
-    in task order. Calling it again returns the cached results. The wait time
-    spent inside :meth:`result` is metered on the session as ``idle_seconds``
-    — coordinator time not hidden behind worker compute.
-    """
-
-    __slots__ = ("_session", "_group", "_tasks", "_outbound", "_collect", "_results", "_done")
-
-    def __init__(self, session, group, tasks, outbound, collect) -> None:
-        self._session = session
-        self._group = group
-        self._tasks = tasks
-        self._outbound = outbound
-        self._collect = collect
-        self._results: List = []
-        self._done = False
-
-    @property
-    def done(self) -> bool:
-        """Whether :meth:`result` has already resolved this phase."""
-        return self._done
-
-    def result(self) -> List:
-        if self._done:
-            return self._results
-        group = self._group
-        if group.failed is not None:
-            raise StepGroupError(
-                "a sibling sub-phase of this superstep group already failed; "
-                "the group's superstep/byte statistics were not committed"
-            ) from group.failed
-        session = self._session
-        start = time.perf_counter()
-        try:
-            results = self._collect()
-        except BaseException as exc:
-            # Poison the whole group: siblings raise StepGroupError instead of
-            # quietly resolving, and the group can never commit its partially
-            # accumulated superstep/byte statistics.
-            group.failed = exc
-            session.idle_seconds += time.perf_counter() - start
-            raise
-        session.idle_seconds += time.perf_counter() - start
-        step = self._outbound + sum(shipped_nbytes(r) for r in results)
-        if not session.resident:
-            step += sum(session._state_nbytes(i) for i, _ in self._tasks)
-        group.bytes += step
-        group.pending -= 1
-        if group.closed and group.pending == 0:
-            session.supersteps += 1
-            session.superstep_bytes += group.bytes
-            if group.bytes > session.max_superstep_bytes:
-                session.max_superstep_bytes = group.bytes
-        self._results = results
-        self._done = True
-        return results
-
-
 class ResidentSession:
     """One partitioned kernel run's part-pinned execution handle.
 
-    Created by :meth:`ExecutionBackend.resident_session` with the per-part
-    immutable ``payloads`` and initial mutable ``states``; the driver then
-    calls :meth:`run` once per superstep phase with ``(part_index, delta)``
-    tasks. Every task function is ``fn(payload, state, delta) -> result`` —
-    a pure function of the payload, the part's retained state and the delta
-    that may mutate ``state`` in place (only its own part's state, which is
-    what keeps any execution strategy deterministic).
-
-    :meth:`run_async` is the overlap seam: it ships a phase and returns a
-    :class:`PhaseFuture` immediately, so the driver can compute (or submit
-    more phases) while workers chew. Two ordering guarantees make overlapped
-    schedules deterministic: tasks for the *same part* execute in submission
-    order (every implementation is per-part FIFO), and a phase's results are
-    only observed through :meth:`PhaseFuture.result`. ``commit=False`` joins
-    the next ``run_async`` call into the same accounting superstep — the
-    boundary/interior halves of a split phase count as one superstep with one
-    combined byte total, identical to the barrier schedule regardless of
-    completion order.
+    Created by :meth:`ExecutionBackend.map_partitions_resident` with the
+    per-part immutable ``payloads`` and initial mutable ``states``; the driver
+    then calls :meth:`run` once per superstep phase with ``(part_index,
+    delta)`` tasks. Every task function is ``fn(payload, state, delta) ->
+    result`` — a pure function of the payload, the part's retained state and
+    the delta that may mutate ``state`` in place (only its own part's state,
+    which is what keeps any execution strategy deterministic). :meth:`run` is
+    a barrier: it returns once every task of the phase has run, so the tasks
+    of one phase may execute in any order or concurrently.
 
     The base class implements the shipped-bytes accounting shared by every
     implementation, and it charges **both directions** of each superstep: the
     deltas shipped to the workers *and* the result arrays the workers return
     (the owned values the coordinator scatters back into the shared state are
-    communication too — an outbound-only meter under-counts every phase). In
-    resident mode each part's payload+state is charged once
-    (``resident_bytes``) and each :meth:`run` charges deltas out + results
-    back; in non-resident mode (``resident=False``, the pre-affinity
-    baseline) every :meth:`run` additionally re-charges the live parts'
-    payload+state outbound and the (possibly mutated) state returning with
-    the results — exactly what shipping the whole task per superstep costs.
+    communication too — an outbound-only meter under-counts every phase).
+    Each part's payload+state is charged once (``resident_bytes``) and each
+    :meth:`run` charges deltas out + results back.
     """
 
-    def __init__(
-        self, token: str, payloads: Sequence, states: Sequence, resident: bool = True
-    ) -> None:
+    def __init__(self, token: str, payloads: Sequence, states: Sequence) -> None:
         if len(payloads) != len(states):
             raise ValueError("payloads and states must have one entry per part")
         self.token = str(token)
-        self.resident = bool(resident)
         self.num_parts = len(payloads)
-        self._payload_bytes = [shipped_nbytes(p) for p in payloads]
-        #: Bytes shipped once, at session open (0 in non-resident mode).
-        self.resident_bytes = (
-            sum(self._payload_bytes) + sum(shipped_nbytes(s) for s in states)
-            if self.resident
-            else 0
+        #: Bytes shipped once, at session open.
+        self.resident_bytes = sum(shipped_nbytes(p) for p in payloads) + sum(
+            shipped_nbytes(s) for s in states
         )
         #: Bytes shipped across all supersteps so far (both directions).
         self.superstep_bytes = 0
-        #: Largest single-superstep shipment (the O(changed halo) acceptance gate).
+        #: Largest single-superstep shipment.
         self.max_superstep_bytes = 0
         #: Number of :meth:`run` calls (superstep phases) so far.
         self.supersteps = 0
         #: Coordinator wall-clock spent shipping phases (account + submit).
         self.ship_seconds = 0.0
-        #: Coordinator wall-clock spent blocked in :meth:`PhaseFuture.result`.
+        #: Coordinator wall-clock spent blocked waiting for phase results.
         self.idle_seconds = 0.0
-        #: Open accounting group for an uncommitted (``commit=False``) phase.
-        self._group: Optional[_StepGroup] = None
-
-    def _state_nbytes(self, part: int) -> int:
-        """Live logical size of one part's mutable state (non-resident only).
-
-        State sizes drift during a run (task functions stash worklists in
-        state), so the non-resident charge is measured from the live state,
-        not the session-open snapshot. Only the sessions that actually hold
-        states coordinator-side implement this; resident pinned sessions never
-        need it.
-        """
-        raise NotImplementedError
-
-    def _account_out(self, tasks: Sequence[Tuple[int, Any]]) -> int:
-        """Outbound bytes of one phase: deltas (+ payload & pre-phase state
-        when non-resident). Called before the tasks run."""
-        step = sum(shipped_nbytes(delta) for _, delta in tasks)
-        if not self.resident:
-            step += sum(
-                self._payload_bytes[i] + self._state_nbytes(i) for i, _ in tasks
-            )
-        return step
 
     def _submit(self, fn: Callable, tasks: Sequence[Tuple[int, Any]]) -> Callable[[], List]:
         """Ship one phase's tasks and return a zero-argument collector.
 
         The collector blocks until the phase's results are available and
-        returns them in task order. Implementations must execute same-part
-        tasks in submission order (per-part FIFO) — that ordering is what
-        lets overlapped drivers chain a boundary phase's worker-side stashes
-        into the interior phase of the same superstep.
+        returns them in task order.
         """
         raise NotImplementedError
 
-    def run_async(
-        self, fn: Callable, tasks: Sequence[Tuple[int, Any]], commit: bool = True
-    ) -> PhaseFuture:
-        """Ship one superstep phase and return immediately with its future.
+    def run(self, fn: Callable, tasks: Sequence[Tuple[int, Any]]) -> List:
+        """Execute one superstep phase: ``fn(payload, state, delta)`` per task.
 
-        ``commit=False`` leaves the accounting superstep open: the next
-        ``run_async`` call joins the same :class:`_StepGroup`, and the group
-        commits (one ``supersteps`` increment, combined byte total) only when
-        every member future has resolved. The outbound charge (deltas, plus
-        payload+pre-phase state in non-resident mode) is measured here, before
-        anything executes; the inbound charge lands in
-        :meth:`PhaseFuture.result`.
+        The outbound charge (deltas) is measured before anything executes and
+        the inbound charge (results) once every task has returned; a phase
+        that raises commits neither bytes nor a superstep.
         """
         tasks = list(tasks)
         start = time.perf_counter()
-        outbound = self._account_out(tasks)
-        if self._group is not None and self._group.failed is not None:
-            raise StepGroupError(
-                "cannot join an open step group whose sibling sub-phase failed"
-            ) from self._group.failed
-        group = self._group if self._group is not None else _StepGroup()
-        group.pending += 1
-        if commit:
-            group.closed = True
-            self._group = None
-        else:
-            self._group = group
+        step = sum(shipped_nbytes(delta) for _, delta in tasks)
         collect = self._submit(fn, tasks)
-        self.ship_seconds += time.perf_counter() - start
-        return PhaseFuture(self, group, tasks, outbound, collect)
-
-    def run(self, fn: Callable, tasks: Sequence[Tuple[int, Any]]) -> List:
-        """Execute one superstep phase: ``fn(payload, state, delta)`` per task."""
-        return self.run_async(fn, tasks).result()
+        shipped = time.perf_counter()
+        self.ship_seconds += shipped - start
+        try:
+            results = collect()
+        finally:
+            self.idle_seconds += time.perf_counter() - shipped
+        step += sum(shipped_nbytes(r) for r in results)
+        self.supersteps += 1
+        self.superstep_bytes += step
+        if step > self.max_superstep_bytes:
+            self.max_superstep_bytes = step
+        return results
 
     def close(self) -> None:
         """Release per-session worker state (idempotent)."""
@@ -499,70 +316,21 @@ class _LocalResidentSession(ResidentSession):
         token: str,
         payloads: Sequence,
         states: Sequence,
-        resident: bool = True,
         pool: Optional[ThreadPoolExecutor] = None,
     ) -> None:
-        super().__init__(token, payloads, states, resident=resident)
+        super().__init__(token, payloads, states)
         self._payloads = list(payloads)
         self._states = list(states)
         self._pool = pool
 
-    def _state_nbytes(self, part: int) -> int:
-        return shipped_nbytes(self._states[part])
-
     def _submit(self, fn: Callable, tasks: Sequence[Tuple[int, Any]]) -> Callable[[], List]:
-        # Lazy: nothing runs until the future is resolved, so pending phases
-        # execute in result() order — which the drivers call in submission
-        # order per part, preserving the per-part FIFO guarantee even with a
-        # thread pool fanning out the tasks *within* one phase.
+        # Lazy: the tasks run inside the collector, so their compute is
+        # metered as wait time, as it is on the pooled sessions.
         calls = [(self._payloads[i], self._states[i], delta) for i, delta in tasks]
         pool = self._pool
         if pool is None or len(calls) <= 1:
             return lambda: [fn(p, s, d) for p, s, d in calls]
         return lambda: list(pool.map(lambda c: fn(*c), calls))
-
-
-def _unpinned_phase(args):
-    """Non-resident pool task: payload+state cross the boundary both ways."""
-    payload, state, fn, delta = args
-    return fn(payload, state, delta), state
-
-
-class _UnpinnedResidentSession(ResidentSession):
-    """Non-resident process-pool baseline (the pre-affinity behaviour).
-
-    Coordinator-held payloads and states are shipped through the regular
-    ``map_partitions`` pool on *every* superstep and the (possibly mutated)
-    states return with the results — the cost profile the resident seam
-    exists to eliminate, kept runnable so ``repro.bench compare`` can gate
-    the improvement.
-    """
-
-    def __init__(
-        self, backend: "ExecutionBackend", token: str, payloads: Sequence, states: Sequence
-    ) -> None:
-        super().__init__(token, payloads, states, resident=False)
-        self._backend = backend
-        self._payloads = list(payloads)
-        self._states = list(states)
-
-    def _state_nbytes(self, part: int) -> int:
-        return shipped_nbytes(self._states[part])
-
-    def _submit(self, fn: Callable, tasks: Sequence[Tuple[int, Any]]) -> Callable[[], List]:
-        # Lazy like the local session, and additionally the items are built at
-        # collect time so each task ships the *current* state object (a prior
-        # pending phase on the same part may reassign it).
-        def collect() -> List:
-            items = [(self._payloads[i], self._states[i], fn, delta) for i, delta in tasks]
-            outs = self._backend.map_partitions(_unpinned_phase, items)
-            results: List = []
-            for (i, _), (result, state) in zip(tasks, outs):
-                self._states[i] = state
-                results.append(result)
-            return results
-
-        return collect
 
 
 # Worker-side process-global resident store. Payloads are keyed by
@@ -723,7 +491,7 @@ class _PinnedResidentSession(ResidentSession):
     def __init__(
         self, token: str, payloads: Sequence, states: Sequence, width: int
     ) -> None:
-        super().__init__(token, payloads, states, resident=True)
+        super().__init__(token, payloads, states)
         #: Payloads are retained so an LRU-evicted one (a concurrent session
         #: crowding a shared slot worker) can be re-installed transparently.
         self._payloads = list(payloads)
@@ -955,48 +723,30 @@ class ExecutionBackend:
         """
         return [fn(item) for item in items]
 
-    def map_partitions(self, fn: Callable, items: Sequence) -> List:
-        """Apply ``fn`` to every per-partition task of one superstep, in order.
-
-        This is the intra-graph sharding hook (:mod:`repro.parallel.partitioned`
-        drives it): ``items`` are the per-part tasks of one bulk-synchronous
-        superstep phase. The contract every backend must honour is the
-        determinism rule of the partitioned kernels — each task is a *pure*
-        function of a consistent pre-superstep snapshot of the shared state and
-        computes values only for vertices its part owns, so tasks within one
-        call are independent and any execution order or interleaving yields
-        bit-identical results. The reference executes serially; pooled backends
-        fan the batch out (a distributed backend would pin parts to ranks and
-        implement the surrounding gather/scatter as halo messages).
-        """
-        return [fn(item) for item in items]
-
     def map_partitions_resident(
-        self,
-        token: str,
-        payloads: Sequence,
-        states: Sequence,
-        resident: bool = True,
+        self, token: str, payloads: Sequence, states: Sequence
     ) -> ResidentSession:
         """Open a part-pinned session for one partitioned kernel run.
 
-        ``payloads`` are the per-part *loop-invariant* inputs (local CSR, index
-        maps, static parameters) and ``states`` the per-part mutable arrays;
-        both ship once, identified by the layout ``token``. The returned
-        :class:`ResidentSession` then executes each superstep phase via
-        ``session.run(fn, [(part_index, delta), ...])`` where ``fn(payload,
-        state, delta)`` may mutate only its own part's ``state`` — after the
-        first superstep only the deltas (halo values, worklist indices, phase
+        This is the intra-graph sharding hook (:mod:`repro.parallel.partitioned`
+        drives it). ``payloads`` are the per-part *loop-invariant* inputs
+        (local CSR, index maps, static parameters) and ``states`` the per-part
+        mutable arrays; both ship once, identified by the layout ``token``.
+        The returned :class:`ResidentSession` then executes each superstep
+        phase via ``session.run(fn, [(part_index, delta), ...])`` — after the
+        first superstep only the deltas (worklist indices, halo values, phase
         scalars) cross whatever boundary the backend has.
 
-        The reference implementation keeps everything in the caller's address
-        space (trivially correct for the serial and threaded backends); the
-        chunked backend pins part ``i`` to a persistent slot worker, and a
-        distributed backend would pin parts to ranks the same way. Pass
-        ``resident=False`` for the non-resident baseline, which re-ships
-        payload+state every superstep (and accounts it).
+        The contract every backend must honour is the determinism rule of the
+        partitioned kernels: ``fn(payload, state, delta)`` is a *pure*
+        function of its inputs and mutates only its own part's ``state``, so
+        the tasks of one phase are independent and any execution order or
+        interleaving yields bit-identical results. The reference
+        implementation keeps everything in the caller's address space; the
+        chunked backend pins part ``i`` to a persistent slot worker, and the
+        distributed backend pins it to a rank process.
         """
-        return _LocalResidentSession(token, payloads, states, resident=resident)
+        return _LocalResidentSession(token, payloads, states)
 
     def with_jobs(self, jobs: Optional[int]) -> "ExecutionBackend":
         """A backend equivalent to this one with ``jobs`` ``map_graphs`` workers.
@@ -1226,43 +976,8 @@ class ChunkedBackend(ExecutionBackend):
         """
         return _pool_map(ProcessPoolExecutor, self.processes, fn, items)
 
-    def map_partitions(self, fn: Callable, items: Sequence) -> List:
-        """Fan one superstep's per-part tasks over a *persistent* process pool.
-
-        Unlike :meth:`map_graphs` (one pool per sweep-sized batch), partitioned
-        kernels call this several times per iteration, so the pool is created
-        once per width and reused for the life of the process
-        (:func:`shutdown_partition_pools` tears it down). Single-task batches,
-        one-worker configurations and calls made from inside a pool worker
-        (a partitioned kernel nested under ``map_graphs`` sharding) execute
-        inline.
-        """
-        items = list(items)
-        workers = self.processes if self.processes is not None else max(1, os.cpu_count() or 1)
-        if workers <= 1 or len(items) <= 1 or _in_worker_process():
-            return [fn(item) for item in items]
-        pool = _partition_pool(workers)
-        try:
-            return list(pool.map(fn, items))
-        except BrokenProcessPool:
-            # A worker died (OOM-kill, native crash). A broken executor never
-            # recovers — evict it so this run and every later one get a fresh
-            # pool instead of inheriting a permanently failing one.
-            _evict_partition_pool(workers, pool)
-            fresh = _partition_pool(workers)
-            try:
-                return list(fresh.map(fn, items))
-            except BrokenProcessPool:
-                # The tasks themselves kill workers; don't cache the casualty.
-                _evict_partition_pool(workers, fresh)
-                raise
-
     def map_partitions_resident(
-        self,
-        token: str,
-        payloads: Sequence,
-        states: Sequence,
-        resident: bool = True,
+        self, token: str, payloads: Sequence, states: Sequence
     ) -> ResidentSession:
         """Open a part-pinned session over persistent single-worker slot pools.
 
@@ -1271,15 +986,11 @@ class ChunkedBackend(ExecutionBackend):
         sessions sharing a layout token), so the per-part CSR is pickled at
         most once per run. Single-worker configurations, single-part layouts
         and calls from inside a ``map_graphs`` pool worker fall back to the
-        in-process session; ``resident=False`` selects the non-resident
-        baseline that re-ships payload+state through ``map_partitions`` every
-        superstep.
+        in-process session.
         """
         workers = self.processes if self.processes is not None else max(1, os.cpu_count() or 1)
         if workers <= 1 or len(payloads) <= 1 or _in_worker_process():
-            return _LocalResidentSession(token, payloads, states, resident=resident)
-        if not resident:
-            return _UnpinnedResidentSession(self, token, payloads, states)
+            return _LocalResidentSession(token, payloads, states)
         return _PinnedResidentSession(token, payloads, states, width=workers)
 
     def with_jobs(self, jobs: Optional[int]) -> "ChunkedBackend":
@@ -1323,35 +1034,15 @@ class ThreadedBackend(ExecutionBackend):
         """
         return _pool_map(ThreadPoolExecutor, self.threads, fn, items)
 
-    def map_partitions(self, fn: Callable, items: Sequence) -> List:
-        """Fan one superstep's per-part tasks over a *persistent* thread pool.
-
-        Parts share the caller's address space, so the gathered snapshot arrays
-        are passed by reference and no pickling happens — the cheapest way to
-        shard the supersteps of a partitioned kernel on one host. Like the
-        chunked backend, the pool is reused across supersteps rather than
-        respawned per phase; single-task batches and one-thread configurations
-        execute inline.
-        """
-        items = list(items)
-        workers = self.threads if self.threads is not None else max(1, os.cpu_count() or 1)
-        if workers <= 1 or len(items) <= 1:
-            return [fn(item) for item in items]
-        return list(_partition_thread_pool(workers).map(fn, items))
-
     def map_partitions_resident(
-        self,
-        token: str,
-        payloads: Sequence,
-        states: Sequence,
-        resident: bool = True,
+        self, token: str, payloads: Sequence, states: Sequence
     ) -> ResidentSession:
         """In-process session fanned over the persistent thread pool.
 
         Payloads and states already live in the caller's address space, so the
         resident contract is free — tasks mutate their part's state directly
-        and nothing is ever serialised. The shipped-bytes accounting still
-        follows the requested mode so the recorded measurables stay
+        and nothing is ever serialised. The shipped-bytes accounting is the
+        logical one every session keeps, so the recorded measurables stay
         bit-identical across backends.
         """
         workers = self.threads if self.threads is not None else max(1, os.cpu_count() or 1)
@@ -1360,7 +1051,7 @@ class ThreadedBackend(ExecutionBackend):
             if workers > 1 and len(payloads) > 1
             else None
         )
-        return _LocalResidentSession(token, payloads, states, resident=resident, pool=pool)
+        return _LocalResidentSession(token, payloads, states, pool=pool)
 
     def with_jobs(self, jobs: Optional[int]) -> "ThreadedBackend":
         if jobs is None:

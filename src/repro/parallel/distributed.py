@@ -1,9 +1,10 @@
 """Multi-host distributed execution: the ``ResidentSession`` over real sockets.
 
-Everything below ``map_partitions_resident`` was already in its final wire
-shape — per-part payloads keyed by ``PartitionLayout.token``, ``(positions,
-values)`` changed-only halo deltas, worker-resident worklists. This module
-takes that session protocol over *actual transport*: a coordinator process
+The session protocol behind ``map_partitions_resident`` does not depend on
+where parts live: per-part payloads installed once and keyed by
+``PartitionLayout.token``, then one delta (worklist, halo values, phase
+scalars) per part per superstep phase. This module takes that protocol over
+*actual transport*: a coordinator process
 connects to N long-lived **rank processes** through the byte-metered socket
 seam in :mod:`repro.parallel.transport`, ships each part's payload once into a
 per-rank payload cache, and runs every superstep phase as ``(token, session,
@@ -37,10 +38,10 @@ Protocol (one coordinator connection per rank, request/response, pipelined):
 
 Every coordinator request normally ships wrapped as ``("req", rid, message)``
 and is answered as ``("resp", rid, reply)`` — the **multiplexing layer** that
-lets several phases stay in flight per rank at once (the overlap seam's
-requirement): the coordinator collects replies by request id in any order,
-parking early arrivals for their own collect, and a reconnect re-sends
-exactly the unanswered backlog. Untagged messages remain understood for the
+lets several requests stay in flight per rank at once (a session's pipelined
+installs, a health probe beside a running session): the coordinator collects
+replies by request id in any order, parking early arrivals for their own
+collect, and a reconnect re-sends exactly the unanswered backlog. Untagged messages remain understood for the
 shutdown path and direct protocol probes.
 
 Rank-side storage *is* the process-global resident store of
@@ -127,10 +128,8 @@ class RankDeathError(RuntimeError):
 #: Rank-side phase dedup: ``(session_key, part, seq) -> result``. A phase
 #: message replayed after a reconnect is answered from here without re-running
 #: fn — the exactly-once guarantee that makes blind re-sends safe. Keyed by
-#: ``seq`` (not last-seq-per-part) because the multiplexed coordinator keeps
-#: several phases per part in flight: a reconnect can replay an *older* phase
-#: after a newer one already ran, and answering it from the cache is the only
-#: correct response (re-running it against the mutated state would corrupt
+#: ``seq``, so a replayed phase is answered from the cache whatever else the
+#: rank has run since (re-running it against the mutated state would corrupt
 #: the part).
 _PHASE_DONE: "OrderedDict[Tuple[int, int, int], Any]" = OrderedDict()
 
@@ -438,7 +437,7 @@ class RankCluster:
 
         Responses for *other* in-flight requests that arrive meanwhile are
         parked in the handle's ``arrived`` buffer for their own collect, so
-        collection order is free — the overlap seam's requirement. On a
+        collection order is free. On a
         transient transport failure the unanswered backlog is re-sent over a
         fresh connection; a dead rank raises :class:`RankDeathError` after a
         replacement has been spawned for future sessions.
@@ -637,7 +636,7 @@ class _DistributedResidentSession(ResidentSession):
         states: Sequence,
         miss_attempts: int = _B._RESIDENT_MISS_ATTEMPTS,
     ) -> None:
-        super().__init__(token, payloads, states, resident=True)
+        super().__init__(token, payloads, states)
         self._cluster = cluster
         #: Retained so an LRU-evicted payload can be restored transparently.
         self._payloads = list(payloads)
@@ -934,24 +933,16 @@ class DistributedBackend(ExecutionBackend):
         return _get_cluster(self._nranks(), self.retry_attempts, self.retry_delay)
 
     def map_partitions_resident(
-        self,
-        token: str,
-        payloads: Sequence,
-        states: Sequence,
-        resident: bool = True,
+        self, token: str, payloads: Sequence, states: Sequence
     ) -> ResidentSession:
         """Open a rank-pinned session over the socket transport.
 
         Single-rank configurations, single-part layouts and calls from inside
         a ``map_graphs`` pool worker fall back to the in-process session
-        (mirroring the chunked backend); ``resident=False`` selects the
-        non-resident accounting baseline, which re-ships payload+state every
-        superstep through ``map_partitions``.
+        (mirroring the chunked backend).
         """
         if self._nranks() <= 1 or len(payloads) <= 1 or _B._in_worker_process():
-            return _B._LocalResidentSession(token, payloads, states, resident=resident)
-        if not resident:
-            return _B._UnpinnedResidentSession(self, token, payloads, states)
+            return _B._LocalResidentSession(token, payloads, states)
         return _DistributedResidentSession(self.cluster(), token, payloads, states)
 
     def with_jobs(self, jobs: Optional[int]) -> "DistributedBackend":

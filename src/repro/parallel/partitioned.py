@@ -1,18 +1,16 @@
 """Partition-parallel execution: shard the graph kernels *within* one graph.
 
-PR 1/2 shard only *across* graphs (``ExecutionBackend.map_graphs`` fans a batch
-of independent graphs over a pool). This module shards *one* graph: the vertex
-set is split into ``k`` parts (with :func:`repro.partition.multilevel_kway` by
-default), each part owns its vertices plus read-only *ghost* copies of the
-neighbours it can see in other parts, and every iteration of the randomized
-MIS / coloring kernels runs as a bulk-synchronous superstep:
+``ExecutionBackend.map_graphs`` shards *across* graphs. This module shards
+*one* graph: the vertex set is split into ``k`` parts (with
+:func:`repro.partition.multilevel_kway` by default), each part owns its
+vertices plus read-only *ghost* copies of the neighbours it can see in other
+parts, and every iteration of the randomized MIS / coloring kernels runs as
+bulk-synchronous supersteps:
 
-1. every part computes the iteration's phase for the vertices it owns — an
-   **interior** vertex (all neighbours owned) needs purely local data, a
-   **boundary** vertex additionally reads the ghost values refreshed by the
-   previous exchange;
-2. a deterministic **ghost exchange** scatters the owned results back into the
-   shared state and re-gathers each part's halo before the next phase.
+1. every live part computes the phase for the vertices it owns, reading its
+   ghosts' values as the coordinator shipped them with the phase;
+2. the coordinator scatters the owned results into the shared global arrays,
+   from which the next ghost-reading phase gathers each part's halo.
 
 The determinism rule that makes this work: each phase task is a *pure function
 of the pre-superstep snapshot* and writes only part-owned vertices, and the
@@ -24,50 +22,24 @@ any part labelling and any execution backend** (the partition-equivalence test
 matrix enforces exactly this). Part quality (edge cut, boundary size) affects
 only the exchange volume, never the result.
 
-``ExecutionBackend.map_partitions_resident`` is the seam the supersteps run
-through: each kernel run opens a rank-resident session that ships every
-part's loop-invariant payload (local CSR, index maps, static parameters) and
-initial state exactly once, then runs each phase as ``fn(payload, state,
-delta)`` where only the *delta* crosses the boundary — the task keeps its
-owned state current itself. Deltas are **O(changed halo)**, not O(halo): a
-coordinator-side :class:`HaloDeltaTracker` records which owned values each
-phase actually modified (the phase results are exactly the touched entries)
-and ships each part only the halo positions changed since its last refresh,
-as ``(positions, values)`` pairs with a dense fallback; each iteration's
-worklist indices ship once, with the iteration's first phase, and are
-stashed in worker-side ``state`` for the later phases that re-read them. The
-session is in-process on the reference and threaded backends and pins part
-``i`` to a persistent slot worker on the chunked backend (payloads cached
-under the layout token, so even reruns skip the CSR pickle);
-``resident=False`` selects the non-resident baseline that re-ships
-payload+state every superstep through plain ``map_partitions``, and
-``changed_deltas=False`` the full-halo wire format (whole halos, worklists
-re-sent per phase) kept runnable so the changed-delta win stays gateable.
-The distributed backend (:mod:`repro.parallel.distributed`) runs the same
-session over sockets — parts pinned to rank processes, the delta exchange
-carried as framed messages with measured on-the-wire byte counters — and
-the drivers here don't change, which is exactly what this seam is for.
-Shipped bytes are accounted logically (array ``nbytes``, identical
-on every backend), in **both directions** — deltas out, result arrays back —
-and recorded on ``PartitionStats``.
-
-``overlap=True`` (the default on resident runs) breaks the per-phase barrier:
-each superstep phase splits into a *boundary* sub-phase (the owned vertices
-with foreign neighbours, carrying all halo updates and scalars) and an
-*interior* sub-phase (a bare sub-worklist), submitted back-to-back through
-:meth:`ResidentSession.run_async` so the next phase's deltas ship while
-workers still chew interior worklists. Determinism survives because an
-interior vertex appears in **no other part's halo** — marking only boundary
-changes before a ``take`` dirties exactly the same positions as the barrier
-schedule — and because sessions execute each part's sub-phases FIFO, so a
-phase that reads owned values written by the previous phase's interior
-sub-task always runs after it. Phases whose writes could feed a sibling
-sub-phase's reads (Luby selection, coloring assignment/conflict) defer their
-state commits to the interior sub-task, keeping both halves pure functions
-of the pre-superstep snapshot. Sub-phase pairs share one accounting group,
-so supersteps, shipped bytes and the per-superstep maximum are identical to
-the barrier baseline — only wall-clock differs, which is what the
-``--no-overlap`` bench baseline gates.
+Every kernel runs through one superstep path. ``ExecutionBackend.
+map_partitions_resident`` opens a session that installs each part's
+loop-invariant payload (local CSR, index maps, static parameters) and initial
+state once; the pinned sessions cache payloads under the layout token, so a
+rerun on the same layout skips the CSR. Each phase is then one
+:meth:`~repro.parallel.backends.ResidentSession.run` call — a barrier — that
+executes ``fn(payload, state, delta)`` for every live part. A phase's delta
+is dense: the part's worklist (local indices), the phase scalars and, for
+every array the phase reads at ghosts, the coordinator's global array
+gathered at ``part.halo``. The task writes the halo values into its state,
+computes from that snapshot and keeps its owned entries current. The session
+is in-process on the reference and threaded backends, pins part ``i`` to a
+persistent slot worker on the chunked backend, and pins it to a rank process
+over sockets on the distributed backend (:mod:`repro.parallel.distributed`);
+the drivers here are the same for all of them. Shipped bytes are accounted
+logically (array ``nbytes``, identical on every backend), in **both
+directions** — deltas out, result arrays back — and recorded on
+``PartitionStats``.
 """
 
 from __future__ import annotations
@@ -76,7 +48,6 @@ import itertools
 import os
 import time
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -90,7 +61,6 @@ from .costmodel import TrafficCounter
 
 __all__ = [
     "GraphPart",
-    "HaloDeltaTracker",
     "PartitionLayout",
     "PartitionStats",
     "build_partition_layout",
@@ -161,18 +131,6 @@ class GraphPart:
         """Global ids of the owned vertices adjacent to another part."""
         return self.owned[~self.interior_mask]
 
-    @cached_property
-    def interior_local(self) -> np.ndarray:
-        """Boolean mask over the local vertex space: True on interior rows.
-
-        Lets the overlapped drivers split a worklist with one O(w) gather
-        from already-computed local indices instead of re-searching the
-        owned array every phase. Coordinator-side only — never shipped.
-        """
-        mask = np.zeros(self.ids.size, dtype=bool)
-        mask[self.owned_local[self.interior_mask]] = True
-        return mask
-
     def local(self, vertices: np.ndarray) -> np.ndarray:
         """Local indices of ``vertices`` (global ids that must lie in ``ids``).
 
@@ -220,28 +178,23 @@ class PartitionStats:
     #: Ghost-exchange rounds (superstep phases) the driver executed.
     supersteps: int
     #: Logical bytes shipped once at session open (per-part CSR + index maps +
-    #: initial state). 0 on non-resident runs, where everything re-ships.
+    #: initial state).
     resident_bytes: int = 0
-    #: Logical bytes shipped across all supersteps, both directions: changed
-    #: halo values, once-per-iteration worklist indices and phase scalars out
-    #: plus the touched-entry result arrays back on the resident path;
-    #: payload + state + delta out and state + result back per phase on the
-    #: non-resident baseline.
+    #: Logical bytes shipped across all supersteps, both directions: worklist
+    #: indices, halo values and phase scalars out plus the result arrays back.
     superstep_bytes: int = 0
-    #: Largest single-superstep shipment — O(changed halo + worklist) on the
-    #: resident path once the CSR has shipped, O(CSR) on the non-resident
-    #: baseline.
+    #: Largest single-superstep shipment — O(halo + worklist), well below
+    #: ``resident_bytes`` once the CSR has shipped.
     max_superstep_bytes: int = 0
     #: Coordinator wall-clock spent computing between session calls (elapsed
     #: minus exchange minus idle). ``perf_counter``-based and machine-varying —
     #: unlike every field above, the ``*_seconds`` triple is NOT deterministic
     #: and must never join the gated counts.
     compute_seconds: float = 0.0
-    #: Wall-clock spent preparing and shipping phase deltas (the
-    #: ``run_async`` submit path: byte accounting + serialisation + send).
+    #: Wall-clock spent preparing and shipping phase deltas (the submit half
+    #: of ``ResidentSession.run``: byte accounting + serialisation + send).
     exchange_seconds: float = 0.0
-    #: Wall-clock the coordinator spent blocked waiting for phase results —
-    #: the time the overlap schedule exists to shrink.
+    #: Wall-clock the coordinator spent blocked waiting for phase results.
     idle_seconds: float = 0.0
 
     def to_dict(self) -> dict:
@@ -475,143 +428,19 @@ def carry_partition_labels(
     return labels
 
 
-# ------------------------------------------------------- changed-halo tracking
+# ------------------------------------------------------ superstep task functions
 #
-# The original resident protocol shipped every part's *entire* halo on every
-# ghost-reading phase — O(halo) per superstep even when the worklist (and hence
-# the set of values that could possibly have changed) had shrunk to a handful
-# of vertices. The coordinator already learns exactly which owned values each
-# phase modified (the phase results are the touched entries), so it can track,
-# per (array, part), which halo positions changed since that part's last
-# refresh and ship only those. The delta unit is a **halo update**: a
-# ``(positions, values)`` pair where ``positions`` indexes the part's halo in
-# halo order (``None`` marks a dense update carrying the full halo values —
-# the crossover fallback when the changed set plus its index overhead would
-# outweigh a dense shipment). Cumulatively applying a part's updates to its
-# session-open halo snapshot reconstructs the full-halo exchange exactly —
-# the invariant the Hypothesis suite checks.
-
-
-def _apply_halo_update(arr: np.ndarray, halo_local: np.ndarray, update) -> None:
-    """Worker-side: refresh ``arr``'s halo entries from one halo update."""
-    positions, values = update
-    if positions is None:
-        arr[halo_local] = values
-    elif positions.size:
-        arr[halo_local[positions]] = values
-
-
-def _scatter_changed(arr: np.ndarray, idx: np.ndarray, new: np.ndarray) -> np.ndarray:
-    """Coordinator-side: scatter ``new`` into ``arr`` at ``idx`` and return the
-    ids whose value actually changed (what the halo tracker needs to mark)."""
-    changed = idx[arr[idx] != new]
-    arr[idx] = new
-    return changed
-
-
-class HaloDeltaTracker:
-    """Coordinator-side bookkeeping: which halo values must each part re-read?
-
-    One tracker serves one partitioned kernel run. ``names`` are the shared
-    per-vertex arrays the kernel ghosts (e.g. ``("T", "M")`` for MIS-2). After
-    every phase the driver calls :meth:`mark` with the ids whose value that
-    phase actually changed; before a ghost-reading phase it calls :meth:`take`
-    per live part, which returns the minimal halo update — the positions
-    dirtied since that part's last take, or a dense fallback when the sparse
-    encoding would cost more — and resets the part's dirty set.
-
-    At session open each part's state ships with its halo entries current, so
-    every dirty set starts empty. ``changed_only=False`` selects the
-    full-halo protocol (every take is dense, marking is a no-op) — the PR 4
-    wire format, kept runnable so ``bench compare`` can gate the changed-delta
-    win against it.
-    """
-
-    def __init__(
-        self,
-        layout: PartitionLayout,
-        names: Sequence[str],
-        changed_only: bool = True,
-    ) -> None:
-        self._halos = [p.halo for p in layout.parts]
-        self.changed_only = bool(changed_only)
-        if self.changed_only:
-            self._dirty: Dict[str, List[np.ndarray]] = {
-                name: [np.zeros(h.size, dtype=bool) for h in self._halos]
-                for name in names
-            }
-
-    def mark(self, name: str, changed) -> None:
-        """Record that the values of ``changed`` global ids were modified.
-
-        ``changed`` may be one id array or a list of them (one per live part —
-        ownership makes them disjoint); order is irrelevant.
-        """
-        if not self.changed_only:
-            return
-        if isinstance(changed, (list, tuple)):
-            changed = [c for c in changed if c.size]
-            if not changed:
-                return
-            changed = changed[0] if len(changed) == 1 else np.concatenate(changed)
-        if changed.size == 0:
-            return
-        for dirty, halo in zip(self._dirty[name], self._halos):
-            if halo.size == 0:
-                continue
-            idx = np.searchsorted(halo, changed)
-            in_range = idx < halo.size
-            sub = idx[in_range]
-            hits = sub[halo[sub] == changed[in_range]]
-            if hits.size:
-                dirty[hits] = True
-
-    def take(self, name: str, part: int, values: np.ndarray):
-        """The halo update part ``part`` needs for array ``name``.
-
-        ``values`` is the shared *global* array being ghosted; only the
-        entries that actually ship are gathered from it — the sparse path
-        still scans the part's halo-sized dirty mask (one bool per ghost),
-        but never materialises a halo-sized value slice. The returned
-        update is ``(positions, changed_values)`` over the dirty positions,
-        or ``(None, full_halo_values)`` when dense ships fewer logical bytes
-        (positions are int64 words, so the crossover sits at
-        ``|changed| * (8 + itemsize) >= |halo| * itemsize``). Clears the
-        part's dirty set — the worker's halo copy is current once applied.
-        """
-        halo = self._halos[part]
-        if not self.changed_only:
-            return (None, values[halo])
-        dirty = self._dirty[name][part]
-        positions = np.nonzero(dirty)[0].astype(np.int64)
-        dirty[positions] = False
-        item = int(values.dtype.itemsize)
-        if halo.size and positions.size * (positions.dtype.itemsize + item) >= halo.size * item:
-            return (None, values[halo])
-        return (positions, values[halo[positions]])
-
-
-# --------------------------------------------- resident superstep task functions
-#
-# Module-level and picklable: they cross the chunked backend's pinned slot
-# pools. Each task function has the resident signature ``fn(payload, state,
-# delta)`` — ``payload`` is the part's loop-invariant shipment (local CSR,
-# index maps, static kernel parameters; shipped once per run, cached across
-# runs under the layout token), ``state`` the part's retained per-vertex
-# arrays over the local space (the task keeps its *owned* entries current and
-# refreshes the *halo* entries from the delta's halo updates), and ``delta``
-# the per-superstep shipment: changed-only halo updates, the iteration's
-# worklist indices (first phase only) and phase scalars.
-#
-# Worklist residency: the first phase of each kernel iteration receives the
-# iteration's worklist indices and *stashes them in state*; the later phases
-# of the same iteration that re-read the same worklist receive ``None`` in
-# that delta slot and use the stash (under the full-halo protocol the indices
-# are re-sent and the stash is ignored) — the coordinator never pays twice
-# for indices a worker already holds. The per-vertex arithmetic is copied
-# verbatim from the unpartitioned kernels, which is what makes the drivers
-# bit-identical to them; every task computes from the pre-superstep snapshot
-# first and mutates ``state`` last.
+# Module-level and picklable: they cross the chunked backend's slot workers and
+# the distributed backend's sockets. Each has the session signature
+# ``fn(payload, state, delta)`` — ``payload`` is the part's loop-invariant
+# shipment (local CSR, index maps, static kernel parameters; installed once
+# per run, cached across runs under the layout token), ``state`` the part's
+# retained per-vertex arrays over the local space, and ``delta`` the phase's
+# shipment: the worklist as local indices, phase scalars, and the ghosted
+# arrays' halo values. A task first writes the halo values into its state,
+# computes from that snapshot with the per-vertex arithmetic of the
+# unpartitioned kernel (which is what makes the drivers bit-identical to it),
+# and writes its owned results last.
 
 
 def _resident_payload(part: GraphPart, **extra) -> Dict:
@@ -626,9 +455,10 @@ def _resident_payload(part: GraphPart, **extra) -> Dict:
     return payload
 
 
-def _kk_refresh_row_compute(payload, state, w1_local, iteration):
+def _kk_refresh_row(payload, state, delta):
     from ..mis.kk import _priorities_for
 
+    w1_local, iteration = delta
     scheme = PriorityScheme.coerce(payload["scheme"])
     packer = TuplePacking(payload["n"], word_bits=payload["word_bits"])
     vertices = payload["ids"][w1_local]
@@ -638,8 +468,10 @@ def _kk_refresh_row_compute(payload, state, w1_local, iteration):
     return out
 
 
-def _kk_refresh_column_compute(payload, state, w2_local):
+def _kk_refresh_column(payload, state, delta):
+    w2_local, T_halo = delta
     T = state["T"]
+    T[payload["halo_local"]] = T_halo
     packer = TuplePacking(payload["n"], word_bits=payload["word_bits"])
     IN, OUT = packer.in_value, packer.out_value
     slots, seg = _ref.expand_rows(payload["rowmap"], w2_local)
@@ -650,8 +482,10 @@ def _kk_refresh_column_compute(payload, state, w2_local):
     return out
 
 
-def _kk_decide_compute(payload, state, w1_local):
+def _kk_decide(payload, state, delta):
+    w1_local, M_halo = delta
     T, M = state["T"], state["M"]
+    M[payload["halo_local"]] = M_halo
     packer = TuplePacking(payload["n"], word_bits=payload["word_bits"])
     IN, OUT = packer.in_value, packer.out_value
     slots, seg = _ref.expand_rows(payload["rowmap"], w1_local)
@@ -666,34 +500,15 @@ def _kk_decide_compute(payload, state, w1_local):
     newT = Tw.copy()
     newT[to_out] = OUT
     newT[to_in] = IN
-    state["T"][w1_local] = newT
+    T[w1_local] = newT
     return newT
 
 
-def _kk_resident_refresh_row(payload, state, delta):
-    w1_local, iteration = delta
-    state["w1"] = w1_local
-    return _kk_refresh_row_compute(payload, state, w1_local, iteration)
-
-
-def _kk_resident_refresh_column(payload, state, delta):
-    w2_local, T_update = delta
-    _apply_halo_update(state["T"], payload["halo_local"], T_update)
-    return _kk_refresh_column_compute(payload, state, w2_local)
-
-
-def _kk_resident_decide(payload, state, delta):
-    w1_local, M_update = delta
-    if w1_local is None:
-        w1_local = state["w1"]
-    _apply_halo_update(state["M"], payload["halo_local"], M_update)
-    return _kk_decide_compute(payload, state, w1_local)
-
-
-def _luby_priorities_compute(payload, state, cand_local, rounds):
+def _luby_priorities(payload, state, delta):
     from ..hashing.priorities import fixed_priorities
     from ..hashing.xorshift import hash_iter_vertex
 
+    cand_local, rounds = delta
     scheme = PriorityScheme.coerce(payload["scheme"])
     vertices = payload["ids"][cand_local]
     if scheme is PriorityScheme.FIXED:
@@ -704,14 +519,12 @@ def _luby_priorities_compute(payload, state, cand_local, rounds):
     return out
 
 
-def _luby_select_compute(payload, state, cand_local):
-    """Winner selection over ``cand_local`` from the current snapshot.
-
-    Pure read — returns the winning *local* indices without touching
-    ``status``, so the overlap schedule can evaluate both sub-phases against
-    the same pre-superstep snapshot before committing.
-    """
+def _luby_select(payload, state, delta):
+    cand_local, status_halo, prio_halo = delta
     status, prio = state["status"], state["priority"]
+    halo_local = payload["halo_local"]
+    status[halo_local] = status_halo
+    prio[halo_local] = prio_halo
     ids = payload["ids"]
     prio_max = np.uint64(np.iinfo(np.uint64).max)
     id_max = np.int64(np.iinfo(np.int64).max)
@@ -724,11 +537,15 @@ def _luby_select_compute(payload, state, cand_local):
     own = prio[cand_local]
     cand_global = ids[cand_local]
     own_better = (own < min_p) | ((own == min_p) & (cand_global < min_i))
-    return cand_local[own_better]
+    winners_local = cand_local[own_better]
+    status[winners_local] = payload["in_value"]
+    return ids[winners_local]
 
 
-def _luby_remove_compute(payload, state, remaining_local):
+def _luby_remove(payload, state, delta):
+    remaining_local, status_halo = delta
     status = state["status"]
+    status[payload["halo_local"]] = status_halo
     slots, seg = _ref.expand_rows(payload["rowmap"], remaining_local)
     losers = np.asarray(
         _ref.segmented_any_equal(
@@ -740,42 +557,10 @@ def _luby_remove_compute(payload, state, remaining_local):
     return losers
 
 
-def _luby_resident_priorities(payload, state, delta):
-    cand_local, rounds = delta
-    state["cand"] = cand_local
-    return _luby_priorities_compute(payload, state, cand_local, rounds)
-
-
-def _luby_resident_select(payload, state, delta):
-    cand_local, status_update, prio_update = delta
-    if cand_local is None:
-        cand_local = state["cand"]
-    halo_local = payload["halo_local"]
-    _apply_halo_update(state["status"], halo_local, status_update)
-    _apply_halo_update(state["priority"], halo_local, prio_update)
-    winners_local = _luby_select_compute(payload, state, cand_local)
-    state["status"][winners_local] = payload["in_value"]
-    return payload["ids"][winners_local]
-
-
-def _luby_resident_remove(payload, state, delta):
-    remaining_local, status_update = delta
-    status = state["status"]
-    _apply_halo_update(status, payload["halo_local"], status_update)
-    if remaining_local is None:
-        # The select phase set this part's winners IN worker-side, so the
-        # stashed candidate list filters to the coordinator's `remaining`
-        # without any indices crossing the boundary.
-        cand_local = state["cand"]
-        remaining_local = cand_local[status[cand_local] == payload["undecided"]]
-    return _luby_remove_compute(payload, state, remaining_local)
-
-
-def _color_assign_compute(payload, state, wl_local):
-    """Speculative colors for ``wl_local`` from the current snapshot — pure
-    read; the caller decides when the writes land (immediately on the barrier
-    path, deferred to the interior sub-phase on the overlap path)."""
+def _color_assign(payload, state, delta):
+    wl_local, colors_halo = delta
     colors = state["colors"]
+    colors[payload["halo_local"]] = colors_halo
     slots, seg = _ref.expand_rows(payload["rowmap"], wl_local)
     nbr_colors = colors[payload["entries"][slots]]
     owner = np.repeat(np.arange(wl_local.size, dtype=np.int64), np.diff(seg))
@@ -783,13 +568,15 @@ def _color_assign_compute(payload, state, wl_local):
     forbidden = np.zeros((wl_local.size, max_colors + 1), dtype=bool)
     valid = nbr_colors >= 0
     forbidden[owner[valid], np.minimum(nbr_colors[valid], max_colors)] = True
-    return np.argmin(forbidden, axis=1).astype(np.int64)
+    out = np.argmin(forbidden, axis=1).astype(np.int64)
+    colors[wl_local] = out
+    return out
 
 
-def _color_conflict_compute(payload, state, wl_local):
-    """Conflict losers among ``wl_local`` from the current snapshot — pure
-    read, same deferred-commit contract as :func:`_color_assign_compute`."""
+def _color_conflict(payload, state, delta):
+    wl_local, colors_halo = delta
     colors = state["colors"]
+    colors[payload["halo_local"]] = colors_halo
     ids = payload["ids"]
     slots, seg = _ref.expand_rows(payload["rowmap"], wl_local)
     nbr = payload["entries"][slots]
@@ -797,195 +584,9 @@ def _color_conflict_compute(payload, state, wl_local):
     owners_local = np.repeat(wl_local, lens)
     owners_global = np.repeat(ids[wl_local], lens)
     conflict = (colors[owners_local] == colors[nbr]) & (owners_global > ids[nbr])
-    return np.unique(owners_local[conflict])
-
-
-def _color_resident_assign(payload, state, delta):
-    wl_local, colors_update = delta
-    state["wl"] = wl_local
-    colors = state["colors"]
-    _apply_halo_update(colors, payload["halo_local"], colors_update)
-    out = _color_assign_compute(payload, state, wl_local)
-    colors[wl_local] = out
-    return out
-
-
-def _color_resident_conflict(payload, state, delta):
-    wl_local, colors_update = delta
-    if wl_local is None:
-        wl_local = state["wl"]
-    colors = state["colors"]
-    _apply_halo_update(colors, payload["halo_local"], colors_update)
-    losers_local = _color_conflict_compute(payload, state, wl_local)
+    losers_local = np.unique(owners_local[conflict])
     colors[losers_local] = -1
-    return payload["ids"][losers_local]
-
-
-# ----------------------------------------- overlapped sub-phase task functions
-#
-# The overlap schedule splits every superstep phase into a *boundary* and an
-# *interior* sub-task per part. Conventions, relied on by the drivers:
-#
-# - the boundary sub-task carries everything that crosses the halo seam —
-#   halo updates and the phase's explicit worklist indices under the
-#   full-halo protocol — and always ships, even with an empty sub-worklist,
-#   because its halo update must land to keep the tracker's "worker halo is
-#   current after take" invariant;
-# - the interior sub-task's delta is the bare interior sub-worklist; any
-#   scalar the compute needs (iteration / round counter) rides with the
-#   boundary half only and is stashed worker-side, because
-#   ``shipped_nbytes`` charges scalars too and shipping one twice would
-#   break the overlap-vs-barrier shipped-byte equality;
-# - sessions run each part's sub-tasks FIFO, so the interior sub-task may
-#   read boundary stashes from the same superstep, and phases whose writes
-#   would leak into a sibling's snapshot (Luby select, coloring assign /
-#   conflict) stash their boundary writes under a ``_ov_pending*`` state key
-#   and commit them in the interior sub-task, after both halves computed.
-
-
-def _kk_overlap_refresh_row_boundary(payload, state, delta):
-    w1_local, iteration = delta
-    state["w1b"] = w1_local
-    state["_ov_iter"] = iteration
-    return _kk_refresh_row_compute(payload, state, w1_local, iteration)
-
-
-def _kk_overlap_refresh_row_interior(payload, state, delta):
-    # Bare sub-worklist: the iteration scalar rode with the boundary half
-    # (FIFO — it already ran on this part) so the split ships exactly the
-    # barrier phase's bytes.
-    w1_local = delta
-    state["w1i"] = w1_local
-    return _kk_refresh_row_compute(payload, state, w1_local, state["_ov_iter"])
-
-
-def _kk_overlap_refresh_column_boundary(payload, state, delta):
-    w2_local, T_update = delta
-    _apply_halo_update(state["T"], payload["halo_local"], T_update)
-    return _kk_refresh_column_compute(payload, state, w2_local)
-
-
-def _kk_overlap_refresh_column_interior(payload, state, delta):
-    # Interior vertices have no ghost neighbours; their owned T reads were
-    # refreshed by this part's Refresh Row sub-tasks (FIFO order).
-    return _kk_refresh_column_compute(payload, state, delta)
-
-
-def _kk_overlap_decide_boundary(payload, state, delta):
-    w1_local, M_update = delta
-    if w1_local is None:
-        w1_local = state["w1b"]
-    _apply_halo_update(state["M"], payload["halo_local"], M_update)
-    return _kk_decide_compute(payload, state, w1_local)
-
-
-def _kk_overlap_decide_interior(payload, state, delta):
-    w1_local = state["w1i"] if delta is None else delta
-    # Decide reads only its own T/M rows and neighbour M values; the
-    # boundary sub-task writes T rows disjoint from these, so no deferral.
-    return _kk_decide_compute(payload, state, w1_local)
-
-
-def _luby_overlap_priorities_boundary(payload, state, delta):
-    cand_local, rounds = delta
-    state["cand_b"] = cand_local
-    state["_ov_rounds"] = rounds
-    return _luby_priorities_compute(payload, state, cand_local, rounds)
-
-
-def _luby_overlap_priorities_interior(payload, state, delta):
-    # Bare sub-worklist; the round scalar rode with the boundary half (FIFO).
-    cand_local = delta
-    state["cand_i"] = cand_local
-    return _luby_priorities_compute(payload, state, cand_local, state["_ov_rounds"])
-
-
-def _luby_overlap_select_boundary(payload, state, delta):
-    cand_local, status_update, prio_update = delta
-    if cand_local is None:
-        cand_local = state["cand_b"]
-    halo_local = payload["halo_local"]
-    _apply_halo_update(state["status"], halo_local, status_update)
-    _apply_halo_update(state["priority"], halo_local, prio_update)
-    winners_local = _luby_select_compute(payload, state, cand_local)
-    # Selection reads neighbour statuses, so committing IN here would leak
-    # into the interior sub-task's snapshot — defer to the interior commit.
-    state["_ov_pending_in"] = winners_local
-    return payload["ids"][winners_local]
-
-
-def _luby_overlap_select_interior(payload, state, delta):
-    cand_local = state["cand_i"] if delta is None else delta
-    winners_local = _luby_select_compute(payload, state, cand_local)
-    status = state["status"]
-    status[state.pop("_ov_pending_in")] = payload["in_value"]
-    status[winners_local] = payload["in_value"]
-    return payload["ids"][winners_local]
-
-
-def _luby_overlap_remove_boundary(payload, state, delta):
-    remaining_local, status_update = delta
-    status = state["status"]
-    _apply_halo_update(status, payload["halo_local"], status_update)
-    if remaining_local is None:
-        cand_local = state["cand_b"]
-        remaining_local = cand_local[status[cand_local] == payload["undecided"]]
-    # Removal reads `== IN` and writes OUT to previously-undecided vertices,
-    # so its commits cannot alter the sibling sub-task's reads: no deferral.
-    return _luby_remove_compute(payload, state, remaining_local)
-
-
-def _luby_overlap_remove_interior(payload, state, delta):
-    status = state["status"]
-    if delta is None:
-        cand_local = state["cand_i"]
-        remaining_local = cand_local[status[cand_local] == payload["undecided"]]
-    else:
-        remaining_local = delta
-    return _luby_remove_compute(payload, state, remaining_local)
-
-
-def _color_overlap_assign_boundary(payload, state, delta):
-    wl_local, colors_update = delta
-    state["wl_b"] = wl_local
-    _apply_halo_update(state["colors"], payload["halo_local"], colors_update)
-    out = _color_assign_compute(payload, state, wl_local)
-    # Assignment reads neighbour colors, owned ones included — defer the
-    # write so the interior sub-task sees the pre-superstep snapshot.
-    state["_ov_pending_colors"] = out
-    return out
-
-
-def _color_overlap_assign_interior(payload, state, delta):
-    wl_local = delta
-    state["wl_i"] = wl_local
-    out = _color_assign_compute(payload, state, wl_local)
-    colors = state["colors"]
-    colors[state["wl_b"]] = state.pop("_ov_pending_colors")
-    colors[wl_local] = out
-    return out
-
-
-def _color_overlap_conflict_boundary(payload, state, delta):
-    wl_local, colors_update = delta
-    if wl_local is None:
-        wl_local = state["wl_b"]
-    _apply_halo_update(state["colors"], payload["halo_local"], colors_update)
-    losers_local = _color_conflict_compute(payload, state, wl_local)
-    # Conflict detection compares both endpoints' colors — resetting a
-    # boundary loser to -1 here would erase conflicts the interior sub-task
-    # must still see, so the -1 writes are deferred like the assignments.
-    state["_ov_pending_losers"] = losers_local
-    return payload["ids"][losers_local]
-
-
-def _color_overlap_conflict_interior(payload, state, delta):
-    wl_local = state["wl_i"] if delta is None else delta
-    losers_local = _color_conflict_compute(payload, state, wl_local)
-    colors = state["colors"]
-    colors[state.pop("_ov_pending_losers")] = -1
-    colors[losers_local] = -1
-    return payload["ids"][losers_local]
+    return ids[losers_local]
 
 
 # ------------------------------------------------------------------- drivers
@@ -994,19 +595,10 @@ def _live(worklists: List[np.ndarray]) -> List[int]:
     return [i for i, w in enumerate(worklists) if w.size]
 
 
-def _split_interior(
-    part: GraphPart, vertices: np.ndarray, local: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Split an owned worklist into its boundary and interior sub-worklists.
-
-    ``vertices`` are part-owned global ids with ``local`` their local indices
-    (element-aligned). Returns ``(boundary, boundary_local, interior,
-    interior_local)`` — both splits preserve the input order, so barrier and
-    overlap schedules enumerate the same vertices in the same order.
-    """
-    mask = part.interior_local[local]
-    outside = ~mask
-    return vertices[outside], local[outside], vertices[mask], local[mask]
+def _scatter(arr: np.ndarray, vertices: List[np.ndarray], live: List[int], outs) -> None:
+    """Write each live part's phase results into the shared global array."""
+    for i, out in zip(live, outs):
+        arr[vertices[i]] = out
 
 
 def _exchange_traffic(
@@ -1037,27 +629,16 @@ def partitioned_kk_mis2(
     word_bits: int = 64,
     seed: int = 0,
     backend: "Optional[str | ExecutionBackend]" = None,
-    resident: bool = True,
-    changed_deltas: bool = True,
-    overlap: bool = True,
 ):
     """Algorithm 1 executed partition-parallel; bit-identical to :func:`kk_mis2`.
 
     Each main-loop iteration runs as three supersteps (Refresh Row, Refresh
-    Column, Decide) fanned over the parts through a rank-resident
-    :class:`~repro.parallel.backends.ResidentSession` — each part's local CSR
-    ships to its pinned worker once; every subsequent phase ships only the
-    halo values *changed since the part's last refresh* (dense fallback when
-    sparse would cost more) plus the iteration's worklist indices, sent once
-    by Refresh Row and stashed worker-side for Decide. Worklist compaction is
-    owner-local. ``resident=False`` selects the non-resident baseline that
-    re-ships the whole part every superstep; ``changed_deltas=False`` the
-    full-halo wire format (whole halos, worklists re-sent per phase);
-    ``overlap=False`` the barrier schedule (overlap requires the resident
-    seam and is ignored on non-resident runs). All combinations produce
-    bit-identical results and identical shipped-byte/superstep counts per
-    wire format — only wall-clock differs. See the module docstring for the
-    determinism argument.
+    Column, Decide), each one :meth:`ResidentSession.run` barrier over the
+    live parts. Each part's local CSR ships to its pinned worker once. Refresh
+    Row ships the worklist and the iteration number; Refresh Column and
+    Decide ship the worklist plus the part's halo of ``T`` and ``M``
+    respectively. Worklist compaction is owner-local. See the module
+    docstring for the determinism argument.
     """
     from ..mis.kk import SIMD_DEGREE_THRESHOLD, _max_iterations
     from ..mis.result import MISConfig, MISResult
@@ -1106,7 +687,6 @@ def partitioned_kk_mis2(
     w2 = [p.owned for p in members]
     worklist_sizes: List[Tuple[int, int]] = []
     iteration = 0
-    supersteps = 0
     max_iter = _max_iterations(n)
 
     payloads = [
@@ -1115,9 +695,7 @@ def partitioned_kk_mis2(
     ]
     states = [{"T": T[p.ids], "M": M[p.ids]} for p in members]
     token = f"{layout.token}/kk2/{scheme.value}/s{seed}/w{word_bits}"
-    tracker = HaloDeltaTracker(layout, ("T", "M"), changed_only=changed_deltas)
-    session = B.map_partitions_resident(token, payloads, states, resident=resident)
-    ov = bool(overlap) and resident
+    session = B.map_partitions_resident(token, payloads, states)
     t0 = time.perf_counter()
     try:
         while True:
@@ -1134,125 +712,25 @@ def partitioned_kk_mis2(
             live1 = _live(w1)
             live2 = _live(w2)
             w1_loc = {i: members[i].local(w1[i]) for i in live1}
-            if ov:
-                # Overlapped schedule: each phase splits boundary/interior and
-                # the next phase's deltas ship while interior sub-tasks run.
-                # Interior results scatter late — an interior vertex is in no
-                # part's halo, so its marks never dirty a take.
-                w1b, w1b_loc, w1i, w1i_loc = {}, {}, {}, {}
-                for i in live1:
-                    w1b[i], w1b_loc[i], w1i[i], w1i_loc[i] = _split_interior(
-                        members[i], w1[i], w1_loc[i]
-                    )
-                w2b, w2b_loc, w2i, w2i_loc = {}, {}, {}, {}
-                for i in live2:
-                    w2b[i], w2b_loc[i], w2i[i], w2i_loc[i] = _split_interior(
-                        members[i], w2[i], members[i].local(w2[i])
-                    )
 
-                # ---------------------------------- Refresh Row (owner-local)
-                fb = session.run_async(
-                    _kk_overlap_refresh_row_boundary,
-                    [(i, (w1b_loc[i], iteration)) for i in live1],
-                    commit=False,
-                )
-                fi = session.run_async(
-                    _kk_overlap_refresh_row_interior,
-                    [(i, w1i_loc[i]) for i in live1],
-                )
-                tracker.mark(
-                    "T", [_scatter_changed(T, w1b[i], out) for i, out in zip(live1, fb.result())]
-                )
-                supersteps += 1
-                _exchange_traffic(traffic, layout, word_bytes, live2)
+            # ------------------------------------ Refresh Row (owner-local)
+            outs = session.run(_kk_refresh_row, [(i, (w1_loc[i], iteration)) for i in live1])
+            _scatter(T, w1, live1, outs)
+            _exchange_traffic(traffic, layout, word_bytes, live2)
 
-                # ------------------------------- Refresh Column (reads ghost T)
-                gb = session.run_async(
-                    _kk_overlap_refresh_column_boundary,
-                    [(i, (w2b_loc[i], tracker.take("T", i, T))) for i in live2],
-                    commit=False,
-                )
-                gi = session.run_async(
-                    _kk_overlap_refresh_column_interior,
-                    [(i, w2i_loc[i]) for i in live2],
-                )
-                # Interior results scatter with no change tracking: an
-                # interior vertex is in no part's halo, so marking it is
-                # provably a no-op on every dirty mask — the skip is what
-                # makes the split cheaper, not just equivalent.
-                for i, out in zip(live1, fi.result()):
-                    T[w1i[i]] = out
-                tracker.mark(
-                    "M", [_scatter_changed(M, w2b[i], out) for i, out in zip(live2, gb.result())]
-                )
-                supersteps += 1
-                _exchange_traffic(traffic, layout, word_bytes, live1)
+            # --------------------------------- Refresh Column (reads ghost T)
+            outs = session.run(
+                _kk_refresh_column,
+                [(i, (members[i].local(w2[i]), T[members[i].halo])) for i in live2],
+            )
+            _scatter(M, w2, live2, outs)
+            _exchange_traffic(traffic, layout, word_bytes, live1)
 
-                # ---------------------------------- Decide (reads ghost M)
-                hb = session.run_async(
-                    _kk_overlap_decide_boundary,
-                    [
-                        (
-                            i,
-                            (
-                                None if changed_deltas else w1b_loc[i],
-                                tracker.take("M", i, M),
-                            ),
-                        )
-                        for i in live1
-                    ],
-                    commit=False,
-                )
-                hi = session.run_async(
-                    _kk_overlap_decide_interior,
-                    [(i, None if changed_deltas else w1i_loc[i]) for i in live1],
-                )
-                for i, out in zip(live2, gi.result()):
-                    M[w2i[i]] = out
-                tracker.mark(
-                    "T", [_scatter_changed(T, w1b[i], out) for i, out in zip(live1, hb.result())]
-                )
-                for i, out in zip(live1, hi.result()):
-                    T[w1i[i]] = out
-                supersteps += 1
-            else:
-                # ---------------------------------- Refresh Row (owner-local)
-                outs = session.run(
-                    _kk_resident_refresh_row,
-                    [(i, (w1_loc[i], iteration)) for i in live1],
-                )
-                tracker.mark("T", [_scatter_changed(T, w1[i], out) for i, out in zip(live1, outs)])
-                supersteps += 1
-                _exchange_traffic(traffic, layout, word_bytes, live2)
-
-                # ------------------------------- Refresh Column (reads ghost T)
-                outs = session.run(
-                    _kk_resident_refresh_column,
-                    [
-                        (i, (members[i].local(w2[i]), tracker.take("T", i, T)))
-                        for i in live2
-                    ],
-                )
-                tracker.mark("M", [_scatter_changed(M, w2[i], out) for i, out in zip(live2, outs)])
-                supersteps += 1
-                _exchange_traffic(traffic, layout, word_bytes, live1)
-
-                # ---------------------------------- Decide (reads ghost M)
-                outs = session.run(
-                    _kk_resident_decide,
-                    [
-                        (
-                            i,
-                            (
-                                None if changed_deltas else w1_loc[i],
-                                tracker.take("M", i, M),
-                            ),
-                        )
-                        for i in live1
-                    ],
-                )
-                tracker.mark("T", [_scatter_changed(T, w1[i], out) for i, out in zip(live1, outs)])
-                supersteps += 1
+            # ------------------------------------ Decide (reads ghost M)
+            outs = session.run(
+                _kk_decide, [(i, (w1_loc[i], M[members[i].halo])) for i in live1]
+            )
+            _scatter(T, w1, live1, outs)
 
             # --------------------------------------- Compaction (owner-local)
             for i in live1:
@@ -1272,7 +750,9 @@ def partitioned_kk_mis2(
         worklist_sizes=worklist_sizes,
         traffic=traffic,
         config=config,
-        partition_stats=layout.stats(supersteps, session=session, elapsed_seconds=elapsed),
+        partition_stats=layout.stats(
+            session.supersteps, session=session, elapsed_seconds=elapsed
+        ),
     )
 
 
@@ -1282,25 +762,17 @@ def partitioned_luby_mis1(
     priority_scheme: Union[str, PriorityScheme] = PriorityScheme.XORSTAR,
     seed: int = 0,
     backend: "Optional[str | ExecutionBackend]" = None,
-    resident: bool = True,
-    changed_deltas: bool = True,
-    overlap: bool = True,
 ):
     """Luby's Algorithm A executed partition-parallel; bit-identical to
     :func:`luby_mis1`.
 
     Each round runs three supersteps: priority refresh (owner-local), winner
-    selection (reads ghost priorities/statuses) and neighbour removal
+    selection (reads ghost priorities and statuses) and neighbour removal
     (owner-computes: an undecided owned vertex goes OUT when any neighbour —
-    local or ghost — just joined the set). Runs through a rank-resident
-    session: the per-part CSR ships once, supersteps ship *changed* halo
-    status/priority values, and the candidate indices ship once per round
-    (the priority phase stashes them; selection reads the stash and removal
-    filters it against the part's own post-selection statuses, so neither
-    later phase receives index arrays). ``resident=False`` restores the
-    ship-everything baseline, ``changed_deltas=False`` the full-halo wire
-    format, ``overlap=False`` the barrier schedule — results are
-    bit-identical in every combination.
+    local or ghost — just joined the set). Each is one
+    :meth:`ResidentSession.run` barrier over the live parts; the per-part
+    CSR ships once, and every phase ships the part's candidates as local
+    indices plus the halo of each array it reads.
     """
     import math
 
@@ -1337,7 +809,6 @@ def partitioned_luby_mis1(
     status = np.full(n, _UNDECIDED, dtype=np.uint8)
     priority = np.zeros(n, dtype=np.uint64)
     rounds = 0
-    supersteps = 0
     max_rounds = 20 * max(4, int(math.log2(n + 2))) + 64
 
     payloads = [
@@ -1354,9 +825,7 @@ def partitioned_luby_mis1(
     ]
     states = [{"status": status[p.ids], "priority": priority[p.ids]} for p in members]
     token = f"{layout.token}/luby1/{scheme.value}/s{seed}"
-    tracker = HaloDeltaTracker(layout, ("status", "priority"), changed_only=changed_deltas)
-    session = B.map_partitions_resident(token, payloads, states, resident=resident)
-    ov = bool(overlap) and resident
+    session = B.map_partitions_resident(token, payloads, states)
     t0 = time.perf_counter()
     try:
         while np.any(status == _UNDECIDED):
@@ -1368,153 +837,35 @@ def partitioned_luby_mis1(
             live = _live(cand)
             cand_loc = {i: members[i].local(cand[i]) for i in live}
 
-            if ov:
-                cb, cb_loc, ci, ci_loc = {}, {}, {}, {}
-                for i in live:
-                    cb[i], cb_loc[i], ci[i], ci_loc[i] = _split_interior(
-                        members[i], cand[i], cand_loc[i]
-                    )
+            # ------------------------------------ priorities (owner-local)
+            outs = session.run(_luby_priorities, [(i, (cand_loc[i], rounds)) for i in live])
+            _scatter(priority, cand, live, outs)
+            _exchange_traffic(traffic, layout, 8, live)
 
-                # ---------------------------------- priorities (owner-local)
-                fb = session.run_async(
-                    _luby_overlap_priorities_boundary,
-                    [(i, (cb_loc[i], rounds)) for i in live],
-                    commit=False,
-                )
-                fi = session.run_async(
-                    _luby_overlap_priorities_interior,
-                    [(i, ci_loc[i]) for i in live],
-                )
-                tracker.mark(
-                    "priority",
-                    [_scatter_changed(priority, cb[i], out) for i, out in zip(live, fb.result())],
-                )
-                supersteps += 1
-                _exchange_traffic(traffic, layout, 8, live)
+            # --------------------------- selection (reads ghost priorities)
+            outs = session.run(
+                _luby_select,
+                [
+                    (i, (cand_loc[i], status[members[i].halo], priority[members[i].halo]))
+                    for i in live
+                ],
+            )
+            for winners in outs:
+                status[winners] = _IN
 
-                # ------------------------- selection (reads ghost priorities)
-                gb = session.run_async(
-                    _luby_overlap_select_boundary,
-                    [
-                        (
-                            i,
-                            (
-                                None if changed_deltas else cb_loc[i],
-                                tracker.take("status", i, status),
-                                tracker.take("priority", i, priority),
-                            ),
-                        )
-                        for i in live
-                    ],
-                    commit=False,
-                )
-                gi = session.run_async(
-                    _luby_overlap_select_interior,
-                    [(i, None if changed_deltas else ci_loc[i]) for i in live],
-                )
-                # Interior results are in no part's halo: scatter plainly and
-                # skip both the changed-comparison and the (no-op) mark.
-                for i, out in zip(live, fi.result()):
-                    priority[ci[i]] = out
-                boundary_winners = list(gb.result())
-                interior_winners = list(gi.result())
-                for winners in boundary_winners + interior_winners:
-                    status[winners] = _IN
-                # Winners were undecided a moment ago, so every boundary one
-                # is a change; interior winners need no mark.
-                tracker.mark("status", boundary_winners)
-                supersteps += 1
-
-                # ---------------------------- removal (reads ghost statuses)
-                remaining = {i: cand[i][status[cand[i]] == _UNDECIDED] for i in live}
-                live_r = [i for i in live if remaining[i].size]
-                _exchange_traffic(traffic, layout, 1, live_r)
-                rb, rb_loc, ri, ri_loc = {}, {}, {}, {}
-                for i in live_r:
-                    rb[i], rb_loc[i], ri[i], ri_loc[i] = _split_interior(
-                        members[i], remaining[i], members[i].local(remaining[i])
-                    )
-                hb = session.run_async(
-                    _luby_overlap_remove_boundary,
-                    [
-                        (
-                            i,
-                            (
-                                None if changed_deltas else rb_loc[i],
-                                tracker.take("status", i, status),
-                            ),
-                        )
-                        for i in live_r
-                    ],
-                    commit=False,
-                )
-                hi = session.run_async(
-                    _luby_overlap_remove_interior,
-                    [(i, None if changed_deltas else ri_loc[i]) for i in live_r],
-                )
-                removed_b = [rb[i][losers] for i, losers in zip(live_r, hb.result())]
-                removed_i = [ri[i][losers] for i, losers in zip(live_r, hi.result())]
-                for ids in removed_b + removed_i:
-                    status[ids] = _OUT
-                tracker.mark("status", removed_b)
-                supersteps += 1
-            else:
-                # ---------------------------------- priorities (owner-local)
-                outs = session.run(
-                    _luby_resident_priorities,
-                    [(i, (cand_loc[i], rounds)) for i in live],
-                )
-                tracker.mark(
-                    "priority",
-                    [_scatter_changed(priority, cand[i], out) for i, out in zip(live, outs)],
-                )
-                supersteps += 1
-                _exchange_traffic(traffic, layout, 8, live)
-
-                # ------------------------- selection (reads ghost priorities)
-                outs = session.run(
-                    _luby_resident_select,
-                    [
-                        (
-                            i,
-                            (
-                                None if changed_deltas else cand_loc[i],
-                                tracker.take("status", i, status),
-                                tracker.take("priority", i, priority),
-                            ),
-                        )
-                        for i in live
-                    ],
-                )
-                winner_lists = list(outs)
-                for winners in winner_lists:
-                    status[winners] = _IN
-                # Winners were undecided a moment ago, so every one is a change.
-                tracker.mark("status", winner_lists)
-                supersteps += 1
-
-                # ---------------------------- removal (reads ghost statuses)
-                remaining = {i: cand[i][status[cand[i]] == _UNDECIDED] for i in live}
-                live_r = [i for i in live if remaining[i].size]
-                _exchange_traffic(traffic, layout, 1, live_r)
-                outs = session.run(
-                    _luby_resident_remove,
-                    [
-                        (
-                            i,
-                            (
-                                None if changed_deltas else members[i].local(remaining[i]),
-                                tracker.take("status", i, status),
-                            ),
-                        )
-                        for i in live_r
-                    ],
-                )
-                removed = [remaining[i][losers] for i, losers in zip(live_r, outs)]
-                for ids in removed:
-                    status[ids] = _OUT
-                tracker.mark("status", removed)
-                supersteps += 1
+            # ------------------------------ removal (reads ghost statuses)
+            remaining = {i: cand[i][status[cand[i]] == _UNDECIDED] for i in live}
+            live_r = [i for i in live if remaining[i].size]
+            _exchange_traffic(traffic, layout, 1, live_r)
+            outs = session.run(
+                _luby_remove,
+                [
+                    (i, (members[i].local(remaining[i]), status[members[i].halo]))
+                    for i in live_r
+                ],
+            )
+            for i, losers in zip(live_r, outs):
+                status[remaining[i][losers]] = _OUT
             # The removal phase's OUT statuses are re-ghosted for the next
             # round's selection snapshot — account that exchange over the
             # parts that will actually read it, i.e. those with undecided
@@ -1534,7 +885,9 @@ def partitioned_luby_mis1(
         iterations=rounds,
         traffic=traffic,
         config=config,
-        partition_stats=layout.stats(supersteps, session=session, elapsed_seconds=elapsed),
+        partition_stats=layout.stats(
+            session.supersteps, session=session, elapsed_seconds=elapsed
+        ),
     )
 
 
@@ -1543,9 +896,6 @@ def partitioned_greedy_color(
     partitions: PartitionSpec,
     max_rounds: Optional[int] = None,
     backend: "Optional[str | ExecutionBackend]" = None,
-    resident: bool = True,
-    changed_deltas: bool = True,
-    overlap: bool = True,
 ):
     """Speculative greedy coloring executed partition-parallel; bit-identical to
     :func:`greedy_color`.
@@ -1553,13 +903,10 @@ def partitioned_greedy_color(
     Each round runs two supersteps: speculative assignment (reads ghost
     colors) and conflict resolution (the higher-global-id endpoint of a
     same-color edge is uncolored by its owning part — the same deterministic
-    tie-break as the unpartitioned kernel). Runs through a rank-resident
-    session: the per-part CSR ships once, supersteps ship *changed* halo
-    colors, and the round's worklist indices ship once with the assignment
-    phase (the conflict phase reads the worker-side stash).
-    ``resident=False`` restores the ship-everything baseline,
-    ``changed_deltas=False`` the full-halo wire format, ``overlap=False``
-    the barrier schedule — results are bit-identical in every combination.
+    tie-break as the unpartitioned kernel). Each is one
+    :meth:`ResidentSession.run` barrier over the live parts; the per-part
+    CSR ships once, and both phases ship the part's worklist plus its halo
+    of colors.
     """
     from ..coloring.greedy import ColoringResult
 
@@ -1584,14 +931,11 @@ def partitioned_greedy_color(
     max_colors = graph.max_degree() + 1
     cap = max_rounds if max_rounds is not None else n + 2
     rounds = 0
-    supersteps = 0
 
     payloads = [_resident_payload(p, max_colors=max_colors) for p in members]
     states = [{"colors": colors[p.ids]} for p in members]
     token = f"{layout.token}/greedy/m{max_colors}"
-    tracker = HaloDeltaTracker(layout, ("colors",), changed_only=changed_deltas)
-    session = B.map_partitions_resident(token, payloads, states, resident=resident)
-    ov = bool(overlap) and resident
+    session = B.map_partitions_resident(token, payloads, states)
     t0 = time.perf_counter()
     try:
         while sum(w.size for w in worklists) > 0:
@@ -1602,104 +946,21 @@ def partitioned_greedy_color(
             live = _live(worklists)
             wl_loc = {i: members[i].local(worklists[i]) for i in live}
 
-            if ov:
-                wb, wb_loc, wi, wi_loc = {}, {}, {}, {}
-                for i in live:
-                    wb[i], wb_loc[i], wi[i], wi_loc[i] = _split_interior(
-                        members[i], worklists[i], wl_loc[i]
-                    )
+            # ------------------------------- speculation (reads ghost colors)
+            outs = session.run(
+                _color_assign, [(i, (wl_loc[i], colors[members[i].halo])) for i in live]
+            )
+            _scatter(colors, worklists, live, outs)
+            _exchange_traffic(traffic, layout, 8, live)
 
-                # ----------------------------- speculation (reads ghost colors)
-                fb = session.run_async(
-                    _color_overlap_assign_boundary,
-                    [(i, (wb_loc[i], tracker.take("colors", i, colors))) for i in live],
-                    commit=False,
-                )
-                fi = session.run_async(
-                    _color_overlap_assign_interior,
-                    [(i, wi_loc[i]) for i in live],
-                )
-                tracker.mark(
-                    "colors",
-                    [_scatter_changed(colors, wb[i], out) for i, out in zip(live, fb.result())],
-                )
-                supersteps += 1
-                _exchange_traffic(traffic, layout, 8, live)
-
-                # ----------------- conflicts (reads freshly ghosted colors)
-                gb = session.run_async(
-                    _color_overlap_conflict_boundary,
-                    [
-                        (
-                            i,
-                            (
-                                None if changed_deltas else wb_loc[i],
-                                tracker.take("colors", i, colors),
-                            ),
-                        )
-                        for i in live
-                    ],
-                    commit=False,
-                )
-                gi = session.run_async(
-                    _color_overlap_conflict_interior,
-                    [(i, None if changed_deltas else wi_loc[i]) for i in live],
-                )
-                # Interior results are in no part's halo: scatter plainly and
-                # skip both the changed-comparison and the (no-op) mark.
-                for i, out in zip(live, fi.result()):
-                    colors[wi[i]] = out
-                new_worklists = [np.zeros(0, dtype=np.int64)] * len(members)
-                loser_lists: List[np.ndarray] = []
-                for i, lb, li in zip(live, gb.result(), gi.result()):
-                    # Boundary and interior losers are disjoint; sorting the
-                    # union reproduces the barrier schedule's worklist exactly.
-                    # Only the boundary losers feed the shared mark below —
-                    # interior vertices dirty no halo.
-                    losers = np.sort(np.concatenate((lb, li)))
-                    colors[losers] = -1
-                    new_worklists[i] = losers
-                    loser_lists.append(lb)
-            else:
-                # ----------------------------- speculation (reads ghost colors)
-                outs = session.run(
-                    _color_resident_assign,
-                    [
-                        (i, (wl_loc[i], tracker.take("colors", i, colors)))
-                        for i in live
-                    ],
-                )
-                tracker.mark(
-                    "colors",
-                    [_scatter_changed(colors, worklists[i], out) for i, out in zip(live, outs)],
-                )
-                supersteps += 1
-                _exchange_traffic(traffic, layout, 8, live)
-
-                # ----------------- conflicts (reads freshly ghosted colors)
-                outs = session.run(
-                    _color_resident_conflict,
-                    [
-                        (
-                            i,
-                            (
-                                None if changed_deltas else wl_loc[i],
-                                tracker.take("colors", i, colors),
-                            ),
-                        )
-                        for i in live
-                    ],
-                )
-                new_worklists = [np.zeros(0, dtype=np.int64)] * len(members)
-                loser_lists = list(outs)
-                for i, losers in zip(live, loser_lists):
-                    colors[losers] = -1
-                    new_worklists[i] = losers
-            # A conflict loser had just been speculatively colored >= 0, so
-            # every reset to -1 is a change.
-            tracker.mark("colors", loser_lists)
-            worklists = new_worklists
-            supersteps += 1
+            # ------------------- conflicts (reads freshly ghosted colors)
+            outs = session.run(
+                _color_conflict, [(i, (wl_loc[i], colors[members[i].halo])) for i in live]
+            )
+            worklists = [np.zeros(0, dtype=np.int64)] * len(members)
+            for i, losers in zip(live, outs):
+                colors[losers] = -1
+                worklists[i] = losers
             # The conflict phase's -1 resets are re-ghosted for the next round's
             # speculation snapshot, so this round carries two exchanges like the
             # other kernels' ghost-reading phase pairs — read by exactly the
@@ -1721,5 +982,7 @@ def partitioned_greedy_color(
         distance=1,
         backend=B.name,
         partitions=layout.num_parts,
-        partition_stats=layout.stats(supersteps, session=session, elapsed_seconds=elapsed),
+        partition_stats=layout.stats(
+            session.supersteps, session=session, elapsed_seconds=elapsed
+        ),
     )

@@ -2,7 +2,7 @@
 
 
 def go(session, tasks):
-    return session.run_async(lambda part: part, tasks)
+    return session.run(lambda payload, state, delta: delta, tasks)
 
 
 def fan(backend, graphs):

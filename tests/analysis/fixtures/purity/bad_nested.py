@@ -15,4 +15,4 @@ def resident(session, tasks):
     def fn(state):
         return state
 
-    return session.run_async(partial(fn, 1), tasks)
+    return session.run(partial(fn, 1), tasks)

@@ -17,4 +17,4 @@ def drive_partial(backend, graphs):
 
 
 def drive_resident(session, fn, tasks):
-    return session.run_async(fn, tasks)
+    return session.run(fn, tasks)

@@ -19,7 +19,12 @@ from repro.coloring import distance2_color, greedy_color
 from repro.graph import laplace3d_matrix, random_gnp
 from repro.gs import ClusterMulticolorGaussSeidel
 from repro.mis import bell_mis, kk_mis2, luby_mis1
-from repro.parallel import ChunkedBackend, available_backends, get_backend
+from repro.parallel import (
+    ChunkedBackend,
+    available_backends,
+    build_partition_layout,
+    get_backend,
+)
 
 from tests.conftest import SMALL_GRAPH_CASES
 
@@ -162,9 +167,9 @@ def test_experiment_counts_identical_across_all_backends():
 # Partition-equivalence matrix: every registered backend × k ∈ {1, 2, 4, 7} ×
 # {kk, luby, greedy coloring, mis2_agg} must produce output bit-identical to
 # the *unpartitioned* NumPy reference — the intra-graph sharding contract of
-# repro.parallel.partitioned. Pooled backends run with a two-wide pool so the
-# map_partitions fan-out genuinely executes (chunked: persistent process pool;
-# threaded: thread pool).
+# repro.parallel.partitioned. Pooled backends run two wide so the resident
+# sessions genuinely fan out (chunked: persistent slot workers; threaded:
+# thread pool; distributed: two rank processes).
 
 #: One instance per registered backend name (including the numpy reference —
 #: here it is the *execution* under test, not the baseline).
@@ -246,24 +251,6 @@ def test_partitioned_kk_every_small_graph_numpy(graph_name, k):
     assert ref.worklist_sizes == out.worklist_sizes
 
 
-@pytest.mark.parametrize("k", (2, 4))
-@pytest.mark.parametrize("graph_name", PARTITION_GRAPHS)
-def test_nonresident_baseline_bit_identical(partition_backend, graph_name, k):
-    """The non-resident execution path (payload re-shipped every superstep)
-    must stay bit-identical to the reference and to the resident path on
-    every backend — only the shipped-bytes accounting may differ."""
-    g = SMALL_GRAPH_CASES[graph_name]
-    ref = kk_mis2(g)
-    out = kk_mis2(g, partitions=k, backend=partition_backend, resident=False)
-    assert np.array_equal(ref.in_set, out.in_set)
-    assert ref.iterations == out.iterations
-    assert out.partition_stats.resident_bytes == 0
-    coloring = greedy_color(g, partitions=k, backend=partition_backend, resident=False)
-    assert np.array_equal(greedy_color(g).colors, coloring.colors)
-    luby = luby_mis1(g, partitions=k, backend=partition_backend, resident=False)
-    assert np.array_equal(luby_mis1(g).in_set, luby.in_set)
-
-
 def _deterministic_stats(stats) -> dict:
     """PartitionStats as a dict with the wall-clock meters stripped — the
     ``*_seconds`` triple is perf_counter-based and machine-varying by design;
@@ -273,38 +260,13 @@ def _deterministic_stats(stats) -> dict:
     }
 
 
-@pytest.mark.parametrize("changed_deltas", (True, False))
-@pytest.mark.parametrize("resident", (True, False))
-def test_shipped_bytes_accounting_identical_across_backends(resident, changed_deltas):
+def test_shipped_bytes_accounting_identical_across_backends():
     """The shipped-bytes fields are *logical* (array nbytes, charged in both
     directions), so every backend must record exactly the same numbers for
-    the same run — that is what makes them deterministic counts gateable by
-    `bench compare` — under every delta wire format."""
+    the same run of every partitioned kernel — that is what makes them
+    deterministic counts gateable by `bench compare`."""
     g = SMALL_GRAPH_CASES["gnp60"]
-    reference = None
-    for name, backend in sorted(PARTITION_BACKENDS.items()):
-        out = kk_mis2(
-            g, partitions=4, backend=backend,
-            resident=resident, changed_deltas=changed_deltas,
-        )
-        recorded = _deterministic_stats(out.partition_stats)
-        if reference is None:
-            reference = recorded
-        assert recorded == reference, name
-    assert reference["superstep_bytes"] > 0
-    if resident:
-        assert reference["resident_bytes"] > 0
-        assert reference["max_superstep_bytes"] < reference["resident_bytes"]
-    else:
-        assert reference["resident_bytes"] == 0
-
-
-def test_changed_delta_accounting_identical_across_backends_all_kernels():
-    """The changed-delta protocol's byte counts agree on every backend for
-    every partitioned kernel (Luby and the coloring stash/recompute their
-    worklists worker-side — the counts must not depend on where that runs)."""
-    g = SMALL_GRAPH_CASES["gnp60"]
-    for kernel in (luby_mis1, greedy_color):
+    for kernel in (kk_mis2, luby_mis1, greedy_color):
         reference = None
         for name, backend in sorted(PARTITION_BACKENDS.items()):
             out = kernel(g, partitions=4, backend=backend)
@@ -313,28 +275,63 @@ def test_changed_delta_accounting_identical_across_backends_all_kernels():
                 reference = recorded
             assert recorded == reference, (kernel.__name__, name)
         assert reference["superstep_bytes"] > 0
+        assert reference["resident_bytes"] > 0
+        # The payload ships once: no single superstep re-ships the parts.
+        assert reference["max_superstep_bytes"] < reference["resident_bytes"]
+
+
+#: kernel -> (front door, result values, supersteps per round): Refresh Row,
+#: Refresh Column, Decide (kk); priorities, selection, removal (Luby);
+#: speculation, conflicts (coloring).
+_ROUND_KERNELS = {
+    "kk": (kk_mis2, lambda r: r.in_set, lambda r: 3 * r.iterations),
+    "luby": (luby_mis1, lambda r: r.in_set, lambda r: 3 * r.iterations),
+    "color": (greedy_color, lambda r: r.colors, lambda r: 2 * r.rounds),
+}
+
+
+@pytest.mark.parametrize("k", (2, 4))
+@pytest.mark.parametrize("graph_name", PARTITION_GRAPHS)
+def test_prebuilt_layout_rerun_bit_identical(partition_backend, graph_name, k):
+    """A rerun on a prebuilt layout reuses the payloads cached under its
+    token (the chunked slots and the distributed ranks skip the CSR). That
+    warm rerun, with another layout's run in between, must match the flat
+    reference and record exactly the cold run's deterministic counts: the
+    logical ledger charges the payload once per run whether or not it
+    physically ships."""
+    g = SMALL_GRAPH_CASES[graph_name]
+    other = SMALL_GRAPH_CASES["regular48"]
+    layout = build_partition_layout(g, k)
+    other_layout = build_partition_layout(other, k)
+    for name, (kernel, values, _) in sorted(_ROUND_KERNELS.items()):
+        flat = values(kernel(g))
+        cold = kernel(g, partitions=layout, backend=partition_backend)
+        between = kernel(other, partitions=other_layout, backend=partition_backend)
+        warm = kernel(g, partitions=layout, backend=partition_backend)
+        assert np.array_equal(values(cold), flat), name
+        assert np.array_equal(values(warm), flat), name
+        assert np.array_equal(values(between), values(kernel(other))), name
+        assert _deterministic_stats(warm.partition_stats) == _deterministic_stats(
+            cold.partition_stats
+        ), name
 
 
 @pytest.mark.parametrize("graph_name", PARTITION_GRAPHS)
-def test_full_halo_format_bit_identical_and_never_cheaper(partition_backend, graph_name):
-    """changed_deltas=False (the full-halo wire format kept for the CI gate)
-    produces bit-identical results on every backend, and the changed-delta
-    default never ships more than it — per phase or in total."""
+def test_one_superstep_per_phase_and_counts_match_numpy(partition_backend, graph_name):
+    """Barrier schedule on every backend: supersteps is the round count
+    times the phases per round, and every deterministic count equals the
+    in-process numpy partitioned run's. Three parts take the contiguous-block
+    partitioner (power-of-two counts take the multilevel one)."""
     g = SMALL_GRAPH_CASES[graph_name]
-    for kernel, extract in (
-        (kk_mis2, lambda r: r.in_set),
-        (luby_mis1, lambda r: r.in_set),
-        (greedy_color, lambda r: r.colors),
-    ):
-        ref = kernel(g)
-        changed = kernel(g, partitions=4, backend=partition_backend)
-        full = kernel(g, partitions=4, backend=partition_backend, changed_deltas=False)
-        assert np.array_equal(extract(ref), extract(changed))
-        assert np.array_equal(extract(ref), extract(full))
-        sc, sf = changed.partition_stats, full.partition_stats
-        assert sc.supersteps == sf.supersteps
-        assert sc.superstep_bytes <= sf.superstep_bytes
-        assert sc.max_superstep_bytes <= sf.max_superstep_bytes
+    layout = build_partition_layout(g, 3)
+    for name, (kernel, values, phases) in sorted(_ROUND_KERNELS.items()):
+        out = kernel(g, partitions=layout, backend=partition_backend)
+        ref = kernel(g, partitions=layout, backend="numpy")
+        assert np.array_equal(values(out), values(kernel(g))), name
+        assert out.partition_stats.supersteps == phases(out), name
+        assert _deterministic_stats(out.partition_stats) == _deterministic_stats(
+            ref.partition_stats
+        ), name
 
 
 def test_partitioned_smoke_sweep_counts_identical():

@@ -446,81 +446,137 @@ def test_every_registered_backend_is_an_execution_backend():
         assert _REGISTRY[name].name == name
 
 
-# ---------------------------------------------------------------- run_async
+# ------------------------------------------------------------ session contract
+
+#: Every session implementation: in-process, thread pool, pinned slot workers
+#: and socket ranks, each two wide so the parts genuinely fan out.
+SESSION_BACKENDS = ["numpy", "threaded", "chunked", "distributed"]
 
 
-def _echo_delta(payload, state, delta):
-    return delta
+class _Boom(RuntimeError):
+    pass
 
 
-def _stash_delta(payload, state, delta):
-    state["v"] = delta
-    return None
+def _accumulate(payload, state, delta):
+    state["acc"] += delta
+    return state["acc"].copy()
 
 
-def _read_stash(payload, state, delta):
-    return state["v"]
+def _weighted(payload, state, delta):
+    state["acc"] += payload["w"] * delta
+    return state["acc"].copy()
 
 
-class TestRunAsync:
-    """The overlap seam: PhaseFuture resolution and _StepGroup accounting."""
+def _boom(payload, state, delta):
+    raise _Boom("task function failed")
 
-    @staticmethod
-    def _session(resident=True):
-        payloads = [np.zeros(4, dtype=np.int64), np.zeros(2, dtype=np.int64)]
-        states = [{"v": None}, {"v": None}]
-        return backends._LocalResidentSession(
-            "tok", payloads, states, resident=resident
+
+def _open_session(backend_name, tag, parts=3, n=16):
+    """A two-wide session over ``parts`` parts; part ``i`` has ``w = arange(n) + i``."""
+    payloads = [{"w": np.arange(n, dtype=np.int64) + part} for part in range(parts)]
+    states = [{"acc": np.zeros(n, dtype=np.int64)} for _ in range(parts)]
+    return get_backend(backend_name).with_jobs(2).map_partitions_resident(
+        f"tok/{tag}/{backend_name}", payloads, states
+    )
+
+
+@pytest.mark.parametrize("backend_name", SESSION_BACKENDS)
+def test_run_returns_results_in_task_order(backend_name):
+    # The tasks of a phase may run in any order or concurrently, but run()
+    # returns their results in the order the tasks were listed: the drivers
+    # zip them with their live-part lists.
+    tasks = [(3, 1), (0, 2), (2, 3), (1, 4)]
+    with _open_session(backend_name, "task-order", parts=4) as session:
+        results = session.run(_weighted, tasks)
+    assert len(results) == len(tasks)
+    for (part, delta), got in zip(tasks, results):
+        assert np.array_equal(got, (np.arange(16) + part) * delta)
+
+
+@pytest.mark.parametrize("backend_name", SESSION_BACKENDS)
+def test_part_state_carries_across_phases(backend_name):
+    # What one phase writes into a part's state is what the next phase of
+    # that part reads, wherever the part lives; other parts never see it.
+    with _open_session(backend_name, "carry") as session:
+        session.run(_weighted, [(0, 1), (1, 2), (2, 3)])
+        session.run(_weighted, [(1, 10)])
+        results = session.run(_weighted, [(0, 0), (1, 0), (2, 0)])
+    w = np.arange(16)
+    assert np.array_equal(results[0], w * 1)
+    assert np.array_equal(results[1], (w + 1) * 12)
+    assert np.array_equal(results[2], (w + 2) * 3)
+
+
+@pytest.mark.parametrize("backend_name", SESSION_BACKENDS)
+def test_accounting_is_logical_and_backend_independent(backend_name):
+    # Every session charges the same logical bytes: each part's payload and
+    # initial state once at open, then per run the deltas out plus the
+    # results back.
+    with _open_session(backend_name, "ledger") as session:
+        assert session.resident_bytes == 3 * (16 * 8) + 3 * (16 * 8)
+        session.run(_weighted, [(0, 1), (2, 1)])
+        session.run(_weighted, [(1, np.int32(2))])
+        assert session.supersteps == 2
+        # Run 1: two 8-byte scalars out, two 128-byte arrays back. Run 2: one
+        # 4-byte np.int32 out, one 128-byte array back.
+        assert session.superstep_bytes == (16 + 256) + (4 + 128)
+        assert session.max_superstep_bytes == 16 + 256
+
+
+@pytest.mark.parametrize("backend_name", SESSION_BACKENDS)
+def test_empty_phase_is_a_superstep_that_ships_nothing(backend_name):
+    # A phase with no live parts (kk's Refresh Column once every second
+    # worklist has drained) still counts as a superstep, which keeps
+    # supersteps equal to phases per round times rounds on every backend.
+    with _open_session(backend_name, "empty-phase") as session:
+        assert session.run(_weighted, []) == []
+        assert session.supersteps == 1
+        assert session.superstep_bytes == 0
+        assert session.max_superstep_bytes == 0
+        (result,) = session.run(_weighted, [(1, 1)])
+        assert np.array_equal(result, np.arange(16) + 1)
+        assert session.supersteps == 2
+
+
+@pytest.mark.parametrize("backend_name", SESSION_BACKENDS)
+def test_failure_after_committed_phase_keeps_its_counts(backend_name):
+    # A run() that raises neither rolls back nor adds to what the earlier
+    # phases committed, and the parts it did not touch keep their state.
+    with _open_session(backend_name, "phase-errors-after") as session:
+        first = session.run(_weighted, [(0, 1), (1, 1)])
+        committed = (
+            session.supersteps,
+            session.superstep_bytes,
+            session.max_superstep_bytes,
         )
+        with pytest.raises((_Boom, RuntimeError), match="task function failed"):
+            session.run(_boom, [(1, 1), (2, 1)])
+        assert (
+            session.supersteps,
+            session.superstep_bytes,
+            session.max_superstep_bytes,
+        ) == committed
+        assert np.array_equal(first[0], np.arange(16))
+        (again,) = session.run(_weighted, [(0, 1)])
+        assert np.array_equal(again, 2 * np.arange(16))
+        assert session.supersteps == committed[0] + 1
 
-    @pytest.mark.parametrize("resident", [True, False])
-    def test_split_phase_commits_one_superstep(self, resident):
-        a = np.arange(3, dtype=np.int64)
-        b = np.arange(5, dtype=np.int64)
-        c = np.arange(2, dtype=np.int64)
-        split = self._session(resident)
-        fb = split.run_async(_echo_delta, [(0, a), (1, b)], commit=False)
-        fi = split.run_async(_echo_delta, [(0, c)])
-        # Resolving the committing member first must NOT commit the group
-        # while the other member is pending — accounting is completion-order
-        # independent.
-        fi.result()
-        assert split.supersteps == 0 and split.superstep_bytes == 0
-        fb.result()
-        assert split.supersteps == 1
-        barrier = self._session(resident)
-        barrier.run(_echo_delta, [(0, a), (1, b), (0, c)])
-        assert split.supersteps == barrier.supersteps
-        assert split.superstep_bytes == barrier.superstep_bytes
-        assert split.max_superstep_bytes == barrier.max_superstep_bytes
 
-    def test_result_is_cached(self):
-        session = self._session()
-        future = session.run_async(_echo_delta, [(0, np.arange(3))])
-        assert not future.done
-        first = future.result()
-        assert future.done
-        assert future.result() is first
-        assert session.supersteps == 1  # no double commit
-
-    def test_run_matches_run_async_accounting(self):
-        delta = np.arange(6, dtype=np.int64)
-        via_run = self._session()
-        via_run.run(_echo_delta, [(0, delta)])
-        via_async = self._session()
-        via_async.run_async(_echo_delta, [(0, delta)]).result()
-        assert via_run.superstep_bytes == via_async.superstep_bytes
-        assert via_run.supersteps == via_async.supersteps
-
-    def test_same_part_tasks_run_fifo_across_phases(self):
-        # A boundary sub-phase's worker-side stash must be visible to the
-        # interior sub-phase of the same part when futures resolve in
-        # submission order — the chaining the overlapped drivers rely on.
-        session = self._session()
-        marker = np.arange(7, dtype=np.int64)
-        fb = session.run_async(_stash_delta, [(0, marker)], commit=False)
-        fi = session.run_async(_read_stash, [(0, None)])
-        fb.result()
-        (seen,) = fi.result()
-        assert np.array_equal(seen, marker)
+@pytest.mark.parametrize("backend_name", SESSION_BACKENDS)
+def test_failure_in_committed_singleton_phase_commits_nothing(backend_name):
+    # A run() that raises must commit no superstep and no bytes, and the
+    # session must recover: the next phase commits cleanly.
+    payloads = [{"w": np.arange(16, dtype=np.int64)} for _ in range(3)]
+    states = [{"acc": np.zeros(16, dtype=np.int64)} for _ in range(3)]
+    session = get_backend(backend_name).with_jobs(2).map_partitions_resident(
+        f"tok/phase-errors-single/{backend_name}", payloads, states
+    )
+    with session:
+        with pytest.raises((_Boom, RuntimeError), match="task function failed"):
+            session.run(_boom, [(0, 1), (1, 1)])
+        assert session.supersteps == 0
+        assert session.superstep_bytes == 0
+        assert session.max_superstep_bytes == 0
+        (result,) = session.run(_accumulate, [(0, 1)])
+        assert np.array_equal(result, np.ones(16, dtype=np.int64))
         assert session.supersteps == 1

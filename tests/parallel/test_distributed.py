@@ -128,6 +128,20 @@ class TestDistributedSession:
         # not the payloads, which are half the session's resident footprint.
         assert shipped < first.resident_bytes
 
+    def test_each_task_is_one_message_each_way(self):
+        # A barrier phase ships one message per task and gets one reply per
+        # task back: no sub-phase splits, no extra round trips.
+        B = get_backend("distributed")
+        _, session = _make_session(B, "tok/test-dist/messages", parts=4)
+        with session:
+            # The first phase also resolves the pipelined install acks.
+            session.run(_weighted_sum, [(part, 1) for part in range(4)])
+            before = session.measured_stats()
+            session.run(_weighted_sum, [(0, 1), (1, 1), (3, 1)])
+            after = session.measured_stats()
+        assert after["messages_sent"] - before["messages_sent"] == 3
+        assert after["messages_received"] - before["messages_received"] == 3
+
     def test_fallbacks(self):
         payloads = [{"w": np.arange(4)} for _ in range(3)]
         states = [{"acc": np.zeros(4, dtype=np.int64)} for _ in range(3)]
@@ -141,11 +155,6 @@ class TestDistributedSession:
             "tok/test-dist/single", payloads[:1], states[:1]
         )
         assert isinstance(single, backends_mod._LocalResidentSession)
-        # The non-resident baseline uses the accounting-only unpinned session.
-        unpinned = get_backend("distributed").map_partitions_resident(
-            "tok/test-dist/unpinned", payloads, states, resident=False
-        )
-        assert isinstance(unpinned, backends_mod._UnpinnedResidentSession)
 
     def test_with_jobs_reconfigures_ranks(self):
         B = get_backend("distributed")
@@ -275,7 +284,7 @@ class TestMeasuredVsLogicalBytes:
         graph = generator(*shape)
         B = get_backend("distributed")
         before = B.measured_stats()
-        result = partitioned_kk_mis2(graph, 4, backend=B, changed_deltas=True)
+        result = partitioned_kk_mis2(graph, 4, backend=B)
         after = B.measured_stats()
         measured = (after["bytes_sent"] - before["bytes_sent"]) + (
             after["bytes_received"] - before["bytes_received"]
@@ -308,56 +317,6 @@ class TestMeasuredVsLogicalBytes:
         (elast_measured, elast_logical) = totals["elasticity3d"]
         assert laplace_logical < elast_logical
         assert laplace_measured < elast_measured
-
-
-def _stash_marker(payload, state, delta):
-    state["marker"] = delta
-    return None
-
-
-def _read_marker(payload, state, delta):
-    return state["marker"]
-
-
-class TestMultiplexedOverlap:
-    """run_async over the socket transport: in-flight phases per part, with
-    futures resolvable out of submission order."""
-
-    def test_out_of_order_resolution_is_correct_and_commits_once(self):
-        B = get_backend("distributed")
-        token = "tok/test-dist/overlap"
-        payloads, session = _make_session(B, token, parts=3)
-        with session:
-            fb = session.run_async(
-                _weighted_sum, [(0, 2), (1, 3)], commit=False
-            )
-            fi = session.run_async(_weighted_sum, [(2, 5)])
-            # Resolve the later future first: the rank already executed both
-            # phases FIFO; only the coordinator-side observation reorders.
-            (r2,) = fi.result()
-            assert session.supersteps == 0  # group still open
-            rb = fb.result()
-            assert session.supersteps == 1
-            assert np.array_equal(r2, payloads[2]["w"] * 5)
-            assert np.array_equal(rb[0], payloads[0]["w"] * 2)
-            assert np.array_equal(rb[1], payloads[1]["w"] * 3)
-
-    def test_pipelined_phases_share_rank_fifo(self):
-        # A later phase on the same part must observe the earlier phase's
-        # state writes even when the earlier future resolves afterwards —
-        # the per-connection FIFO serve loop is the ordering guarantee the
-        # overlapped drivers' worker-side stashes rely on.
-        B = get_backend("distributed")
-        token = "tok/test-dist/fifo"
-        _, session = _make_session(B, token, parts=2)
-        with session:
-            marker = np.arange(5, dtype=np.int64)
-            fb = session.run_async(_stash_marker, [(0, marker)], commit=False)
-            fi = session.run_async(_read_marker, [(0, None)])
-            (seen,) = fi.result()
-            fb.result()
-            assert np.array_equal(seen, marker)
-            assert session.supersteps == 1
 
 
 class TestPhaseDedupCacheBound:

@@ -3,23 +3,22 @@
 import numpy as np
 import pytest
 
+from repro.coarsen import mis2_aggregation
 from repro.coloring import greedy_color
 from repro.graph import empty_graph, grid2d, path_graph, random_gnp
 from repro.mis import kk_mis2, luby_mis1
 from repro.parallel import (
     ChunkedBackend,
+    DistributedBackend,
     NumpyBackend,
+    ThreadedBackend,
     build_partition_layout,
     get_backend,
     partition_vertices,
     partitioned_kk_mis2,
     shipped_nbytes,
 )
-from repro.parallel.backends import (
-    _PARTITION_POOLS,
-    _RESIDENT_SLOT_POOLS,
-    shutdown_partition_pools,
-)
+from repro.parallel.backends import _RESIDENT_SLOT_POOLS, shutdown_partition_pools
 
 
 class TestPartitionVertices:
@@ -179,54 +178,12 @@ class TestDrivers:
         assert coloring.partitions == 1
         assert coloring.partition_stats is None
 
-
-class TestMapPartitionsSeam:
-    def test_base_backend_is_serial_and_ordered(self):
-        backend = NumpyBackend()
-        assert backend.map_partitions(lambda x: x * 2, [1, 2, 3]) == [2, 4, 6]
-
-    def test_chunked_uses_persistent_pool(self):
-        shutdown_partition_pools()
-        backend = ChunkedBackend(processes=2)
-        assert backend.map_partitions(_double, [1, 2, 3]) == [2, 4, 6]
-        assert list(_PARTITION_POOLS) == [2]
-        pool = _PARTITION_POOLS[2]
-        assert backend.map_partitions(_double, [4, 5, 6]) == [8, 10, 12]
-        assert _PARTITION_POOLS[2] is pool  # reused, not respawned
-        shutdown_partition_pools()
-        assert not _PARTITION_POOLS
-
-    def test_chunked_single_worker_runs_inline(self):
-        shutdown_partition_pools()
-        backend = ChunkedBackend(processes=1)
-        assert backend.map_partitions(_double, [1, 2, 3]) == [2, 4, 6]
-        assert not _PARTITION_POOLS
-
-    def test_threaded_map_partitions(self):
-        backend = get_backend("threaded").with_jobs(2)
-        assert backend.map_partitions(_double, list(range(8))) == [2 * i for i in range(8)]
-
-    def test_nested_inside_pool_worker_runs_inline(self):
-        # A partitioned kernel inside a map_graphs process-pool worker must not
-        # nest a second process pool (cpu^2 oversubscription); parts go inline.
-        backend = ChunkedBackend(processes=2)
-        results = backend.map_graphs(_nested_map_partitions, [1, 2])
-        assert results == [[2, 4, 6], [2, 4, 6]]
-        for pools in backend.map_graphs(_worker_partition_pools, [None, None]):
-            assert pools == []
-
-
-    def test_broken_pool_is_evicted_not_cached(self):
-        from concurrent.futures.process import BrokenProcessPool
-
-        shutdown_partition_pools()
-        backend = ChunkedBackend(processes=2)
-        with pytest.raises(BrokenProcessPool):
-            backend.map_partitions(_kill_worker, [1, 2, 3])
-        # The casualties were evicted, so the next run gets a healthy pool.
-        assert not _PARTITION_POOLS
-        assert backend.map_partitions(_double, [1, 2, 3]) == [2, 4, 6]
-        shutdown_partition_pools()
+    def test_stats_timing_triple_present_and_finite(self):
+        g = grid2d(6, 6)
+        stats = kk_mis2(g, partitions=build_partition_layout(g, 2)).partition_stats
+        for key in ("compute_seconds", "exchange_seconds", "idle_seconds"):
+            value = stats.to_dict()[key]
+            assert isinstance(value, float) and value >= 0.0
 
 
 class TestResidentSessions:
@@ -249,32 +206,19 @@ class TestResidentSessions:
         assert states[0]["acc"][0] == 6 and states[2]["acc"][0] == 7
         session.close()
 
-    def test_accounting_resident_vs_baseline(self):
+    def test_accounting_charges_payload_once_and_both_directions(self):
         payloads, states = self._payloads_states(k=2, size=50)
         per_payload = shipped_nbytes(payloads[0])
         per_state = shipped_nbytes(states[0])
-        resident = NumpyBackend().map_partitions_resident("a", payloads, states)
-        assert resident.resident_bytes == 2 * (per_payload + per_state)
-        resident.run(_resident_add, [(0, 1), (1, 2)])
-        resident.run(_resident_add, [(1, 3)])
+        session = NumpyBackend().map_partitions_resident("a", payloads, states)
+        assert session.resident_bytes == 2 * (per_payload + per_state)
+        session.run(_resident_add, [(0, 1), (1, 2)])
+        session.run(_resident_add, [(1, 3)])
         # Both directions are charged: scalar deltas out (8 logical bytes
         # each) and the scalar results back (8 each).
-        assert resident.superstep_bytes == (16 + 16) + (8 + 8)
-        assert resident.max_superstep_bytes == 32
-        assert resident.supersteps == 2
-
-        payloads, states = self._payloads_states(k=2, size=50)
-        baseline = NumpyBackend().map_partitions_resident(
-            "b", payloads, states, resident=False
-        )
-        assert baseline.resident_bytes == 0
-        baseline.run(_resident_add, [(0, 1), (1, 2)])
-        baseline.run(_resident_add, [(1, 3)])
-        # Per task the baseline ships payload + state + delta out and the
-        # mutated state + result back.
-        round_trip = per_payload + 2 * per_state
-        assert baseline.superstep_bytes == (2 * round_trip + 32) + (round_trip + 16)
-        assert baseline.max_superstep_bytes == 2 * round_trip + 32
+        assert session.superstep_bytes == (16 + 16) + (8 + 8)
+        assert session.max_superstep_bytes == 32
+        assert session.supersteps == 2
 
     def test_threaded_session_shares_state(self):
         payloads, states = self._payloads_states(k=4)
@@ -313,18 +257,6 @@ class TestResidentSessions:
             assert s2.run(_resident_add, [(0, 5), (1, 5)]) == [5, 6]
         shutdown_partition_pools()
 
-    def test_chunked_nonresident_session_round_trips_state(self):
-        shutdown_partition_pools()
-        backend = ChunkedBackend(processes=2)
-        payloads, states = self._payloads_states(k=3)
-        session = backend.map_partitions_resident(
-            "nr", payloads, states, resident=False
-        )
-        assert session.run(_resident_add, [(0, 1), (1, 2), (2, 3)]) == [1, 3, 5]
-        assert session.run(_resident_add, [(0, 4)]) == [5]
-        assert session.resident_bytes == 0 and session.superstep_bytes > 0
-        shutdown_partition_pools()
-
     def test_chunked_single_worker_falls_back_inline(self):
         shutdown_partition_pools()
         backend = ChunkedBackend(processes=1)
@@ -333,6 +265,15 @@ class TestResidentSessions:
         assert session.run(_resident_add, [(0, 2), (1, 2)]) == [2, 3]
         assert not _RESIDENT_SLOT_POOLS  # no pools for an inline session
         assert states[0]["acc"][0] == 2  # genuinely in-process
+
+    def test_session_inside_pool_worker_runs_inline(self):
+        # A partitioned kernel inside a map_graphs process-pool worker must not
+        # nest slot pools (cpu^2 oversubscription); its parts run inline.
+        backend = ChunkedBackend(processes=2)
+        assert backend.map_graphs(_session_in_worker, [1, 2]) == [
+            ("_LocalResidentSession", [2, 3], []),
+            ("_LocalResidentSession", [2, 3], []),
+        ]
 
     def test_payload_evicted_by_concurrent_sessions_is_reinstalled(self):
         # Crowd the shared slot workers with enough other tokens to push the
@@ -361,20 +302,6 @@ class TestResidentSessions:
             assert outs == [100 + i for i in range(5)]
         assert sorted(_RESIDENT_SLOT_POOLS) == [0, 1]
         shutdown_partition_pools()
-
-    def test_kernel_bytes_accounting_on_drivers(self):
-        g = random_gnp(60, 0.08, seed=2)
-        resident = partitioned_kk_mis2(g, 4, resident=True)
-        baseline = partitioned_kk_mis2(g, 4, resident=False)
-        assert np.array_equal(resident.in_set, baseline.in_set)
-        sr, sn = resident.partition_stats, baseline.partition_stats
-        assert sr.supersteps == sn.supersteps
-        assert sr.resident_bytes > 0 and sn.resident_bytes == 0
-        # The headline win: after the one-time shipment, supersteps are O(halo).
-        assert sr.resident_bytes + sr.superstep_bytes < sn.superstep_bytes
-        assert sr.max_superstep_bytes < sn.max_superstep_bytes
-        assert sr.max_superstep_bytes < sr.resident_bytes
-
 
 class TestExchangeTraffic:
     """Regression: modelled ghost traffic charges only the live parts' halos."""
@@ -457,135 +384,175 @@ class TestShippedNbytes:
 
 class _RecordingBackend(NumpyBackend):
     """Backend whose resident sessions log every phase's (fn, tasks) stream
-    plus each part's session-open state snapshot."""
+    plus, per phase, the shared global arrays at the moment it ships.
+
+    Every task keeps its part's owned state entries equal to the
+    coordinator's global values, so the global arrays are the union of the
+    parts' owned entries.
+    """
 
     def __init__(self):
         self.phases = []
-        self.initial_states = None
-        self.halo_locals = None
 
-    def map_partitions_resident(self, token, payloads, states, resident=True):
-        self.initial_states = [
-            {k: np.copy(v) for k, v in state.items()} for state in states
+    def map_partitions_resident(self, token, payloads, states):
+        session = super().map_partitions_resident(token, payloads, states)
+        owned = [
+            np.setdiff1d(np.arange(p["ids"].size), p["halo_local"]) for p in payloads
         ]
-        self.halo_locals = [p["halo_local"] for p in payloads]
-        session = super().map_partitions_resident(token, payloads, states, resident)
+        n = sum(o.size for o in owned)
         outer = self
         original_run = session.run
 
+        def shared(name):
+            arr = np.empty(n, dtype=states[0][name].dtype)
+            for payload, state, own in zip(payloads, states, owned):
+                arr[payload["ids"][own]] = state[name][own]
+            return arr
+
         def recording_run(fn, tasks):
             tasks = list(tasks)
-            outer.phases.append((fn, tasks))
+            outer.phases.append((fn, tasks, {name: shared(name) for name in states[0]}))
             return original_run(fn, tasks)
 
         session.run = recording_run
         return session
 
 
-class TestChangedDeltaReconstruction:
-    """The tentpole invariant, end-to-end: cumulatively applying the sparse
-    changed-halo updates a part receives reconstructs exactly the full-halo
-    values the dense protocol ships at every phase."""
-
-    def test_kk_changed_updates_rebuild_full_halo_stream(self):
-        from repro.parallel.partitioned import (
-            _kk_resident_decide,
-            _kk_resident_refresh_column,
-            _kk_resident_refresh_row,
-        )
+class TestDenseWireFormat:
+    def test_ghost_reading_tasks_ship_worklist_and_gathered_halos(self):
+        # Every ghost-reading task carries its worklist (local indices of
+        # owned vertices) and, for each ghosted array, exactly the shared
+        # global array gathered at part.halo when the phase ships.
+        from repro.parallel import partitioned as P
 
         g = random_gnp(90, 0.07, seed=11)
         layout = build_partition_layout(g, 4)
-        changed, full = _RecordingBackend(), _RecordingBackend()
-        # overlap=False: the recorder hooks session.run, the barrier entry point.
-        a = partitioned_kk_mis2(g, layout, backend=changed, changed_deltas=True, overlap=False)
-        b = partitioned_kk_mis2(g, layout, backend=full, changed_deltas=False, overlap=False)
-        assert np.array_equal(a.in_set, b.in_set)
-        assert len(changed.phases) == len(full.phases)
-
-        # Per (part, array) reconstruction state: the session-open halo values.
-        recon = {
-            (part, name): changed.initial_states[part][name][changed.halo_locals[part]]
-            for part in range(layout.num_parts)
-            for name in ("T", "M")
-        }
-        array_of = {_kk_resident_refresh_column: "T", _kk_resident_decide: "M"}
-        sparse_phases = 0
-        for (fn_c, tasks_c), (fn_f, tasks_f) in zip(changed.phases, full.phases):
-            assert fn_c is fn_f
-            assert [i for i, _ in tasks_c] == [i for i, _ in tasks_f]
-            if fn_c is _kk_resident_refresh_row:
-                # The worklist ships identically in both formats.
-                for (_, (w_c, it_c)), (_, (w_f, it_f)) in zip(tasks_c, tasks_f):
-                    assert np.array_equal(w_c, w_f) and it_c == it_f
-                continue
-            name = array_of[fn_c]
-            for (part, delta_c), (_, delta_f) in zip(tasks_c, tasks_f):
-                positions, values = delta_c[-1]
-                dense_positions, dense_values = delta_f[-1]
-                assert dense_positions is None  # full-halo mode is always dense
-                mirror = recon[(part, name)]
-                if positions is None:
-                    mirror[:] = values
-                else:
-                    sparse_phases += 1
-                    mirror[positions] = values
-                # The reconstruction invariant.
-                assert np.array_equal(mirror, dense_values)
-        assert sparse_phases > 0  # the changed format genuinely went sparse
-
-    def test_decide_and_conflict_phases_ship_no_worklist_indices(self):
-        from repro.parallel.partitioned import (
-            _color_resident_conflict,
-            _kk_resident_decide,
-            partitioned_greedy_color,
-        )
-
-        g = grid2d(6, 8)
-        for fn, run in (
+        for kernel, ghosted in (
+            (P.partitioned_kk_mis2, {P._kk_refresh_column: ("T",), P._kk_decide: ("M",)}),
             (
-                _kk_resident_decide,
-                lambda b: partitioned_kk_mis2(g, 3, backend=b, overlap=False),
+                P.partitioned_luby_mis1,
+                {P._luby_select: ("status", "priority"), P._luby_remove: ("status",)},
             ),
             (
-                _color_resident_conflict,
-                lambda b: partitioned_greedy_color(g, 3, backend=b, overlap=False),
+                P.partitioned_greedy_color,
+                {P._color_assign: ("colors",), P._color_conflict: ("colors",)},
             ),
         ):
             recorder = _RecordingBackend()
-            run(recorder)
-            seen = [t for f, tasks in recorder.phases if f is fn for t in tasks]
-            assert seen
-            for _, delta in seen:
-                assert delta[0] is None  # worklist comes from the worker stash
+            kernel(g, layout, backend=recorder)
+            assert set(ghosted) <= {fn for fn, tasks, _ in recorder.phases if tasks}
+            for fn, tasks, shared in recorder.phases:
+                if fn not in ghosted:
+                    continue
+                for part_id, (worklist, *halos) in tasks:
+                    part = layout.parts[part_id]
+                    assert worklist.dtype == np.int64 and worklist.size
+                    assert np.isin(part.ids[worklist], part.owned).all()
+                    assert len(halos) == len(ghosted[fn])
+                    for name, values in zip(ghosted[fn], halos):
+                        assert np.array_equal(values, shared[name][part.halo])
 
 
-class TestSmokeGraphByteMonotonicity:
-    """Satellite gate: on every smoke graph the resident path's largest
-    superstep never exceeds the non-resident baseline's, and changed deltas
-    never ship more than the full-halo format."""
+def _record_sessions(backend):
+    """Log every session ``backend`` opens as a list of ``(fn, parts)`` phases."""
+    sessions = []
+    open_session = backend.map_partitions_resident
+
+    def recording_open(token, payloads, states):
+        session = open_session(token, payloads, states)
+        phases = []
+        sessions.append(phases)
+        original_run = session.run
+
+        def recording_run(fn, tasks):
+            tasks = list(tasks)
+            phases.append((fn, [part for part, _ in tasks]))
+            return original_run(fn, tasks)
+
+        session.run = recording_run
+        return session
+
+    backend.map_partitions_resident = recording_open
+    return sessions
+
+
+def _phase_cycles():
+    from repro.parallel import partitioned as P
+
+    return {
+        "kk": (P._kk_refresh_row, P._kk_refresh_column, P._kk_decide),
+        "luby": (P._luby_priorities, P._luby_select, P._luby_remove),
+        "color": (P._color_assign, P._color_conflict),
+    }
+
+
+#: kernel -> (front door, result values, phase cycle). The aggregation runs
+#: its two MIS-2 computations through the kk driver.
+_SCHEDULE_KERNELS = {
+    "kk": (kk_mis2, lambda r: r.in_set, "kk"),
+    "luby": (luby_mis1, lambda r: r.in_set, "luby"),
+    "color": (greedy_color, lambda r: r.colors, "color"),
+    "mis2_agg": (mis2_aggregation, lambda r: r.labels, "kk"),
+}
+
+#: Fresh two-wide instances, so recording never touches a registered backend.
+_SCHEDULE_BACKENDS = {
+    "numpy": NumpyBackend,
+    "threaded": lambda: ThreadedBackend(threads=2),
+    "chunked": lambda: ChunkedBackend(processes=2),
+    "distributed": lambda: DistributedBackend(ranks=2),
+}
+
+
+class TestBarrierSchedule:
+    """Every phase of every round is exactly one ResidentSession.run call, in
+    the kernel's phase order, addressing each live part at most once."""
+
+    @pytest.mark.parametrize("kernel", sorted(_SCHEDULE_KERNELS))
+    @pytest.mark.parametrize("backend_name", sorted(_SCHEDULE_BACKENDS))
+    def test_each_phase_is_one_session_run(self, backend_name, kernel):
+        run, values, cycle_name = _SCHEDULE_KERNELS[kernel]
+        cycle = list(_phase_cycles()[cycle_name])
+        g = random_gnp(50, 0.1, seed=4)
+        layout = build_partition_layout(g, 3)
+        backend = _SCHEDULE_BACKENDS[backend_name]()
+        sessions = _record_sessions(backend)
+        out = run(g, partitions=layout, backend=backend)
+        assert np.array_equal(values(out), values(run(g)))
+        assert sessions
+        for phases in sessions:
+            fns = [fn for fn, _ in phases]
+            assert fns and len(fns) % len(cycle) == 0
+            assert fns == cycle * (len(fns) // len(cycle))
+            for _, parts in phases:
+                # Two tasks of one part in one phase would race on its state.
+                assert parts == sorted(set(parts))
+                assert all(0 <= part < layout.num_parts for part in parts)
+        stats = getattr(out, "partition_stats", None)
+        if stats is not None:
+            (phases,) = sessions
+            assert stats.supersteps == len(phases)
+
+
+class TestSmokeGraphBytes:
+    """On the smoke graphs the largest superstep of kk and coloring is the
+    first ghost-reading phase, which ships every owned vertex's index and
+    every ghost's value, and gets every owned value back — and it stays
+    below the resident payload, which ships once."""
 
     @pytest.mark.parametrize("generator", ["laplace3d", "elasticity3d"])
-    def test_resident_max_superstep_bounded_by_baseline(self, generator):
+    def test_largest_superstep_is_the_first_dense_halo_exchange(self, generator):
         from repro.graph.generators import elasticity3d, laplace3d
 
         g = laplace3d(10, 10, 10) if generator == "laplace3d" else elasticity3d(6, 6, 6)
         layout = build_partition_layout(g, 4)
-        from repro.coloring import greedy_color as _greedy
-        from repro.mis import kk_mis2 as _kk
-
-        for kernel in (_kk, _greedy):
-            res = kernel(g, partitions=layout).partition_stats
-            base = kernel(g, partitions=layout, resident=False).partition_stats
-            full = kernel(g, partitions=layout, changed_deltas=False).partition_stats
-            assert res.supersteps == base.supersteps == full.supersteps
-            assert res.max_superstep_bytes <= base.max_superstep_bytes
-            assert res.resident_bytes + res.superstep_bytes < base.superstep_bytes
-            # Changed deltas vs the full-halo wire format: strictly less in
-            # total, never more in a single phase (the first ghost-reading
-            # superstep is dense in both formats, so max may tie).
-            assert res.superstep_bytes < full.superstep_bytes
-            assert res.max_superstep_bytes <= full.max_superstep_bytes
+        first_exchange = 8 * g.num_vertices + 8 * layout.halo_vertices + 8 * g.num_vertices
+        for kernel in (kk_mis2, greedy_color):
+            stats = kernel(g, partitions=layout).partition_stats
+            assert stats.supersteps > 0
+            assert stats.max_superstep_bytes == first_exchange, kernel.__name__
+            assert stats.max_superstep_bytes < stats.resident_bytes
+            assert stats.max_superstep_bytes < stats.superstep_bytes
 
 
 def _resident_add(payload, state, delta):
@@ -593,96 +560,9 @@ def _resident_add(payload, state, delta):
     return int(payload["base"][0] + state["acc"][0])
 
 
-def _nested_map_partitions(_):
-    return ChunkedBackend(processes=4).map_partitions(_double, [1, 2, 3])
-
-
-def _kill_worker(_):
-    import os
-
-    os._exit(1)
-
-
-def _worker_partition_pools(_):
-    _nested_map_partitions(None)
-    return list(_PARTITION_POOLS)
-
-
-def _double(x):
-    return x * 2
-
-
-class TestOverlapEqualsBarrier:
-    """Tentpole gate: the overlapped schedule is bit-identical to the
-    barrier baseline — statuses AND every gated count (supersteps, all byte
-    fields) — on every session backend and both delta wire formats."""
-
-    @staticmethod
-    def _deterministic(stats):
-        return {k: v for k, v in stats.to_dict().items() if not k.endswith("_seconds")}
-
-    @pytest.mark.parametrize("backend", ["numpy", "threaded", "chunked"])
-    @pytest.mark.parametrize("changed_deltas", [True, False])
-    def test_bit_identical_statuses_and_counts(self, backend, changed_deltas):
-        g = grid2d(7, 9)
-        layout = build_partition_layout(g, 3)
-        for run, values in (
-            (
-                lambda ov: kk_mis2(
-                    g,
-                    seed=0,
-                    partitions=layout,
-                    backend=backend,
-                    changed_deltas=changed_deltas,
-                    overlap=ov,
-                ),
-                lambda r: r.in_set,
-            ),
-            (
-                lambda ov: luby_mis1(
-                    g,
-                    seed=0,
-                    partitions=layout,
-                    backend=backend,
-                    changed_deltas=changed_deltas,
-                    overlap=ov,
-                ),
-                lambda r: r.in_set,
-            ),
-            (
-                lambda ov: greedy_color(
-                    g,
-                    partitions=layout,
-                    backend=backend,
-                    changed_deltas=changed_deltas,
-                    overlap=ov,
-                ),
-                lambda r: r.colors,
-            ),
-        ):
-            overlapped = run(True)
-            barrier = run(False)
-            assert np.array_equal(values(overlapped), values(barrier))
-            assert self._deterministic(overlapped.partition_stats) == self._deterministic(
-                barrier.partition_stats
-            )
-
-    def test_overlap_ignored_on_non_resident_runs(self):
-        # Non-resident accounting re-ships payload+state per phase, so the
-        # split schedule would double-charge it; overlap=True must fall back
-        # to the barrier schedule there, bit-identically.
-        g = grid2d(6, 6)
-        layout = build_partition_layout(g, 3)
-        a = kk_mis2(g, partitions=layout, resident=False, overlap=True)
-        b = kk_mis2(g, partitions=layout, resident=False, overlap=False)
-        assert np.array_equal(a.in_set, b.in_set)
-        assert self._deterministic(a.partition_stats) == self._deterministic(
-            b.partition_stats
-        )
-
-    def test_stats_timing_triple_present_and_finite(self):
-        g = grid2d(6, 6)
-        stats = kk_mis2(g, partitions=build_partition_layout(g, 2)).partition_stats
-        for key in ("compute_seconds", "exchange_seconds", "idle_seconds"):
-            value = stats.to_dict()[key]
-            assert isinstance(value, float) and value >= 0.0
+def _session_in_worker(_):
+    payloads = [{"base": np.full(4, i, dtype=np.int64)} for i in range(2)]
+    states = [{"acc": np.zeros(4, dtype=np.int64)} for _ in range(2)]
+    session = ChunkedBackend(processes=4).map_partitions_resident("nested", payloads, states)
+    outs = session.run(_resident_add, [(0, 2), (1, 2)])
+    return type(session).__name__, outs, sorted(_RESIDENT_SLOT_POOLS)

@@ -13,8 +13,7 @@ from hypothesis import strategies as st
 
 from repro.coloring import greedy_color
 from repro.mis import kk_mis2, luby_mis1
-from repro.parallel import build_partition_layout, partition_vertices
-from repro.parallel.partitioned import HaloDeltaTracker, _scatter_changed
+from repro.parallel import build_partition_layout, get_backend, partition_vertices
 
 from tests.properties.strategies import graphs
 
@@ -91,104 +90,42 @@ def test_partitioned_kernels_match_reference_for_arbitrary_labels(case):
 
 @given(graph_and_labels())
 @settings(**COMMON)
-def test_resident_and_nonresident_paths_identical(case):
-    """Rank-resident execution and the re-ship-everything baseline agree with
-    the reference bit-for-bit; only the shipped-bytes accounting differs, and
-    the resident run never ships more in total than the baseline."""
+def test_supersteps_are_rounds_times_phases(case):
+    """One session run per phase: kk and Luby run three phases a round,
+    coloring two, whatever the labels; the payload ships once at open, so no
+    superstep ever ships more than all supersteps together."""
     graph, labels = case
-    ref = kk_mis2(graph)
-    resident = kk_mis2(graph, partitions=labels, resident=True)
-    baseline = kk_mis2(graph, partitions=labels, resident=False)
-    assert np.array_equal(ref.in_set, resident.in_set)
-    assert np.array_equal(ref.in_set, baseline.in_set)
-    assert ref.iterations == resident.iterations == baseline.iterations
-    sr, sn = resident.partition_stats, baseline.partition_stats
-    assert sr.supersteps == sn.supersteps
-    assert sn.resident_bytes == 0
-    if sr.supersteps:
-        assert sr.resident_bytes > 0
-        assert sr.resident_bytes + sr.superstep_bytes <= sn.superstep_bytes
-        assert sr.max_superstep_bytes <= sn.max_superstep_bytes
+    kk = kk_mis2(graph, partitions=labels)
+    luby = luby_mis1(graph, partitions=labels)
+    coloring = greedy_color(graph, partitions=labels)
+    assert kk.partition_stats.supersteps == 3 * kk.iterations
+    assert luby.partition_stats.supersteps == 3 * luby.iterations
+    assert coloring.partition_stats.supersteps == 2 * coloring.rounds
+    for stats in (kk.partition_stats, luby.partition_stats, coloring.partition_stats):
+        assert stats.max_superstep_bytes <= stats.superstep_bytes
+        assert (stats.resident_bytes > 0) == (graph.num_vertices > 0)
 
 
 @given(graph_and_labels())
 @settings(**COMMON)
-def test_changed_and_full_delta_formats_identical(case):
-    """The changed-only delta wire format and the full-halo format agree with
-    the reference bit-for-bit, run the same number of supersteps, and the
-    changed format never ships more — per phase or in total."""
+def test_partition_stats_independent_of_backend(case):
+    """The in-process reference and the thread-pool session record the same
+    results and the same deterministic counts for any labels: bytes are
+    logical, and the schedule is the same one barrier per phase."""
     graph, labels = case
-    ref = kk_mis2(graph)
-    changed = kk_mis2(graph, partitions=labels, changed_deltas=True)
-    full = kk_mis2(graph, partitions=labels, changed_deltas=False)
-    assert np.array_equal(ref.in_set, changed.in_set)
-    assert np.array_equal(ref.in_set, full.in_set)
-    assert ref.iterations == changed.iterations == full.iterations
-    sc, sf = changed.partition_stats, full.partition_stats
-    assert sc.supersteps == sf.supersteps
-    assert sc.resident_bytes == sf.resident_bytes
-    assert sc.superstep_bytes <= sf.superstep_bytes
-    assert sc.max_superstep_bytes <= sf.max_superstep_bytes
-
-
-@given(graph_and_labels(), st.data())
-@settings(**COMMON)
-def test_halo_tracker_reconstructs_full_halo_exchange(case, data):
-    """The reconstruction invariant of the changed-delta protocol: for any
-    interleaving of value changes and per-part refreshes, cumulatively
-    applying the tracker's updates to a part's last-known halo values always
-    rebuilds the full halo gather exactly."""
-    graph, labels = case
-    layout = build_partition_layout(graph, labels)
-    n = graph.num_vertices
-    values = np.zeros(n, dtype=np.int64)
-    tracker = HaloDeltaTracker(layout, ("A",))
-    # Each part's halo mirror starts current — exactly like session open.
-    mirrors = [values[p.halo].copy() for p in layout.parts]
-    for step in range(data.draw(st.integers(min_value=1, max_value=6), label="steps")):
-        if n:
-            idx = np.unique(
-                np.asarray(
-                    data.draw(
-                        st.lists(st.integers(0, n - 1), min_size=0, max_size=n),
-                        label="touched",
-                    ),
-                    dtype=np.int64,
-                )
-            )
-            new = values[idx] + np.asarray(
-                data.draw(
-                    st.lists(st.integers(0, 1), min_size=idx.size, max_size=idx.size),
-                    label="increments",
-                ),
-                dtype=np.int64,
-            )
-            tracker.mark("A", _scatter_changed(values, idx, new))
-        refreshed = data.draw(
-            st.lists(
-                st.integers(0, layout.num_parts - 1),
-                min_size=0,
-                max_size=layout.num_parts,
-                unique=True,
-            ),
-            label="refreshed",
-        )
-        for part in refreshed:
-            halo = layout.parts[part].halo
-            positions, vals = tracker.take("A", part, values)
-            if positions is None:
-                mirrors[part][:] = vals
-            else:
-                mirrors[part][positions] = vals
-            assert np.array_equal(mirrors[part], values[halo])
-    # Parts never refreshed above still reconstruct on a final take.
-    for part, p in enumerate(layout.parts):
-        positions, vals = tracker.take("A", part, values)
-        if positions is None:
-            mirrors[part][:] = vals
-        else:
-            mirrors[part][positions] = vals
-        assert np.array_equal(mirrors[part], values[p.halo])
+    threaded = get_backend("threaded").with_jobs(2)
+    for kernel, values in (
+        (kk_mis2, lambda r: r.in_set),
+        (luby_mis1, lambda r: r.in_set),
+        (greedy_color, lambda r: r.colors),
+    ):
+        ref = kernel(graph, partitions=labels)
+        out = kernel(graph, partitions=labels, backend=threaded)
+        assert np.array_equal(values(ref), values(out))
+        a, b = ref.partition_stats.to_dict(), out.partition_stats.to_dict()
+        assert {k: v for k, v in a.items() if not k.endswith("_seconds")} == {
+            k: v for k, v in b.items() if not k.endswith("_seconds")
+        }
 
 
 @given(graphs(), st.integers(min_value=2, max_value=5), st.randoms(use_true_random=False))
