@@ -118,18 +118,13 @@ def smoke_task(unit: Tuple[str, int, int, int], config: BenchConfig) -> SmokeRow
     idle_seconds = 0.0
     if config.parts is not None:
         # Partition-parallel runs must be bit-identical to the unpartitioned
-        # results computed above — the intra-graph sharding contract. One
-        # layout serves all three kernels (multilevel partitioning is itself
-        # MIS-2 coarsening, so rebuilding it per kernel would triple the cost).
-        from ..parallel.partitioned import build_partition_layout
-
-        layout = build_partition_layout(graph, config.parts)
-        pmis = kk_mis2(graph, seed=config.seed, partitions=layout)
+        # results computed above — the intra-graph sharding contract.
+        pmis = kk_mis2(graph, seed=config.seed, partitions=config.parts)
         if not (np.array_equal(pmis.in_set, mis.in_set) and pmis.iterations == mis.iterations):
             raise RuntimeError(
                 f"smoke check failed: partitioned MIS-2 diverged from the reference on {label}"
             )
-        pcoloring = greedy_color(graph, partitions=layout)
+        pcoloring = greedy_color(graph, partitions=config.parts)
         if not (
             np.array_equal(pcoloring.colors, coloring.colors)
             and pcoloring.rounds == coloring.rounds
@@ -140,7 +135,7 @@ def smoke_task(unit: Tuple[str, int, int, int], config: BenchConfig) -> SmokeRow
         # pmis is already verified identical to mis, so reuse it for phase 1
         # (as the unpartitioned path reuses mis) — only the phase-2 sub-MIS
         # still runs partitioned.
-        pagg = mis2_aggregation(graph, mis=pmis, seed=config.seed, partitions=layout)
+        pagg = mis2_aggregation(graph, mis=pmis, seed=config.seed, partitions=config.parts)
         if not (
             np.array_equal(pagg.labels, agg.labels)
             and pagg.num_aggregates == agg.num_aggregates

@@ -11,7 +11,7 @@ identical across execution backends.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 import numpy as np
 
@@ -142,9 +142,12 @@ def greedy_color(
             bytes_written=8 * worklist.size,
         )
         # Conflict detection: an edge whose endpoints share a color uncolors the
-        # higher-id endpoint (deterministic tie-break).
+        # higher-id endpoint (deterministic tie-break). Marking the losers and
+        # reading the marks back yields them sorted, without a sort.
         conflict_mask = (colors[owners] == colors[nbrs]) & (owners > nbrs)
-        losers = np.unique(owners[conflict_mask])
+        lost = np.zeros(n, dtype=bool)
+        lost[owners[conflict_mask]] = True
+        losers = np.flatnonzero(lost).astype(np.int64, copy=False)
         colors[losers] = -1
         traffic.add(
             "color_conflicts",
@@ -154,10 +157,18 @@ def greedy_color(
         worklist = losers
         rounds += 1
 
-    used = np.unique(colors)
-    # Compact color ids to a dense range (greedy first-fit already yields dense ids,
-    # but renumber defensively so downstream color-class loops are simple).
-    remap = -np.ones(int(used.max()) + 1, dtype=np.int64)
+    colors, num_colors = _compact_colors(colors)
+    return ColoringResult(colors, num_colors, rounds, traffic, distance=1, backend=B.name)
+
+
+def _compact_colors(colors: np.ndarray) -> Tuple[np.ndarray, int]:
+    """Renumber the non-negative ``colors`` to a dense range, in color order.
+
+    Greedy first-fit already yields dense ids, but renumbering defensively keeps
+    downstream color-class loops simple. The used colors come from a count, not
+    a sort, so they are in ascending order at linear cost.
+    """
+    used = np.flatnonzero(np.bincount(colors))
+    remap = -np.ones(int(used[-1]) + 1, dtype=np.int64)
     remap[used] = np.arange(used.size, dtype=np.int64)
-    colors = remap[colors]
-    return ColoringResult(colors, int(used.size), rounds, traffic, distance=1, backend=B.name)
+    return remap[colors], int(used.size)

@@ -13,9 +13,12 @@ adjacency structure, matching how the paper's MIS-2 treats its input.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, Iterator, Optional, Tuple
 
 import numpy as np
+
+if TYPE_CHECKING:  # pragma: no cover - the partitioned engine imports this module
+    from ..parallel.partitioned import PartitionLayout
 
 __all__ = ["CSRGraph"]
 
@@ -41,10 +44,15 @@ class CSRGraph:
       the MIS kernels treat every vertex as implicitly adjacent to itself (as the
       paper's Fig. 1 does), so explicit self-loops are redundant.
     * The arrays are stored read-only to guarantee that algorithms cannot mutate a
-      shared graph in place — determinism across runs relies on this.
+      shared graph in place — determinism across runs relies on this. Pickles and
+      copies are rebuilt through the constructor, so they are read-only too.
+    * Because the graph is immutable, the partition layout of each integer part
+      count is built once and kept on the graph (see
+      :func:`repro.parallel.build_partition_layout`); pickles and copies start
+      without it.
     """
 
-    __slots__ = ("_rowmap", "_entries", "_num_vertices")
+    __slots__ = ("_rowmap", "_entries", "_num_vertices", "_layouts")
 
     def __init__(
         self,
@@ -81,6 +89,13 @@ class CSRGraph:
         self._rowmap = rowmap
         self._entries = entries
         self._num_vertices = int(n)
+        #: Part count -> the ``PartitionLayout`` built for it, filled on first use.
+        self._layouts: "Dict[int, PartitionLayout]" = {}
+
+    def __reduce__(self):
+        # Through the constructor, which marks the arrays read-only again;
+        # validating is unnecessary because this graph already passed.
+        return (CSRGraph, (self._rowmap, self._entries, False))
 
     # ------------------------------------------------------------------ accessors
     @property

@@ -26,7 +26,11 @@ Every kernel runs through one superstep path. ``ExecutionBackend.
 map_partitions_resident`` opens a session that installs each part's
 loop-invariant payload (local CSR, index maps, static parameters) and initial
 state once; the pinned sessions cache payloads under the layout token, so a
-rerun on the same layout skips the CSR. Each phase is then one
+rerun on the same layout skips the CSR. An integer ``partitions=k`` reuses
+the graph's layout for ``k``, built once and kept on the immutable graph
+while it lives, so repeated calls on one graph object neither partition
+again nor re-ship the CSR; a label array builds a fresh layout, with a
+fresh token, on every call. Each phase is then one
 :meth:`~repro.parallel.backends.ResidentSession.run` call — a barrier — that
 executes ``fn(payload, state, delta)`` for every live part. A phase's delta
 is dense: the part's worklist (local indices), the phase scalars and, for
@@ -47,7 +51,7 @@ from __future__ import annotations
 import itertools
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -222,10 +226,13 @@ def _next_layout_token() -> str:
     """A process-unique token naming one :class:`PartitionLayout` instance.
 
     The token keys the rank-resident payload caches: a worker that has part
-    ``i`` of token ``t`` resident never receives that part's CSR again. A new
-    layout object — even over the same graph and labels — gets a fresh token,
-    which is the invalidation rule: resident state is valid exactly as long as
-    the layout object that produced it is alive and reused.
+    ``i`` of token ``t`` resident never receives that part's CSR again. The
+    invalidation rule follows from which layouts get reused: an integer part
+    count reuses the graph's layout, and so its token, while the graph lives
+    (:func:`build_partition_layout`); a label array builds a fresh layout with
+    a fresh token, even over the same graph and labels. A token's payloads
+    therefore always describe the graph its layout was built from, and stale
+    ones age out of the workers' LRU stores.
     """
     return f"layout-{os.getpid()}-{next(_LAYOUT_TOKENS)}"
 
@@ -242,7 +249,9 @@ class PartitionLayout:
     parts: Tuple[GraphPart, ...]
     #: Undirected edges whose endpoints lie in different parts.
     cut_edges: int
-    #: Process-unique identity keying the rank-resident payload caches.
+    #: Process-unique identity keying the rank-resident payload caches. A
+    #: part count's layout, and with it this token, is reused for as long as
+    #: its graph lives; a label array's layout gets a fresh one on every build.
     token: str = field(default_factory=_next_layout_token)
 
     @property
@@ -359,23 +368,42 @@ def build_partition_layout(graph: CSRGraph, partitions: PartitionSpec) -> Partit
     :func:`partition_vertices`), an explicit per-vertex label array (labels in
     ``[0, max+1)``; empty parts are allowed), or an existing layout (returned
     unchanged).
+
+    A part count's layout is built once per graph object and kept on the
+    graph, which is immutable: every later call with the same count returns
+    that layout object, token included, while the graph lives, so the
+    resident sessions find its payloads already installed. Every caller
+    shares it, so its arrays are read-only. A label array builds a fresh
+    layout, with a fresh token, on every call.
     """
     if isinstance(partitions, PartitionLayout):
         return partitions
-    n = graph.num_vertices
     if isinstance(partitions, (int, np.integer)):
         num_parts = int(partitions)
-        labels = partition_vertices(graph, num_parts)
-    else:
-        labels = np.asarray(partitions, dtype=np.int64)
-        if labels.shape != (n,):
-            raise ValueError(
-                f"partition labels must have one entry per vertex "
-                f"(got shape {labels.shape} for {n} vertices)"
+        layout = graph._layouts.get(num_parts)
+        if layout is None:
+            layout = _read_only(
+                _layout(graph, partition_vertices(graph, num_parts), num_parts)
             )
-        if n and labels.min() < 0:
-            raise ValueError("partition labels must be non-negative")
-        num_parts = int(labels.max()) + 1 if n else 1
+            # Two racing first calls both build; setdefault hands both the
+            # one that was stored first.
+            layout = graph._layouts.setdefault(num_parts, layout)
+        return layout
+    n = graph.num_vertices
+    labels = np.asarray(partitions, dtype=np.int64)
+    if labels.shape != (n,):
+        raise ValueError(
+            f"partition labels must have one entry per vertex "
+            f"(got shape {labels.shape} for {n} vertices)"
+        )
+    if n and labels.min() < 0:
+        raise ValueError("partition labels must be non-negative")
+    return _layout(graph, labels, int(labels.max()) + 1 if n else 1)
+
+
+def _layout(graph: CSRGraph, labels: np.ndarray, num_parts: int) -> PartitionLayout:
+    """Split ``graph`` into ``num_parts`` shards by its per-vertex ``labels``."""
+    n = graph.num_vertices
     # One shard is materialised per part id, so a sparse labelling (hashes,
     # component ids) would silently allocate max(label)+1 mostly-empty shards.
     # Parts may legitimately exceed |V| slightly (restricted labels on a small
@@ -394,6 +422,17 @@ def build_partition_layout(graph: CSRGraph, partitions: PartitionSpec) -> Partit
         parts=parts,
         cut_edges=edge_cut(graph, labels),
     )
+
+
+def _read_only(layout: PartitionLayout) -> PartitionLayout:
+    """Mark every array of ``layout`` read-only, as ``CSRGraph``'s are."""
+    layout.labels.setflags(write=False)
+    for part in layout.parts:
+        for f in fields(part):
+            value = getattr(part, f.name)
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+    return layout
 
 
 def carry_partition_labels(
@@ -584,7 +623,9 @@ def _color_conflict(payload, state, delta):
     owners_local = np.repeat(wl_local, lens)
     owners_global = np.repeat(ids[wl_local], lens)
     conflict = (colors[owners_local] == colors[nbr]) & (owners_global > ids[nbr])
-    losers_local = np.unique(owners_local[conflict])
+    lost = np.zeros(ids.size, dtype=bool)
+    lost[owners_local[conflict]] = True
+    losers_local = np.flatnonzero(lost)
     colors[losers_local] = -1
     return ids[losers_local]
 
@@ -908,7 +949,7 @@ def partitioned_greedy_color(
     CSR ships once, and both phases ship the part's worklist plus its halo
     of colors.
     """
-    from ..coloring.greedy import ColoringResult
+    from ..coloring.greedy import ColoringResult, _compact_colors
 
     B = resolve_backend(backend)
     layout = build_partition_layout(graph, partitions)
@@ -971,12 +1012,10 @@ def partitioned_greedy_color(
         session.close()
     elapsed = time.perf_counter() - t0
 
-    used = np.unique(colors)
-    remap = -np.ones(int(used.max()) + 1, dtype=np.int64)
-    remap[used] = np.arange(used.size, dtype=np.int64)
+    colors, num_colors = _compact_colors(colors)
     return ColoringResult(
-        remap[colors],
-        int(used.size),
+        colors,
+        num_colors,
         rounds,
         traffic,
         distance=1,

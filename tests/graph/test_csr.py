@@ -56,6 +56,28 @@ class TestConstruction:
         with pytest.raises(ValueError):
             g.entries[0] = 3
 
+    @pytest.mark.parametrize("how", ["pickle", "deepcopy", "copy"])
+    def test_round_trip_stays_read_only_and_equal(self, how):
+        # Regression: pickles (every map_graphs pool worker) and copies came
+        # back with writable arrays. They also leave the stored layouts behind.
+        import copy
+        import pickle
+
+        from repro.parallel import build_partition_layout
+
+        g = path_graph(5)
+        build_partition_layout(g, 2)
+        clone = {
+            "pickle": lambda: pickle.loads(pickle.dumps(g)),
+            "deepcopy": lambda: copy.deepcopy(g),
+            "copy": lambda: copy.copy(g),
+        }[how]()
+        assert clone == g and clone is not g
+        assert clone.rowmap.dtype == np.int64 and clone.entries.dtype == np.int32
+        assert not clone.rowmap.flags.writeable
+        assert not clone.entries.flags.writeable
+        assert clone._layouts == {} and 2 in g._layouts
+
 
 class TestAccessors:
     def test_neighbors(self):

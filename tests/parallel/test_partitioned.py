@@ -21,6 +21,11 @@ from repro.parallel import (
 from repro.parallel.backends import _RESIDENT_SLOT_POOLS, shutdown_partition_pools
 
 
+def _counts(stats):
+    """The deterministic fields of a ``PartitionStats`` (not the wall-clock)."""
+    return {k: v for k, v in stats.to_dict().items() if not k.endswith("_seconds")}
+
+
 class TestPartitionVertices:
     def test_single_part(self):
         g = path_graph(6)
@@ -127,11 +132,90 @@ class TestBuildLayout:
         # Empty query is fine.
         assert left.local(np.zeros(0, dtype=np.int64)).size == 0
 
-    def test_layout_tokens_are_unique(self):
+    def test_part_count_reuses_the_graphs_layout(self):
+        g = grid2d(6, 6)
+        a = build_partition_layout(g, 4)
+        assert build_partition_layout(g, 4) is a
+        assert build_partition_layout(g, np.int64(4)) is a
+        # The kernels resolve partitions=4 to the same layout.
+        stats = [kk_mis2(g, partitions=spec).partition_stats for spec in (4, a)]
+        assert _counts(stats[0]) == _counts(stats[1])
+
+    def test_other_count_copy_and_unpickled_graph_get_their_own_layouts(self):
+        import pickle
+
+        g = grid2d(6, 6)
+        a = build_partition_layout(g, 4)
+        others = [
+            build_partition_layout(g, 2),
+            build_partition_layout(g.copy(), 4),
+            build_partition_layout(pickle.loads(pickle.dumps(g)), 4),
+        ]
+        assert len({a.token, *(layout.token for layout in others)}) == 4
+        # An equal graph partitions the same way; only the identity differs.
+        assert np.array_equal(others[1].labels, a.labels)
+        assert build_partition_layout(g, 4) is a
+
+    def test_racing_first_calls_share_one_layout(self):
+        # Threads racing on a fresh graph's first build all receive the one
+        # layout the graph keeps; a plain store would hand the losers layouts
+        # (and tokens) that the graph does not hold.
+        import sys
+        import threading
+
+        g = grid2d(12, 12)
+        workers = 8
+        barrier = threading.Barrier(workers)
+        got = []
+
+        def build():
+            barrier.wait(timeout=10)
+            got.append(build_partition_layout(g, 4))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=build) for _ in range(workers)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(got) == workers
+        assert all(layout is g._layouts[4] for layout in got)
+
+    def test_label_array_builds_a_fresh_layout_every_time(self):
         g = path_graph(4)
-        a = build_partition_layout(g, 2)
-        b = build_partition_layout(g, 2)
-        assert a.token != b.token
+        labels = np.array([0, 0, 1, 1])
+        a = build_partition_layout(g, labels)
+        b = build_partition_layout(g, labels)
+        assert a is not b and a.token != b.token
+        assert np.array_equal(a.labels, b.labels)
+        assert build_partition_layout(g, 2).token not in (a.token, b.token)
+        # The caller's labels are not frozen by the build.
+        assert labels.flags.writeable
+
+    def test_stored_layout_arrays_are_read_only(self):
+        g = grid2d(5, 5)
+        layout = build_partition_layout(g, 2)
+        with pytest.raises(ValueError):
+            layout.labels[0] = 1
+        for part in layout.parts:
+            for name in ("owned", "halo", "ids", "owned_local", "interior_mask",
+                         "rowmap", "entries"):
+                assert not getattr(part, name).flags.writeable, name
+        with pytest.raises(ValueError):
+            layout.parts[0].entries[0] = 0
+
+    def test_failed_build_stores_nothing(self):
+        g = path_graph(4)
+        with pytest.raises(ValueError):
+            build_partition_layout(g, 0)
+        with pytest.raises(ValueError, match="dense part ids"):
+            build_partition_layout(g, 10**6)
+        assert g._layouts == {}
 
 
 class TestDrivers:
