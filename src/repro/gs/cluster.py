@@ -11,19 +11,24 @@ smaller — both effects Table VI reports and this implementation reproduces.
 The symmetric variant loops over the colors forward then backward and reverses the
 within-cluster row order on the backward pass, exactly as the paper describes.
 
-Vectorisation note: because same-color clusters are mutually independent, the k-th row
-of every cluster of a color can be updated simultaneously; the implementation
-therefore pre-groups rows by (color, position-within-cluster) and performs one batched
-update per group, preserving the sequential dependency *within* each cluster while
-executing across clusters in data-parallel fashion — the same schedule a GPU
-implementation would use with one team per cluster.
+Vectorisation note: same-color clusters are mutually independent, so the k-th row of
+every cluster of a color can be updated at once; walking the (color, position within
+cluster) groups in order is one lockstep schedule of the sequential order, the one a
+GPU would run with one team per cluster. Setup compresses that walk into a level
+schedule: each row's level is one more than the deepest level among its already
+visited neighbours in the symmetrized matrix graph, and each level becomes one batched
+update. A row then reads the updated value of every neighbour that precedes it in the
+sequential order and the old value of every neighbour that follows it, and computes
+the same per-row expression as the row-by-row loop, so ``apply`` equals the sequential
+Algorithm 4 order bit for bit. On ``laplace3d(40, 40, 40)`` the walk's 110 groups
+compress to 27 levels per direction.
 """
 
 from __future__ import annotations
 
 import inspect
 import time
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -35,10 +40,34 @@ from ..coloring.greedy import greedy_color
 from ..graph.build import from_scipy
 from ..graph.csr import CSRGraph
 from ..parallel.backends import ExecutionBackend, resolve_backend
+from ..parallel.primitives import expand_rows, segmented_max
+from .multicolor import row_blocks, sweep
 
 __all__ = ["ClusterMulticolorGaussSeidel"]
 
 AggregationFn = Callable[[CSRGraph], Aggregation]
+
+
+def _split_by(keys: np.ndarray, items: np.ndarray) -> List[np.ndarray]:
+    """``items`` grouped by equal ``keys``: groups by ascending key, stable within."""
+    order = np.argsort(keys, kind="stable")
+    return np.split(items[order], np.flatnonzero(np.diff(keys[order])) + 1)
+
+
+def _level_schedule(graph: CSRGraph, groups: Sequence[np.ndarray]) -> List[np.ndarray]:
+    """Regroup an ordered sequence of independent row groups into dependency levels.
+
+    Walking ``groups`` in order, each group's rows get a level one more than the
+    deepest level among their neighbours in ``graph``; rows not visited yet sit at
+    level 0. Rows of one group must share no edge. Adjacent rows end on different
+    levels, in the order the walk visited them, so updating level by level reads
+    exactly the values the walk would. Returns the rows of each level, ascending.
+    """
+    level = np.zeros(graph.num_vertices, dtype=np.int64)
+    for rows in groups:
+        slots, offsets = expand_rows(graph.rowmap, rows)
+        level[rows] = segmented_max(level[graph.entries[slots]], offsets, 0) + 1
+    return _split_by(level, np.arange(level.size))
 
 
 class ClusterMulticolorGaussSeidel:
@@ -102,59 +131,36 @@ class ClusterMulticolorGaussSeidel:
         self.coloring = greedy_color(self.coarse, backend=B)
         self.num_colors = self.coloring.num_colors
 
-        # Group rows by (color of their cluster, position within their cluster) and
-        # pre-slice the corresponding row blocks of A.
+        # Sequential Algorithm 4 order: colors ascending, the rows of each cluster
+        # ascending. Group the rows by (color of their cluster, position within their
+        # cluster): walked in order, the groups are its lockstep schedule.
         labels = self.aggregation.labels
-        cluster_color = self.coloring.colors  # per aggregate
-        order = np.lexsort((np.arange(labels.size), labels))  # rows sorted by cluster
-        sorted_rows = order
-        sorted_clusters = labels[order]
-        # Position of each row within its cluster (0-based).
+        by_cluster = np.argsort(labels, kind="stable")
         cluster_sizes = self.aggregation.sizes()
         starts = np.zeros(self.aggregation.num_aggregates + 1, dtype=np.int64)
         np.cumsum(cluster_sizes, out=starts[1:])
-        position = np.arange(labels.size) - starts[sorted_clusters]
-        row_color = cluster_color[sorted_clusters]
+        position = np.arange(labels.size) - starts[labels[by_cluster]]
         self.max_cluster_size = int(cluster_sizes.max()) if cluster_sizes.size else 0
-
-        self._forward_groups: List[Tuple[np.ndarray, sp.csr_matrix, np.ndarray]] = []
-        self._backward_groups: List[Tuple[np.ndarray, sp.csr_matrix, np.ndarray]] = []
-        for color in range(self.num_colors):
-            in_color = row_color == color
-            for pos in range(self.max_cluster_size):
-                rows = sorted_rows[in_color & (position == pos)]
-                if rows.size == 0:
-                    continue
-                self._forward_groups.append(
-                    (rows, sp.csr_matrix(self.A[rows]), diag[rows])
-                )
-        for color in reversed(range(self.num_colors)):
-            in_color = row_color == color
-            for pos in reversed(range(self.max_cluster_size)):
-                rows = sorted_rows[in_color & (position == pos)]
-                if rows.size == 0:
-                    continue
-                self._backward_groups.append(
-                    (rows, sp.csr_matrix(self.A[rows]), diag[rows])
-                )
+        group = self.coloring.colors[labels[by_cluster]] * self.max_cluster_size + position
+        groups = _split_by(group, by_cluster)
+        # Compress the walk into levels. They come from the symmetrized fine_graph,
+        # not A's own rows: a one-sided coupling A[i, j] != 0 with A[j, i] == 0 must
+        # still order i and j, or i would read x[j] updated out of turn. The backward
+        # pass (colors and the rows of each cluster reversed) orders every coupled
+        # pair the other way round, so the same levels in reverse are its schedule.
+        self._blocks = row_blocks(self.A, diag, _level_schedule(fine_graph, groups))
+        self._backward_blocks = self._blocks[::-1]
         self.setup_seconds = time.perf_counter() - setup_start
 
     # ------------------------------------------------------------------ application
-    @staticmethod
-    def _run_groups(groups, b: np.ndarray, x: np.ndarray) -> np.ndarray:
-        for rows, block, dcluster in groups:
-            residual = b[rows] - block @ x + dcluster * x[rows]
-            x[rows] = residual / dcluster
-        return x
-
     def apply(self, b: np.ndarray, x: Optional[np.ndarray] = None) -> np.ndarray:
         """Apply the configured number of cluster multicolor (S)GS sweeps."""
         b = np.asarray(b, dtype=np.float64)
         out = np.zeros_like(b) if x is None else np.array(x, dtype=np.float64, copy=True)
         for _ in range(self.sweeps):
-            out = self._run_groups(self._forward_groups, b, out)
+            out = sweep(self._blocks, b, out)
             if self.symmetric:
-                out = self._run_groups(self._backward_groups, b, out)
+                out = sweep(self._backward_blocks, b, out)
         return out
 
     def as_preconditioner(self):

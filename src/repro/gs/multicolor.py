@@ -15,7 +15,7 @@ update of all rows of that color.
 from __future__ import annotations
 
 import time
-from typing import List, Optional
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -24,6 +24,26 @@ from ..coloring.greedy import greedy_color
 from ..graph.build import from_scipy
 
 __all__ = ["MulticolorGaussSeidel"]
+
+#: One batch of mutually independent rows: ``(rows, A[rows], diag[rows])``.
+RowBlock = Tuple[np.ndarray, sp.csr_matrix, np.ndarray]
+
+
+def row_blocks(A: sp.csr_matrix, diag: np.ndarray, groups: Sequence[np.ndarray]) -> List[RowBlock]:
+    """Pre-slice the row block and diagonal of every group of rows, in order."""
+    return [(rows, sp.csr_matrix(A[rows]), diag[rows]) for rows in groups]
+
+
+def sweep(blocks: Sequence[RowBlock], b: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """One Gauss-Seidel pass over ``blocks`` in order, updating ``x`` in place.
+
+    The rows of one block share no couplings, so a Jacobi-style batch update
+    restricted to them is exactly the Gauss-Seidel update in this ordering.
+    """
+    for rows, block, diag in blocks:
+        residual = b[rows] - block @ x + diag * x[rows]
+        x[rows] = residual / diag
+    return x
 
 
 class MulticolorGaussSeidel:
@@ -58,30 +78,19 @@ class MulticolorGaussSeidel:
         # Pre-slice the per-color row blocks and diagonals once so each sweep is a
         # handful of SpMVs (the analogue of the pre-built color-batched kernels in
         # Kokkos Kernels).
-        self._blocks = [
-            (rows, sp.csr_matrix(self.A[rows]), diag[rows]) for rows in self.color_sets
-        ]
+        self._blocks = row_blocks(self.A, diag, self.color_sets)
+        self._backward_blocks = self._blocks[::-1]
         self.setup_seconds = time.perf_counter() - setup_start
 
     # ------------------------------------------------------------------ application
-    def _sweep(self, b: np.ndarray, x: np.ndarray, order) -> np.ndarray:
-        for rows, block, dcolor in order:
-            if rows.size == 0:
-                continue
-            # Rows of one color are mutually independent: a Jacobi-style batch update
-            # restricted to them is exactly the Gauss-Seidel update in this ordering.
-            residual = b[rows] - block @ x + dcolor * x[rows]
-            x[rows] = residual / dcolor
-        return x
-
     def apply(self, b: np.ndarray, x: Optional[np.ndarray] = None) -> np.ndarray:
         """Apply the configured number of multicolor (S)GS sweeps."""
         b = np.asarray(b, dtype=np.float64)
         out = np.zeros_like(b) if x is None else np.array(x, dtype=np.float64, copy=True)
         for _ in range(self.sweeps):
-            out = self._sweep(b, out, self._blocks)
+            out = sweep(self._blocks, b, out)
             if self.symmetric:
-                out = self._sweep(b, out, list(reversed(self._blocks)))
+                out = sweep(self._backward_blocks, b, out)
         return out
 
     def as_preconditioner(self):

@@ -48,6 +48,17 @@ def gmres(
     maxiter:
         Total iteration (inner step) cap — the quantity reported as "iterations" in
         Table VI.
+
+    Notes
+    -----
+    The Krylov basis ``Q`` and its preconditioned images ``Z`` are stored row-major,
+    one contiguous row per vector, so every modified Gram-Schmidt dot and axpy
+    reads contiguous memory.
+
+    Breakdown is judged relative to the step's own scale: when orthogonalisation
+    leaves ``||w|| <= 1e-14 ||A z||`` the Krylov space is (numerically) invariant,
+    the cycle ends, and the next restart checks the true residual. The test is
+    unchanged by scaling ``A`` and ``b``, which an absolute threshold is not.
     """
     A = sp.csr_matrix(A)
     b = np.asarray(b, dtype=np.float64)
@@ -75,26 +86,28 @@ def gmres(
             converged = True
             break
         m = min(restart, maxiter - total_iters)
-        Q = np.zeros((n, m + 1))
+        Q = np.zeros((m + 1, n))
         H = np.zeros((m + 1, m))
         cs = np.zeros(m)
         sn = np.zeros(m)
         g = np.zeros(m + 1)
         g[0] = beta
-        Q[:, 0] = r / beta
-        Z = np.zeros((n, m))  # preconditioned basis vectors (for the update)
+        Q[0] = r / beta
+        Z = np.zeros((m, n))  # preconditioned basis vectors (for the update)
         k_used = 0
         for k in range(m):
-            z = precondition(Q[:, k])
-            Z[:, k] = z
+            z = precondition(Q[k])
+            Z[k] = z
             w = A @ z
+            w_scale = float(np.linalg.norm(w))
             # Modified Gram-Schmidt.
             for i in range(k + 1):
-                H[i, k] = float(w @ Q[:, i])
-                w -= H[i, k] * Q[:, i]
+                H[i, k] = float(w @ Q[i])
+                w -= H[i, k] * Q[i]
             H[k + 1, k] = float(np.linalg.norm(w))
-            if H[k + 1, k] > 1e-14:
-                Q[:, k + 1] = w / H[k + 1, k]
+            breakdown = H[k + 1, k] <= 1e-14 * w_scale
+            if not breakdown:
+                Q[k + 1] = w / H[k + 1, k]
             # Apply existing Givens rotations to the new column.
             for i in range(k):
                 temp = cs[i] * H[i, k] + sn[i] * H[i + 1, k]
@@ -114,12 +127,12 @@ def gmres(
             k_used = k + 1
             res_norm = abs(g[k + 1])
             residuals.append(float(res_norm))
-            if res_norm <= tol * b_norm or total_iters >= maxiter:
+            if res_norm <= tol * b_norm or total_iters >= maxiter or breakdown:
                 break
         # Solve the small triangular system and update the iterate.
         if k_used > 0:
             y = np.linalg.solve(H[:k_used, :k_used], g[:k_used])
-            x = x + Z[:, :k_used] @ y
+            x = x + Z[:k_used].T @ y
         final_res = float(np.linalg.norm(b - A @ x))
         if final_res <= tol * b_norm:
             converged = True

@@ -47,23 +47,50 @@ class TestSetup:
             ClusterMulticolorGaussSeidel(sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]])))
 
 
+def _one_sided_laplace():
+    """``laplace2d(9, 9)`` plus couplings stored on one side only."""
+    A = laplace2d(9, 9).tolil()
+    for i, j in ((20, 26), (62, 4), (45, 74)):
+        A[i, j] = -0.4
+    return sp.csr_matrix(A)
+
+
+def _sequential_sweep(A, gs, b, x, backward):
+    """Algorithm 4 row by row: colors in order, each cluster's rows in order."""
+    d = A.diagonal()
+    labels = gs.aggregation.labels
+    colors = range(gs.num_colors)
+    for color in reversed(colors) if backward else colors:
+        for agg in np.nonzero(gs.coloring.colors == color)[0]:
+            rows = np.sort(np.nonzero(labels == agg)[0])
+            for i in rows[::-1] if backward else rows:
+                row_dot = float((A[i] @ x)[0])
+                x[i] = (b[i] - row_dot + d[i] * x[i]) / d[i]
+    return x
+
+
 class TestApplySemantics:
-    def test_forward_sweep_matches_sequential_reference(self):
-        # The lockstep (color, position-in-cluster) schedule must reproduce exactly
-        # the sequential within-cluster Gauss-Seidel order of Algorithm 4.
-        A = laplace2d(9, 9).tocsr()
+    @pytest.mark.parametrize("symmetric", [False, True], ids=["forward", "symmetric"])
+    @pytest.mark.parametrize(
+        "aggregation_fn", [None, mis2_basic_aggregation], ids=["default", "basic"]
+    )
+    @pytest.mark.parametrize(
+        "matrix",
+        [lambda: laplace2d(9, 9).tocsr(), _one_sided_laplace],
+        ids=["laplace2d", "one_sided"],
+    )
+    def test_sweep_matches_sequential_reference(self, matrix, aggregation_fn, symmetric):
+        # The level schedule must reproduce exactly the sequential within-cluster
+        # Gauss-Seidel order of Algorithm 4, forward and (symmetric) backward, also
+        # when A couples a pair of rows on one side only.
+        A = matrix()
         b = np.linspace(0.5, 1.5, A.shape[0])
-        gs = ClusterMulticolorGaussSeidel(A, sweeps=1, symmetric=False)
-        fast = gs.apply(b)
-        x = np.zeros(A.shape[0])
-        d = A.diagonal()
-        labels = gs.aggregation.labels
-        for color in range(gs.num_colors):
-            for agg in np.nonzero(gs.coloring.colors == color)[0]:
-                for i in np.sort(np.nonzero(labels == agg)[0]):
-                    row_dot = float((A[i] @ x)[0])
-                    x[i] = (b[i] - row_dot + d[i] * x[i]) / d[i]
-        assert np.allclose(fast, x)
+        kwargs = {} if aggregation_fn is None else {"aggregation_fn": aggregation_fn}
+        gs = ClusterMulticolorGaussSeidel(A, sweeps=1, symmetric=symmetric, **kwargs)
+        x = _sequential_sweep(A, gs, b, np.zeros(A.shape[0]), backward=False)
+        if symmetric:
+            x = _sequential_sweep(A, gs, b, x, backward=True)
+        assert np.array_equal(gs.apply(b), x)
 
     def test_sweeps_reduce_residual(self, system):
         A, _, b = system

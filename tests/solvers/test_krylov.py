@@ -118,6 +118,18 @@ class TestGMRES:
         result = gmres(A, np.zeros(A.shape[0]))
         assert result.converged and result.iterations == 0
 
+    def test_scale_invariant(self):
+        # Scaling A and b by a power of two scales every quantity GMRES computes
+        # exactly, so the breakdown test must not fire on the scale alone.
+        A = laplace2d(10, 10)
+        b = np.random.default_rng(0).random(A.shape[0])
+        unscaled = gmres(A, b)
+        assert unscaled.converged
+        for scale in (2.0**-60, 2.0**60):
+            result = gmres(scale * A, scale * b)
+            assert result.converged
+            assert result.iterations == unscaled.iterations
+
     def test_maxiter_cap(self, spd_system):
         A, _, b = spd_system
         result = gmres(A, b, tol=1e-15, maxiter=5)
