@@ -4,8 +4,9 @@
   resident session's ``run`` crosses a process (or socket) boundary, so it
   must be a module-level callable.  Lambdas and functions defined
   inside another function close over frames and fail (or silently diverge)
-  under the chunked and distributed backends.  ``functools.partial`` is
-  unwrapped — its underlying callable is checked instead.
+  in the chunked backend's process pool and over the distributed backend's
+  sockets.  ``functools.partial`` is unwrapped — its underlying callable is
+  checked instead.
 * ``backend-concrete`` — kernels take ``backend=`` and resolve through the
   registry; instantiating a concrete ``*Backend`` class anywhere else
   hard-wires an execution strategy and breaks the equivalence matrix.

@@ -203,7 +203,7 @@ class _TaskInvocation:
     module-level callable or a :func:`functools.partial` of one — never a
     lambda), the frozen :class:`BenchConfig`, and the backend *instance* (every
     shipped backend pickles, including configured clones like
-    ``ChunkedBackend(block_elements=8)`` — carrying the instance rather than a
+    ``ChunkedBackend(processes=2)`` — carrying the instance rather than a
     registry name means a worker runs exactly the configuration the caller
     passed, even on spawn-started pools where the registry default would
     otherwise win). A process-pool worker starts with the process default

@@ -2,7 +2,7 @@
 
 The paper's claims rest on three properties of the output: distance-k independence,
 maximality, and determinism. Determinism is checked by the test-suite (identical
-results across runs and execution spaces); this module provides the independence and
+results across runs and backends); this module provides the independence and
 maximality checks for arbitrary ``k`` using sparse boolean reachability, plus a slow
 BFS-based violation enumerator used by the property-based tests on small graphs.
 """

@@ -4,19 +4,15 @@ The paper's implementation is written against the Kokkos programming model so th
 single source runs on CUDA, HIP and OpenMP backends. This package provides the Python
 analogue used by the reproduction:
 
-* :mod:`~repro.parallel.execution` — execution spaces (:class:`SerialSpace`,
-  :class:`VectorSpace`, :class:`ThreadSpace`) exposing ``parallel_for``,
-  ``parallel_reduce`` and ``parallel_scan`` with bulk-synchronous, deterministic
-  semantics.
 * :mod:`~repro.parallel.primitives` — the vectorised segmented/row-wise primitives the
   graph kernels are built from (segmented min/any/all over CSR rows, exclusive scans,
   stream compaction).
 * :mod:`~repro.parallel.backends` — the pluggable :class:`ExecutionBackend` seam
   through which every kernel invokes those primitives: the ``numpy`` reference, the
-  cache-blocked/process-pool ``chunked`` backend, the shared-memory ``threaded``
-  backend and the optional ``numba`` JIT backend (graceful NumPy fallback). Select
-  per call (``backend="chunked"``) or process-wide with
-  :class:`set_default_backend`.
+  process-pool ``chunked`` backend, the shared-memory ``threaded`` backend, the
+  optional ``numba`` JIT backend (graceful NumPy fallback) and the socket
+  ``distributed`` backend (:mod:`~repro.parallel.distributed`). Select per call
+  (``backend="chunked"``) or process-wide with :class:`set_default_backend`.
 * :mod:`~repro.parallel.machine` — device catalogue (V100, MI100, Skylake, ThunderX2)
   with the published memory bandwidths the paper's Fig. 3 uses.
 * :mod:`~repro.parallel.costmodel` — roofline-style traffic/latency model converting
@@ -26,14 +22,6 @@ analogue used by the reproduction:
 
 from __future__ import annotations
 
-from .execution import (
-    ExecutionSpace,
-    SerialSpace,
-    VectorSpace,
-    ThreadSpace,
-    default_space,
-    available_spaces,
-)
 from .primitives import (
     exclusive_scan,
     inclusive_scan,
@@ -104,12 +92,6 @@ from .partitioned import (
 )
 
 __all__ = [
-    "ExecutionSpace",
-    "SerialSpace",
-    "VectorSpace",
-    "ThreadSpace",
-    "default_space",
-    "available_spaces",
     "exclusive_scan",
     "inclusive_scan",
     "stream_compact",

@@ -18,11 +18,9 @@ Four backends ship with the package:
     bit-for-bit — the determinism tests enforce this.
 
 ``chunked`` (:class:`ChunkedBackend`)
-    Processes worklists in cache-sized blocks, splitting segmented operations
-    only at segment boundaries so per-segment results are identical to the
-    reference. Also fans batches of independent graphs out over a process pool
-    (:meth:`ExecutionBackend.map_graphs`), the sharding hook for multi-graph
-    benchmark sweeps.
+    The NumPy reference primitives, with batches of independent graphs fanned
+    out over a process pool (:meth:`ExecutionBackend.map_graphs`), the
+    sharding hook for multi-graph benchmark sweeps.
 
 ``threaded`` (:class:`ThreadedBackend`)
     Shared-memory parallelism: the per-graph primitives are the NumPy
@@ -39,8 +37,8 @@ Four backends ship with the package:
 All backends implement the same deterministic contract: primitives are pure
 functions of their inputs and reductions evaluate associative operators per
 segment, so results are bit-identical across backends for the integer dtypes
-the kernels use. (Floating-point scans are delegated to the reference by the
-chunked backend precisely to preserve this guarantee.)
+the kernels use. (The numba backend is the only one that overrides primitives,
+and it sends float inputs to the reference, so floats match too.)
 """
 
 from __future__ import annotations
@@ -52,7 +50,6 @@ import threading
 import time
 from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -93,10 +90,9 @@ def _pool_map(executor_cls, width: Optional[int], fn: Callable, items: Sequence)
 
 
 # Guards the persistent partition pools below: the threaded sessions' thread
-# pools and the chunked sessions' slot workers. Partitioned kernels run one
-# small batch of per-part tasks per superstep phase, many times per run, so
-# the pools are created lazily, shared by every backend instance in the
-# process and torn down at interpreter exit.
+# pools. Partitioned kernels run one small batch of per-part tasks per
+# superstep phase, many times per run, so the pools are created lazily, shared
+# by every backend instance in the process and torn down at interpreter exit.
 _PARTITION_POOL_LOCK = threading.Lock()
 
 
@@ -104,9 +100,9 @@ def _in_worker_process() -> bool:
     """True when this process is itself a multiprocessing pool worker.
 
     A partitioned kernel running inside a ``map_graphs`` process-pool worker
-    must not nest another process pool (cpu² oversubscription, and re-pickling
-    every snapshot); its parts execute inline instead — the outer pool already
-    provides the parallelism.
+    must not fan its parts out to rank processes (cpu² oversubscription, and
+    re-pickling every snapshot); its parts execute inline instead — the outer
+    pool already provides the parallelism.
     """
     import multiprocessing
 
@@ -129,13 +125,10 @@ def _partition_thread_pool(workers: int) -> ThreadPoolExecutor:
 
 def _drop_inherited_partition_pools() -> None:
     # Fork-started children inherit the parent's executor objects, whose worker
-    # processes/threads and queues belong to the parent (threads don't survive
-    # a fork at all); drop the references so a child that does reach the pool
-    # path builds its own. Resident slot pools (and the coordinator's view of
-    # what their workers hold) go the same way.
+    # threads and queues belong to the parent (threads don't survive a fork at
+    # all); drop the references so a child that does reach the pool path
+    # builds its own.
     _PARTITION_THREAD_POOLS.clear()  # analysis-ok: lock-guard -- at-fork child is single-threaded; the inherited lock may be held by a parent thread that did not survive the fork, so taking it here could deadlock
-    _RESIDENT_SLOT_POOLS.clear()  # analysis-ok: lock-guard -- at-fork child is single-threaded; the inherited lock may be held by a parent thread that did not survive the fork, so taking it here could deadlock
-    _RESIDENT_SLOT_HAS.clear()  # analysis-ok: lock-guard -- at-fork child is single-threaded; the inherited lock may be held by a parent thread that did not survive the fork, so taking it here could deadlock
 
 
 if hasattr(os, "register_at_fork"):  # pragma: no branch - POSIX
@@ -143,13 +136,10 @@ if hasattr(os, "register_at_fork"):  # pragma: no branch - POSIX
 
 
 def shutdown_partition_pools() -> None:
-    """Shut down every persistent partition pool: the threaded sessions'
-    thread pools and the chunked sessions' slot workers (idempotent)."""
+    """Shut down the threaded sessions' persistent thread pools (idempotent)."""
     with _PARTITION_POOL_LOCK:
-        pools = list(_PARTITION_THREAD_POOLS.values()) + list(_RESIDENT_SLOT_POOLS.values())
+        pools = list(_PARTITION_THREAD_POOLS.values())
         _PARTITION_THREAD_POOLS.clear()
-        _RESIDENT_SLOT_POOLS.clear()
-        _RESIDENT_SLOT_HAS.clear()
     for pool in pools:
         pool.shutdown(wait=True, cancel_futures=True)
 
@@ -161,12 +151,11 @@ atexit.register(shutdown_partition_pools)
 #
 # A partitioned kernel run opens a *session* that ships each part's immutable
 # payload (local CSR, index maps, static parameters) and its initial mutable
-# state exactly once, pins part ``i`` to worker ``i % width`` for the life of
-# the run, and afterwards ships only the per-superstep deltas (worklist
-# indices, halo values, phase scalars) out and the results back. This is the
-# same execution model the distributed backend runs — parts resident on
-# ranks, supersteps exchanging halo messages — expressed over a local process
-# pool.
+# state exactly once, and afterwards ships only the per-superstep deltas
+# (worklist indices, halo values, phase scalars) out and the results back.
+# The in-process session keeps both in the caller's address space; the
+# distributed backend pins part ``i`` to rank process ``i % ranks`` and runs
+# the same protocol over sockets against the rank-side store below.
 
 
 def shipped_nbytes(obj: Any) -> int:
@@ -325,7 +314,7 @@ class _LocalResidentSession(ResidentSession):
 
     def _submit(self, fn: Callable, tasks: Sequence[Tuple[int, Any]]) -> Callable[[], List]:
         # Lazy: the tasks run inside the collector, so their compute is
-        # metered as wait time, as it is on the pooled sessions.
+        # metered as wait time, as it is on the distributed session.
         calls = [(self._payloads[i], self._states[i], delta) for i, delta in tasks]
         pool = self._pool
         if pool is None or len(calls) <= 1:
@@ -333,21 +322,23 @@ class _LocalResidentSession(ResidentSession):
         return lambda: list(pool.map(lambda c: fn(*c), calls))
 
 
-# Worker-side process-global resident store. Payloads are keyed by
-# ``(layout token, part)`` and survive across sessions (a rerun on the same
-# layout re-ships nothing); states are keyed by ``(session key, part)`` and
-# live for exactly one session. The LRU never evicts the token currently being
-# installed, so a session's own parts cannot push each other out.
+# Rank-side process-global resident store: the distributed backend's rank
+# processes run the tasks below (see :mod:`repro.parallel.distributed`).
+# Payloads are keyed by ``(layout token, part)`` and survive across sessions
+# (a rerun on the same layout re-ships nothing); states are keyed by
+# ``(session key, part)`` and live for exactly one session. The LRU never
+# evicts the token currently being installed, so a session's own parts cannot
+# push each other out.
 _RESIDENT_PAYLOADS: "OrderedDict[Tuple[str, int], Any]" = OrderedDict()
 _RESIDENT_PAYLOAD_CAPACITY = 16
 _RESIDENT_STATES: "Dict[Tuple[int, int], Any]" = {}
 
 
 def _resident_install(args) -> bool:
-    """Worker task: store a part's payload (if shipped) and fresh session state.
+    """Rank task: store a part's payload (if shipped) and fresh session state.
 
-    Returns False when the coordinator skipped the payload but this worker does
-    not hold it (restarted worker, LRU eviction) — the coordinator re-sends.
+    Returns False when the coordinator skipped the payload but this rank does
+    not hold it (restarted rank, LRU eviction) — the coordinator re-sends.
     """
     token, part, payload, session_key, state = args
     key = (token, part)
@@ -372,25 +363,25 @@ def _resident_install(args) -> bool:
 
 
 class _ResidentPayloadMiss(RuntimeError):
-    """A slot worker evicted a payload whose session state is still live.
+    """A rank evicted a payload whose session state is still live.
 
-    Raised worker-side (it pickles back through the pool) when a concurrent
-    session's installs pushed this part's payload out of the LRU store. The
-    coordinator still holds the payload, so :class:`_PinnedResidentSession`
-    recovers transparently by re-installing it and retrying the phase.
+    Raised rank-side when a concurrent session's installs pushed this part's
+    payload out of the LRU store; the rank answers the phase with ``("miss",)``.
+    The coordinator still holds the payload, so the distributed session
+    recovers transparently by restoring it and retrying the phase.
     """
 
 
 def _resident_phase(args):
-    """Worker task: run one superstep phase against the resident part."""
+    """Rank task: run one superstep phase against the resident part."""
     token, session_key, part, fn, delta = args
     state = _RESIDENT_STATES.get((session_key, part))
     if state is None:
-        # Mutable state cannot be reconstructed by the coordinator; a worker
+        # Mutable state cannot be reconstructed by the coordinator; a rank
         # that lost it (restart) ends the run.
         raise RuntimeError(
             f"resident state of part {part} (token {token!r}) missing in "
-            f"worker {os.getpid()} — the worker lost its store; rerun the kernel"
+            f"rank process {os.getpid()} — the rank lost its store; rerun the kernel"
         )
     payload = _RESIDENT_PAYLOADS.get((token, part))
     if payload is None:
@@ -400,7 +391,7 @@ def _resident_phase(args):
 
 
 def _resident_restore_payload(args) -> bool:
-    """Worker task: re-install an LRU-evicted payload (state left untouched)."""
+    """Rank task: re-install an LRU-evicted payload (state left untouched)."""
     token, part, payload = args
     _RESIDENT_PAYLOADS[(token, part)] = payload
     _RESIDENT_PAYLOADS.move_to_end((token, part))
@@ -408,7 +399,7 @@ def _resident_restore_payload(args) -> bool:
 
 
 def _resident_forget(args) -> bool:
-    """Worker task: drop a closed session's states (payloads stay cached)."""
+    """Rank task: drop a closed session's states (payloads stay cached)."""
     session_key, parts = args
     for part in parts:
         _RESIDENT_STATES.pop((session_key, part), None)
@@ -417,215 +408,16 @@ def _resident_forget(args) -> bool:
 
 # How many restore-and-retry rounds a session attempts when a phase reports a
 # payload miss before giving up. One round is almost always enough (the
-# coordinator re-installs, the retry hits), but under a crowded slot a
+# coordinator re-installs, the retry hits), but under a crowded rank a
 # *concurrent* session's installs can re-evict the payload between the restore
 # and the retry — a single-shot recovery then surfaces the raw miss as an
-# opaque failure. Bounded so two sessions ping-ponging a slot's LRU cannot
+# opaque failure. Bounded so two sessions ping-ponging a rank's LRU cannot
 # livelock the coordinator.
 _RESIDENT_MISS_ATTEMPTS = 3
 
-
-# Coordinator-side slot pools: slot ``j`` is a persistent single-worker
-# ProcessPoolExecutor permanently holding the parts with ``part % width == j``.
-# ``_RESIDENT_SLOT_HAS`` mirrors which (token, part) payloads each slot's
-# worker is believed to hold, so repeat sessions skip the payload pickle
-# entirely. The mirror is LRU-bounded to the worker store's capacity (it
-# would otherwise grow by one entry per kernel run forever) and self-heals in
-# both directions: a stale "known" entry costs one payload=None round trip
-# that the worker acks False (the entry is dropped and the payload re-sent),
-# a dropped entry merely re-ships a payload the worker still had.
-_RESIDENT_SLOT_POOLS: "Dict[int, ProcessPoolExecutor]" = {}  # guarded-by: _PARTITION_POOL_LOCK
-_RESIDENT_SLOT_HAS: "Dict[int, OrderedDict[Tuple[str, int], None]]" = {}  # guarded-by: _PARTITION_POOL_LOCK
+# Coordinator-side session keys: the rank-side states of one session are
+# keyed by its number, so concurrent sessions on one layout never collide.
 _RESIDENT_SESSION_KEYS = itertools.count(1)
-
-
-def _resident_slot(idx: int) -> ProcessPoolExecutor:
-    with _PARTITION_POOL_LOCK:
-        pool = _RESIDENT_SLOT_POOLS.get(idx)
-        if pool is None:
-            pool = ProcessPoolExecutor(max_workers=1)
-            _RESIDENT_SLOT_POOLS[idx] = pool
-            _RESIDENT_SLOT_HAS[idx] = OrderedDict()
-        return pool
-
-
-def _slot_known(slot: int, key: Tuple[str, int]) -> bool:
-    with _PARTITION_POOL_LOCK:
-        return key in _RESIDENT_SLOT_HAS.get(slot, ())
-
-
-def _slot_mark(slot: int, key: Tuple[str, int], present: bool) -> None:
-    with _PARTITION_POOL_LOCK:
-        mirror = _RESIDENT_SLOT_HAS.get(slot)
-        if mirror is None:
-            return
-        if not present:
-            mirror.pop(key, None)
-            return
-        mirror[key] = None
-        mirror.move_to_end(key)
-        while len(mirror) > _RESIDENT_PAYLOAD_CAPACITY:
-            mirror.popitem(last=False)
-
-
-def _evict_resident_slot(idx: int) -> None:
-    """Drop a broken slot pool so the next session builds a fresh worker."""
-    with _PARTITION_POOL_LOCK:
-        pool = _RESIDENT_SLOT_POOLS.pop(idx, None)
-        _RESIDENT_SLOT_HAS.pop(idx, None)
-    if pool is not None:
-        pool.shutdown(wait=False, cancel_futures=True)
-
-
-class _PinnedResidentSession(ResidentSession):
-    """Chunked-backend session: part ``i`` resides in slot ``i % width``.
-
-    Session open *submits* each part's payload (unless its slot already caches
-    the layout token) and fresh state to its slot worker without waiting — the
-    install acks resolve at the first phase submission (:meth:`_finish_install`),
-    so install latency overlaps the coordinator's superstep-0 preparation.
-    Every later superstep ships only ``(token, session, part, fn, delta)`` —
-    the CSR never crosses the pickle boundary again.
-    """
-
-    def __init__(
-        self, token: str, payloads: Sequence, states: Sequence, width: int
-    ) -> None:
-        super().__init__(token, payloads, states)
-        #: Payloads are retained so an LRU-evicted one (a concurrent session
-        #: crowding a shared slot worker) can be re-installed transparently.
-        self._payloads = list(payloads)
-        self._key = next(_RESIDENT_SESSION_KEYS)
-        self._nslots = max(1, min(int(width), len(payloads)))
-        self._closed = False
-        pending: List = []
-        for part, (payload, state) in enumerate(zip(payloads, states)):
-            slot = part % self._nslots
-            pool = _resident_slot(slot)
-            known = _slot_known(slot, (token, part))
-            fut = pool.submit(
-                _resident_install,
-                (token, part, None if known else payload, self._key, state),
-            )
-            pending.append((slot, part, payload, state, fut))
-        self._pending_installs: Optional[List] = pending
-
-    def _finish_install(self) -> None:
-        """Resolve the deferred install acks (idempotent).
-
-        Must complete before any phase ships: a False ack means the worker
-        holds *neither* the payload nor this session's state (the install
-        task installs nothing on a payload miss), so the full install is
-        re-sent synchronously here. The single-worker slot pools are FIFO, so
-        even though the acks resolve late, the installs themselves executed
-        before any phase submitted after this call.
-        """
-        pending, self._pending_installs = self._pending_installs, None
-        if not pending:
-            return
-        for slot, part, payload, state, fut in pending:
-            try:
-                ok = fut.result()
-                if not ok:
-                    # Stale coordinator view (worker restarted or evicted the
-                    # payload underneath us); drop the entry, ship the payload.
-                    _slot_mark(slot, (self.token, part), present=False)
-                    _resident_slot(slot).submit(
-                        _resident_install,
-                        (self.token, part, payload, self._key, state),
-                    ).result()
-            except BrokenProcessPool:
-                _evict_resident_slot(slot)
-                raise
-            _slot_mark(slot, (self.token, part), present=True)
-
-    def _submit(self, fn: Callable, tasks: Sequence[Tuple[int, Any]]) -> Callable[[], List]:
-        if self._pending_installs is not None:
-            self._finish_install()
-        futures = [
-            _resident_slot(i % self._nslots).submit(
-                _resident_phase, (self.token, self._key, i, fn, delta)
-            )
-            for i, delta in tasks
-        ]
-        return lambda: self._collect(fn, tasks, futures)
-
-    def _collect(self, fn: Callable, tasks: Sequence[Tuple[int, Any]], futures) -> List:
-        try:
-            results: List = []
-            for (i, delta), fut in zip(tasks, futures):
-                try:
-                    results.append(fut.result())
-                except _ResidentPayloadMiss:
-                    # The worker still has this part's state but another
-                    # session's installs evicted the payload; re-ship it and
-                    # retry the phase (the task has not run yet). A concurrent
-                    # session crowding the slot can re-evict between the
-                    # restore and the retry, so the recovery loops — bounded,
-                    # with a clear error on exhaustion.
-                    slot = i % self._nslots
-                    for attempt in range(_RESIDENT_MISS_ATTEMPTS):
-                        pool = _resident_slot(slot)
-                        pool.submit(
-                            _resident_restore_payload,
-                            (self.token, i, self._payloads[i]),
-                        ).result()
-                        _slot_mark(slot, (self.token, i), present=True)
-                        try:
-                            results.append(
-                                pool.submit(
-                                    _resident_phase,
-                                    (self.token, self._key, i, fn, delta),
-                                ).result()
-                            )
-                            break
-                        except _ResidentPayloadMiss:
-                            continue
-                    else:
-                        raise RuntimeError(
-                            f"payload of part {i} (token {self.token!r}) was "
-                            f"evicted again after each of "
-                            f"{_RESIDENT_MISS_ATTEMPTS} restore attempts — "
-                            f"slot {slot}'s worker store is too crowded for "
-                            f"the concurrent sessions sharing it; raise "
-                            f"_RESIDENT_PAYLOAD_CAPACITY or serialise the runs"
-                        ) from None
-            return results
-        except BrokenProcessPool:
-            # A slot worker died; its resident state is unrecoverable, so the
-            # run cannot continue — but evict every slot so later sessions get
-            # healthy workers instead of permanently failing pools.
-            for slot in range(self._nslots):
-                _evict_resident_slot(slot)
-            raise
-
-    def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        if self._pending_installs is not None:
-            # A session closed before its first phase still owes the ack
-            # resolution (a False ack left the worker without this session's
-            # state; resolving makes the forget below exact). Best effort —
-            # a broken slot has lost the states anyway.
-            try:
-                self._finish_install()
-            except Exception:
-                pass
-        by_slot: Dict[int, List[int]] = {}
-        for part in range(self.num_parts):
-            by_slot.setdefault(part % self._nslots, []).append(part)
-        for slot, parts in by_slot.items():
-            with _PARTITION_POOL_LOCK:
-                pool = _RESIDENT_SLOT_POOLS.get(slot)
-            if pool is None:
-                # The slot was evicted/shut down — its states are gone already.
-                continue
-            try:
-                pool.submit(_resident_forget, (self._key, parts)).result()
-            except Exception:
-                # Best effort: a dead slot has already lost the states anyway.
-                pass
 
 
 def numba_available() -> bool:
@@ -742,9 +534,10 @@ class ExecutionBackend:
         function of its inputs and mutates only its own part's ``state``, so
         the tasks of one phase are independent and any execution order or
         interleaving yields bit-identical results. The reference
-        implementation keeps everything in the caller's address space; the
-        chunked backend pins part ``i`` to a persistent slot worker, and the
-        distributed backend pins it to a rank process.
+        implementation keeps everything in the caller's address space and runs
+        the parts serially (the numpy, chunked and numba backends use it); the
+        threaded backend fans them over a thread pool, and the distributed
+        backend pins part ``i`` to a rank process.
         """
         return _LocalResidentSession(token, payloads, states)
 
@@ -768,20 +561,17 @@ class NumpyBackend(ExecutionBackend):
 
 
 class ChunkedBackend(ExecutionBackend):
-    """Cache-blocked backend: segmented operations run in cache-sized blocks.
+    """Process-pool backend: :meth:`map_graphs` fans out over worker processes.
 
-    Blocks are split only at segment boundaries, so every segment is reduced by
-    exactly one reference call and results are bit-identical to
-    :class:`NumpyBackend`. This mirrors how a CPU implementation tiles the
-    worklist so each block's values stay resident in L2 while the reduction
-    runs, and it bounds the temporary-array footprint of ``expand_rows`` on
-    huge worklists.
+    The per-graph primitives are the NumPy reference, so results are
+    bit-identical to :class:`NumpyBackend`, and a partitioned call runs its
+    parts in the reference's serial in-process session. What this backend
+    adds is a :class:`~concurrent.futures.ProcessPoolExecutor` under
+    :meth:`map_graphs`, which shards multi-graph benchmark sweeps across
+    processes.
 
     Parameters
     ----------
-    block_elements:
-        Target number of flat elements per block (default 32768, about 256 KiB
-        of int64 values — comfortably cache-sized).
     processes:
         Worker-pool width for :meth:`map_graphs`. ``None`` uses the CPU count;
         1 executes inline.
@@ -789,184 +579,11 @@ class ChunkedBackend(ExecutionBackend):
 
     name = "chunked"
 
-    def __init__(self, block_elements: int = 32768, processes: Optional[int] = None) -> None:
-        if block_elements < 1:
-            raise ValueError("block_elements must be >= 1")
-        self.block_elements = int(block_elements)
+    def __init__(self, processes: Optional[int] = None) -> None:
         if processes is not None and processes < 1:
             raise ValueError("processes must be >= 1")
         self.processes = processes
 
-    # ------------------------------------------------------------------ helpers
-    def _segment_blocks(self, seg_offsets: np.ndarray) -> List[Tuple[int, int]]:
-        """Split segment indices into blocks of at most ~block_elements values.
-
-        A segment larger than the block size gets a block of its own — segments
-        are never split, which is what keeps per-segment results identical to
-        the reference.
-        """
-        nseg = int(seg_offsets.size) - 1
-        blocks: List[Tuple[int, int]] = []
-        start = 0
-        while start < nseg:
-            target = int(seg_offsets[start]) + self.block_elements
-            stop = int(np.searchsorted(seg_offsets, target, side="left"))
-            stop = min(max(stop, start + 1), nseg)
-            blocks.append((start, stop))
-            start = stop
-        return blocks
-
-    def _chunk_segmented(self, seg_offsets: np.ndarray, run_block: Callable) -> np.ndarray:
-        """Run ``run_block(s, e)`` over segment blocks and concatenate results."""
-        seg_offsets = np.asarray(seg_offsets, dtype=np.int64)
-        blocks = self._segment_blocks(seg_offsets)
-        pieces = [run_block(s, e) for s, e in blocks]
-        return np.concatenate(pieces)
-
-    def _small(self, seg_offsets) -> bool:
-        """Fast path: a worklist that fits one block runs the reference directly."""
-        seg_offsets = np.asarray(seg_offsets)
-        return seg_offsets.size <= 2 or int(seg_offsets[-1]) <= self.block_elements
-
-    # -------------------------------------------------------------------- scans
-    def exclusive_scan(self, values: np.ndarray) -> np.ndarray:
-        arr = np.asarray(values)
-        if arr.ndim != 1:
-            raise ValueError("exclusive_scan expects a 1-D array")
-        # Blockwise float cumsum would reassociate additions; delegate floats to
-        # the reference to keep results bit-identical across backends.
-        if arr.dtype.kind not in "iub" or arr.size <= self.block_elements:
-            return _ref.exclusive_scan(arr)
-        out = np.zeros(arr.size + 1, dtype=np.int64)
-        carry = np.int64(0)
-        for start in range(0, arr.size, self.block_elements):
-            stop = min(arr.size, start + self.block_elements)
-            np.cumsum(arr[start:stop], out=out[start + 1: stop + 1])
-            out[start + 1: stop + 1] += carry
-            carry = out[stop]
-        return out
-
-    def inclusive_scan(self, values: np.ndarray) -> np.ndarray:
-        arr = np.asarray(values)
-        if arr.ndim != 1:
-            raise ValueError("inclusive_scan expects a 1-D array")
-        if arr.dtype.kind not in "iub" or arr.size <= self.block_elements:
-            return _ref.inclusive_scan(arr)
-        # The reference is np.cumsum, whose output dtype follows NumPy's
-        # promotion rules (e.g. uint32 -> uint64, bool -> int64). Probe that
-        # dtype on an empty slice so blocked results match the reference
-        # exactly regardless of input size.
-        out = np.empty(arr.size, dtype=np.cumsum(arr[:0]).dtype)
-        carry = out.dtype.type(0)
-        for start in range(0, arr.size, self.block_elements):
-            stop = min(arr.size, start + self.block_elements)
-            np.cumsum(arr[start:stop], out=out[start:stop])
-            out[start:stop] += carry
-            carry = out[stop - 1]
-        return out
-
-    # --------------------------------------------------------------- compaction
-    def stream_compact(self, items: np.ndarray, keep: np.ndarray) -> np.ndarray:
-        items = np.asarray(items)
-        keep = np.asarray(keep, dtype=bool)
-        if items.shape != keep.shape:
-            raise ValueError("items and keep must have the same shape")
-        if items.size <= self.block_elements:
-            return _ref.stream_compact(items, keep)
-        pieces = [
-            _ref.stream_compact(
-                items[s: s + self.block_elements], keep[s: s + self.block_elements]
-            )
-            for s in range(0, items.size, self.block_elements)
-        ]
-        return np.concatenate(pieces)
-
-    # --------------------------------------------------------------------- rows
-    def expand_rows(
-        self, rowmap: np.ndarray, rows: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        rowmap = np.asarray(rowmap, dtype=np.int64)
-        rows = np.asarray(rows, dtype=np.int64)
-        lens = _ref.row_lengths(rowmap, rows)
-        bounds = _ref.exclusive_scan(lens)
-        if self._small(bounds):
-            return _ref.expand_rows(rowmap, rows)
-        blocks = self._segment_blocks(bounds)
-        slot_pieces: List[np.ndarray] = []
-        seg_pieces: List[np.ndarray] = [np.zeros(1, dtype=np.int64)]
-        offset = np.int64(0)
-        for s, e in blocks:
-            bslots, bseg = _ref.expand_rows(rowmap, rows[s:e])
-            slot_pieces.append(bslots)
-            seg_pieces.append(bseg[1:] + offset)
-            offset += bseg[-1]
-        return np.concatenate(slot_pieces), np.concatenate(seg_pieces)
-
-    # --------------------------------------------------------------- reductions
-    def _blocked_reduce(self, values, seg_offsets, reduce_block):
-        values = np.asarray(values)
-        seg_offsets = np.asarray(seg_offsets, dtype=np.int64)
-        if self._small(seg_offsets):
-            return reduce_block(values, seg_offsets)
-
-        def run(s: int, e: int) -> np.ndarray:
-            lo, hi = seg_offsets[s], seg_offsets[e]
-            return reduce_block(values[lo:hi], seg_offsets[s: e + 1] - lo)
-
-        return self._chunk_segmented(seg_offsets, run)
-
-    def segmented_min(self, values, seg_offsets, identity):
-        return self._blocked_reduce(
-            values, seg_offsets, lambda v, o: _ref.segmented_min(v, o, identity)
-        )
-
-    def segmented_max(self, values, seg_offsets, identity):
-        return self._blocked_reduce(
-            values, seg_offsets, lambda v, o: _ref.segmented_max(v, o, identity)
-        )
-
-    def segmented_sum(self, values, seg_offsets):
-        return self._blocked_reduce(values, seg_offsets, _ref.segmented_sum)
-
-    def segmented_any_equal(self, values, target, seg_offsets):
-        return self._blocked_reduce(
-            values, seg_offsets, lambda v, o: _ref.segmented_any_equal(v, target, o)
-        )
-
-    def segmented_all_equal(self, values, reference, seg_offsets):
-        values = np.asarray(values)
-        reference = np.asarray(reference)
-        seg_offsets = np.asarray(seg_offsets, dtype=np.int64)
-        if self._small(seg_offsets):
-            return _ref.segmented_all_equal(values, reference, seg_offsets)
-
-        def run(s: int, e: int) -> np.ndarray:
-            lo, hi = seg_offsets[s], seg_offsets[e]
-            return _ref.segmented_all_equal(
-                values[lo:hi], reference[s:e], seg_offsets[s: e + 1] - lo
-            )
-
-        return self._chunk_segmented(seg_offsets, run)
-
-    def segmented_lexmin(self, arrays, seg_offsets, identities):
-        if not arrays:
-            raise ValueError("segmented_lexmin requires at least one array")
-        arrays = [np.asarray(a) for a in arrays]
-        seg_offsets = np.asarray(seg_offsets, dtype=np.int64)
-        if self._small(seg_offsets):
-            return _ref.segmented_lexmin(arrays, seg_offsets, identities)
-        blocks = self._segment_blocks(seg_offsets)
-        pieces: List[List[np.ndarray]] = []
-        for s, e in blocks:
-            lo, hi = seg_offsets[s], seg_offsets[e]
-            pieces.append(
-                _ref.segmented_lexmin(
-                    [a[lo:hi] for a in arrays], seg_offsets[s: e + 1] - lo, identities
-                )
-            )
-        return [np.concatenate([p[i] for p in pieces]) for i in range(len(arrays))]
-
-    # ------------------------------------------------------------- graph batches
     def map_graphs(self, fn: Callable, items: Sequence) -> List:
         """Fan a batch of independent per-graph computations over a process pool.
 
@@ -976,27 +593,10 @@ class ChunkedBackend(ExecutionBackend):
         """
         return _pool_map(ProcessPoolExecutor, self.processes, fn, items)
 
-    def map_partitions_resident(
-        self, token: str, payloads: Sequence, states: Sequence
-    ) -> ResidentSession:
-        """Open a part-pinned session over persistent single-worker slot pools.
-
-        Part ``i`` is pinned to slot ``i % width`` for the life of the session
-        (and, because slot pools and their payload caches persist, across
-        sessions sharing a layout token), so the per-part CSR is pickled at
-        most once per run. Single-worker configurations, single-part layouts
-        and calls from inside a ``map_graphs`` pool worker fall back to the
-        in-process session.
-        """
-        workers = self.processes if self.processes is not None else max(1, os.cpu_count() or 1)
-        if workers <= 1 or len(payloads) <= 1 or _in_worker_process():
-            return _LocalResidentSession(token, payloads, states)
-        return _PinnedResidentSession(token, payloads, states, width=workers)
-
     def with_jobs(self, jobs: Optional[int]) -> "ChunkedBackend":
         if jobs is None:
             return self
-        return ChunkedBackend(block_elements=self.block_elements, processes=jobs)
+        return ChunkedBackend(processes=jobs)
 
 
 class ThreadedBackend(ExecutionBackend):

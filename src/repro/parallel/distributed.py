@@ -46,10 +46,10 @@ shutdown path and direct protocol probes.
 
 Rank-side storage *is* the process-global resident store of
 :mod:`repro.parallel.backends` (``_resident_install`` / ``_resident_phase`` /
-``_resident_forget``), so the cache semantics — payloads keyed by ``(layout
-token, part)`` surviving across sessions, states keyed by ``(session, part)``
-living for exactly one, LRU bounded by ``_RESIDENT_PAYLOAD_CAPACITY`` — are
-identical to the chunked backend's slot workers by construction.
+``_resident_forget``), which fixes the cache semantics: payloads keyed by
+``(layout token, part)`` survive across sessions, states keyed by ``(session,
+part)`` live for exactly one, and the LRU is bounded by
+``_RESIDENT_PAYLOAD_CAPACITY``.
 
 Failure story, in two tiers:
 
@@ -108,6 +108,11 @@ __all__ = [
 #: clusters; ``with_jobs`` / ``--jobs`` reconfigure it).
 _DEFAULT_RANKS = 2
 
+#: Transient-failure reconnect schedule: attempts per request, and the first
+#: backoff delay in seconds (it doubles per retry, see ``connect_with_retry``).
+_RETRY_ATTEMPTS = 4
+_RETRY_DELAY = 0.05
+
 
 class RankDeathError(RuntimeError):
     """A rank process died (or stayed unreachable through the whole retry
@@ -122,8 +127,7 @@ class RankDeathError(RuntimeError):
 # --------------------------------------------------------------- rank process
 #
 # Each rank is a daemon child process running an accept/serve loop. The
-# resident stores are the module globals of repro.parallel.backends, reused
-# verbatim so rank-side cache behaviour is identical to a chunked slot worker.
+# resident stores are the module globals of repro.parallel.backends.
 
 #: Rank-side phase dedup: ``(session_key, part, seq) -> result``. A phase
 #: message replayed after a reconnect is answered from here without re-running
@@ -248,8 +252,11 @@ class _RankHandle:
         self.conn: Optional[MessageConnection] = None  # guarded-by: lock
         self.lock = threading.Lock()
         #: Mirror of which ``(token, part)`` payloads the rank is believed to
-        #: hold (LRU-bounded like the worker store; self-heals through the
-        #: install ack in both directions — see the chunked slot mirror).
+        #: hold, so repeat sessions skip the payload pickle. LRU-bounded like
+        #: the rank store, and self-healing through the install ack in both
+        #: directions: a stale entry costs one ``payload=None`` round trip
+        #: that the rank acks False (the payload is then re-sent), a dropped
+        #: entry merely re-ships a payload the rank still had.
         self.known: "OrderedDict[Tuple[str, int], None]" = OrderedDict()  # guarded-by: lock
         #: Request-id source for the multiplexed request/response protocol.
         self.rids = itertools.count(1)  # guarded-by: lock
@@ -300,18 +307,16 @@ class RankCluster:
     """N localhost rank processes plus the coordinator-side request machinery.
 
     One cluster exists per rank count and is shared by every
-    :class:`DistributedBackend` instance in the process (like the chunked
-    backend's slot pools) — which is what lets payload caches survive across
-    sessions and runs. Requests are batched per rank (send all, then receive
-    all) so ranks compute concurrently while the coordinator drains replies.
+    :class:`DistributedBackend` instance in the process — which is what lets
+    payload caches survive across sessions and runs. Requests are batched per
+    rank (send all, then receive all) so ranks compute concurrently while the
+    coordinator drains replies.
     """
 
-    def __init__(self, nranks: int, retry_attempts: int = 4, retry_delay: float = 0.05) -> None:
+    def __init__(self, nranks: int) -> None:
         if nranks < 1:
             raise ValueError("nranks must be >= 1")
         self.nranks = int(nranks)
-        self.retry_attempts = int(retry_attempts)
-        self.retry_delay = float(retry_delay)
         self._handles = [_RankHandle(i) for i in range(self.nranks)]
         for handle in self._handles:
             self._spawn(handle)
@@ -355,8 +360,8 @@ class RankCluster:
         if handle.conn is None:
             handle.conn = connect_with_retry(
                 handle.address,
-                attempts=self.retry_attempts,
-                delay=self.retry_delay,
+                attempts=_RETRY_ATTEMPTS,
+                delay=_RETRY_DELAY,
                 abort=lambda: not self._alive(handle),
             )
         return handle.conn
@@ -398,7 +403,7 @@ class RankCluster:
             )
         return RankDeathError(
             f"rank {handle.index} at {handle.address} stayed unreachable through "
-            f"{self.retry_attempts} reconnect attempt(s): {last}"
+            f"{_RETRY_ATTEMPTS} reconnect attempt(s): {last}"
         )
 
     def submit(self, rank: int, messages: Sequence[tuple]) -> List[int]:
@@ -417,7 +422,7 @@ class RankCluster:
                 handle.outstanding[rid] = msg
                 rids.append(rid)
             last: Optional[Exception] = None
-            for _ in range(max(1, self.retry_attempts)):
+            for _ in range(_RETRY_ATTEMPTS):
                 if not self._alive(handle):
                     raise self._declare_dead(
                         handle, last if last is not None else RuntimeError("process exited")
@@ -446,7 +451,7 @@ class RankCluster:
         handle = self._handles[rank]
         with handle.lock:
             last: Optional[Exception] = None
-            for _ in range(max(1, self.retry_attempts)):
+            for _ in range(_RETRY_ATTEMPTS):
                 if all(rid in handle.arrived for rid in rids):
                     break
                 if not self._alive(handle):
@@ -581,13 +586,11 @@ _CLUSTERS: "Dict[int, RankCluster]" = {}  # guarded-by: _CLUSTER_LOCK
 _CLUSTER_LOCK = threading.Lock()
 
 
-def _get_cluster(nranks: int, retry_attempts: int, retry_delay: float) -> RankCluster:
+def _get_cluster(nranks: int) -> RankCluster:
     with _CLUSTER_LOCK:
         cluster = _CLUSTERS.get(nranks)
         if cluster is None:
-            cluster = RankCluster(
-                nranks, retry_attempts=retry_attempts, retry_delay=retry_delay
-            )
+            cluster = RankCluster(nranks)
             _CLUSTERS[nranks] = cluster
         return cluster
 
@@ -634,7 +637,6 @@ class _DistributedResidentSession(ResidentSession):
         token: str,
         payloads: Sequence,
         states: Sequence,
-        miss_attempts: int = _B._RESIDENT_MISS_ATTEMPTS,
     ) -> None:
         super().__init__(token, payloads, states)
         self._cluster = cluster
@@ -642,7 +644,6 @@ class _DistributedResidentSession(ResidentSession):
         self._payloads = list(payloads)
         self._key = next(_B._RESIDENT_SESSION_KEYS)
         self._nranks = max(1, min(cluster.nranks, len(payloads)))
-        self._miss_attempts = int(miss_attempts)
         self._seq = 0
         self._closed = False
         self._stats_open = cluster.stats()
@@ -701,7 +702,8 @@ class _DistributedResidentSession(ResidentSession):
             try:
                 self._finish_install_on_rank(rank, entries, rids)
             except RankDeathError:
-                self._install_on_rank(rank, [part for part, _ in entries], self._init_states)
+                parts = [part for part, _ in entries]
+                self._finish_install_on_rank(rank, *self._submit_install(rank, parts))
 
     def _finish_install_on_rank(
         self, rank: int, entries: Sequence[Tuple[int, bool]], rids: Sequence[int]
@@ -731,40 +733,6 @@ class _DistributedResidentSession(ResidentSession):
         for part, _ in entries:
             cluster.mark(rank, (self.token, part), present=True)
 
-    def _install_on_rank(self, rank: int, parts: Sequence[int], states: Sequence) -> None:
-        cluster = self._cluster
-        entries = [(part, cluster.known(rank, (self.token, part))) for part in parts]
-        replies = cluster.request(
-            rank,
-            [
-                ("install", self.token, part,
-                 None if known else self._payloads[part], self._key, states[part])
-                for part, known in entries
-            ],
-        )
-        resend = []
-        for (part, known), reply in zip(entries, replies):
-            if not self._expect_ok(reply, "install", part):
-                # Stale mirror (rank restarted or evicted underneath us):
-                # drop the entry and ship the payload after all.
-                cluster.mark(rank, (self.token, part), present=False)
-                resend.append(part)
-        if resend:
-            for part, reply in zip(
-                resend,
-                cluster.request(
-                    rank,
-                    [
-                        ("install", self.token, part, self._payloads[part],
-                         self._key, states[part])
-                        for part in resend
-                    ],
-                ),
-            ):
-                self._expect_ok(reply, "install", part, required=True)
-        for part in parts:
-            cluster.mark(rank, (self.token, part), present=True)
-
     # ------------------------------------------------------------------ helpers
     def _expect_ok(self, reply: tuple, what: str, part: int, required: bool = False) -> bool:
         if reply[0] == "ok":
@@ -783,7 +751,7 @@ class _DistributedResidentSession(ResidentSession):
         self, rank: int, seq: int, part: int, fn: Callable, delta, reply: tuple
     ) -> Any:
         """Turn one phase reply into a result, recovering bounded payload misses."""
-        for _ in range(self._miss_attempts):
+        for _ in range(_B._RESIDENT_MISS_ATTEMPTS):
             if reply[0] != "miss":
                 break
             # The rank still holds this part's state but a concurrent
@@ -800,7 +768,7 @@ class _DistributedResidentSession(ResidentSession):
         if reply[0] == "miss":
             raise RuntimeError(
                 f"payload of part {part} (token {self.token!r}) was evicted "
-                f"again after each of {self._miss_attempts} restore attempts — "
+                f"again after each of {_B._RESIDENT_MISS_ATTEMPTS} restore attempts — "
                 f"rank {rank}'s payload cache is too crowded for the concurrent "
                 f"sessions sharing it"
             )
@@ -902,35 +870,21 @@ class DistributedBackend(ExecutionBackend):
         Rank-process count sessions fan over. ``None`` uses the default
         two-rank cluster; 1 executes in-process. (``with_jobs``/``--jobs``
         reconfigure it, mirroring the pooled backends.)
-    retry_attempts / retry_delay:
-        Transient-failure reconnect schedule (exponential backoff), forwarded
-        to the cluster. See the module docstring for the failure story.
     """
 
     name = "distributed"
 
-    def __init__(
-        self,
-        ranks: Optional[int] = None,
-        retry_attempts: int = 4,
-        retry_delay: float = 0.05,
-    ) -> None:
+    def __init__(self, ranks: Optional[int] = None) -> None:
         if ranks is not None and ranks < 1:
             raise ValueError("ranks must be >= 1")
-        if retry_attempts < 1:
-            raise ValueError("retry_attempts must be >= 1")
-        if retry_delay < 0:
-            raise ValueError("retry_delay must be >= 0")
         self.ranks = ranks
-        self.retry_attempts = int(retry_attempts)
-        self.retry_delay = float(retry_delay)
 
     def _nranks(self) -> int:
         return self.ranks if self.ranks is not None else _DEFAULT_RANKS
 
     def cluster(self) -> RankCluster:
         """The (shared, lazily spawned) rank cluster this backend fans over."""
-        return _get_cluster(self._nranks(), self.retry_attempts, self.retry_delay)
+        return _get_cluster(self._nranks())
 
     def map_partitions_resident(
         self, token: str, payloads: Sequence, states: Sequence
@@ -938,8 +892,7 @@ class DistributedBackend(ExecutionBackend):
         """Open a rank-pinned session over the socket transport.
 
         Single-rank configurations, single-part layouts and calls from inside
-        a ``map_graphs`` pool worker fall back to the in-process session
-        (mirroring the chunked backend).
+        a ``map_graphs`` pool worker fall back to the in-process session.
         """
         if self._nranks() <= 1 or len(payloads) <= 1 or _B._in_worker_process():
             return _B._LocalResidentSession(token, payloads, states)
@@ -948,11 +901,7 @@ class DistributedBackend(ExecutionBackend):
     def with_jobs(self, jobs: Optional[int]) -> "DistributedBackend":
         if jobs is None:
             return self
-        return DistributedBackend(
-            ranks=jobs,
-            retry_attempts=self.retry_attempts,
-            retry_delay=self.retry_delay,
-        )
+        return DistributedBackend(ranks=jobs)
 
     def measured_stats(self) -> Dict[str, int]:
         """Measured on-the-wire totals of this backend's cluster (zeros when

@@ -25,7 +25,7 @@ only the exchange volume, never the result.
 Every kernel runs through one superstep path. ``ExecutionBackend.
 map_partitions_resident`` opens a session that installs each part's
 loop-invariant payload (local CSR, index maps, static parameters) and initial
-state once; the pinned sessions cache payloads under the layout token, so a
+state once; the distributed ranks cache payloads under the layout token, so a
 rerun on the same layout skips the CSR. An integer ``partitions=k`` reuses
 the graph's layout for ``k``, built once and kept on the immutable graph
 while it lives, so repeated calls on one graph object neither partition
@@ -37,9 +37,9 @@ is dense: the part's worklist (local indices), the phase scalars and, for
 every array the phase reads at ghosts, the coordinator's global array
 gathered at ``part.halo``. The task writes the halo values into its state,
 computes from that snapshot and keeps its owned entries current. The session
-is in-process on the reference and threaded backends, pins part ``i`` to a
-persistent slot worker on the chunked backend, and pins it to a rank process
-over sockets on the distributed backend (:mod:`repro.parallel.distributed`);
+is in-process on every backend but one: serial on numpy, chunked and numba,
+fanned over a thread pool on threaded, and on the distributed backend it pins
+part ``i`` to a rank process over sockets (:mod:`repro.parallel.distributed`);
 the drivers here are the same for all of them. Shipped bytes are accounted
 logically (array ``nbytes``, identical on every backend), in **both
 directions** — deltas out, result arrays back — and recorded on
@@ -469,8 +469,7 @@ def carry_partition_labels(
 
 # ------------------------------------------------------ superstep task functions
 #
-# Module-level and picklable: they cross the chunked backend's slot workers and
-# the distributed backend's sockets. Each has the session signature
+# Module-level and picklable: they cross the distributed backend's sockets. Each has the session signature
 # ``fn(payload, state, delta)`` — ``payload`` is the part's loop-invariant
 # shipment (local CSR, index maps, static kernel parameters; installed once
 # per run, cached across runs under the layout token), ``state`` the part's
@@ -675,7 +674,7 @@ def partitioned_kk_mis2(
 
     Each main-loop iteration runs as three supersteps (Refresh Row, Refresh
     Column, Decide), each one :meth:`ResidentSession.run` barrier over the
-    live parts. Each part's local CSR ships to its pinned worker once. Refresh
+    live parts. Each part's local CSR ships to its session once. Refresh
     Row ships the worklist and the iteration number; Refresh Column and
     Decide ship the worklist plus the part's halo of ``T`` and ``M``
     respectively. Worklist compaction is owner-local. See the module

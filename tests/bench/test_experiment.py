@@ -61,7 +61,7 @@ class TestRegistry:
         from repro.parallel import ChunkedBackend, available_backends, get_backend
 
         backends = [get_backend(b) for b in available_backends()]
-        backends.append(ChunkedBackend(block_elements=8))
+        backends.append(ChunkedBackend(processes=2))
         for name in experiment_names():
             experiment = get_experiment(name)
             for backend in backends:
@@ -72,9 +72,9 @@ class TestRegistry:
         # The configured clone keeps its configuration across the boundary.
         clone = pickle.loads(
             pickle.dumps(_TaskInvocation(get_experiment("table1").task, TINY,
-                                         ChunkedBackend(block_elements=8)))
+                                         ChunkedBackend(processes=2)))
         ).backend
-        assert clone.block_elements == 8
+        assert clone.processes == 2
 
 
 class TestExperimentRun:

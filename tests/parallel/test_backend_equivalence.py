@@ -1,13 +1,12 @@
 """Backend-equivalence suite: the paper's determinism guarantee, enforced.
 
-Every registered execution backend (numpy, chunked, threaded, numba, …) must
-produce *bit-identical* results to the vectorised-NumPy reference for the full
-kernel stack — MIS-2 (Algorithm 1 and the Bell/Luby baselines), greedy and
-distance-2 coloring, both aggregation schemes, and the cluster multicolor
-Gauss-Seidel setup/apply. A tiny block size is used for the chunked backend so
-that even the small fixture graphs are actually split into many blocks, and the
-``map_graphs``-driven Experiment path is asserted to yield identical rows
-regardless of backend and pool width.
+Every registered execution backend (numpy, chunked, threaded, numba,
+distributed) must produce *bit-identical* results to the vectorised-NumPy
+reference for the full kernel stack — MIS-2 (Algorithm 1 and the Bell/Luby
+baselines), greedy and distance-2 coloring, both aggregation schemes, and the
+cluster multicolor Gauss-Seidel setup/apply. The ``map_graphs``-driven
+Experiment path is asserted to yield identical rows regardless of backend and
+pool width.
 """
 
 import numpy as np
@@ -20,7 +19,6 @@ from repro.graph import laplace3d_matrix, random_gnp
 from repro.gs import ClusterMulticolorGaussSeidel
 from repro.mis import bell_mis, kk_mis2, luby_mis1
 from repro.parallel import (
-    ChunkedBackend,
     available_backends,
     build_partition_layout,
     get_backend,
@@ -28,10 +26,8 @@ from repro.parallel import (
 
 from tests.conftest import SMALL_GRAPH_CASES
 
-#: Backends under test: every registered backend plus a chunked instance with a
-#: tiny block size (so the fixtures exercise real multi-block execution).
+#: Backends under test: every registered backend but the reference itself.
 BACKENDS = {name: get_backend(name) for name in available_backends() if name != "numpy"}
-BACKENDS["chunked-tiny"] = ChunkedBackend(block_elements=8)
 
 GRAPH_NAMES = sorted(SMALL_GRAPH_CASES)
 
@@ -168,8 +164,8 @@ def test_experiment_counts_identical_across_all_backends():
 # {kk, luby, greedy coloring, mis2_agg} must produce output bit-identical to
 # the *unpartitioned* NumPy reference — the intra-graph sharding contract of
 # repro.parallel.partitioned. Pooled backends run two wide so the resident
-# sessions genuinely fan out (chunked: persistent slot workers; threaded:
-# thread pool; distributed: two rank processes).
+# sessions genuinely fan out (threaded: thread pool; distributed: two rank
+# processes); numpy, chunked and numba run the serial in-process session.
 
 #: One instance per registered backend name (including the numpy reference —
 #: here it is the *execution* under test, not the baseline).
@@ -251,6 +247,32 @@ def test_partitioned_kk_every_small_graph_numpy(graph_name, k):
     assert ref.worklist_sizes == out.worklist_sizes
 
 
+#: kernel -> (front door, the result fields that must match the flat run).
+_EVERY_GRAPH_KERNELS = {
+    "luby": (luby_mis1, lambda r: (r.in_set, r.in_mask, r.iterations)),
+    "color": (greedy_color, lambda r: (r.colors, r.num_colors, r.rounds)),
+    "mis2_agg": (mis2_aggregation, lambda r: (r.labels, r.num_aggregates, r.roots)),
+}
+
+
+@pytest.mark.parametrize("k", (1, 2, 3, 4, 5, 7, 8))
+@pytest.mark.parametrize("graph_name", sorted(SMALL_GRAPH_CASES))
+@pytest.mark.parametrize("kernel", sorted(_EVERY_GRAPH_KERNELS))
+def test_partitioned_every_small_graph_numpy(kernel, graph_name, k):
+    """The same exhaustive coverage for the other partitioned kernels, on the
+    serial in-process session the numpy, chunked and numba backends run: more
+    parts than vertices leaves parts empty, and every part of an edgeless
+    graph is all interior."""
+    fn, fields = _EVERY_GRAPH_KERNELS[kernel]
+    g = SMALL_GRAPH_CASES[graph_name]
+    ref = fields(fn(g))
+    out = fn(g, partitions=k)
+    if kernel != "mis2_agg":  # an Aggregation carries no partition stats
+        assert out.partition_stats.num_parts == k
+    for expected, got in zip(ref, fields(out)):
+        assert np.array_equal(expected, got)
+
+
 def _deterministic_stats(stats) -> dict:
     """PartitionStats as a dict with the wall-clock meters stripped — the
     ``*_seconds`` triple is perf_counter-based and machine-varying by design;
@@ -294,7 +316,7 @@ _ROUND_KERNELS = {
 @pytest.mark.parametrize("graph_name", PARTITION_GRAPHS)
 def test_prebuilt_layout_rerun_bit_identical(partition_backend, graph_name, k):
     """A rerun on a prebuilt layout reuses the payloads cached under its
-    token (the chunked slots and the distributed ranks skip the CSR). That
+    token (the distributed ranks skip the CSR). That
     warm rerun, with another layout's run in between, must match the flat
     reference and record exactly the cold run's deterministic counts: the
     logical ledger charges the payload once per run whether or not it

@@ -58,7 +58,7 @@ class TestRegistry:
 
     def test_register_overwrite(self):
         original = get_backend("chunked")
-        replacement = ChunkedBackend(block_elements=128)
+        replacement = ChunkedBackend(processes=2)
         try:
             register_backend(replacement, overwrite=True)
             assert get_backend("chunked") is replacement
@@ -103,69 +103,7 @@ class TestDefaultBackend:
 class TestChunkedBackend:
     def test_validates_parameters(self):
         with pytest.raises(ValueError):
-            ChunkedBackend(block_elements=0)
-        with pytest.raises(ValueError):
             ChunkedBackend(processes=0)
-
-    def test_segment_blocks_never_split_segments(self):
-        B = ChunkedBackend(block_elements=4)
-        # Segment lengths 3, 3, 10, 1: the 10-element segment exceeds the block
-        # size and must still land in a block of its own.
-        seg = exclusive_scan(np.array([3, 3, 10, 1]))
-        blocks = B._segment_blocks(seg)
-        assert blocks[0] == (0, 1) or blocks[0] == (0, 2)
-        covered = []
-        for s, e in blocks:
-            assert s < e
-            covered.extend(range(s, e))
-        assert covered == [0, 1, 2, 3]
-
-    def test_chunked_scan_matches_reference_int(self):
-        B = ChunkedBackend(block_elements=7)
-        rng = np.random.default_rng(0)
-        vals = rng.integers(0, 100, size=1000)
-        assert np.array_equal(B.exclusive_scan(vals), exclusive_scan(vals))
-        assert np.array_equal(B.inclusive_scan(vals), np.cumsum(vals))
-        assert B.exclusive_scan(vals).dtype == exclusive_scan(vals).dtype
-
-    def test_chunked_scan_floats_delegate(self):
-        B = ChunkedBackend(block_elements=7)
-        vals = np.linspace(0.0, 1.0, 100)
-        assert np.array_equal(B.exclusive_scan(vals), exclusive_scan(vals))
-
-    @pytest.mark.parametrize("dtype", [np.uint64, np.uint32, np.int32, np.int64, np.bool_])
-    @pytest.mark.parametrize("size", [7, 8, 9, 100])
-    def test_chunked_scan_dtype_independent_of_size(self, dtype, size):
-        # Regression: the blocked path used to force int64 while inputs below
-        # block_elements took the reference's promoted dtype (uint64 for
-        # unsigned inputs), so the output dtype flipped at the block boundary.
-        B = ChunkedBackend(block_elements=8)
-        vals = (np.arange(size) % 3).astype(dtype)
-        ref_inc = np.cumsum(vals)
-        out_inc = B.inclusive_scan(vals)
-        assert out_inc.dtype == ref_inc.dtype, (dtype, size)
-        assert np.array_equal(out_inc, ref_inc)
-        ref_exc = exclusive_scan(vals)
-        out_exc = B.exclusive_scan(vals)
-        assert out_exc.dtype == ref_exc.dtype, (dtype, size)
-        assert np.array_equal(out_exc, ref_exc)
-
-    def test_chunked_compact_matches_reference(self):
-        B = ChunkedBackend(block_elements=16)
-        rng = np.random.default_rng(1)
-        items = rng.integers(0, 1000, size=500)
-        keep = rng.random(500) < 0.3
-        assert np.array_equal(B.stream_compact(items, keep), items[keep])
-
-    def test_chunked_expand_rows_matches_reference(self):
-        B = ChunkedBackend(block_elements=8)
-        ref = NumpyBackend()
-        g = random_gnp(150, 0.05, seed=5)
-        rows = np.arange(g.num_vertices, dtype=np.int64)
-        s_ref, seg_ref = ref.expand_rows(g.rowmap, rows)
-        s_chk, seg_chk = B.expand_rows(g.rowmap, rows)
-        assert np.array_equal(s_ref, s_chk)
-        assert np.array_equal(seg_ref, seg_chk)
 
     def test_map_graphs_process_pool_preserves_order(self):
         graphs = [random_gnp(40, 0.1, seed=s) for s in range(4)]
@@ -173,15 +111,6 @@ class TestChunkedBackend:
         pooled = ChunkedBackend(processes=2).map_graphs(_graph_mis_size, graphs)
         inline = ChunkedBackend(processes=1).map_graphs(_graph_mis_size, graphs)
         assert pooled == serial == inline
-
-    def test_error_paths_match_reference(self):
-        B = ChunkedBackend(block_elements=4)
-        with pytest.raises(ValueError):
-            B.stream_compact(np.array([1, 2]), np.array([True]))
-        with pytest.raises(ValueError):
-            B.exclusive_scan(np.zeros((2, 2)))
-        with pytest.raises(ValueError):
-            B.segmented_lexmin([], np.array([0]), [])
 
 
 class TestThreadedBackend:
@@ -214,12 +143,11 @@ class TestWithJobs:
         assert B.with_jobs(4) is B
         assert B.with_jobs(None) is B
 
-    def test_chunked_clone_keeps_block_size(self):
-        B = ChunkedBackend(block_elements=512)
+    def test_chunked_clone(self):
+        B = ChunkedBackend()
         clone = B.with_jobs(3)
         assert clone is not B
         assert clone.processes == 3
-        assert clone.block_elements == 512
         assert B.processes is None  # registered instance untouched
         assert B.with_jobs(None) is B
 
@@ -358,88 +286,6 @@ class TestResidentInstallEviction:
         assert ("C", 0) in backends._RESIDENT_PAYLOADS
 
 
-# ---- worker-side helpers for the payload-miss retry tests (module level so
-# ---- the single-worker slot pool can unpickle them by reference)
-
-def _drop_payload(args):
-    """Worker task: evict one payload behind the coordinator's back."""
-    token, part = args
-    backends._RESIDENT_PAYLOADS.pop((token, part), None)
-    return True
-
-
-_FLAKY_RESTORE_FAILURES = 0
-
-# Bound at import time: a slot worker forked while the coordinator's
-# monkeypatch is active would otherwise resolve the patched module attribute
-# and recurse into the stand-in instead of the real restore.
-_REAL_RESTORE = backends._resident_restore_payload
-
-
-def _arm_flaky_restore(failures):
-    """Worker task: make the next ``failures`` restores silently do nothing."""
-    global _FLAKY_RESTORE_FAILURES
-    _FLAKY_RESTORE_FAILURES = failures
-    return True
-
-
-def _flaky_restore(args):
-    """Worker task standing in for ``_resident_restore_payload``: drops the
-    first N restore requests on the floor (as if a concurrent session re-evicted
-    the payload between the restore and the retry), then behaves normally."""
-    global _FLAKY_RESTORE_FAILURES
-    if _FLAKY_RESTORE_FAILURES > 0:
-        _FLAKY_RESTORE_FAILURES -= 1
-        return True
-    return _REAL_RESTORE(args)
-
-
-def _never_restore(args):
-    """Worker task: every restore is lost — the exhaustion path."""
-    return True
-
-
-def _double_state(payload, state, delta):
-    state["x"] = state["x"] * 2 + delta
-    return state["x"].copy()
-
-
-class TestPinnedSessionMissRetry:
-    """The `_ResidentPayloadMiss` recovery must survive repeated evictions."""
-
-    def _session(self):
-        payloads = [{"w": np.arange(3)}]
-        states = [{"x": np.ones(3, dtype=np.int64)}]
-        return backends._PinnedResidentSession(
-            f"tok/miss-retry/{next(backends._RESIDENT_SESSION_KEYS)}",
-            payloads,
-            states,
-            width=1,
-        )
-
-    def test_double_eviction_recovers(self, monkeypatch):
-        # Force the phase to miss, then make the first restore vanish too (a
-        # concurrent session re-evicting between restore and retry). The old
-        # single-shot recovery surfaced the second miss as a raw failure; the
-        # bounded loop must recover and produce the right result.
-        monkeypatch.setattr(backends, "_resident_restore_payload", _flaky_restore)
-        with self._session() as session:
-            pool = backends._resident_slot(0)
-            pool.submit(_drop_payload, (session.token, 0)).result()
-            pool.submit(_arm_flaky_restore, 1).result()
-            (result,) = session.run(_double_state, [(0, 5)])
-        assert np.array_equal(result, np.ones(3, dtype=np.int64) * 2 + 5)
-
-    def test_exhaustion_raises_clear_error(self, monkeypatch):
-        monkeypatch.setattr(backends, "_resident_restore_payload", _never_restore)
-        with self._session() as session:
-            backends._resident_slot(0).submit(
-                _drop_payload, (session.token, 0)
-            ).result()
-            with pytest.raises(RuntimeError, match="evicted again after each of"):
-                session.run(_double_state, [(0, 5)])
-
-
 def test_every_registered_backend_is_an_execution_backend():
     for name in available_backends():
         assert isinstance(_REGISTRY[name], ExecutionBackend)
@@ -448,8 +294,9 @@ def test_every_registered_backend_is_an_execution_backend():
 
 # ------------------------------------------------------------ session contract
 
-#: Every session implementation: in-process, thread pool, pinned slot workers
-#: and socket ranks, each two wide so the parts genuinely fan out.
+#: Every session implementation, each asked for two workers: serial in-process
+#: (numpy, and chunked, whose pool serves only map_graphs), a thread pool and
+#: socket ranks, where the parts genuinely fan out.
 SESSION_BACKENDS = ["numpy", "threaded", "chunked", "distributed"]
 
 

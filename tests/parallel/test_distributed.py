@@ -4,8 +4,11 @@ The partition-equivalence matrix already drives ``backend=distributed``
 through every kernel x k combination (it enumerates all registered
 backends); this file covers what the matrix cannot see — the wire itself:
 measured-vs-logical byte correspondence, reconnect after transient
-connection loss, exactly-once phase replay, and the rank-death story.
+connection loss, exactly-once phase replay, payload-miss recovery, and the
+rank-death story.
 """
+
+import itertools
 
 import numpy as np
 import pytest
@@ -13,6 +16,7 @@ import pytest
 from repro.graph.generators import elasticity3d, laplace3d
 from repro.mis import kk_mis2
 from repro.parallel import (
+    ChunkedBackend,
     DistributedBackend,
     RankDeathError,
     TransportError,
@@ -35,6 +39,16 @@ def _weighted_sum(payload, state, delta):
 def _count_calls(payload, state, delta):
     state["calls"] += 1
     return int(state["calls"])
+
+
+def _session_in_worker(_):
+    payloads = [{"w": np.arange(4, dtype=np.int64) + part} for part in range(2)]
+    states = [{"acc": np.zeros(4, dtype=np.int64)} for _ in range(2)]
+    session = DistributedBackend(ranks=2).map_partitions_resident(
+        "tok/test-dist/nested", payloads, states
+    )
+    outs = session.run(_weighted_sum, [(0, 1), (1, 1)])
+    return type(session).__name__, [o.tolist() for o in outs], sorted(distributed_mod._CLUSTERS)
 
 
 def _make_session(backend, token, parts=4, n=8):
@@ -174,10 +188,13 @@ class TestDistributedSession:
     def test_validates_parameters(self):
         with pytest.raises(ValueError):
             DistributedBackend(ranks=0)
-        with pytest.raises(ValueError):
-            DistributedBackend(retry_attempts=0)
-        with pytest.raises(ValueError):
-            DistributedBackend(retry_delay=-1.0)
+
+    def test_session_inside_pool_worker_runs_inline(self):
+        # A partitioned kernel inside a map_graphs process-pool worker must
+        # not fan its parts out to rank processes (cpu^2 oversubscription);
+        # its parts run inline and the worker spawns no cluster.
+        outs = ChunkedBackend(processes=2).map_graphs(_session_in_worker, [1, 2])
+        assert outs == [("_LocalResidentSession", [[0, 1, 2, 3], [1, 2, 3, 4]], [])] * 2
 
 
 class TestExactlyOnce:
@@ -214,7 +231,7 @@ class TestFaultInjection:
     RANKS = 3
 
     def _backend(self):
-        return DistributedBackend(ranks=self.RANKS, retry_delay=0.01)
+        return DistributedBackend(ranks=self.RANKS)
 
     def test_transient_connection_loss_recovers_bit_identically(self):
         B = self._backend()
@@ -271,6 +288,104 @@ class TestFaultInjection:
         # kernel run still matches the serial reference bit for bit.
         again = partitioned_kk_mis2(graph, 4, backend=B)
         assert np.array_equal(again.in_set, reference.in_set)
+
+
+class _MissingPayloadCluster:
+    """One-rank stand-in for :class:`RankCluster` whose rank answers the
+    first ``misses`` phase messages with ``("miss",)``, as a rank whose
+    payload concurrent sessions keep evicting would. It counts restores."""
+
+    nranks = 1
+
+    def __init__(self, misses):
+        self.misses = misses
+        self.restores = 0
+        self._parts = {}
+        self._replies = {}
+        self._rids = itertools.count()
+
+    def stats(self):
+        return dict.fromkeys(
+            ("bytes_sent", "bytes_received", "messages_sent", "messages_received"), 0
+        )
+
+    def known(self, rank, key):
+        return False
+
+    def mark(self, rank, key, present):
+        pass
+
+    def _reply(self, msg):
+        if msg[0] == "install":
+            _, _, part, payload, _, state = msg
+            self._parts[part] = (payload, state)
+        elif msg[0] == "restore":
+            self.restores += 1
+        elif msg[0] == "phase":
+            if self.misses:
+                self.misses -= 1
+                return ("miss",)
+            _, _, _, _, part, fn, delta = msg
+            return ("result", fn(*self._parts[part], delta))
+        return ("ok", True)
+
+    def submit(self, rank, messages):
+        rids = [next(self._rids) for _ in messages]
+        for rid, msg in zip(rids, messages):
+            self._replies[rid] = self._reply(msg)
+        return rids
+
+    def collect(self, rank, rids):
+        return [self._replies.pop(rid) for rid in rids]
+
+    def request(self, rank, messages):
+        return self.collect(rank, self.submit(rank, messages))
+
+
+class TestPayloadMissRecovery:
+    """A phase that finds its payload evicted restores it and retries."""
+
+    @staticmethod
+    def _session(cluster, token):
+        payloads = [{"w": np.arange(3, dtype=np.int64)}]
+        states = [{"acc": np.zeros(3, dtype=np.int64)}]
+        return distributed_mod._DistributedResidentSession(cluster, token, payloads, states)
+
+    def test_evicted_payloads_are_restored_and_state_continues(self):
+        # Crowd both ranks with more other tokens than their payload stores
+        # hold, so the victim session's payloads are evicted while its states
+        # (session-keyed, not LRU) survive.
+        B = get_backend("distributed")
+        _, victim = _make_session(B, "tok/test-dist/victim", parts=2)
+        with victim:
+            victim.run(_weighted_sum, [(0, 1), (1, 1)])
+            for n in range(backends_mod._RESIDENT_PAYLOAD_CAPACITY + 4):
+                _, crowd = _make_session(B, f"tok/test-dist/crowd-{n}", parts=2)
+                with crowd:
+                    crowd.run(_weighted_sum, [(0, 0), (1, 0)])
+            before = victim.measured_stats()["messages_sent"]
+            got = victim.run(_weighted_sum, [(0, 2), (1, 2)])
+            sent = victim.measured_stats()["messages_sent"] - before
+        for part, acc in enumerate(got):
+            assert np.array_equal(acc, (np.arange(8) + part) * 3)
+        # Each evicted part costs exactly one restore and one re-sent phase
+        # on top of its phase message.
+        assert sent == 2 * 3
+
+    def test_recovers_while_fewer_retries_than_the_bound_miss(self):
+        attempts = backends_mod._RESIDENT_MISS_ATTEMPTS
+        cluster = _MissingPayloadCluster(misses=attempts)
+        with self._session(cluster, "tok/test-dist/miss-recovers") as session:
+            (acc,) = session.run(_weighted_sum, [(0, 5)])
+        assert np.array_equal(acc, np.arange(3) * 5)
+        assert cluster.restores == attempts
+
+    def test_gives_up_after_the_bounded_restores(self):
+        cluster = _MissingPayloadCluster(misses=10**6)
+        with self._session(cluster, "tok/test-dist/miss-exhausted") as session:
+            with pytest.raises(RuntimeError, match="evicted again after each of"):
+                session.run(_weighted_sum, [(0, 5)])
+        assert cluster.restores == backends_mod._RESIDENT_MISS_ATTEMPTS
 
 
 class TestMeasuredVsLogicalBytes:

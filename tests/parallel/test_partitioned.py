@@ -18,7 +18,6 @@ from repro.parallel import (
     partitioned_kk_mis2,
     shipped_nbytes,
 )
-from repro.parallel.backends import _RESIDENT_SLOT_POOLS, shutdown_partition_pools
 
 
 def _counts(stats):
@@ -313,79 +312,6 @@ class TestResidentSessions:
         assert outs == [10, 11, 12, 13]
         assert [int(s["acc"][0]) for s in states] == [10, 10, 10, 10]
 
-    def test_chunked_pinned_session_ships_payload_once(self):
-        shutdown_partition_pools()
-        backend = ChunkedBackend(processes=2)
-        payloads, states = self._payloads_states(k=3)
-        with backend.map_partitions_resident("pin-1", payloads, states) as session:
-            outs = session.run(_resident_add, [(0, 1), (1, 2), (2, 3)])
-            assert outs == [1, 3, 5]
-            # Worker-retained state accumulates without re-shipping payloads.
-            outs = session.run(_resident_add, [(0, 10), (2, 30)])
-            assert outs == [0 + 1 + 10, 2 + 3 + 30]
-        # Slot pools persist (keyed by slot index) for the next session.
-        assert sorted(_RESIDENT_SLOT_POOLS) == [0, 1]
-        shutdown_partition_pools()
-        assert not _RESIDENT_SLOT_POOLS
-
-    def test_chunked_session_reuses_cached_payload_across_runs(self):
-        shutdown_partition_pools()
-        backend = ChunkedBackend(processes=2)
-        payloads, states = self._payloads_states(k=2)
-        with backend.map_partitions_resident("reuse", payloads, states) as s1:
-            assert s1.run(_resident_add, [(0, 1), (1, 1)]) == [1, 2]
-        # Same token, fresh states: the install round-trip skips the payload
-        # (the worker already holds it) and state starts clean.
-        _, fresh_states = self._payloads_states(k=2)
-        with backend.map_partitions_resident("reuse", payloads, fresh_states) as s2:
-            assert s2.run(_resident_add, [(0, 5), (1, 5)]) == [5, 6]
-        shutdown_partition_pools()
-
-    def test_chunked_single_worker_falls_back_inline(self):
-        shutdown_partition_pools()
-        backend = ChunkedBackend(processes=1)
-        payloads, states = self._payloads_states(k=2)
-        session = backend.map_partitions_resident("inline", payloads, states)
-        assert session.run(_resident_add, [(0, 2), (1, 2)]) == [2, 3]
-        assert not _RESIDENT_SLOT_POOLS  # no pools for an inline session
-        assert states[0]["acc"][0] == 2  # genuinely in-process
-
-    def test_session_inside_pool_worker_runs_inline(self):
-        # A partitioned kernel inside a map_graphs process-pool worker must not
-        # nest slot pools (cpu^2 oversubscription); its parts run inline.
-        backend = ChunkedBackend(processes=2)
-        assert backend.map_graphs(_session_in_worker, [1, 2]) == [
-            ("_LocalResidentSession", [2, 3], []),
-            ("_LocalResidentSession", [2, 3], []),
-        ]
-
-    def test_payload_evicted_by_concurrent_sessions_is_reinstalled(self):
-        # Crowd the shared slot workers with enough other tokens to push the
-        # first session's payloads out of the worker-side LRU store; its next
-        # phase must transparently re-install and retry, not abort the run.
-        shutdown_partition_pools()
-        backend = ChunkedBackend(processes=2)
-        payloads, states = self._payloads_states(k=2)
-        with backend.map_partitions_resident("evicted", payloads, states) as victim:
-            assert victim.run(_resident_add, [(0, 1), (1, 1)]) == [1, 2]
-            for n in range(20):  # worker store capacity is 16 per process
-                others, other_states = self._payloads_states(k=2)
-                with backend.map_partitions_resident(f"crowd-{n}", others, other_states) as s:
-                    s.run(_resident_add, [(0, 0), (1, 0)])
-            # State survived (it is session-keyed, not LRU-evicted), so the
-            # accumulator continues from the pre-eviction value.
-            assert victim.run(_resident_add, [(0, 2), (1, 3)]) == [0 + 1 + 2, 1 + 1 + 3]
-        shutdown_partition_pools()
-
-    def test_more_parts_than_workers_share_slots(self):
-        shutdown_partition_pools()
-        backend = ChunkedBackend(processes=2)
-        payloads, states = self._payloads_states(k=5)
-        with backend.map_partitions_resident("wide", payloads, states) as session:
-            outs = session.run(_resident_add, [(i, 100) for i in range(5)])
-            assert outs == [100 + i for i in range(5)]
-        assert sorted(_RESIDENT_SLOT_POOLS) == [0, 1]
-        shutdown_partition_pools()
 
 class TestExchangeTraffic:
     """Regression: modelled ghost traffic charges only the live parts' halos."""
@@ -642,11 +568,3 @@ class TestSmokeGraphBytes:
 def _resident_add(payload, state, delta):
     state["acc"][0] += delta
     return int(payload["base"][0] + state["acc"][0])
-
-
-def _session_in_worker(_):
-    payloads = [{"base": np.full(4, i, dtype=np.int64)} for i in range(2)]
-    states = [{"acc": np.zeros(4, dtype=np.int64)} for _ in range(2)]
-    session = ChunkedBackend(processes=4).map_partitions_resident("nested", payloads, states)
-    outs = session.run(_resident_add, [(0, 2), (1, 2)])
-    return type(session).__name__, outs, sorted(_RESIDENT_SLOT_POOLS)

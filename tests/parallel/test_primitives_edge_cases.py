@@ -11,10 +11,9 @@ import pytest
 
 from repro.graph import empty_graph, from_edges, path_graph
 from repro.mis import kk_mis2, verify_mis
-from repro.parallel import ChunkedBackend, available_backends, get_backend
+from repro.parallel import available_backends, get_backend
 
 BACKENDS = {name: get_backend(name) for name in available_backends()}
-BACKENDS["chunked-tiny"] = ChunkedBackend(block_elements=4)
 
 
 @pytest.fixture(params=sorted(BACKENDS), ids=sorted(BACKENDS))
