@@ -1,33 +1,23 @@
 """NumPy dtype-flow analysis.
 
-The stack's determinism guarantee is *bit*-identity, and NumPy has two dtype
-behaviours that silently break it:
-
-* **Size-dependent / platform-default promotion.**  ``np.cumsum`` /
-  ``np.sum`` and friends promote ``bool`` and sub-64-bit integer inputs to
-  the *platform default* integer (``np.int_``: int64 on Linux, int32 on
-  Windows), and blocked implementations that pick a fixed output dtype flip
-  results exactly when the input crosses a block boundary — the PR 4
-  ``inclusive_scan`` uint64→int64 bug.  ``np.arange`` without ``dtype=`` and
-  ``dtype=int`` / ``astype(int)`` are the same trap spelled differently.
-* **Seam divergence.**  An :class:`ExecutionBackend` primitive override whose
-  returned dtype is pinned (``dtype=np.int64``) while the NumPy reference's
-  output dtype follows its input can agree on one platform/size and diverge
-  on another, poisoning the cross-backend equivalence matrix.
+The stack's determinism guarantee is *bit*-identity, and NumPy's
+size-dependent / platform-default promotion silently breaks it:
+``np.cumsum`` / ``np.sum`` and friends promote ``bool`` and sub-64-bit
+integer inputs to the *platform default* integer (``np.int_``: int64 on
+Linux, int32 on Windows), and blocked implementations that pick a fixed
+output dtype flip results exactly when the input crosses a block boundary —
+a past blocked ``inclusive_scan`` uint64→int64 bug.  ``np.arange`` without
+``dtype=`` and ``dtype=int`` / ``astype(int)`` are the same trap spelled
+differently.
 
 This rule propagates a small dtype lattice through each function with the
 :mod:`~repro.analysis.dataflow` framework (assignments, arithmetic that
 preserves dtype, ``astype``/constructor calls, the ``np.cumsum(x[:0]).dtype``
-probing idiom) and reports:
-
-* ``dtype-size-dependent``  — a promotion-prone reduction/scan without an
-  explicit ``dtype=`` whose operand is known to be ``bool`` or a sub-64-bit
-  integer; ``np.arange`` without ``dtype=``; ``dtype=int`` / ``astype(int)``.
-  Scoped to the determinism closure (the modules whose outputs are gated
-  bit-identical).
-* ``dtype-seam-divergence`` — a ``return`` in an ``ExecutionBackend``
-  primitive override whose inferred dtype cannot match the reference
-  implementation's output dtype for every input.
+probing idiom) and reports ``dtype-size-dependent``: a promotion-prone
+reduction/scan without an explicit ``dtype=`` whose operand is known to be
+``bool`` or a sub-64-bit integer; ``np.arange`` without ``dtype=``;
+``dtype=int`` / ``astype(int)``. It is scoped to the determinism closure (the
+modules whose outputs are gated bit-identical).
 
 The lattice is deliberately conservative: an operand whose dtype the
 analysis cannot prove stays ``unknown`` and is never flagged, so the rule
@@ -38,7 +28,7 @@ the README).
 from __future__ import annotations
 
 import ast
-from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from .cfg import CFG, Step, build_cfg
 from .dataflow import ForwardAnalysis, run_forward
@@ -49,10 +39,9 @@ from .modules import ModuleInfo
 
 # ------------------------------------------------------------------- lattice
 #: Lattice values are tagged tuples:
-#: ``("concrete", name)`` a known dtype; ``("param", p)`` same dtype as
-#: parameter ``p``; ``("promo", p)`` NumPy scan/sum promotion of parameter
-#: ``p``'s dtype; ``("platform",)`` the platform default int; ``("pyscalar",)``
-#: a Python numeric literal (transparent in arithmetic); ``("unknown",)`` ⊤.
+#: ``("concrete", name)`` a known dtype; ``("platform",)`` the platform
+#: default int; ``("pyscalar",)`` a Python numeric literal (transparent in
+#: arithmetic); ``("unknown",)`` ⊤.
 Value = Tuple[str, ...]
 
 UNKNOWN: Value = ("unknown",)
@@ -91,33 +80,6 @@ _DTYPE_ATTRS: Dict[str, Value] = {
     "uintp": PLATFORM,
 }
 
-#: Reference output-dtype contract per ExecutionBackend primitive, derived
-#: from ``repro.parallel.primitives``:
-#: ``input``  — preserves the input array's dtype;
-#: ``promote``— NumPy scan/sum promotion of the input's dtype;
-#: ``int64``  — pinned 64-bit (index arrays; exclusive_scan's integer path);
-#: ``bool``   — boolean mask output.
-PRIMITIVE_CONTRACTS: Dict[str, str] = {
-    "inclusive_scan": "promote",
-    "exclusive_scan": "int64",
-    "stream_compact": "input",
-    "row_lengths": "int64",
-    "expand_rows": "int64",
-    "segmented_min": "input",
-    "segmented_max": "input",
-    "segmented_sum": "input",
-    "segmented_all_equal": "bool",
-    "segmented_any_equal": "bool",
-    "segmented_lexmin": "input",
-}
-
-#: Class names that mark an ExecutionBackend subclass (direct or via a
-#: known concrete backend base).
-BACKEND_BASES = frozenset(
-    {"ExecutionBackend", "NumpyBackend", "ChunkedBackend", "ThreadedBackend",
-     "NumbaBackend", "DistributedBackend"}
-)
-
 
 def join_values(a: Value, b: Value) -> Value:
     if a == b:
@@ -137,11 +99,7 @@ def promo_value(v: Value) -> Value:
         if v[1] in _PROMO_FIXED:
             return v
         return UNKNOWN
-    if v[0] == "param":
-        return ("promo", v[1])
-    if v[0] == "promo" or v == PLATFORM:
-        return v
-    return UNKNOWN
+    return v if v == PLATFORM else UNKNOWN
 
 
 def _np_attr_name(func: ast.expr) -> Optional[str]:
@@ -177,9 +135,6 @@ def _thaw(state: State) -> Env:
 
 class _DtypeInference:
     """Expression-level dtype inference against an environment."""
-
-    def __init__(self, params: FrozenSet[str]) -> None:
-        self.params = params
 
     # ------------------------------------------------------------- dtype args
     def dtype_of_expr(self, node: ast.expr, env: Env) -> Value:
@@ -219,11 +174,7 @@ class _DtypeInference:
     # ---------------------------------------------------------------- arrays
     def infer(self, node: ast.expr, env: Env) -> Value:
         if isinstance(node, ast.Name):
-            if node.id in env:
-                return env[node.id]
-            if node.id in self.params:
-                return ("param", node.id)
-            return UNKNOWN
+            return env.get(node.id, UNKNOWN)
         if isinstance(node, ast.Subscript):
             return self.infer(node.value, env)
         if isinstance(node, ast.UnaryOp):
@@ -375,7 +326,7 @@ def _walk_expr(node: ast.AST) -> Iterator[ast.AST]:
 
 
 class DtypeRule(Rule):
-    ids = ("dtype-size-dependent", "dtype-seam-divergence")
+    ids = ("dtype-size-dependent",)
     name = "dtype-flow"
     example = """
 def block_offsets(counts):
@@ -388,70 +339,24 @@ def block_offsets(counts):
     def check(self, info: ModuleInfo, context: AnalysisContext) -> Iterator[Finding]:
         if not info.module.startswith("repro"):
             return
-        in_det_scope = info.module in context.reachable_from(DETERMINISM_SEEDS)
-        seam_methods = self._seam_methods(info)
-        if not in_det_scope and not seam_methods:
+        if info.module not in context.reachable_from(DETERMINISM_SEEDS):
             return
-        functions: List[Tuple[ast.AST, Optional[str]]] = []
         for node in ast.walk(info.tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                functions.append((node, seam_methods.get(id(node))))
-        for func, contract in functions:
-            yield from self._check_function(info, func, contract, in_det_scope)
+                yield from self._check_function(info, node)
 
-    # ---------------------------------------------------------------- plumbing
-    def _seam_methods(self, info: ModuleInfo) -> Dict[int, str]:
-        """id(FunctionDef) → primitive contract, for backend subclass methods."""
-        out: Dict[int, str] = {}
-        for node in ast.walk(info.tree):
-            if not isinstance(node, ast.ClassDef):
-                continue
-            base_names = {
-                b.id if isinstance(b, ast.Name) else b.attr
-                for b in node.bases
-                if isinstance(b, (ast.Name, ast.Attribute))
-            }
-            if not (base_names & BACKEND_BASES):
-                continue
-            for stmt in node.body:
-                if (
-                    isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
-                    and stmt.name in PRIMITIVE_CONTRACTS
-                ):
-                    out[id(stmt)] = PRIMITIVE_CONTRACTS[stmt.name]
-        return out
-
-    def _check_function(
-        self,
-        info: ModuleInfo,
-        func: ast.AST,
-        contract: Optional[str],
-        in_det_scope: bool,
-    ) -> Iterator[Finding]:
+    def _check_function(self, info: ModuleInfo, func: ast.AST) -> Iterator[Finding]:
         assert isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
-        params = frozenset(
-            a.arg for a in func.args.args + func.args.posonlyargs + func.args.kwonlyargs
-            if a.arg != "self"
-        )
-        inference = _DtypeInference(params)
+        inference = _DtypeInference()
         cfg = build_cfg(func)
         analysis = _DtypeAnalysis(inference)
         entry_states = run_forward(cfg, analysis)
-        parents = info.parent_map()
         for block in cfg.blocks:
             state = entry_states[block.index]
             for step in block.steps:
                 kind, node = step
-                env = _thaw(state)
                 if kind in ("stmt", "expr"):
-                    if in_det_scope:
-                        yield from self._check_promotions(info, node, env, inference)
-                    if contract is not None and kind == "expr":
-                        parent = parents.get(id(node))
-                        if isinstance(parent, ast.Return):
-                            yield from self._check_return(
-                                info, func.name, contract, node, env, inference
-                            )
+                    yield from self._check_promotions(info, node, _thaw(state), inference)
                 state = analysis.transfer(state, step)
 
     # -------------------------------------------------- size/platform hazards
@@ -530,77 +435,3 @@ def block_offsets(counts):
                         "depend on platform or input size"
                     ),
                 )
-
-    # ------------------------------------------------------------ seam checks
-    def _check_return(
-        self,
-        info: ModuleInfo,
-        method: str,
-        contract: str,
-        node: ast.AST,
-        env: Env,
-        inference: _DtypeInference,
-    ) -> Iterator[Finding]:
-        assert isinstance(node, ast.expr)
-        exprs: List[ast.expr] = (
-            list(node.elts) if isinstance(node, ast.Tuple) else [node]
-        )
-        for expr in exprs:
-            value = inference.infer(expr, env)
-            reason = self._divergence(contract, value)
-            if reason is not None:
-                yield Finding(
-                    path=info.path, line=getattr(expr, "lineno", 0),
-                    rule="dtype-seam-divergence",
-                    message=(
-                        f"backend override of {method}() returns {reason}, but "
-                        f"the numpy reference's output dtype is "
-                        f"'{self._contract_text(contract)}'; derive the output "
-                        "dtype from the input (e.g. dtype=np.cumsum(x[:0]).dtype) "
-                        "or delegate to the reference"
-                    ),
-                )
-
-    @staticmethod
-    def _contract_text(contract: str) -> str:
-        return {
-            "input": "the input array's dtype",
-            "promote": "NumPy's promotion of the input dtype",
-            "int64": "int64",
-            "bool": "bool",
-        }[contract]
-
-    @staticmethod
-    def _divergence(contract: str, value: Value) -> Optional[str]:
-        """Why ``value`` cannot always match ``contract``; None when it can."""
-        if value in (UNKNOWN, PYSCALAR):
-            return None
-        if contract == "input":
-            if value[0] == "concrete":
-                return f"a pinned {value[1]} array"
-            if value == PLATFORM:
-                return "a platform-default-int array"
-            if value[0] == "promo":
-                return "a promotion of the input dtype"
-            return None  # ("param", …) — passes the input dtype through
-        if contract == "promote":
-            if value[0] == "concrete":
-                return f"a pinned {value[1]} array"
-            if value == PLATFORM:
-                return "a platform-default-int array"
-            if value[0] == "param":
-                return "the unpromoted input dtype"
-            return None  # ("promo", …) — the probing idiom
-        if contract == "int64":
-            if value[0] == "concrete" and value[1] != "int64":
-                return f"a pinned {value[1]} array"
-            if value == PLATFORM:
-                return "a platform-default-int array"
-            return None
-        if contract == "bool":
-            if value[0] == "concrete" and value[1] != "bool":
-                return f"a pinned {value[1]} array"
-            if value == PLATFORM:
-                return "a platform-default-int array"
-            return None
-        return None

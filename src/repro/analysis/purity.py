@@ -33,7 +33,6 @@ CONCRETE_BACKENDS: Tuple[str, ...] = (
     "NumpyBackend",
     "ChunkedBackend",
     "ThreadedBackend",
-    "NumbaBackend",
     "DistributedBackend",
 )
 BACKEND_HOME_MODULES: Tuple[str, ...] = (

@@ -24,6 +24,7 @@ from ..coloring.distance2 import distance2_color
 from ..coloring.greedy import ColoringResult
 from ..graph.csr import CSRGraph
 from ..parallel.backends import ExecutionBackend, resolve_backend
+from ..parallel.primitives import expand_rows, segmented_sum, stream_compact
 from .aggregation import Aggregation, join_by_max_coupling
 
 __all__ = ["d2c_aggregation"]
@@ -47,8 +48,8 @@ def d2c_aggregation(
         Minimum number of unaggregated neighbours a root needs to form an aggregate
         (matching Algorithm 3's phase-2 rule).
     backend:
-        Execution backend (name or instance) used for the aggregation's own
-        primitives and the on-demand coloring; ``None`` uses the default.
+        Execution backend (name or instance) forwarded to the on-demand
+        coloring and named on the result; ``None`` uses the default.
     """
     B = resolve_backend(backend)
     n = graph.num_vertices
@@ -65,11 +66,11 @@ def d2c_aggregation(
         members = np.nonzero((coloring.colors == color) & unagg_mask)[0]
         if members.size == 0:
             continue
-        slots, seg = B.expand_rows(graph.rowmap, members)
+        slots, seg = expand_rows(graph.rowmap, members)
         nbrs = graph.entries[slots].astype(np.int64)
-        free_counts = B.segmented_sum(unagg_mask[nbrs].astype(np.int64), seg)
+        free_counts = segmented_sum(unagg_mask[nbrs].astype(np.int64), seg)
         qualifies = free_counts >= min_root_neighbors
-        roots = B.stream_compact(members, qualifies)
+        roots = stream_compact(members, qualifies)
         if roots.size == 0:
             continue
         # Same-color vertices are pairwise at distance > 2, so no two roots of this
@@ -77,7 +78,7 @@ def d2c_aggregation(
         new_ids = next_aggregate + np.arange(roots.size, dtype=np.int64)
         labels[roots] = new_ids
         unagg_mask[roots] = False
-        rslots, rseg = B.expand_rows(graph.rowmap, roots)
+        rslots, rseg = expand_rows(graph.rowmap, roots)
         rnbrs = graph.entries[rslots].astype(np.int64)
         rids = np.repeat(new_ids, np.diff(rseg))
         free = unagg_mask[rnbrs]

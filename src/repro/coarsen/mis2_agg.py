@@ -29,6 +29,7 @@ from ..graph.ops import induced_subgraph
 from ..mis.kk import kk_mis2
 from ..mis.result import MISResult
 from ..parallel.backends import ExecutionBackend, resolve_backend
+from ..parallel.primitives import expand_rows, segmented_sum, stream_compact
 from .aggregation import Aggregation, join_by_max_coupling
 
 __all__ = ["mis2_aggregation"]
@@ -56,9 +57,8 @@ def mis2_aggregation(
     seed:
         Seed forwarded to the MIS-2 computations.
     backend:
-        Execution backend (name or instance) used for the aggregation's own
-        primitives and forwarded to the MIS-2 computations; ``None`` uses the
-        default.
+        Execution backend (name or instance) forwarded to the MIS-2
+        computations and named on the result; ``None`` uses the default.
     partitions:
         When not ``None``, run both MIS-2 computations partition-parallel
         (part count, label array or layout); the phase-2 sub-MIS inherits the
@@ -82,7 +82,7 @@ def mis2_aggregation(
 
     # ------------------------------------------------------------------ phase 1
     labels[roots] = np.arange(roots.size, dtype=np.int64)
-    slots1, seg1 = B.expand_rows(graph.rowmap, roots)
+    slots1, seg1 = expand_rows(graph.rowmap, roots)
     labels[graph.entries[slots1].astype(np.int64)] = np.repeat(
         np.arange(roots.size, dtype=np.int64), np.diff(seg1)
     )
@@ -107,15 +107,15 @@ def mis2_aggregation(
         # so no two of them share an unaggregated neighbour and the parallel scatter
         # below is conflict-free.
         unagg_mask = labels < 0
-        cslots, cseg = B.expand_rows(graph.rowmap, candidates)
+        cslots, cseg = expand_rows(graph.rowmap, candidates)
         cnbrs = graph.entries[cslots].astype(np.int64)
-        free_counts = B.segmented_sum(unagg_mask[cnbrs].astype(np.int64), cseg)
+        free_counts = segmented_sum(unagg_mask[cnbrs].astype(np.int64), cseg)
         qualifies = free_counts >= min_secondary_neighbors
-        secondary_roots = B.stream_compact(candidates, qualifies)
+        secondary_roots = stream_compact(candidates, qualifies)
         if secondary_roots.size:
             new_ids = next_aggregate + np.arange(secondary_roots.size, dtype=np.int64)
             labels[secondary_roots] = new_ids
-            qslots, qseg = B.expand_rows(graph.rowmap, secondary_roots)
+            qslots, qseg = expand_rows(graph.rowmap, secondary_roots)
             qnbrs = graph.entries[qslots].astype(np.int64)
             nbr_new_ids = np.repeat(new_ids, np.diff(qseg))
             free = unagg_mask[qnbrs]

@@ -18,6 +18,7 @@ import numpy as np
 from ..graph.csr import CSRGraph
 from ..parallel.backends import ExecutionBackend, resolve_backend
 from ..parallel.costmodel import TrafficCounter
+from ..parallel.primitives import expand_rows
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (partitioned imports us)
     from ..parallel.partitioned import PartitionStats
@@ -58,18 +59,19 @@ class ColoringResult:
 
 
 def _speculative_assign(
-    graph: CSRGraph,
     colors: np.ndarray,
-    worklist: np.ndarray,
+    nbrs: np.ndarray,
+    lens: np.ndarray,
     max_colors: int,
-    B: ExecutionBackend,
 ) -> np.ndarray:
-    """Smallest color not used by any colored neighbour, for each worklist vertex."""
-    slots, seg = B.expand_rows(graph.rowmap, worklist)
-    nbr_colors = colors[graph.entries[slots].astype(np.int64)]
-    lens = np.diff(seg)
-    owner = np.repeat(np.arange(worklist.size, dtype=np.int64), lens)
-    forbidden = np.zeros((worklist.size, max_colors + 1), dtype=bool)
+    """Smallest color not used by any colored neighbour, for each worklist vertex.
+
+    ``nbrs`` holds the worklist's expanded adjacency rows back to back and
+    ``lens`` their lengths, one per worklist vertex.
+    """
+    nbr_colors = colors[nbrs]
+    owner = np.repeat(np.arange(lens.size, dtype=np.int64), lens)
+    forbidden = np.zeros((lens.size, max_colors + 1), dtype=bool)
     valid = nbr_colors >= 0
     clipped = np.minimum(nbr_colors[valid], max_colors)
     forbidden[owner[valid], clipped] = True
@@ -94,8 +96,9 @@ def greedy_color(
         Safety cap on speculative rounds (defaults to ``num_vertices + 2``; the
         algorithm terminates far sooner in practice).
     backend:
-        Execution backend (name or instance); ``None`` uses the default. All
-        backends produce bit-identical colorings.
+        Execution backend (name or instance): it runs the partitioned session
+        when ``partitions`` is set and names the result's ``backend``; ``None``
+        uses the default. All backends produce bit-identical colorings.
     partitions:
         When not ``None``, shard the run within the graph (part count, label
         array or layout); the partition-parallel driver is bit-identical to
@@ -130,11 +133,10 @@ def greedy_color(
         if rounds >= cap:
             raise RuntimeError("greedy coloring did not converge (conflict loop)")
         # Speculative assignment.
-        proposal = _speculative_assign(graph, colors, worklist, max_colors, B)
-        colors[worklist] = proposal
-        slots, seg = B.expand_rows(graph.rowmap, worklist)
+        slots, seg = expand_rows(graph.rowmap, worklist)
         nbrs = graph.entries[slots].astype(np.int64)
         lens = np.diff(seg)
+        colors[worklist] = _speculative_assign(colors, nbrs, lens, max_colors)
         owners = np.repeat(worklist, lens)
         traffic.add(
             "color_assign",

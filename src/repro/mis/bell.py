@@ -27,6 +27,7 @@ from ..hashing.priorities import PriorityScheme, fixed_priorities
 from ..hashing.xorshift import hash_iter_vertex
 from ..parallel.backends import ExecutionBackend, resolve_backend
 from ..parallel.costmodel import TrafficCounter
+from ..parallel.primitives import expand_rows, segmented_lexmin
 from .result import MISConfig, MISResult
 
 __all__ = ["bell_mis", "STATUS_IN", "STATUS_UNDECIDED", "STATUS_OUT"]
@@ -112,7 +113,7 @@ def bell_mis(
 
     # Pre-expand the full-vertex CSR structure once: Bell processes every vertex in
     # every round, so the expansion never changes.
-    slots, seg = B.expand_rows(rowmap, all_vertices)
+    slots, seg = expand_rows(rowmap, all_vertices)
     neighbor_ids = entries[slots].astype(np.int64)
 
     worklist_sizes = []
@@ -144,7 +145,7 @@ def bell_mis(
             s_vals = min_status[neighbor_ids]
             p_vals = min_prio[neighbor_ids]
             i_vals = min_id[neighbor_ids]
-            red_s, red_p, red_i = B.segmented_lexmin(
+            red_s, red_p, red_i = segmented_lexmin(
                 [s_vals, p_vals, i_vals],
                 seg,
                 [STATUS_OUT, prio_identity, id_identity],

@@ -37,6 +37,13 @@ from ..hashing.priorities import PriorityScheme, fixed_priorities
 from ..hashing.xorshift import hash_iter_vertex
 from ..parallel.backends import ExecutionBackend, resolve_backend
 from ..parallel.costmodel import TrafficCounter
+from ..parallel.primitives import (
+    expand_rows,
+    segmented_all_equal,
+    segmented_any_equal,
+    segmented_min,
+    stream_compact,
+)
 from .result import MISConfig, MISResult
 
 __all__ = ["kk_mis2"]
@@ -103,7 +110,8 @@ def kk_mis2(
     seed:
         Seed of the fixed-priority scheme (ignored by the hash schemes).
     backend:
-        Execution backend (name or instance) running the data-parallel primitives;
+        Execution backend (name or instance): it runs the partitioned session
+        when ``partitions`` is set and names the result's ``config.backend``;
         ``None`` uses :func:`repro.parallel.default_backend`. All backends produce
         bit-identical results.
     partitions:
@@ -204,9 +212,9 @@ def kk_mis2(
         )
 
         # ------------------------------------------------------------- Refresh Column
-        slots2, seg2 = B.expand_rows(rowmap, w2)
+        slots2, seg2 = expand_rows(rowmap, w2)
         neighbor_T = T[entries[slots2]]
-        min_nbr = B.segmented_min(neighbor_T, seg2, identity=OUT)
+        min_nbr = segmented_min(neighbor_T, seg2, identity=OUT)
         Mv = np.minimum(min_nbr, T[w2])  # closed neighbourhood: include the vertex itself
         # A minimum of IN means "adjacent to an IN vertex": convert to OUT so the
         # information propagates one more hop in the Decide phase (lines 19-21).
@@ -229,11 +237,11 @@ def kk_mis2(
         )
 
         # ------------------------------------------------------------------- Decide
-        slots1, seg1 = B.expand_rows(rowmap, w1)
+        slots1, seg1 = expand_rows(rowmap, w1)
         neighbor_M = M[entries[slots1]]
         Tw1 = T[w1]
-        any_out = B.segmented_any_equal(neighbor_M, OUT, seg1) | (M[w1] == OUT)
-        all_match = B.segmented_all_equal(neighbor_M, Tw1, seg1) & (M[w1] == Tw1)
+        any_out = segmented_any_equal(neighbor_M, OUT, seg1) | (M[w1] == OUT)
+        all_match = segmented_all_equal(neighbor_M, Tw1, seg1) & (M[w1] == Tw1)
         undecided = packer.is_undecided(Tw1)
         to_out = any_out & undecided
         to_in = all_match & undecided & ~to_out
@@ -258,8 +266,8 @@ def kk_mis2(
         if use_worklists:
             keep1 = packer.is_undecided(T[worklist1])
             keep2 = M[worklist2] != OUT
-            new_w1 = B.stream_compact(worklist1, keep1)
-            new_w2 = B.stream_compact(worklist2, keep2)
+            new_w1 = stream_compact(worklist1, keep1)
+            new_w2 = stream_compact(worklist2, keep2)
             traffic.add(
                 "compact_worklists",
                 bytes_read=word_bytes * (worklist1.size + worklist2.size)

@@ -22,6 +22,7 @@ from ..hashing.priorities import PriorityScheme, fixed_priorities
 from ..hashing.xorshift import hash_iter_vertex
 from ..parallel.backends import ExecutionBackend, resolve_backend
 from ..parallel.costmodel import TrafficCounter
+from ..parallel.primitives import expand_rows, segmented_lexmin, stream_compact
 from .result import MISConfig, MISResult
 
 __all__ = ["luby_mis1"]
@@ -103,7 +104,7 @@ def luby_mis1(
         if rounds >= max_rounds:
             raise RuntimeError(f"Luby MIS-1 did not converge within {max_rounds} rounds")
         undecided = status == _UNDECIDED
-        cand = B.stream_compact(all_vertices, undecided)
+        cand = stream_compact(all_vertices, undecided)
         if scheme is PriorityScheme.FIXED:
             priority[cand] = fixed_priorities(n, seed=seed)[cand]
         else:
@@ -113,12 +114,12 @@ def luby_mis1(
 
         # A candidate joins the set when its (priority, id) is the unique minimum of
         # the undecided part of its closed neighbourhood.
-        slots, seg = B.expand_rows(rowmap, cand)
+        slots, seg = expand_rows(rowmap, cand)
         nbr = entries[slots].astype(np.int64)
         nbr_undecided = status[nbr] == _UNDECIDED
         nbr_prio = np.where(nbr_undecided, priority[nbr], prio_max)
         nbr_id = np.where(nbr_undecided, nbr, id_max)
-        min_p, min_i = B.segmented_lexmin([nbr_prio, nbr_id], seg, [prio_max, id_max])
+        min_p, min_i = segmented_lexmin([nbr_prio, nbr_id], seg, [prio_max, id_max])
         own_better = (priority[cand] < min_p) | (
             (priority[cand] == min_p) & (cand < min_i)
         )
@@ -132,7 +133,7 @@ def luby_mis1(
 
         # Remove the neighbours of the new IN vertices.
         if winners.size:
-            wslots, wseg = B.expand_rows(rowmap, winners)
+            wslots, wseg = expand_rows(rowmap, winners)
             losers = entries[wslots].astype(np.int64)
             still_undecided = status[losers] == _UNDECIDED
             status[losers[still_undecided]] = _OUT

@@ -5,13 +5,12 @@ single source runs on CUDA, HIP and OpenMP backends. This package provides the P
 analogue used by the reproduction:
 
 * :mod:`~repro.parallel.primitives` — the vectorised segmented/row-wise primitives the
-  graph kernels are built from (segmented min/any/all over CSR rows, exclusive scans,
+  graph kernels call directly (segmented min/any/all over CSR rows, exclusive scans,
   stream compaction).
-* :mod:`~repro.parallel.backends` — the pluggable :class:`ExecutionBackend` seam
-  through which every kernel invokes those primitives: the ``numpy`` reference, the
-  process-pool ``chunked`` backend, the shared-memory ``threaded`` backend, the
-  optional ``numba`` JIT backend (graceful NumPy fallback) and the socket
-  ``distributed`` backend (:mod:`~repro.parallel.distributed`). Select per call
+* :mod:`~repro.parallel.backends` — the pluggable :class:`ExecutionBackend` seam that
+  decides where graphs and partitions run: the serial ``numpy`` reference, the
+  process-pool ``chunked`` backend, the shared-memory ``threaded`` backend and the
+  socket ``distributed`` backend (:mod:`~repro.parallel.distributed`). Select per call
   (``backend="chunked"``) or process-wide with :class:`set_default_backend`.
 * :mod:`~repro.parallel.machine` — device catalogue (V100, MI100, Skylake, ThunderX2)
   with the published memory bandwidths the paper's Fig. 3 uses.
@@ -38,7 +37,6 @@ from .backends import (
     NumpyBackend,
     ChunkedBackend,
     ThreadedBackend,
-    NumbaBackend,
     ResidentSession,
     register_backend,
     get_backend,
@@ -46,7 +44,6 @@ from .backends import (
     default_backend,
     resolve_backend,
     set_default_backend,
-    numba_available,
     shipped_nbytes,
     shutdown_partition_pools,
 )
@@ -105,7 +102,6 @@ __all__ = [
     "NumpyBackend",
     "ChunkedBackend",
     "ThreadedBackend",
-    "NumbaBackend",
     "ResidentSession",
     "register_backend",
     "get_backend",
@@ -113,7 +109,6 @@ __all__ = [
     "default_backend",
     "resolve_backend",
     "set_default_backend",
-    "numba_available",
     "shipped_nbytes",
     "shutdown_partition_pools",
     "MessageConnection",

@@ -1,44 +1,33 @@
-"""Pluggable execution backends for the segmented-reduction core.
+"""Pluggable execution backends: where graphs and partitions run.
 
-The paper's central claim is *performance portability*: one algorithm expressed
-against a small set of data-parallel primitives (segmented reductions, scans,
-stream compaction, row expansion) and mapped onto many devices by swapping the
-execution backend underneath. This module is the Python analogue of that seam:
-every graph kernel in the package (MIS-2, coloring, aggregation, cluster
-Gauss-Seidel) calls the primitives through an :class:`ExecutionBackend` instead
-of importing the NumPy implementations directly, so a backend can be swapped
-per-call (``backend="chunked"``) or process-wide
-(:class:`set_default_backend`).
+The paper gets *performance portability* from one kernel source run under
+several Kokkos execution spaces. Here the kernels call the data-parallel
+primitives of :mod:`repro.parallel.primitives` directly, and an
+:class:`ExecutionBackend` is the execution strategy around them: it maps a
+batch of independent graphs (:meth:`ExecutionBackend.map_graphs`) and opens
+the part-pinned session a partitioned kernel runs its supersteps in
+(:meth:`ExecutionBackend.map_partitions_resident`). A backend is chosen
+per call (``backend="chunked"``) or process-wide
+(:class:`set_default_backend`), and its name is recorded on every result.
 
-Four backends ship with the package:
+Three backends ship with this module (``distributed`` registers itself from
+:mod:`repro.parallel.distributed`):
 
 ``numpy`` (:class:`NumpyBackend`)
-    The reference: whole-worklist vectorised NumPy, delegating to
-    :mod:`repro.parallel.primitives`. Every other backend must match it
-    bit-for-bit — the determinism tests enforce this.
+    The reference: batches and partitions run serially in-process.
 
 ``chunked`` (:class:`ChunkedBackend`)
-    The NumPy reference primitives, with batches of independent graphs fanned
-    out over a process pool (:meth:`ExecutionBackend.map_graphs`), the
-    sharding hook for multi-graph benchmark sweeps.
+    Batches of independent graphs fan out over a process pool, the sharding
+    hook for multi-graph benchmark sweeps; partitions run serially.
 
 ``threaded`` (:class:`ThreadedBackend`)
-    Shared-memory parallelism: the per-graph primitives are the NumPy
-    reference, but :meth:`ExecutionBackend.map_graphs` fans the batch out over
-    a :class:`~concurrent.futures.ThreadPoolExecutor`. No pickling of tasks or
+    Shared-memory parallelism: batches and partitions fan out over a
+    :class:`~concurrent.futures.ThreadPoolExecutor`. No pickling of tasks or
     graphs is needed, so it shards the benchmark sweeps with zero start-up
     cost (NumPy releases the GIL inside the large array kernels).
 
-``numba`` (:class:`NumbaBackend`)
-    JIT-compiled per-segment loops when :mod:`numba` is importable; degrades
-    gracefully to the NumPy reference when it is not (``available`` is False
-    then), so code can request it unconditionally.
-
-All backends implement the same deterministic contract: primitives are pure
-functions of their inputs and reductions evaluate associative operators per
-segment, so results are bit-identical across backends for the integer dtypes
-the kernels use. (The numba backend is the only one that overrides primitives,
-and it sends float inputs to the reference, so floats match too.)
+Every strategy runs the same pure task functions on the same inputs, so
+results are bit-identical across backends; the equivalence tests enforce it.
 """
 
 from __future__ import annotations
@@ -54,14 +43,11 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import primitives as _ref
-
 __all__ = [
     "ExecutionBackend",
     "NumpyBackend",
     "ChunkedBackend",
     "ThreadedBackend",
-    "NumbaBackend",
     "ResidentSession",
     "register_backend",
     "get_backend",
@@ -69,7 +55,6 @@ __all__ = [
     "default_backend",
     "resolve_backend",
     "set_default_backend",
-    "numba_available",
     "shipped_nbytes",
     "shutdown_partition_pools",
 ]
@@ -420,90 +405,18 @@ _RESIDENT_MISS_ATTEMPTS = 3
 _RESIDENT_SESSION_KEYS = itertools.count(1)
 
 
-def numba_available() -> bool:
-    """True when the optional :mod:`numba` dependency is importable."""
-    try:
-        import numba  # noqa: F401
-    except Exception:
-        return False
-    return True
-
-
 class ExecutionBackend:
     """Interface every execution backend implements.
 
-    The base class provides the vectorised-NumPy reference behaviour for every
-    primitive, so a backend only overrides the operations it accelerates. All
-    overrides must be bit-identical to the reference for integer dtypes — the
-    backend-equivalence test suite parametrises the full kernel stack over all
-    registered backends and asserts exactly that.
+    The base class is the serial reference strategy: :meth:`map_graphs` maps
+    in order and :meth:`map_partitions_resident` runs the parts in-process.
+    A backend overrides the strategies it parallelises; the
+    backend-equivalence suite runs the full kernel stack on every registered
+    backend and asserts bit-identical results.
     """
 
     #: Registry key and the name recorded on results / traffic counters.
     name: str = "abstract"
-
-    # ------------------------------------------------------------------- scans
-    def inclusive_scan(self, values: np.ndarray) -> np.ndarray:
-        """Inclusive prefix sum (``out[i] = sum(values[:i+1])``)."""
-        return _ref.inclusive_scan(values)
-
-    def exclusive_scan(self, values: np.ndarray) -> np.ndarray:
-        """Exclusive prefix sum, one element longer than the input."""
-        return _ref.exclusive_scan(values)
-
-    # -------------------------------------------------------------- compaction
-    def stream_compact(self, items: np.ndarray, keep: np.ndarray) -> np.ndarray:
-        """Stable stream compaction: keep ``items[i]`` where ``keep[i]``."""
-        return _ref.stream_compact(items, keep)
-
-    # -------------------------------------------------------------------- rows
-    def row_lengths(self, rowmap: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """Adjacency-list lengths of the selected CSR rows."""
-        return _ref.row_lengths(rowmap, rows)
-
-    def expand_rows(
-        self, rowmap: np.ndarray, rows: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Expand selected CSR rows into flat (slots, segment_offsets) arrays."""
-        return _ref.expand_rows(rowmap, rows)
-
-    # -------------------------------------------------------------- reductions
-    def segmented_min(
-        self, values: np.ndarray, seg_offsets: np.ndarray, identity
-    ) -> np.ndarray:
-        """Per-segment minimum (identity for empty segments)."""
-        return _ref.segmented_min(values, seg_offsets, identity)
-
-    def segmented_max(
-        self, values: np.ndarray, seg_offsets: np.ndarray, identity
-    ) -> np.ndarray:
-        """Per-segment maximum (identity for empty segments)."""
-        return _ref.segmented_max(values, seg_offsets, identity)
-
-    def segmented_sum(self, values: np.ndarray, seg_offsets: np.ndarray) -> np.ndarray:
-        """Per-segment sum (0 for empty segments)."""
-        return _ref.segmented_sum(values, seg_offsets)
-
-    def segmented_all_equal(
-        self, values: np.ndarray, reference: np.ndarray, seg_offsets: np.ndarray
-    ) -> np.ndarray:
-        """Per-segment "every value equals reference[j]" (vacuously True)."""
-        return _ref.segmented_all_equal(values, reference, seg_offsets)
-
-    def segmented_any_equal(
-        self, values: np.ndarray, target, seg_offsets: np.ndarray
-    ) -> np.ndarray:
-        """Per-segment "any value equals target" (False for empty segments)."""
-        return _ref.segmented_any_equal(values, target, seg_offsets)
-
-    def segmented_lexmin(
-        self,
-        arrays: "List[np.ndarray]",
-        seg_offsets: np.ndarray,
-        identities: "List",
-    ) -> "List[np.ndarray]":
-        """Lexicographic per-segment minimum over parallel arrays."""
-        return _ref.segmented_lexmin(arrays, seg_offsets, identities)
 
     # ------------------------------------------------------------ graph batches
     def map_graphs(self, fn: Callable, items: Sequence) -> List:
@@ -535,7 +448,7 @@ class ExecutionBackend:
         the tasks of one phase are independent and any execution order or
         interleaving yields bit-identical results. The reference
         implementation keeps everything in the caller's address space and runs
-        the parts serially (the numpy, chunked and numba backends use it); the
+        the parts serially (the numpy and chunked backends use it); the
         threaded backend fans them over a thread pool, and the distributed
         backend pins part ``i`` to a rank process.
         """
@@ -555,7 +468,7 @@ class ExecutionBackend:
 
 
 class NumpyBackend(ExecutionBackend):
-    """The vectorised whole-worklist NumPy reference backend."""
+    """The serial reference backend."""
 
     name = "numpy"
 
@@ -563,12 +476,10 @@ class NumpyBackend(ExecutionBackend):
 class ChunkedBackend(ExecutionBackend):
     """Process-pool backend: :meth:`map_graphs` fans out over worker processes.
 
-    The per-graph primitives are the NumPy reference, so results are
-    bit-identical to :class:`NumpyBackend`, and a partitioned call runs its
-    parts in the reference's serial in-process session. What this backend
-    adds is a :class:`~concurrent.futures.ProcessPoolExecutor` under
-    :meth:`map_graphs`, which shards multi-graph benchmark sweeps across
-    processes.
+    A partitioned call runs its parts in the reference's serial in-process
+    session. What this backend adds is a
+    :class:`~concurrent.futures.ProcessPoolExecutor` under :meth:`map_graphs`,
+    which shards multi-graph benchmark sweeps across processes.
 
     Parameters
     ----------
@@ -602,11 +513,10 @@ class ChunkedBackend(ExecutionBackend):
 class ThreadedBackend(ExecutionBackend):
     """Shared-memory threaded backend.
 
-    The per-graph primitives are the NumPy reference (so per-graph results are
-    trivially bit-identical), while :meth:`map_graphs` fans a batch of
-    independent per-graph computations over a
-    :class:`~concurrent.futures.ThreadPoolExecutor`. Unlike the chunked
-    backend's process pool this needs no pickling: tasks share the caller's
+    :meth:`map_graphs` fans a batch of independent per-graph computations
+    over a :class:`~concurrent.futures.ThreadPoolExecutor`, and a partitioned
+    call's session fans its parts over a persistent thread pool. Unlike the
+    chunked backend's process pool this needs no pickling: tasks share the caller's
     address space (and its graph caches), which makes it the cheapest way to
     shard a multi-graph benchmark sweep. NumPy releases the GIL inside the
     large array kernels, so independent graphs genuinely overlap.
@@ -659,115 +569,6 @@ class ThreadedBackend(ExecutionBackend):
         return ThreadedBackend(threads=jobs)
 
 
-class NumbaBackend(NumpyBackend):
-    """Numba-JIT backend with graceful degradation.
-
-    When :mod:`numba` is importable the per-segment reduction loops run as
-    compiled kernels (the shape a real OpenMP backend would take); when it is
-    not, every primitive silently delegates to the NumPy reference so the
-    backend can always be requested. ``available`` records which path is
-    active.
-    """
-
-    name = "numba"
-
-    def __init__(self) -> None:
-        self._available: Optional[bool] = None
-        self._kernels: Optional[Dict[str, Callable]] = None
-
-    def __getstate__(self) -> Dict[str, object]:
-        # Compiled numba dispatchers don't pickle reliably; drop them so the
-        # backend can cross a process-pool boundary — workers recompile lazily.
-        return {"_available": self._available, "_kernels": None}
-
-    def __setstate__(self, state: Dict[str, object]) -> None:
-        self.__dict__.update(state)
-
-    @property
-    def available(self) -> bool:
-        """Whether the JIT path is active (probed lazily — importing numba is
-        expensive, and the backend is registered at package-import time)."""
-        if self._available is None:
-            self._available = numba_available()
-        return self._available
-
-    def _get_kernels(self) -> Optional[Dict[str, Callable]]:
-        """Compile (once) and return the jitted kernels, or None unavailable."""
-        if not self.available:
-            return None
-        if self._kernels is None:
-            try:
-                import numba
-
-                @numba.njit(cache=False)
-                def seg_min(values, offs, out):  # pragma: no cover - jitted
-                    for j in range(out.size):
-                        for k in range(offs[j], offs[j + 1]):
-                            if values[k] < out[j]:
-                                out[j] = values[k]
-
-                @numba.njit(cache=False)
-                def seg_max(values, offs, out):  # pragma: no cover - jitted
-                    for j in range(out.size):
-                        for k in range(offs[j], offs[j + 1]):
-                            if values[k] > out[j]:
-                                out[j] = values[k]
-
-                @numba.njit(cache=False)
-                def seg_sum(values, offs, out):  # pragma: no cover - jitted
-                    for j in range(out.size):
-                        for k in range(offs[j], offs[j + 1]):
-                            out[j] += values[k]
-
-                self._kernels = {"min": seg_min, "max": seg_max, "sum": seg_sum}
-            except Exception:
-                # Any JIT failure (unsupported numba build, …) demotes the
-                # backend to the NumPy reference for the rest of the process.
-                self._available = False
-                return None
-        return self._kernels
-
-    def _jit_reduce(self, kind: str, values, seg_offsets, identity):
-        values = np.asarray(values)
-        # The jitted loops compare with </> — on float inputs containing NaN
-        # that diverges from the reference's NaN-propagating np.minimum /
-        # np.maximum, and the empty-input output dtype is the reference's
-        # choice (identity-derived), so both cases delegate: only non-empty
-        # integer worklists take the JIT path.
-        if values.dtype.kind not in "iu" or values.size == 0:
-            return None
-        kernels = self._get_kernels()
-        if kernels is None:
-            return None
-        values = np.ascontiguousarray(values)
-        seg_offsets = np.ascontiguousarray(np.asarray(seg_offsets, dtype=np.int64))
-        nseg = max(int(seg_offsets.size) - 1, 0)
-        out = np.full(nseg, identity, dtype=values.dtype)
-        if nseg > 0:
-            kernels[kind](values, seg_offsets, out)
-        return out
-
-    def segmented_min(self, values, seg_offsets, identity):
-        out = self._jit_reduce("min", values, seg_offsets, identity)
-        if out is None:
-            return super().segmented_min(values, seg_offsets, identity)
-        return out
-
-    def segmented_max(self, values, seg_offsets, identity):
-        out = self._jit_reduce("max", values, seg_offsets, identity)
-        if out is None:
-            return super().segmented_max(values, seg_offsets, identity)
-        return out
-
-    def segmented_sum(self, values, seg_offsets):
-        values = np.asarray(values)
-        zero = values.dtype.type(0) if values.size else 0
-        out = self._jit_reduce("sum", values, seg_offsets, zero)
-        if out is None:
-            return super().segmented_sum(values, seg_offsets)
-        return out
-
-
 # ------------------------------------------------------------------- registry
 _REGISTRY: "Dict[str, ExecutionBackend]" = {}
 
@@ -802,7 +603,6 @@ def available_backends() -> List[str]:
 register_backend(NumpyBackend())
 register_backend(ChunkedBackend())
 register_backend(ThreadedBackend())
-register_backend(NumbaBackend())
 
 _DEFAULT: ExecutionBackend = _REGISTRY["numpy"]
 

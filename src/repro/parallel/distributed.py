@@ -856,10 +856,9 @@ class _DistributedResidentSession(ResidentSession):
 class DistributedBackend(ExecutionBackend):
     """Socket-distributed backend: resident sessions over rank processes.
 
-    Per-graph primitives are the NumPy reference (bit-identical by
-    construction); what this backend changes is *where partitioned kernel
-    runs live*: ``map_partitions_resident`` pins part ``i`` to rank process
-    ``i % ranks`` and speaks the resident-session protocol over the
+    What this backend changes is *where partitioned kernel runs live*:
+    ``map_partitions_resident`` pins part ``i`` to rank process ``i % ranks``
+    and speaks the resident-session protocol over the
     :mod:`repro.parallel.transport` seam. Rank processes are localhost
     children here — the multi-host story is the same protocol with the
     transport pointed at remote addresses.

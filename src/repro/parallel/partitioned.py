@@ -37,7 +37,7 @@ is dense: the part's worklist (local indices), the phase scalars and, for
 every array the phase reads at ghosts, the coordinator's global array
 gathered at ``part.halo``. The task writes the halo values into its state,
 computes from that snapshot and keeps its owned entries current. The session
-is in-process on every backend but one: serial on numpy, chunked and numba,
+is in-process on every backend but one: serial on numpy and chunked,
 fanned over a thread pool on threaded, and on the distributed backend it pins
 part ``i`` to a rank process over sockets (:mod:`repro.parallel.distributed`);
 the drivers here are the same for all of them. Shipped bytes are accounted
@@ -367,7 +367,8 @@ def build_partition_layout(graph: CSRGraph, partitions: PartitionSpec) -> Partit
     ``partitions`` may be a part count (labels come from
     :func:`partition_vertices`), an explicit per-vertex label array (labels in
     ``[0, max+1)``; empty parts are allowed), or an existing layout (returned
-    unchanged).
+    unchanged; a layout whose owned rows are not ``graph``'s raises
+    ``ValueError``).
 
     A part count's layout is built once per graph object and kept on the
     graph, which is immutable: every later call with the same count returns
@@ -377,6 +378,9 @@ def build_partition_layout(graph: CSRGraph, partitions: PartitionSpec) -> Partit
     layout, with a fresh token, on every call.
     """
     if isinstance(partitions, PartitionLayout):
+        # The layout the graph keeps was built from it; any other is checked.
+        if graph._layouts.get(partitions.num_parts) is not partitions:
+            _check_layout(graph, partitions)
         return partitions
     if isinstance(partitions, (int, np.integer)):
         num_parts = int(partitions)
@@ -399,6 +403,31 @@ def build_partition_layout(graph: CSRGraph, partitions: PartitionSpec) -> Partit
     if n and labels.min() < 0:
         raise ValueError("partition labels must be non-negative")
     return _layout(graph, labels, int(labels.max()) + 1 if n else 1)
+
+
+def _check_layout(graph: CSRGraph, layout: PartitionLayout) -> None:
+    """Raise ``ValueError`` unless ``layout`` was built from ``graph``'s rows.
+
+    The parts' owned rows partition the vertex set, so a layout matches
+    when it has the graph's vertex count and every owned row, mapped back to
+    global ids, is the graph's row. A layout of another graph would
+    otherwise run silently and return a wrong answer.
+    """
+    if layout.num_vertices != graph.num_vertices:
+        raise ValueError(
+            f"partition layout covers {layout.num_vertices} vertices, "
+            f"the graph has {graph.num_vertices}"
+        )
+    for part in layout.parts:
+        slots, seg = _ref.expand_rows(graph.rowmap, part.owned)
+        if not (
+            np.array_equal(np.diff(part.rowmap)[part.owned_local], np.diff(seg))
+            and np.array_equal(part.ids[part.entries], graph.entries[slots])
+        ):
+            raise ValueError(
+                f"part {part.part_id} of the partition layout does not match "
+                "the graph's adjacency; it was built from another graph"
+            )
 
 
 def _layout(graph: CSRGraph, labels: np.ndarray, num_parts: int) -> PartitionLayout:
@@ -596,17 +625,15 @@ def _luby_remove(payload, state, delta):
 
 
 def _color_assign(payload, state, delta):
+    from ..coloring.greedy import _speculative_assign
+
     wl_local, colors_halo = delta
     colors = state["colors"]
     colors[payload["halo_local"]] = colors_halo
     slots, seg = _ref.expand_rows(payload["rowmap"], wl_local)
-    nbr_colors = colors[payload["entries"][slots]]
-    owner = np.repeat(np.arange(wl_local.size, dtype=np.int64), np.diff(seg))
-    max_colors = payload["max_colors"]
-    forbidden = np.zeros((wl_local.size, max_colors + 1), dtype=bool)
-    valid = nbr_colors >= 0
-    forbidden[owner[valid], np.minimum(nbr_colors[valid], max_colors)] = True
-    out = np.argmin(forbidden, axis=1).astype(np.int64)
+    out = _speculative_assign(
+        colors, payload["entries"][slots], np.diff(seg), payload["max_colors"]
+    )
     colors[wl_local] = out
     return out
 

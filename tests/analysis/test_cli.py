@@ -102,9 +102,10 @@ def test_cli_list_rules(capsys):
         "bytes-pickle", "pickle-callable", "backend-concrete",
         "race-unguarded-write", "race-inconsistent-lockset",
         "race-annotation-mismatch", "race-missing-annotation",
-        "dtype-size-dependent", "dtype-seam-divergence",
+        "dtype-size-dependent",
     ):
         assert rule_id in out
+    assert "dtype-seam-divergence" not in out
 
 
 def test_cli_explain_by_family_name(capsys):

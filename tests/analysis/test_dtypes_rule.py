@@ -1,4 +1,4 @@
-"""Dtype-flow rule: promotion hazards, seam divergence, and clean twins."""
+"""Dtype-flow rule: promotion hazards and clean twins."""
 
 from repro.analysis.dtypes import DtypeRule
 
@@ -37,29 +37,6 @@ def test_promotion_scope_is_determinism_closure():
     # Outside the determinism closure the promotion hazard doesn't gate
     # bit-identity, so the same source stays quiet.
     assert _check("bad_cumsum_promotion.py", module="repro.bench.fixture") == []
-
-
-# ------------------------------------------------------------------ seam twins
-def test_pinned_backend_overrides_fire():
-    findings = _check("bad_seam_pinned.py", module="repro.parallel.fixture")
-    assert rule_ids(findings) == ["dtype-seam-divergence"] * 3
-    messages = " ".join(f.message for f in findings)
-    assert "inclusive_scan" in messages
-    assert "stream_compact" in messages
-    assert "row_lengths" in messages
-
-
-def test_probed_backend_overrides_are_quiet():
-    assert _check("good_seam_probe.py", module="repro.parallel.fixture") == []
-
-
-def test_seam_rule_ignores_non_backend_classes():
-    info = load("dtypes/bad_seam_pinned.py", "repro.parallel.fixture")
-    source = info.source.replace("(ExecutionBackend)", "(object)")
-    from repro.analysis.modules import ModuleInfo
-
-    plain = ModuleInfo.from_source(source, path=info.path, module=info.module)
-    assert check(DtypeRule(), plain) == []
 
 
 # -------------------------------------------------------------- real-tree gate

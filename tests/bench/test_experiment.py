@@ -57,7 +57,7 @@ class TestRegistry:
     def test_task_invocations_are_picklable(self):
         """No lambdas on the map_graphs seam: every task must cross a process pool,
         with every registered backend instance (including a configured chunked
-        clone and the numba backend after its lazy JIT probe) riding along."""
+        clone) riding along."""
         from repro.parallel import ChunkedBackend, available_backends, get_backend
 
         backends = [get_backend(b) for b in available_backends()]

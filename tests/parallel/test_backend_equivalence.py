@@ -1,7 +1,7 @@
 """Backend-equivalence suite: the paper's determinism guarantee, enforced.
 
-Every registered execution backend (numpy, chunked, threaded, numba,
-distributed) must produce *bit-identical* results to the vectorised-NumPy
+Every registered execution backend (numpy, chunked, threaded, distributed)
+must produce *bit-identical* results to the vectorised-NumPy
 reference for the full kernel stack — MIS-2 (Algorithm 1 and the Bell/Luby
 baselines), greedy and distance-2 coloring, both aggregation schemes, and the
 cluster multicolor Gauss-Seidel setup/apply. The ``map_graphs``-driven
@@ -165,7 +165,7 @@ def test_experiment_counts_identical_across_all_backends():
 # the *unpartitioned* NumPy reference — the intra-graph sharding contract of
 # repro.parallel.partitioned. Pooled backends run two wide so the resident
 # sessions genuinely fan out (threaded: thread pool; distributed: two rank
-# processes); numpy, chunked and numba run the serial in-process session.
+# processes); numpy and chunked run the serial in-process session.
 
 #: One instance per registered backend name (including the numpy reference —
 #: here it is the *execution* under test, not the baseline).
@@ -235,13 +235,23 @@ def test_partitioned_mis2_aggregation_bit_identical(partition_backend, graph_nam
     assert np.array_equal(ref.roots, out.roots)
 
 
+#: The two in-process sessions: serial (numpy, chunked) and a two-wide
+#: thread pool, where the parts genuinely run concurrently.
+_EVERY_GRAPH_SESSIONS = {
+    "numpy": get_backend("numpy"),
+    "threaded": get_backend("threaded").with_jobs(2),
+}
+
+
 @pytest.mark.parametrize("k", (1, 2, 3, 4, 5, 7, 8))
 @pytest.mark.parametrize("graph_name", sorted(SMALL_GRAPH_CASES))
-def test_partitioned_kk_every_small_graph_numpy(graph_name, k):
-    """Exhaustive graph coverage (incl. empty/isolated/complete) on the reference."""
+@pytest.mark.parametrize("session", sorted(_EVERY_GRAPH_SESSIONS))
+def test_partitioned_kk_every_small_graph(session, graph_name, k):
+    """Exhaustive graph coverage (incl. empty/isolated/complete) on both
+    in-process sessions."""
     g = SMALL_GRAPH_CASES[graph_name]
     ref = kk_mis2(g)
-    out = kk_mis2(g, partitions=k)
+    out = kk_mis2(g, partitions=k, backend=_EVERY_GRAPH_SESSIONS[session])
     assert np.array_equal(ref.in_set, out.in_set)
     assert ref.iterations == out.iterations
     assert ref.worklist_sizes == out.worklist_sizes
@@ -258,15 +268,15 @@ _EVERY_GRAPH_KERNELS = {
 @pytest.mark.parametrize("k", (1, 2, 3, 4, 5, 7, 8))
 @pytest.mark.parametrize("graph_name", sorted(SMALL_GRAPH_CASES))
 @pytest.mark.parametrize("kernel", sorted(_EVERY_GRAPH_KERNELS))
-def test_partitioned_every_small_graph_numpy(kernel, graph_name, k):
-    """The same exhaustive coverage for the other partitioned kernels, on the
-    serial in-process session the numpy, chunked and numba backends run: more
+@pytest.mark.parametrize("session", sorted(_EVERY_GRAPH_SESSIONS))
+def test_partitioned_every_small_graph(session, kernel, graph_name, k):
+    """The same exhaustive coverage for the other partitioned kernels: more
     parts than vertices leaves parts empty, and every part of an edgeless
     graph is all interior."""
     fn, fields = _EVERY_GRAPH_KERNELS[kernel]
     g = SMALL_GRAPH_CASES[graph_name]
     ref = fields(fn(g))
-    out = fn(g, partitions=k)
+    out = fn(g, partitions=k, backend=_EVERY_GRAPH_SESSIONS[session])
     if kernel != "mis2_agg":  # an Aggregation carries no partition stats
         assert out.partition_stats.num_parts == k
     for expected, got in zip(ref, fields(out)):

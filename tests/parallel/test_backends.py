@@ -5,19 +5,16 @@ from collections import OrderedDict
 import numpy as np
 import pytest
 
-from repro.graph import from_edges, path_graph, random_gnp
+from repro.graph import path_graph, random_gnp
 from repro.mis import kk_mis2
 from repro.parallel import (
     ChunkedBackend,
     ExecutionBackend,
-    NumbaBackend,
     NumpyBackend,
     ThreadedBackend,
     available_backends,
     default_backend,
-    exclusive_scan,
     get_backend,
-    numba_available,
     register_backend,
     resolve_backend,
     set_default_backend,
@@ -37,7 +34,6 @@ class TestRegistry:
             "numpy",
             "chunked",
             "threaded",
-            "numba",
             "distributed",
         ]
 
@@ -125,13 +121,6 @@ class TestThreadedBackend:
         inline = ThreadedBackend(threads=1).map_graphs(_graph_mis_size, graphs)
         assert pooled == serial == inline
 
-    def test_primitives_are_the_reference(self):
-        # The threaded backend accelerates only map_graphs; per-graph primitives
-        # delegate to the NumPy reference, so equivalence is structural.
-        B = ThreadedBackend()
-        vals = np.arange(20)
-        assert np.array_equal(B.exclusive_scan(vals), exclusive_scan(vals))
-
     def test_requestable_by_name(self):
         result = kk_mis2(path_graph(8), backend="threaded")
         assert result.config.backend == "threaded"
@@ -157,86 +146,6 @@ class TestWithJobs:
         assert clone is not B
         assert clone.threads == 2
         assert B.threads is None
-
-
-class TestNumbaBackend:
-    def test_reports_availability(self):
-        B = NumbaBackend()
-        assert B.available == numba_available()
-
-    def test_degrades_to_numpy_reference(self):
-        # Whether or not numba is installed, results must equal the reference.
-        B = NumbaBackend()
-        ref = NumpyBackend()
-        rng = np.random.default_rng(2)
-        lens = rng.integers(0, 6, size=50)
-        seg = exclusive_scan(lens)
-        values = rng.integers(0, 1000, size=int(seg[-1])).astype(np.uint64)
-        ident = np.uint64(2**64 - 1)
-        assert np.array_equal(
-            B.segmented_min(values, seg, ident), ref.segmented_min(values, seg, ident)
-        )
-        assert np.array_equal(
-            B.segmented_max(values, seg, np.uint64(0)),
-            ref.segmented_max(values, seg, np.uint64(0)),
-        )
-        assert np.array_equal(B.segmented_sum(values, seg), ref.segmented_sum(values, seg))
-
-    def test_requestable_by_name_without_numba(self):
-        result = kk_mis2(from_edges(5, [(0, 1), (1, 2), (3, 4)]), backend="numba")
-        assert result.config.backend == "numba"
-
-    def test_float_nan_matches_nan_propagating_reference(self):
-        # Regression: the jitted </> comparison loops skip NaN (NaN < x is
-        # False), diverging from the reference's np.minimum/np.maximum, which
-        # propagate it. Float inputs must delegate to the reference.
-        B = NumbaBackend()
-        ref = NumpyBackend()
-        values = np.array([1.0, np.nan, 3.0, 2.0, np.nan, 0.5])
-        seg = np.array([0, 3, 6], dtype=np.int64)
-        for op in ("segmented_min", "segmented_max"):
-            out = getattr(B, op)(values, seg, np.inf)
-            expect = getattr(ref, op)(values, seg, np.inf)
-            assert out.dtype == expect.dtype
-            assert np.array_equal(out, expect, equal_nan=True)
-            assert np.isnan(out).all()  # every segment contains a NaN
-        assert np.array_equal(
-            B.segmented_sum(values, seg), ref.segmented_sum(values, seg), equal_nan=True
-        )
-
-    def test_float_without_nan_matches_reference(self):
-        B = NumbaBackend()
-        ref = NumpyBackend()
-        rng = np.random.default_rng(3)
-        values = rng.random(40)
-        seg = exclusive_scan(np.array([5, 0, 10, 25]))
-        assert np.array_equal(
-            B.segmented_min(values, seg, np.inf), ref.segmented_min(values, seg, np.inf)
-        )
-        assert np.array_equal(
-            B.segmented_max(values, seg, -np.inf), ref.segmented_max(values, seg, -np.inf)
-        )
-
-    def test_empty_input_dtype_matches_reference(self):
-        # Regression: the empty-input output dtype must be the reference's
-        # identity-derived choice, not a JIT-path variant.
-        B = NumbaBackend()
-        ref = NumpyBackend()
-        empty = np.zeros(0, dtype=np.uint64)
-        seg = np.array([0, 0, 0], dtype=np.int64)
-        for identity in (np.uint64(2**64 - 1), 7, 1.5):
-            out = B.segmented_min(empty, seg, identity)
-            expect = ref.segmented_min(empty, seg, identity)
-            assert out.dtype == expect.dtype, identity
-            assert np.array_equal(out, expect)
-        out_sum = B.segmented_sum(empty, seg)
-        expect_sum = ref.segmented_sum(empty, seg)
-        assert out_sum.dtype == expect_sum.dtype
-        assert np.array_equal(out_sum, expect_sum)
-        # Zero segments with non-empty values: output is empty but typed.
-        values = np.arange(4, dtype=np.int64)
-        none = np.array([0], dtype=np.int64)
-        assert B.segmented_min(values, none, 0).dtype == ref.segmented_min(values, none, 0).dtype
 
 
 def _install(token, part, payload, session_key, state):
@@ -290,6 +199,16 @@ def test_every_registered_backend_is_an_execution_backend():
     for name in available_backends():
         assert isinstance(_REGISTRY[name], ExecutionBackend)
         assert _REGISTRY[name].name == name
+
+
+def test_backends_define_no_primitives():
+    # A backend is an execution strategy only: the kernels call
+    # repro.parallel.primitives directly.
+    from repro.parallel import primitives
+
+    for name in available_backends():
+        for primitive in primitives.__all__:
+            assert not hasattr(_REGISTRY[name], primitive), (name, primitive)
 
 
 # ------------------------------------------------------------ session contract

@@ -5,7 +5,7 @@ import pytest
 
 from repro.coarsen import mis2_aggregation
 from repro.coloring import greedy_color
-from repro.graph import empty_graph, grid2d, path_graph, random_gnp
+from repro.graph import cycle_graph, empty_graph, from_edges, grid2d, path_graph, random_gnp
 from repro.mis import kk_mis2, luby_mis1
 from repro.parallel import (
     ChunkedBackend,
@@ -78,6 +78,34 @@ class TestBuildLayout:
         g = path_graph(4)
         layout = build_partition_layout(g, 2)
         assert build_partition_layout(g, layout) is layout
+
+    @pytest.mark.parametrize(
+        "kernel", [kk_mis2, luby_mis1, greedy_color, mis2_aggregation],
+        ids=["kk", "luby", "color", "mis2_agg"],
+    )
+    @pytest.mark.parametrize(
+        "graph, other, match",
+        [
+            (path_graph(20), path_graph(10), "covers 10 vertices"),
+            (random_gnp(30, 0.2, seed=2), random_gnp(30, 0.2, seed=1), "another graph"),
+            # Both 2-regular: only the neighbour ids tell the graphs apart.
+            (from_edges(8, [(v, (v + 3) % 8) for v in range(8)]), cycle_graph(8), "another graph"),
+        ],
+        ids=["different-size", "same-size", "same-degrees"],
+    )
+    def test_layout_of_another_graph_rejected(self, kernel, graph, other, match):
+        # Regression: a prebuilt layout was used unchecked, so another graph's
+        # layout returned a wrong MIS / coloring or failed deep in the kernel.
+        layout = build_partition_layout(other, 2)
+        with pytest.raises(ValueError, match=match):
+            kernel(graph, partitions=layout)
+
+    def test_layout_of_an_equal_graph_accepted(self):
+        g = random_gnp(30, 0.2, seed=1)
+        layout = build_partition_layout(g, 2)
+        copy = g.copy()
+        assert build_partition_layout(copy, layout) is layout
+        assert np.array_equal(kk_mis2(copy, partitions=layout).in_set, kk_mis2(g).in_set)
 
     def test_rejects_bad_labels(self):
         g = path_graph(4)
