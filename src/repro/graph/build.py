@@ -54,13 +54,16 @@ def from_edges(
     num_vertices:
         Total vertex count; every edge endpoint must lie in ``[0, num_vertices)``.
     edges:
-        Iterable of vertex pairs. Duplicates are collapsed.
+        Iterable of vertex pairs, or an ``(m, 2)`` array (used as is, with
+        no round trip through Python objects). Duplicates are collapsed.
     symmetric:
         When true (default), both directions of every edge are stored.
     allow_self_loops:
         When false (default), self-loops are dropped.
     """
-    edge_arr = np.asarray(list(edges), dtype=np.int64)
+    edge_arr = np.asarray(
+        edges if isinstance(edges, np.ndarray) else list(edges), dtype=np.int64
+    )
     if edge_arr.size == 0:
         return CSRGraph.empty(num_vertices)
     if edge_arr.ndim != 2 or edge_arr.shape[1] != 2:

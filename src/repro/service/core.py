@@ -9,8 +9,8 @@ into a *service*:
 **Session lifetime beyond one kernel run.** Each graph the service holds
 keeps one layout per mutation epoch and passes it to every query, so the
 workers' payload caches (keyed ``(token, part)``) stay warm across queries —
-the second ``mis2`` on an unchanged graph re-ships nothing but deltas, on any
-backend including ``distributed``.
+the second ``mis2`` on an unchanged graph ships each phase its halo values
+but never the part's CSR again, on any backend including ``distributed``.
 
 **Mutation → token invalidation.** :class:`~repro.graph.csr.CSRGraph` is
 immutable (bit-identical determinism relies on it), so every mutation builds
@@ -18,7 +18,9 @@ a new graph and mints a fresh layout via
 :func:`~repro.parallel.partitioned.carry_partition_labels` — same part
 assignment for surviving vertices, *new token*. A stale worker cache entry
 can therefore never serve a mutated graph: the token is the invalidation
-rule.
+rule. An edge write splices only the rows it touches into copies of
+``rowmap``/``entries`` and keeps the held graph canonical, so its cost
+grows with the batch, not with the graph's edge count.
 
 **Batched queries.** Queries enter through :meth:`GraphService.submit` (any
 thread; the asyncio front in :mod:`repro.service.aio` awaits the same
@@ -47,7 +49,7 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..graph.build import from_edges
+from ..graph.build import from_edges, to_scipy
 from ..graph.csr import CSRGraph
 from ..graph.ops import induced_subgraph
 from ..hashing.packing import priority_bits
@@ -57,6 +59,7 @@ from ..parallel.partitioned import (
     build_partition_layout,
     carry_partition_labels,
 )
+from ..parallel.primitives import expand_rows
 from . import repair as _repair
 
 __all__ = ["GraphService", "ServiceStats", "ServiceClosed"]
@@ -148,38 +151,98 @@ def _closed_neighborhood(graph: CSRGraph, vertices: np.ndarray) -> np.ndarray:
     """``vertices`` plus all their neighbours (the distance-1 closure)."""
     if vertices.size == 0:
         return vertices
-    rowmap, entries = graph.rowmap, graph.entries
-    hops = [vertices] + [
-        entries[rowmap[v]: rowmap[v + 1]] for v in vertices.tolist()
-    ]
-    return np.unique(np.concatenate(hops)).astype(np.int64)
+    slots, _ = expand_rows(graph.rowmap, vertices)
+    return np.unique(np.concatenate([vertices, graph.entries[slots]]))
 
 
-def _edge_pairs(graph: CSRGraph) -> np.ndarray:
-    """The graph's undirected edges as canonical ``u * n + v`` codes, u < v."""
+def _is_canonical(graph: CSRGraph) -> bool:
+    """True when ``graph`` has the form ``from_edges`` and ``from_scipy``
+    build by default and every write keeps: rows sorted without duplicates,
+    no self-loops, symmetric.
+
+    Linear time: the slot codes ``row * n + col`` must strictly increase, and
+    the transpose (scipy's ``csr_tocsc``, whose rows come out sorted) must
+    equal the graph.
+    """
     n = graph.num_vertices
-    src = np.repeat(
-        np.arange(n, dtype=np.int64), np.diff(graph.rowmap).astype(np.int64)
+    rows = np.repeat(np.arange(n, dtype=np.int64), graph.degrees())
+    codes = rows * n + graph.entries
+    if np.any(np.diff(codes) <= 0) or np.any(rows == graph.entries):
+        return False
+    transpose = to_scipy(graph, dtype=np.int8).T.tocsr()
+    return np.array_equal(transpose.indptr, graph.rowmap) and np.array_equal(
+        transpose.indices, graph.entries
     )
-    dst = graph.entries.astype(np.int64)
-    mask = src < dst
-    return src[mask] * n + dst[mask]
 
 
 def _canonical_edges(n: int, edges: Iterable[Tuple[int, int]]) -> np.ndarray:
-    """Validate and canonicalise an edge list to unique ``u*n+v`` codes, u<v.
+    """Validate and canonicalise an edge batch to unique ``u*n+v`` codes, u<v.
 
-    Self-loops are dropped (the CSR form is self-loop free; the kernels treat
-    vertices as implicitly self-adjacent), duplicates collapse.
+    The batch is any iterable of integer ``(u, v)`` pairs or an ``(m, 2)``
+    integer array; anything else raises ``ValueError``. Self-loops are
+    dropped (the CSR form is self-loop free; the kernels treat vertices as
+    implicitly self-adjacent), duplicates collapse.
     """
-    pairs = [(int(u), int(v)) for u, v in edges]
-    for u, v in pairs:
-        if not (0 <= u < n and 0 <= v < n):
-            raise ValueError(f"edge ({u}, {v}) out of range for {n} vertices")
-    codes = [
-        min(u, v) * n + max(u, v) for u, v in pairs if u != v
-    ]
-    return np.unique(np.asarray(codes, dtype=np.int64))
+    pairs = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges))
+    if pairs.size == 0:
+        return np.zeros(0, dtype=np.int64)
+    if pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise ValueError(f"edges must be (u, v) pairs, got shape {pairs.shape}")
+    if not np.issubdtype(pairs.dtype, np.integer):
+        raise ValueError(f"edge endpoints must be integers, got {pairs.dtype}")
+    bad = np.flatnonzero(((pairs < 0) | (pairs >= n)).any(axis=1))
+    if bad.size:
+        u, v = pairs[bad[0]].tolist()
+        raise ValueError(f"edge ({u}, {v}) out of range for {n} vertices")
+    lo = pairs.min(axis=1).astype(np.int64)
+    hi = pairs.max(axis=1).astype(np.int64)
+    loop = lo == hi
+    return np.unique(lo[~loop] * n + hi[~loop])
+
+
+def _splice(
+    graph: CSRGraph, codes: np.ndarray, insert: bool
+) -> Tuple[CSRGraph, np.ndarray]:
+    """Insert (or delete) the undirected edges ``codes`` in a canonical graph.
+
+    Reads only the rows the batch touches: each directed slot ``(r, c)`` of
+    the batch is located by ``searchsorted`` among the ``r * n + c`` codes of
+    those rows, the absent (or present) ones are inserted into (or deleted
+    from) a copy of ``entries`` at their sorted positions, and ``rowmap``
+    shifts by the running count of changed slots per row. The result is
+    canonical again and equals ``from_edges`` of the new edge set.
+
+    Returns the new graph (``graph`` itself when nothing changed) and the
+    sorted rows of the changed slots: both endpoints of every changed edge.
+    """
+    if codes.size == 0:
+        return graph, codes
+    n = graph.num_vertices
+    rowmap, entries = graph.rowmap, graph.entries
+    lo, hi = np.divmod(codes, n)
+    directed = np.sort(np.concatenate([codes, hi * n + lo]))
+    rows, cols = np.divmod(directed, n)
+    touched, which = np.unique(rows, return_inverse=True)
+    slots, seg = expand_rows(rowmap, touched)
+    slot_codes = np.repeat(touched, np.diff(seg)) * n + entries[slots]
+    pos = np.searchsorted(slot_codes, directed)
+    present = np.zeros(directed.size, dtype=bool)
+    inside = pos < slot_codes.size
+    present[inside] = slot_codes[pos[inside]] == directed[inside]
+    change = ~present if insert else present
+    changed_rows = rows[change]
+    if changed_rows.size == 0:
+        return graph, changed_rows
+    if insert:
+        at = rowmap[changed_rows] + pos[change] - seg[which[change]]
+        new_entries = np.insert(entries, at, cols[change])
+    else:
+        new_entries = np.delete(entries, slots[pos[change]])
+    shift = np.concatenate(
+        [[0], np.cumsum(np.bincount(changed_rows, minlength=n))]
+    )
+    new_rowmap = rowmap + shift if insert else rowmap - shift
+    return CSRGraph(new_rowmap, new_entries, validate=False), changed_rows
 
 
 class GraphService:
@@ -204,7 +267,10 @@ class GraphService:
     (synchronous; internally routed through the batching dispatcher) or
     submitted as futures via :meth:`submit`. Mutations (``add_edges`` /
     ``remove_edges`` / ``add_vertices`` / ``remove_vertices``) apply
-    immediately under the graph's lock and bump its epoch.
+    immediately under the graph's lock and bump its epoch. :meth:`add_graph`
+    canonicalises a graph whose rows are unsorted or hold duplicates,
+    self-loops or one-way edges, so a write never changes more than the
+    edges it names.
     """
 
     _REPAIRABLE = frozenset({"mis2", "color"})
@@ -239,8 +305,16 @@ class GraphService:
     def add_graph(
         self, name: str, graph: CSRGraph, parts: Optional[int] = None
     ) -> None:
-        """Register ``graph`` under ``name`` (replacing any previous holder)."""
+        """Register ``graph`` under ``name`` (replacing any previous holder).
+
+        A graph that is not canonical (rows sorted without duplicates, no
+        self-loops, symmetric) is stored as ``from_edges(n,
+        graph.edge_array())``, the form every later write keeps; a canonical
+        graph is stored as it is.
+        """
         self._check_open()
+        if not _is_canonical(graph):
+            graph = from_edges(graph.num_vertices, graph.edge_array())
         parts = parts if parts is not None else self._parts
         layout = (
             build_partition_layout(graph, parts)
@@ -287,6 +361,10 @@ class GraphService:
     def add_edges(self, name: str, edges: Iterable[Tuple[int, int]]) -> int:
         """Insert undirected edges; returns how many were actually new.
 
+        ``edges`` is an iterable of integer ``(u, v)`` pairs or an ``(m, 2)``
+        integer array; a malformed batch raises ``ValueError`` and changes
+        nothing.
+
         The dirty MIS frontier of an inserted edge ``(a, b)`` is the closed
         neighbourhood of both endpoints *in the new graph* — every vertex
         whose distance-2 reach gained a path through the new edge. The
@@ -294,24 +372,18 @@ class GraphService:
         """
         entry = self._entry(name)
         with entry.lock:
-            n = entry.graph.num_vertices
-            codes = _canonical_edges(n, edges)
-            existing = _edge_pairs(entry.graph)
-            fresh = np.setdiff1d(codes, existing, assume_unique=True)
-            if fresh.size == 0:
+            codes = _canonical_edges(entry.graph.num_vertices, edges)
+            new_graph, changed_rows = _splice(entry.graph, codes, insert=True)
+            if changed_rows.size == 0:
                 return 0
-            merged = np.union1d(existing, fresh)
-            new_graph = self._graph_from_codes(n, merged)
-            endpoints = np.unique(
-                np.concatenate([fresh // n, fresh % n])
-            ).astype(np.int64)
+            endpoints = np.unique(changed_rows)
             self._apply_mutation(
                 entry,
                 new_graph,
                 mis_dirty=_closed_neighborhood(new_graph, endpoints),
                 color_dirty=endpoints,
             )
-            return int(fresh.size)
+            return changed_rows.size // 2
 
     def remove_edges(self, name: str, edges: Iterable[Tuple[int, int]]) -> int:
         """Delete undirected edges; returns how many actually existed.
@@ -321,22 +393,16 @@ class GraphService:
         """
         entry = self._entry(name)
         with entry.lock:
-            n = entry.graph.num_vertices
-            codes = _canonical_edges(n, edges)
-            existing = _edge_pairs(entry.graph)
-            gone = np.intersect1d(codes, existing, assume_unique=True)
-            if gone.size == 0:
+            codes = _canonical_edges(entry.graph.num_vertices, edges)
+            new_graph, changed_rows = _splice(entry.graph, codes, insert=False)
+            if changed_rows.size == 0:
                 return 0
-            remaining = np.setdiff1d(existing, gone, assume_unique=True)
-            endpoints = np.unique(np.concatenate([gone // n, gone % n])).astype(
-                np.int64
-            )
+            endpoints = np.unique(changed_rows)
             mis_dirty = _closed_neighborhood(entry.graph, endpoints)
-            new_graph = self._graph_from_codes(n, remaining)
             self._apply_mutation(
                 entry, new_graph, mis_dirty=mis_dirty, color_dirty=endpoints
             )
-            return int(gone.size)
+            return changed_rows.size // 2
 
     def add_vertices(self, name: str, count: int) -> Tuple[int, int]:
         """Append ``count`` isolated vertices; returns their id range.
@@ -407,9 +473,6 @@ class GraphService:
                 keep=keep,
             )
             return int(drop.size)
-
-    def _graph_from_codes(self, n: int, codes: np.ndarray) -> CSRGraph:
-        return from_edges(n, [(int(c // n), int(c % n)) for c in codes])
 
     def _apply_mutation(
         self,

@@ -46,8 +46,20 @@ class TestFromEdges:
             from_edges(2, [(0, 5)])
 
     def test_rejects_bad_shape(self):
+        for edges in ([(0, 1, 2)], np.array([[0, 1, 2]]), np.array([0, 1])):
+            with pytest.raises(ValueError):
+                from_edges(3, edges)
+
+    @pytest.mark.parametrize("symmetric", [True, False])
+    def test_array_input_matches_list_input(self, symmetric):
+        edges = [(0, 1), (3, 1), (2, 2), (1, 0), (4, 3), (3, 1)]
+        array = np.array(edges, dtype=np.int32)
+        assert from_edges(5, array, symmetric=symmetric) == from_edges(
+            5, edges, symmetric=symmetric
+        )
+        assert array.tolist() == [list(e) for e in edges]  # input left as is
         with pytest.raises(ValueError):
-            from_edges(3, [(0, 1, 2)])
+            from_edges(4, array)  # endpoint 4 is out of range
 
 
 class TestScipyConversions:

@@ -13,13 +13,17 @@ backend and partition count. These tests pin that claim three ways:
 3. the full service — random mutation sequences, query-after-every-mutation,
    compared bit-for-bit against fresh kernel runs — across a
    backend x partition matrix.
+
+Beneath all three sits the graph each write leaves behind: the service
+splices the touched CSR rows, and that splice must equal a from-scratch
+build of the new edge set.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from repro.graph import from_edges
@@ -260,3 +264,46 @@ def test_service_crossover_zero_still_bit_identical(graph, ops):
         for kind, payload in ops:
             _apply(svc, "g", kind, payload)
             _check_against_scratch(svc, "g", 0)
+
+
+# --------------------------------------------------------------------------
+# The write path: a spliced graph equals a rebuild of its edge set.
+# --------------------------------------------------------------------------
+
+
+@st.composite
+def edge_batches(draw, n: int, present):
+    """A write batch on ``n`` vertices mixing random pairs, self-loops and
+    edges already present, each possibly reversed, with repeats."""
+    vertex = st.integers(min_value=0, max_value=n - 1)
+    pairs = [st.tuples(vertex, vertex), vertex.map(lambda v: (v, v))]
+    if present:
+        pairs.append(st.sampled_from(sorted(present)))
+    oriented = st.tuples(st.one_of(pairs), st.booleans()).map(
+        lambda pair_flip: pair_flip[0][::-1] if pair_flip[1] else pair_flip[0]
+    )
+    batch = draw(st.lists(oriented, max_size=10))
+    if batch:
+        batch += draw(st.lists(st.sampled_from(batch), max_size=3))
+    return batch
+
+
+@given(graph=graphs(max_vertices=16, max_extra_edges=30), data=st.data())
+@settings(**COMMON)
+def test_spliced_writes_equal_a_rebuild_of_the_edge_set(graph, data):
+    n = graph.num_vertices
+    assume(n > 0)
+    edges = _edge_set(graph)
+    with GraphService() as svc:
+        svc.add_graph("g", graph)
+        for _ in range(data.draw(st.integers(min_value=1, max_value=4))):
+            insert = data.draw(st.booleans())
+            batch = data.draw(edge_batches(n, edges))
+            named = {(min(u, v), max(u, v)) for u, v in batch if u != v}
+            if insert:
+                changed, edges = named - edges, edges | named
+                assert svc.add_edges("g", batch) == len(changed)
+            else:
+                changed, edges = named & edges, edges - named
+                assert svc.remove_edges("g", batch) == len(changed)
+            assert svc.graph("g") == from_edges(n, sorted(edges))

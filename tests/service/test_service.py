@@ -187,6 +187,68 @@ class TestMutations:
             assert svc.remove_edges("g", [(0, 1), (0, 4)]) == 1
             assert svc.epoch("g") == 1
 
+    @pytest.mark.parametrize(
+        "batch",
+        [[(0, 1, 2)], np.array([0, 2]), [(0, 2.7)], np.array([[0.0, 2.0]])],
+        ids=["triple", "1-d-array", "float-id", "float-array"],
+    )
+    def test_malformed_batch_raises_and_keeps_the_epoch(self, batch):
+        with GraphService() as svc:
+            svc.add_graph("g", _path_graph(5))
+            for write in (svc.add_edges, svc.remove_edges):
+                with pytest.raises(ValueError):
+                    write("g", batch)
+            assert svc.epoch("g") == 0
+            assert svc.graph("g") == _path_graph(5)
+
+    @pytest.mark.parametrize("batch", [[(0, 9)], np.array([[0, 9]]), [(-1, 2)]])
+    def test_out_of_range_batch_names_the_edge(self, batch):
+        u, v = (int(x) for x in np.asarray(batch)[0])
+        with GraphService() as svc:
+            svc.add_graph("g", _path_graph(5))
+            for write in (svc.add_edges, svc.remove_edges):
+                with pytest.raises(ValueError, match=rf"edge \({u}, {v}\) out of range"):
+                    write("g", batch)
+            assert svc.epoch("g") == 0
+
+    def test_empty_batch_returns_zero_without_an_epoch(self):
+        with GraphService() as svc:
+            svc.add_graph("g", _path_graph(5))
+            for batch in ([], np.zeros((0, 2), dtype=np.int64)):
+                assert svc.add_edges("g", batch) == 0
+                assert svc.remove_edges("g", batch) == 0
+            assert svc.epoch("g") == 0
+
+    def test_array_batch_behaves_like_the_same_list(self):
+        added = [(0, 2), (4, 1), (2, 0), (3, 3), (0, 1)]
+        removed = [(1, 2), (2, 0), (1, 2)]
+        with GraphService() as as_list, GraphService() as as_array:
+            for svc in (as_list, as_array):
+                svc.add_graph("g", _path_graph(5))
+            assert as_list.add_edges("g", added) == 2
+            assert as_array.add_edges("g", np.array(added)) == 2
+            assert as_list.remove_edges("g", removed) == 2
+            assert as_array.remove_edges("g", np.array(removed, dtype=np.int32)) == 2
+            assert as_list.graph("g") == as_array.graph("g")
+            assert as_list.epoch("g") == as_array.epoch("g") == 2
+
+    def test_writes_on_a_canonical_graph_never_rebuild_it(self, monkeypatch):
+        """Writes splice the rows they touch; the whole-graph rebuild through
+        ``from_edges`` never runs, for one edge or for a batch."""
+        import repro.service.core as core
+
+        def rebuild(*args, **kwargs):
+            raise AssertionError("a write rebuilt the graph through from_edges")
+
+        graph = _grid_graph()
+        monkeypatch.setattr(core, "from_edges", rebuild)
+        with GraphService() as svc:
+            svc.add_graph("g", graph)
+            assert svc.add_edges("g", [(0, 15)]) == 1
+            assert svc.add_edges("g", np.array([[0, 5], [3, 12], [5, 0]])) == 2
+            assert svc.remove_edges("g", [(0, 15), (0, 1), (1, 2)]) == 3
+            assert svc.epoch("g") == 3
+
     def test_add_vertices_appends_isolated_ids(self):
         with GraphService() as svc:
             svc.add_graph("g", _path_graph(4))

@@ -2,7 +2,8 @@
 
 The analyzer (repro.analysis) flagged: bare-set iteration seeding the repair
 heaps, unlocked reads of the service stats, torn per-entry reads in
-``health()``, and an unguarded ``_closed`` flag. Each fix is pinned here.
+``health()``, and an unguarded ``_closed`` flag. Each fix is pinned here,
+along with the first write that silently rewrote a non-canonical graph.
 """
 
 import threading
@@ -10,7 +11,8 @@ import threading
 import numpy as np
 import pytest
 
-from repro.graph import from_edges
+from repro.graph import CSRGraph, from_edges
+from repro.parallel import build_partition_layout
 from repro.service import GraphService, ServiceClosed
 from repro.service.repair import (
     mis_keys,
@@ -149,3 +151,47 @@ def test_concurrent_close_is_idempotent_and_rejects_new_work():
     with pytest.raises(ServiceClosed):
         svc.mis2("g")
     svc.close()  # still idempotent after the fact
+
+
+# ------------------------------------------------------- canonical held graph
+#: The path 0-1-2-3 stored non-canonically: with a self-loop on vertex 1,
+#: with rows 1 and 2 unsorted, and with vertex 2 twice in row 1.
+_NON_CANONICAL = {
+    "self-loop": ([0, 1, 4, 6, 7], [1, 0, 1, 2, 1, 3, 2]),
+    "unsorted-rows": ([0, 1, 3, 5, 6], [1, 2, 0, 3, 1, 2]),
+    "duplicate-entry": ([0, 1, 4, 6, 7], [1, 0, 2, 2, 1, 3, 2]),
+}
+
+
+@pytest.mark.parametrize("stored", sorted(_NON_CANONICAL))
+@pytest.mark.parametrize(
+    "writes",
+    [
+        [("add_edges", (0, 3)), ("remove_edges", (0, 3))],
+        [("remove_edges", (1, 2)), ("add_edges", (2, 1))],
+    ],
+    ids=["add-remove", "remove-add"],
+)
+def test_net_zero_writes_restore_the_epoch0_graph(stored, writes):
+    """Every write used to rebuild the graph, so the first one silently
+    dropped the self-loop (sorted the rows, merged the duplicate) the epoch-0
+    answers were computed on. ``add_graph`` now canonicalises once, up
+    front."""
+    with GraphService() as svc:
+        svc.add_graph("g", CSRGraph(*_NON_CANONICAL[stored]))
+        held = svc.graph("g")
+        assert held == from_edges(4, [(0, 1), (1, 2), (2, 3)])
+        for kind, edge in writes:
+            assert getattr(svc, kind)("g", [edge]) == 1
+        assert svc.epoch("g") == len(writes)
+        assert svc.graph("g") == held
+
+
+def test_canonical_graph_is_held_as_the_same_object():
+    """No copy for a canonical graph, so its memoised layouts survive."""
+    graph = _ring(12)
+    layout = build_partition_layout(graph, 2)
+    with GraphService(parts=2) as svc:
+        svc.add_graph("g", graph)
+        assert svc.graph("g") is graph
+        assert svc.token("g") == layout.token
