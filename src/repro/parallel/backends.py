@@ -33,11 +33,9 @@ results are bit-identical across backends; the equivalence tests enforce it.
 from __future__ import annotations
 
 import atexit
-import itertools
 import os
 import threading
 import time
-from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -140,7 +138,8 @@ atexit.register(shutdown_partition_pools)
 # (worklist indices, halo values, phase scalars) out and the results back.
 # The in-process session keeps both in the caller's address space; the
 # distributed backend pins part ``i`` to rank process ``i % ranks`` and runs
-# the same protocol over sockets against the rank-side store below.
+# the same protocol over sockets against the rank-side store of
+# :mod:`repro.parallel.distributed`.
 
 
 def shipped_nbytes(obj: Any) -> int:
@@ -305,104 +304,6 @@ class _LocalResidentSession(ResidentSession):
         if pool is None or len(calls) <= 1:
             return lambda: [fn(p, s, d) for p, s, d in calls]
         return lambda: list(pool.map(lambda c: fn(*c), calls))
-
-
-# Rank-side process-global resident store: the distributed backend's rank
-# processes run the tasks below (see :mod:`repro.parallel.distributed`).
-# Payloads are keyed by ``(layout token, part)`` and survive across sessions
-# (a rerun on the same layout re-ships nothing); states are keyed by
-# ``(session key, part)`` and live for exactly one session. The LRU never
-# evicts the token currently being installed, so a session's own parts cannot
-# push each other out.
-_RESIDENT_PAYLOADS: "OrderedDict[Tuple[str, int], Any]" = OrderedDict()
-_RESIDENT_PAYLOAD_CAPACITY = 16
-_RESIDENT_STATES: "Dict[Tuple[int, int], Any]" = {}
-
-
-def _resident_install(args) -> bool:
-    """Rank task: store a part's payload (if shipped) and fresh session state.
-
-    Returns False when the coordinator skipped the payload but this rank does
-    not hold it (restarted rank, LRU eviction) — the coordinator re-sends.
-    """
-    token, part, payload, session_key, state = args
-    key = (token, part)
-    if payload is None:
-        if key not in _RESIDENT_PAYLOADS:
-            return False
-    else:
-        _RESIDENT_PAYLOADS[key] = payload
-    _RESIDENT_PAYLOADS.move_to_end(key)
-    if len(_RESIDENT_PAYLOADS) > _RESIDENT_PAYLOAD_CAPACITY:
-        # Evict oldest-first, *skipping* (never stopping at) entries of the
-        # token being installed: stopping at a protected head entry used to
-        # leave the store over capacity with other tokens' stale payloads
-        # parked behind it forever.
-        evictable = [k for k in _RESIDENT_PAYLOADS if k[0] != token]
-        for stale in evictable:
-            if len(_RESIDENT_PAYLOADS) <= _RESIDENT_PAYLOAD_CAPACITY:
-                break
-            del _RESIDENT_PAYLOADS[stale]
-    _RESIDENT_STATES[(session_key, part)] = state
-    return True
-
-
-class _ResidentPayloadMiss(RuntimeError):
-    """A rank evicted a payload whose session state is still live.
-
-    Raised rank-side when a concurrent session's installs pushed this part's
-    payload out of the LRU store; the rank answers the phase with ``("miss",)``.
-    The coordinator still holds the payload, so the distributed session
-    recovers transparently by restoring it and retrying the phase.
-    """
-
-
-def _resident_phase(args):
-    """Rank task: run one superstep phase against the resident part."""
-    token, session_key, part, fn, delta = args
-    state = _RESIDENT_STATES.get((session_key, part))
-    if state is None:
-        # Mutable state cannot be reconstructed by the coordinator; a rank
-        # that lost it (restart) ends the run.
-        raise RuntimeError(
-            f"resident state of part {part} (token {token!r}) missing in "
-            f"rank process {os.getpid()} — the rank lost its store; rerun the kernel"
-        )
-    payload = _RESIDENT_PAYLOADS.get((token, part))
-    if payload is None:
-        raise _ResidentPayloadMiss(token, part)
-    _RESIDENT_PAYLOADS.move_to_end((token, part))
-    return fn(payload, state, delta)
-
-
-def _resident_restore_payload(args) -> bool:
-    """Rank task: re-install an LRU-evicted payload (state left untouched)."""
-    token, part, payload = args
-    _RESIDENT_PAYLOADS[(token, part)] = payload
-    _RESIDENT_PAYLOADS.move_to_end((token, part))
-    return True
-
-
-def _resident_forget(args) -> bool:
-    """Rank task: drop a closed session's states (payloads stay cached)."""
-    session_key, parts = args
-    for part in parts:
-        _RESIDENT_STATES.pop((session_key, part), None)
-    return True
-
-
-# How many restore-and-retry rounds a session attempts when a phase reports a
-# payload miss before giving up. One round is almost always enough (the
-# coordinator re-installs, the retry hits), but under a crowded rank a
-# *concurrent* session's installs can re-evict the payload between the restore
-# and the retry — a single-shot recovery then surfaces the raw miss as an
-# opaque failure. Bounded so two sessions ping-ponging a rank's LRU cannot
-# livelock the coordinator.
-_RESIDENT_MISS_ATTEMPTS = 3
-
-# Coordinator-side session keys: the rank-side states of one session are
-# keyed by its number, so concurrent sessions on one layout never collide.
-_RESIDENT_SESSION_KEYS = itertools.count(1)
 
 
 class ExecutionBackend:

@@ -7,7 +7,7 @@ scalars) per part per superstep phase. This module takes that protocol over
 *actual transport*: a coordinator process
 connects to N long-lived **rank processes** through the byte-metered socket
 seam in :mod:`repro.parallel.transport`, ships each part's payload once into a
-per-rank payload cache, and runs every superstep phase as ``(token, session,
+per-rank payload cache, and runs every superstep phase as ``(seq, session,
 part, fn, delta)`` messages whose results return over the wire. The rank
 processes run on localhost here (so CI exercises the full path), but nothing
 in the protocol assumes it — the transport seam is where an MPI or multi-host
@@ -20,36 +20,35 @@ Protocol (one coordinator connection per rank, request/response, pipelined):
     already caches ``(token, part)``; the rank acks ``("ok", False)`` if it
     does not (restarted rank, LRU eviction) and the coordinator re-sends the
     payload. States always ship — they are per-session.
-``("phase", seq, token, session_key, part, fn, delta)``
+``("phase", seq, session_key, part, fn, delta)``
     One superstep phase for one part. The rank executes ``fn(payload, state,
-    delta)`` against its resident part and replies ``("result", value)``.
+    delta)`` against the session's record and replies ``("result", value)``.
     ``seq`` makes retries after a reconnect **exactly-once**: the rank caches
     the last ``(seq, result)`` per ``(session, part)`` and answers a replayed
     phase from the cache instead of re-running it (state is mutated once no
-    matter how often the message is re-sent). A rank that lost the payload
-    replies ``("miss",)`` — the coordinator restores it and retries, bounded;
-    one that lost the *state* replies ``("error", ...)`` (states are not
-    reconstructible — see the rank-death story below).
-``("restore", token, part, payload)`` / ``("forget", session_key, parts)``
-    Payload re-install after an LRU miss; session close (drops states and the
-    phase dedup cache, payloads stay cached for reruns on the same layout).
+    matter how often the message is re-sent). A rank that lost the record
+    replies ``("error", ...)`` (states are not reconstructible — see the
+    rank-death story below).
+``("forget", session_key, parts)``
+    Session close: drops the records and the phase dedup cache; payloads stay
+    cached for reruns on the same layout.
 ``("ping",)`` / ``("shutdown",)``
     Liveness probe; orderly rank exit.
 
-Every coordinator request normally ships wrapped as ``("req", rid, message)``
-and is answered as ``("resp", rid, reply)`` — the **multiplexing layer** that
-lets several requests stay in flight per rank at once (a session's pipelined
+Every coordinator request ships wrapped as ``("req", rid, message)`` and is
+answered as ``("resp", rid, reply)`` — the **multiplexing layer** that lets
+several requests stay in flight per rank at once (a session's pipelined
 installs, a health probe beside a running session): the coordinator collects
 replies by request id in any order, parking early arrivals for their own
-collect, and a reconnect re-sends exactly the unanswered backlog. Untagged messages remain understood for the
-shutdown path and direct protocol probes.
+collect, and a reconnect re-sends exactly the unanswered backlog.
 
-Rank-side storage *is* the process-global resident store of
-:mod:`repro.parallel.backends` (``_resident_install`` / ``_resident_phase`` /
-``_resident_forget``), which fixes the cache semantics: payloads keyed by
-``(layout token, part)`` survive across sessions, states keyed by ``(session,
-part)`` live for exactly one, and the LRU is bounded by
-``_RESIDENT_PAYLOAD_CAPACITY``.
+Rank-side storage is this module's process-global store (:func:`_install`,
+:func:`_rank_reply`). Each session owns one record per part, ``(session,
+part) -> (payload, state)``, taken at install and read by every phase until
+the close-time ``forget``. Payloads are also cached by ``(layout token,
+part)`` in an oldest-first LRU of ``_PAYLOAD_CAPACITY`` entries, which decides
+only what the *next* session on a layout must ship: an eviction never touches
+a running session, whose record keeps its payload alive.
 
 Failure story, in two tiers:
 
@@ -126,8 +125,20 @@ class RankDeathError(RuntimeError):
 
 # --------------------------------------------------------------- rank process
 #
-# Each rank is a daemon child process running an accept/serve loop. The
-# resident stores are the module globals of repro.parallel.backends.
+# Each rank is a daemon child process running an accept/serve loop over the
+# module globals below.
+
+#: Rank-side payload cache, ``(layout token, part) -> payload``: an
+#: oldest-first LRU that never holds more than ``_PAYLOAD_CAPACITY`` entries.
+#: It decides only whether the next session on a layout must ship a payload;
+#: a running session reads its payload from its own record.
+_PAYLOADS: "OrderedDict[Tuple[str, int], Any]" = OrderedDict()
+_PAYLOAD_CAPACITY = 16
+
+#: Rank-side session records, ``(session_key, part) -> (payload, state)``:
+#: stored at install, read by every phase, dropped by the session's forget.
+#: A record whose payload the cache has evicted keeps that payload alive.
+_SESSIONS: "Dict[Tuple[int, int], Tuple[Any, Any]]" = {}
 
 #: Rank-side phase dedup: ``(session_key, part, seq) -> result``. A phase
 #: message replayed after a reconnect is answered from here without re-running
@@ -150,19 +161,47 @@ class _RankShutdown(Exception):
     """Raised inside the serve loop on an orderly ``shutdown`` message."""
 
 
+def _install(token: str, part: int, payload: Any, session_key: int, state: Any) -> bool:
+    """Store a session's record for ``part``, caching a shipped payload.
+
+    ``payload=None`` takes the payload from the cache. If the cache does not
+    hold it (restarted rank, LRU eviction) nothing is stored and the result
+    is False, so the coordinator re-sends the payload.
+    """
+    key = (token, part)
+    if payload is None:
+        payload = _PAYLOADS.get(key)
+        if payload is None:
+            return False
+    else:
+        _PAYLOADS[key] = payload
+    _PAYLOADS.move_to_end(key)
+    while len(_PAYLOADS) > _PAYLOAD_CAPACITY:
+        _PAYLOADS.popitem(last=False)
+    _SESSIONS[(session_key, part)] = (payload, state)
+    return True
+
+
 def _rank_reply(msg: tuple) -> tuple:
     """Compute the reply to one coordinator message (pure dispatch, no I/O)."""
     kind = msg[0]
     if kind == "phase":
-        _, seq, token, session_key, part, fn, delta = msg
+        _, seq, session_key, part, fn, delta = msg
         done_key = (session_key, part, seq)
         if done_key in _PHASE_DONE:
             _PHASE_DONE.move_to_end(done_key)
             return ("result", _PHASE_DONE[done_key])
+        record = _SESSIONS.get((session_key, part))
+        if record is None:
+            # Mutable state cannot be reconstructed by the coordinator; a
+            # rank that lost it (restart) ends the run.
+            return (
+                "error",
+                f"state of part {part} (session {session_key}) missing in rank "
+                f"process {os.getpid()} — the rank lost its store; rerun the kernel",
+            )
         try:
-            result = _B._resident_phase((token, session_key, part, fn, delta))
-        except _B._ResidentPayloadMiss:
-            return ("miss",)
+            result = fn(*record, delta)
         except Exception as exc:
             return ("error", f"{type(exc).__name__}: {exc}")
         _PHASE_DONE[done_key] = result
@@ -171,15 +210,13 @@ def _rank_reply(msg: tuple) -> tuple:
         return ("result", result)
     if kind == "install":
         try:
-            return ("ok", _B._resident_install(msg[1:]))
+            return ("ok", _install(*msg[1:]))
         except Exception as exc:
             return ("error", f"{type(exc).__name__}: {exc}")
-    if kind == "restore":
-        _B._resident_restore_payload(msg[1:])
-        return ("ok", True)
     if kind == "forget":
         _, session_key, parts = msg
-        _B._resident_forget((session_key, parts))
+        for part in parts:
+            _SESSIONS.pop((session_key, part), None)
         for done_key in [k for k in _PHASE_DONE if k[0] == session_key]:
             del _PHASE_DONE[done_key]
         return ("ok", True)
@@ -189,24 +226,16 @@ def _rank_reply(msg: tuple) -> tuple:
 
 
 def _rank_handle_message(conn: MessageConnection, msg: tuple) -> None:
-    """Dispatch one coordinator message and send exactly one reply.
+    """Answer one ``("req", rid, message)`` with ``("resp", rid, reply)``.
 
-    ``("req", rid, inner)`` is the multiplexed form: the reply ships as
-    ``("resp", rid, reply)`` so the coordinator can match out-of-order
-    collections against in-flight request ids. Untagged messages (the
-    shutdown path and direct protocol tests) are answered bare.
+    The request id lets the coordinator match out-of-order collections
+    against its in-flight requests.
     """
-    if msg[0] == "req":
-        _, rid, inner = msg
-        if inner[0] == "shutdown":
-            conn.send(("resp", rid, ("ok", True)))
-            raise _RankShutdown
-        conn.send(("resp", rid, _rank_reply(inner)))
-        return
-    if msg[0] == "shutdown":
-        conn.send(("ok", True))
+    _, rid, inner = msg
+    if inner[0] == "shutdown":
+        conn.send(("resp", rid, ("ok", True)))
         raise _RankShutdown
-    conn.send(_rank_reply(msg))
+    conn.send(("resp", rid, _rank_reply(inner)))
 
 
 def _rank_main(ready) -> None:
@@ -253,16 +282,16 @@ class _RankHandle:
         self.lock = threading.Lock()
         #: Mirror of which ``(token, part)`` payloads the rank is believed to
         #: hold, so repeat sessions skip the payload pickle. LRU-bounded like
-        #: the rank store, and self-healing through the install ack in both
-        #: directions: a stale entry costs one ``payload=None`` round trip
-        #: that the rank acks False (the payload is then re-sent), a dropped
-        #: entry merely re-ships a payload the rank still had.
+        #: the rank's payload cache, and self-healing through the install ack
+        #: in both directions: a stale entry costs one ``payload=None`` round
+        #: trip that the rank acks False (the payload is then re-sent), a
+        #: dropped entry merely re-ships a payload the rank still had.
         self.known: "OrderedDict[Tuple[str, int], None]" = OrderedDict()  # guarded-by: lock
         #: Request-id source for the multiplexed request/response protocol.
         self.rids = itertools.count(1)  # guarded-by: lock
         #: Unanswered requests, ``rid -> message`` in submission order — the
         #: resend set after a reconnect (every protocol message is idempotent:
-        #: installs/restores/forgets by content, phases by ``seq`` dedup).
+        #: installs/forgets by content, phases by ``seq`` dedup).
         self.outstanding: "OrderedDict[int, tuple]" = OrderedDict()  # guarded-by: lock
         #: Request ids actually written to the *current* connection (cleared
         #: on retire, which is what marks the rest of ``outstanding`` for
@@ -387,8 +416,8 @@ class RankCluster:
 
         After a reconnect ``inflight`` is empty, so this re-sends the whole
         unanswered backlog — safe because every message in the protocol is
-        idempotent (installs/restores/forgets by content, phases by ``seq``
-        dedup). Caller holds ``handle.lock``.
+        idempotent (installs/forgets by content, phases by ``seq`` dedup).
+        Caller holds ``handle.lock``.
         """
         for rid, msg in handle.outstanding.items():
             if rid not in handle.inflight:
@@ -540,7 +569,7 @@ class RankCluster:
                 return
             handle.known[key] = None
             handle.known.move_to_end(key)
-            while len(handle.known) > _B._RESIDENT_PAYLOAD_CAPACITY:
+            while len(handle.known) > _PAYLOAD_CAPACITY:
                 handle.known.popitem(last=False)
 
     # ------------------------------------------------------------------ meters
@@ -567,7 +596,7 @@ class RankCluster:
                 if self._alive(handle):
                     try:
                         conn = self._connection(handle)
-                        conn.send(("shutdown",))
+                        conn.send(("req", next(handle.rids), ("shutdown",)))
                         conn.recv()
                     except TransportError:
                         pass
@@ -620,15 +649,21 @@ if hasattr(os, "register_at_fork"):  # pragma: no branch - POSIX
 
 
 # ------------------------------------------------------------------- sessions
+#: Coordinator-side session keys: a session's rank-side records are keyed by
+#: its number, so concurrent sessions on one layout never collide.
+_SESSION_KEYS = itertools.count(1)
+
+
 class _DistributedResidentSession(ResidentSession):
     """Socket-transport session: part ``i`` resides on rank ``i % nranks``.
 
     Session open ships each part's payload (unless the rank's cache mirror
     says it already holds the layout token) and fresh state; every later
-    superstep ships only ``(token, session, part, fn, delta)`` messages.
+    superstep ships only ``(seq, session, part, fn, delta)`` messages.
     Inherits the logical shipped-bytes accounting unchanged — the logical
     ledger must be bit-identical across backends — while the transport
-    underneath meters the actual socket bytes (see ``measured_stats``).
+    underneath meters the actual socket bytes (see
+    :meth:`DistributedBackend.measured_stats`).
     """
 
     def __init__(
@@ -640,14 +675,14 @@ class _DistributedResidentSession(ResidentSession):
     ) -> None:
         super().__init__(token, payloads, states)
         self._cluster = cluster
-        #: Retained so an LRU-evicted payload can be restored transparently.
+        #: Kept with the initial states for the re-send after a False
+        #: install ack (the rank's payload cache no longer held the part).
         self._payloads = list(payloads)
-        self._key = next(_B._RESIDENT_SESSION_KEYS)
+        self._init_states = list(states)
+        self._key = next(_SESSION_KEYS)
         self._nranks = max(1, min(cluster.nranks, len(payloads)))
         self._seq = 0
         self._closed = False
-        self._stats_open = cluster.stats()
-        self._init_states = list(states)
         by_rank: Dict[int, List[int]] = {}
         for part in range(self.num_parts):
             by_rank.setdefault(part % self._nranks, []).append(part)
@@ -747,39 +782,15 @@ class _DistributedResidentSession(ResidentSession):
             f"{reply[1] if len(reply) > 1 else reply!r}"
         )
 
-    def _resolve_reply(
-        self, rank: int, seq: int, part: int, fn: Callable, delta, reply: tuple
-    ) -> Any:
-        """Turn one phase reply into a result, recovering bounded payload misses."""
-        for _ in range(_B._RESIDENT_MISS_ATTEMPTS):
-            if reply[0] != "miss":
-                break
-            # The rank still holds this part's state but a concurrent
-            # session's installs evicted the payload; restore it and retry
-            # the phase (same seq — the phase never ran, and if a reconnect
-            # replayed it meanwhile the dedup cache answers consistently).
-            self._cluster.request(
-                rank, [("restore", self.token, part, self._payloads[part])]
-            )
-            self._cluster.mark(rank, (self.token, part), present=True)
-            reply = self._cluster.request(
-                rank, [("phase", seq, self.token, self._key, part, fn, delta)]
-            )[0]
-        if reply[0] == "miss":
-            raise RuntimeError(
-                f"payload of part {part} (token {self.token!r}) was evicted "
-                f"again after each of {_B._RESIDENT_MISS_ATTEMPTS} restore attempts — "
-                f"rank {rank}'s payload cache is too crowded for the concurrent "
-                f"sessions sharing it"
-            )
+    def _result(self, part: int, reply: tuple) -> Any:
+        if reply[0] == "result":
+            return reply[1]
         if reply[0] == "error":
             raise RuntimeError(
                 f"rank-side phase of part {part} (token {self.token!r}) "
                 f"failed: {reply[1]}"
             )
-        if reply[0] != "result":
-            raise RuntimeError(f"malformed rank reply {reply!r}")
-        return reply[1]
+        raise RuntimeError(f"malformed rank reply {reply!r}")
 
     # --------------------------------------------------------------------- api
     def _submit(self, fn: Callable, tasks: Sequence[Tuple[int, Any]]) -> Callable[[], List]:
@@ -797,7 +808,7 @@ class _DistributedResidentSession(ResidentSession):
                 self._cluster.submit(
                     rank,
                     [
-                        ("phase", seq, self.token, self._key, part, fn, delta)
+                        ("phase", seq, self._key, part, fn, delta)
                         for part, delta in entries
                     ],
                 ),
@@ -810,12 +821,7 @@ class _DistributedResidentSession(ResidentSession):
             for rank, entries, rids in submitted:
                 for (part, _), reply in zip(entries, self._cluster.collect(rank, rids)):
                     replies_by_part[part] = reply
-            return [
-                self._resolve_reply(
-                    part % self._nranks, seq, part, fn, delta, replies_by_part[part]
-                )
-                for part, delta in tasks
-            ]
+            return [self._result(part, replies_by_part[part]) for part, _ in tasks]
 
         return collect
 
@@ -839,17 +845,6 @@ class _DistributedResidentSession(ResidentSession):
             except (RankDeathError, RuntimeError):
                 # Best effort: a dead/replaced rank has lost the states anyway.
                 pass
-
-    # ------------------------------------------------------------------ meters
-    def measured_stats(self) -> Dict[str, int]:
-        """Measured socket bytes/messages attributable to this session so far.
-
-        Computed as the cluster-meter delta since session open — exact while
-        sessions run sequentially (the drivers' usage pattern); concurrent
-        sessions on the same cluster see a shared total.
-        """
-        now = self._cluster.stats()
-        return {key: now[key] - self._stats_open[key] for key in now}
 
 
 # -------------------------------------------------------------------- backend

@@ -260,12 +260,11 @@ class GraphService:
         Fraction of the vertex count the repair worklist may touch before a
         query falls back to full recompute (the dirty seed is screened
         against the same threshold up front).
-    word_bits:
-        Packed-tuple width of the MIS keys (matches ``kk_mis2``).
 
     Queries (``mis2`` / ``color`` / ``aggregate``) can be called directly
     (synchronous; internally routed through the batching dispatcher) or
-    submitted as futures via :meth:`submit`. Mutations (``add_edges`` /
+    submitted as futures via :meth:`submit`. MIS-2 queries and their repairs
+    use ``kk_mis2``'s 64-bit packed-tuple keys. Mutations (``add_edges`` /
     ``remove_edges`` / ``add_vertices`` / ``remove_vertices``) apply
     immediately under the graph's lock and bump its epoch. :meth:`add_graph`
     canonicalises a graph whose rows are unsorted or hold duplicates,
@@ -280,7 +279,6 @@ class GraphService:
         backend: "Optional[str | ExecutionBackend]" = None,
         parts: Optional[int] = None,
         repair_crossover: float = 0.25,
-        word_bits: int = 64,
     ) -> None:
         if parts is not None and parts < 1:
             raise ValueError("parts must be >= 1")
@@ -289,7 +287,6 @@ class GraphService:
         self._backend = resolve_backend(backend)
         self._parts = parts
         self._crossover = float(repair_crossover)
-        self._word_bits = int(word_bits)
         self._entries: Dict[str, _Entry] = {}  # guarded-by: _entries_lock
         self._entries_lock = threading.RLock()
         self._stats_lock = threading.Lock()
@@ -423,10 +420,7 @@ class GraphService:
                 return (n, n)
             new_n = n + count
             structural = (
-                priority_bits(new_n, self._word_bits)[0]
-                != priority_bits(n, self._word_bits)[0]
-                if n > 0
-                else False
+                priority_bits(new_n)[0] != priority_bits(n)[0] if n > 0 else False
             )
             new_graph = CSRGraph(
                 np.concatenate(
@@ -614,9 +608,7 @@ class GraphService:
     def _keys(self, entry: _Entry, seed: int) -> np.ndarray:  # holds: lock
         keys = entry.keys.get(seed)
         if keys is None:
-            keys = _repair.mis_keys(
-                entry.graph.num_vertices, seed=seed, word_bits=self._word_bits
-            )
+            keys = _repair.mis_keys(entry.graph.num_vertices, seed=seed)
             entry.keys[seed] = keys
         return keys
 
@@ -688,7 +680,6 @@ class GraphService:
             result = kk_mis2(
                 entry.graph,
                 priority_scheme="fixed",
-                word_bits=self._word_bits,
                 seed=int(params.get("seed", 0)),
                 backend=self._backend,
                 partitions=partitions,

@@ -64,17 +64,18 @@ __all__ = [
 ]
 
 
-def mis_keys(num_vertices: int, seed: int = 0, word_bits: int = 64) -> np.ndarray:
+def mis_keys(num_vertices: int, seed: int = 0) -> np.ndarray:
     """The fixed-scheme packed priority keys ``kk_mis2`` orders vertices by.
 
-    Bit-compatible with the kernel: ``(truncated fixed_priority << b) | (v+1)``
+    Bit-compatible with the kernel's default 64-bit packing:
+    ``(truncated fixed_priority << b) | (v+1)``
     via :class:`~repro.hashing.packing.TuplePacking` — the key array *is* the
     initial ``T`` of a fixed-scheme run, so the greedy fixpoint the repair
     engine maintains is the kernel's own total order.
     """
     if num_vertices == 0:
-        return np.zeros(0, dtype=np.uint64 if word_bits == 64 else np.uint32)
-    packer = TuplePacking(num_vertices, word_bits=word_bits)
+        return np.zeros(0, dtype=np.uint64)
+    packer = TuplePacking(num_vertices)
     prios = fixed_priorities(num_vertices, seed=seed).astype(packer.dtype)
     return packer.pack(prios, np.arange(num_vertices, dtype=np.int64))
 

@@ -1,7 +1,5 @@
 """Tests for the ExecutionBackend registry, selection machinery and backends."""
 
-from collections import OrderedDict
-
 import numpy as np
 import pytest
 
@@ -19,7 +17,6 @@ from repro.parallel import (
     resolve_backend,
     set_default_backend,
 )
-from repro.parallel import backends
 from repro.parallel.backends import _REGISTRY
 
 
@@ -146,53 +143,6 @@ class TestWithJobs:
         assert clone is not B
         assert clone.threads == 2
         assert B.threads is None
-
-
-def _install(token, part, payload, session_key, state):
-    """Shorthand for the worker-side install task, called in-process."""
-    return backends._resident_install((token, part, payload, session_key, state))
-
-
-class TestResidentInstallEviction:
-    """Regression tests for the LRU eviction scan of ``_resident_install``."""
-
-    @pytest.fixture(autouse=True)
-    def _isolated_store(self, monkeypatch):
-        monkeypatch.setattr(backends, "_RESIDENT_PAYLOADS", OrderedDict())
-        monkeypatch.setattr(backends, "_RESIDENT_STATES", {})
-        monkeypatch.setattr(backends, "_RESIDENT_PAYLOAD_CAPACITY", 3)
-
-    def test_protected_head_entry_does_not_block_eviction(self):
-        # Interleave two tokens past capacity so the installing token's own
-        # entry sits at the LRU head when capacity is exceeded. The eviction
-        # scan used to *stop* at that protected head entry, leaving the store
-        # over capacity with token B's stale payloads parked behind it forever.
-        _install("A", 0, "pA0", 1, "sA0")
-        _install("B", 0, "pB0", 2, "sB0")
-        _install("B", 1, "pB1", 2, "sB1")
-        _install("A", 1, "pA1", 1, "sA1")  # head is now ("A", 0): protected
-        store = backends._RESIDENT_PAYLOADS
-        assert len(store) <= backends._RESIDENT_PAYLOAD_CAPACITY
-        # The oldest *other-token* entry was evicted; A's entries survive.
-        assert ("B", 0) not in store
-        assert set(store) == {("A", 0), ("B", 1), ("A", 1)}
-
-    def test_installing_token_never_evicts_its_own_parts(self):
-        # A session with more parts than capacity must keep every one of its
-        # own payloads resident (over capacity is the lesser evil — evicting a
-        # live session's parts would make it thrash within a single superstep).
-        for part in range(5):
-            _install("A", part, f"p{part}", 1, f"s{part}")
-        store = backends._RESIDENT_PAYLOADS
-        assert set(store) == {("A", part) for part in range(5)}
-
-    def test_eviction_is_oldest_first_among_unprotected(self):
-        _install("B", 0, "pB0", 2, "sB0")
-        _install("C", 0, "pC0", 3, "sC0")
-        _install("B", 1, "pB1", 2, "sB1")
-        _install("A", 0, "pA0", 1, "sA0")
-        assert ("B", 0) not in backends._RESIDENT_PAYLOADS  # oldest went first
-        assert ("C", 0) in backends._RESIDENT_PAYLOADS
 
 
 def test_every_registered_backend_is_an_execution_backend():

@@ -4,11 +4,12 @@ The partition-equivalence matrix already drives ``backend=distributed``
 through every kernel x k combination (it enumerates all registered
 backends); this file covers what the matrix cannot see — the wire itself:
 measured-vs-logical byte correspondence, reconnect after transient
-connection loss, exactly-once phase replay, payload-miss recovery, and the
-rank-death story.
+connection loss, exactly-once phase replay, the rank-side store (a running
+session never depends on the payload cache), and the rank-death story.
 """
 
-import itertools
+from collections import OrderedDict
+from contextlib import ExitStack
 
 import numpy as np
 import pytest
@@ -26,7 +27,8 @@ from repro.parallel import (
 )
 from repro.parallel import backends as backends_mod
 from repro.parallel import distributed as distributed_mod
-from repro.parallel.transport import MessageConnection, MessageListener, connect_with_retry
+from repro.parallel.distributed import RankCluster
+from repro.parallel.transport import MessageListener, connect_with_retry
 
 
 # ---- module-level task functions (pickled by reference to rank processes)
@@ -55,6 +57,10 @@ def _make_session(backend, token, parts=4, n=8):
     payloads = [{"w": np.arange(n, dtype=np.int64) + part} for part in range(parts)]
     states = [{"acc": np.zeros(n, dtype=np.int64)} for _ in range(parts)]
     return payloads, backend.map_partitions_resident(token, payloads, states)
+
+
+def _messages_sent(backend):
+    return backend.measured_stats()["messages_sent"]
 
 
 class TestTransport:
@@ -151,9 +157,9 @@ class TestDistributedSession:
         with session:
             # The first phase also resolves the pipelined install acks.
             session.run(_weighted_sum, [(part, 1) for part in range(4)])
-            before = session.measured_stats()
+            before = B.measured_stats()
             session.run(_weighted_sum, [(0, 1), (1, 1), (3, 1)])
-            after = session.measured_stats()
+            after = B.measured_stats()
         assert after["messages_sent"] - before["messages_sent"] == 3
         assert after["messages_received"] - before["messages_received"] == 3
 
@@ -196,6 +202,16 @@ class TestDistributedSession:
         outs = ChunkedBackend(processes=2).map_graphs(_session_in_worker, [1, 2])
         assert outs == [("_LocalResidentSession", [[0, 1, 2, 3], [1, 2, 3, 4]], [])] * 2
 
+    def test_shutdown_stops_ranks_in_order(self):
+        # Shutdown travels in the request form like every other message; a
+        # rank that did not understand it would die of the malformed frame
+        # (nonzero exit code) or be terminated (negative exit code).
+        cluster = RankCluster(1)
+        assert cluster.ping() == {0: True}
+        process = cluster._handles[0].process
+        cluster.shutdown()
+        assert process.exitcode == 0
+
 
 class TestExactlyOnce:
     def test_replayed_phase_message_is_answered_from_the_dedup_cache(self):
@@ -215,8 +231,7 @@ class TestExactlyOnce:
             for part in range(parts):
                 rank = part % session._nranks
                 (reply,) = cluster.request(
-                    rank,
-                    [("phase", seq, token, session._key, part, _count_calls, None)],
+                    rank, [("phase", seq, session._key, part, _count_calls, None)]
                 )
                 # Replay returns the cached result; the counter did not move.
                 assert reply == ("result", 1)
@@ -290,102 +305,129 @@ class TestFaultInjection:
         assert np.array_equal(again.in_set, reference.in_set)
 
 
-class _MissingPayloadCluster:
-    """One-rank stand-in for :class:`RankCluster` whose rank answers the
-    first ``misses`` phase messages with ``("miss",)``, as a rank whose
-    payload concurrent sessions keep evicting would. It counts restores."""
+class TestRunningSessionsOwnTheirPayloads:
+    """A session's rank-side record holds its payload, so however crowded
+    the rank's payload cache gets, each task of a phase is one message."""
 
-    nranks = 1
+    #: Sessions competing for the ranks' payload caches: more two-part
+    #: sessions than the 16 payloads each of the two ranks caches.
+    CROWD = 20
 
-    def __init__(self, misses):
-        self.misses = misses
-        self.restores = 0
-        self._parts = {}
-        self._replies = {}
-        self._rids = itertools.count()
-
-    def stats(self):
-        return dict.fromkeys(
-            ("bytes_sent", "bytes_received", "messages_sent", "messages_received"), 0
-        )
-
-    def known(self, rank, key):
-        return False
-
-    def mark(self, rank, key, present):
-        pass
-
-    def _reply(self, msg):
-        if msg[0] == "install":
-            _, _, part, payload, _, state = msg
-            self._parts[part] = (payload, state)
-        elif msg[0] == "restore":
-            self.restores += 1
-        elif msg[0] == "phase":
-            if self.misses:
-                self.misses -= 1
-                return ("miss",)
-            _, _, _, _, part, fn, delta = msg
-            return ("result", fn(*self._parts[part], delta))
-        return ("ok", True)
-
-    def submit(self, rank, messages):
-        rids = [next(self._rids) for _ in messages]
-        for rid, msg in zip(rids, messages):
-            self._replies[rid] = self._reply(msg)
-        return rids
-
-    def collect(self, rank, rids):
-        return [self._replies.pop(rid) for rid in rids]
-
-    def request(self, rank, messages):
-        return self.collect(rank, self.submit(rank, messages))
-
-
-class TestPayloadMissRecovery:
-    """A phase that finds its payload evicted restores it and retries."""
-
-    @staticmethod
-    def _session(cluster, token):
-        payloads = [{"w": np.arange(3, dtype=np.int64)}]
-        states = [{"acc": np.zeros(3, dtype=np.int64)}]
-        return distributed_mod._DistributedResidentSession(cluster, token, payloads, states)
-
-    def test_evicted_payloads_are_restored_and_state_continues(self):
-        # Crowd both ranks with more other tokens than their payload stores
-        # hold, so the victim session's payloads are evicted while its states
-        # (session-keyed, not LRU) survive.
+    def test_evicted_session_sends_one_message_per_task(self):
         B = get_backend("distributed")
-        _, victim = _make_session(B, "tok/test-dist/victim", parts=2)
-        with victim:
-            victim.run(_weighted_sum, [(0, 1), (1, 1)])
-            for n in range(backends_mod._RESIDENT_PAYLOAD_CAPACITY + 4):
+        token = "tok/test-dist/victim"
+        _, victim = _make_session(B, token, parts=2)
+        _, ref = _make_session(get_backend("numpy"), token, parts=2)
+        with victim, ref:
+            for session in (victim, ref):
+                session.run(_weighted_sum, [(0, 1), (1, 1)])
+            for n in range(self.CROWD):
                 _, crowd = _make_session(B, f"tok/test-dist/crowd-{n}", parts=2)
                 with crowd:
                     crowd.run(_weighted_sum, [(0, 0), (1, 0)])
-            before = victim.measured_stats()["messages_sent"]
+            # The coordinator's mirror of each rank's cache confirms that the
+            # crowd evicted the victim's payloads.
+            cluster = victim._cluster
+            assert not any(
+                cluster.known(part % victim._nranks, (token, part)) for part in range(2)
+            )
+            before = _messages_sent(B)
             got = victim.run(_weighted_sum, [(0, 2), (1, 2)])
-            sent = victim.measured_stats()["messages_sent"] - before
-        for part, acc in enumerate(got):
-            assert np.array_equal(acc, (np.arange(8) + part) * 3)
-        # Each evicted part costs exactly one restore and one re-sent phase
-        # on top of its phase message.
-        assert sent == 2 * 3
+            sent = _messages_sent(B) - before
+            want = ref.run(_weighted_sum, [(0, 2), (1, 2)])
+        assert sent == 2
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
 
-    def test_recovers_while_fewer_retries_than_the_bound_miss(self):
-        attempts = backends_mod._RESIDENT_MISS_ATTEMPTS
-        cluster = _MissingPayloadCluster(misses=attempts)
-        with self._session(cluster, "tok/test-dist/miss-recovers") as session:
-            (acc,) = session.run(_weighted_sum, [(0, 5)])
-        assert np.array_equal(acc, np.arange(3) * 5)
-        assert cluster.restores == attempts
+    def test_interleaved_sessions_send_one_message_per_task(self):
+        B = get_backend("distributed")
+        with ExitStack() as stack:
+            pairs = []
+            for n in range(self.CROWD):
+                token = f"tok/test-dist/interleave-{n}"
+                pairs.append(
+                    tuple(
+                        stack.enter_context(_make_session(backend, token, parts=2)[1])
+                        for backend in (B, get_backend("numpy"))
+                    )
+                )
+            sent = []
+            for delta in (1, 2):
+                for n, (session, ref) in enumerate(pairs):
+                    tasks = [(0, delta + n), (1, delta)]
+                    before = _messages_sent(B)
+                    got = session.run(_weighted_sum, tasks)
+                    sent.append(_messages_sent(B) - before)
+                    for g, w in zip(got, ref.run(_weighted_sum, tasks)):
+                        assert np.array_equal(g, w)
+        assert sent == [2] * (2 * self.CROWD)
 
-    def test_gives_up_after_the_bounded_restores(self):
-        cluster = _MissingPayloadCluster(misses=10**6)
-        with self._session(cluster, "tok/test-dist/miss-exhausted") as session:
-            with pytest.raises(RuntimeError, match="evicted again after each of"):
-                session.run(_weighted_sum, [(0, 5)])
-        assert cluster.restores == backends_mod._RESIDENT_MISS_ATTEMPTS
+
+class TestRankStore:
+    """The rank-side store, run in-process: ``_install`` and the phase and
+    forget dispatch of ``_rank_reply``."""
+
+    @pytest.fixture(autouse=True)
+    def _isolated_store(self, monkeypatch):
+        monkeypatch.setattr(distributed_mod, "_PAYLOADS", OrderedDict())
+        monkeypatch.setattr(distributed_mod, "_SESSIONS", {})
+        monkeypatch.setattr(distributed_mod, "_PHASE_DONE", OrderedDict())
+        monkeypatch.setattr(distributed_mod, "_PAYLOAD_CAPACITY", 3)
+
+    @staticmethod
+    def _cached():
+        return list(distributed_mod._PAYLOADS)
+
+    def test_eviction_is_oldest_first(self):
+        install = distributed_mod._install
+        install("B", 0, "pB0", 2, "sB0")
+        install("A", 0, "pA0", 1, "sA0")
+        install("C", 0, "pC0", 3, "sC0")
+        install("A", 1, "pA1", 1, "sA1")
+        assert self._cached() == [("A", 0), ("C", 0), ("A", 1)]
+        # The installing token's own older parts are no exception.
+        install("A", 2, "pA2", 1, "sA2")
+        assert self._cached() == [("C", 0), ("A", 1), ("A", 2)]
+        # A session that reuses a cached payload refreshes it.
+        assert install("C", 0, None, 4, "sC0'")
+        install("D", 0, "pD0", 5, "sD0")
+        assert self._cached() == [("A", 2), ("C", 0), ("D", 0)]
+        assert distributed_mod._SESSIONS[(4, 0)] == ("pC0", "sC0'")
+
+    def test_cache_never_holds_more_than_its_capacity(self):
+        # Sessions with more parts than the cache holds, one after the other.
+        for token in ("A", "B"):
+            for part in range(5):
+                assert distributed_mod._install(token, part, f"p{token}{part}", ord(token), part)
+                assert len(distributed_mod._PAYLOADS) <= 3
+        # Every session still holds a record for every one of its parts.
+        assert distributed_mod._SESSIONS == {
+            (ord(token), part): (f"p{token}{part}", part)
+            for token in ("A", "B")
+            for part in range(5)
+        }
+
+    def test_evicted_payload_still_answers_its_phase(self):
+        payload = {"w": np.arange(3, dtype=np.int64)}
+        state = {"acc": np.zeros(3, dtype=np.int64)}
+        distributed_mod._install("A", 0, payload, 7, state)
+        for token in ("B", "C", "D"):
+            distributed_mod._install(token, 0, "p", 8, "s")
+        assert ("A", 0) not in distributed_mod._PAYLOADS
+        kind, acc = distributed_mod._rank_reply(("phase", 1, 7, 0, _weighted_sum, 2))
+        assert kind == "result" and np.array_equal(acc, np.arange(3) * 2)
+        # The forget drops the record: the session's parts are gone.
+        assert distributed_mod._rank_reply(("forget", 7, [0])) == ("ok", True)
+        kind, message = distributed_mod._rank_reply(("phase", 2, 7, 0, _weighted_sum, 2))
+        assert kind == "error" and "lost its store" in message
+
+    def test_skipped_payload_of_an_evicted_key_stores_nothing(self):
+        distributed_mod._install("A", 0, "pA0", 1, "sA0")
+        for token in ("B", "C", "D"):
+            distributed_mod._install(token, 0, "p", 2, "s")
+        assert distributed_mod._rank_reply(("install", "A", 0, None, 9, "sA0'")) == ("ok", False)
+        assert (9, 0) not in distributed_mod._SESSIONS
+        assert ("A", 0) not in distributed_mod._PAYLOADS
 
 
 class TestMeasuredVsLogicalBytes:
@@ -479,26 +521,22 @@ class TestPhaseDedupCacheBound:
         # answer from cache.
         monkeypatch.setattr(distributed_mod, "_PHASE_DONE_CAPACITY", 8)
         distributed_mod._PHASE_DONE.clear()
-        token, key = "tok/test-dist/bound", 987654321
-        backends_mod._resident_install(
-            (token, 0, {"w": np.arange(2)}, key, {"calls": 0})
-        )
+        key = 987654321
+        distributed_mod._install("tok/test-dist/bound", 0, {"w": np.arange(2)}, key, {"calls": 0})
         try:
             for seq in range(1, 21):
-                reply = distributed_mod._rank_reply(
-                    ("phase", seq, token, key, 0, _count_calls, None)
-                )
+                reply = distributed_mod._rank_reply(("phase", seq, key, 0, _count_calls, None))
                 assert reply == ("result", seq)
             assert len(distributed_mod._PHASE_DONE) <= 8
             # The newest phase is still answered from cache (no re-run)...
             assert distributed_mod._rank_reply(
-                ("phase", 20, token, key, 0, _count_calls, None)
+                ("phase", 20, key, 0, _count_calls, None)
             ) == ("result", 20)
             # ...while a long-evicted seq re-runs (it can only be replayed
             # this late in tests — a real coordinator keeps a handful of
             # in-flight phases, far below the capacity).
             assert distributed_mod._rank_reply(
-                ("phase", 1, token, key, 0, _count_calls, None)
+                ("phase", 1, key, 0, _count_calls, None)
             ) == ("result", 21)
         finally:
             distributed_mod._rank_reply(("forget", key, [0]))
