@@ -36,7 +36,8 @@ class ColoringResult:
     num_colors: int
     #: Number of speculative rounds executed.
     rounds: int
-    #: Memory-traffic counter (for the cost model).
+    #: Memory-traffic counter (for the cost model). A partitioned run records
+    #: no kernels here; its halo traffic is in ``partition_stats``.
     traffic: TrafficCounter = field(default_factory=TrafficCounter)
     #: Distance of the coloring (1 or 2).
     distance: int = 1

@@ -37,7 +37,6 @@ def luby_mis1(
     priority_scheme: Union[str, PriorityScheme] = PriorityScheme.XORSTAR,
     seed: int = 0,
     backend: "Optional[str | ExecutionBackend]" = None,
-    partitions=None,
 ) -> MISResult:
     """Compute a distance-1 maximal independent set with Luby's Algorithm A.
 
@@ -53,21 +52,7 @@ def luby_mis1(
         Seed for the fixed-priority scheme.
     backend:
         Execution backend (name or instance); ``None`` uses the default.
-    partitions:
-        When not ``None``, shard the run within the graph (part count, label
-        array or layout); the partition-parallel driver is bit-identical to
-        the unpartitioned kernel.
     """
-    if partitions is not None:
-        from ..parallel.partitioned import partitioned_luby_mis1
-
-        return partitioned_luby_mis1(
-            graph,
-            partitions,
-            priority_scheme=priority_scheme,
-            seed=seed,
-            backend=backend,
-        )
     scheme = PriorityScheme.coerce(priority_scheme)
     B = resolve_backend(backend)
     n = graph.num_vertices

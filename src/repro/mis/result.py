@@ -61,7 +61,8 @@ class MISResult:
         Per-iteration ``(len(worklist1), len(worklist2))`` pairs (for the worklist
         ablation; algorithms without worklists record the full vertex count).
     traffic:
-        Memory-traffic counter used by the device cost model.
+        Memory-traffic counter used by the device cost model. A partitioned run
+        records no kernels here; its halo traffic is in ``partition_stats``.
     config:
         The :class:`MISConfig` the run used.
     """

@@ -85,7 +85,6 @@ from .partitioned import (
     partition_vertices,
     partitioned_greedy_color,
     partitioned_kk_mis2,
-    partitioned_luby_mis1,
 )
 
 __all__ = [
@@ -127,7 +126,6 @@ __all__ = [
     "partition_vertices",
     "partitioned_greedy_color",
     "partitioned_kk_mis2",
-    "partitioned_luby_mis1",
     "DeviceSpec",
     "DEVICES",
     "device",

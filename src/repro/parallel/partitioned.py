@@ -72,11 +72,10 @@ __all__ = [
     "partition_vertices",
     "partitioned_greedy_color",
     "partitioned_kk_mis2",
-    "partitioned_luby_mis1",
 ]
 
-#: Accepted ``partitions=`` specifications: a part count, an explicit per-vertex
-#: label array, or a prebuilt layout.
+#: Accepted ``partitions=`` specifications: a part count, an explicit integer
+#: per-vertex label array, or a prebuilt layout.
 PartitionSpec = Union[int, np.integer, np.ndarray, Sequence[int], "PartitionLayout"]
 
 #: How far a layout's part count may exceed its vertex count before it is
@@ -365,10 +364,11 @@ def build_partition_layout(graph: CSRGraph, partitions: PartitionSpec) -> Partit
     """Resolve a ``partitions=`` specification into a :class:`PartitionLayout`.
 
     ``partitions`` may be a part count (labels come from
-    :func:`partition_vertices`), an explicit per-vertex label array (labels in
-    ``[0, max+1)``; empty parts are allowed), or an existing layout (returned
-    unchanged; a layout whose owned rows are not ``graph``'s raises
-    ``ValueError``).
+    :func:`partition_vertices`), an explicit integer per-vertex label array
+    (labels in ``[0, max+1)``; empty parts are allowed), or an existing layout
+    (returned unchanged; a layout whose owned rows are not ``graph``'s raises
+    ``ValueError``). Anything else, such as a float count or float or bool
+    labels, raises ``ValueError``.
 
     A part count's layout is built once per graph object and kept on the
     graph, which is immutable: every later call with the same count returns
@@ -382,7 +382,7 @@ def build_partition_layout(graph: CSRGraph, partitions: PartitionSpec) -> Partit
         if graph._layouts.get(partitions.num_parts) is not partitions:
             _check_layout(graph, partitions)
         return partitions
-    if isinstance(partitions, (int, np.integer)):
+    if isinstance(partitions, (int, np.integer)) and not isinstance(partitions, bool):
         num_parts = int(partitions)
         layout = graph._layouts.get(num_parts)
         if layout is None:
@@ -394,7 +394,16 @@ def build_partition_layout(graph: CSRGraph, partitions: PartitionSpec) -> Partit
             layout = graph._layouts.setdefault(num_parts, layout)
         return layout
     n = graph.num_vertices
-    labels = np.asarray(partitions, dtype=np.int64)
+    labels = np.asarray(partitions)
+    # A cast to int64 would truncate float labels and turn bools into parts
+    # 0/1, silently running another partition than the caller asked for.
+    if labels.ndim == 0 or (labels.size and labels.dtype.kind not in "iu"):
+        raise ValueError(
+            "partitions must be a part count, an integer per-vertex label array "
+            f"or a PartitionLayout (got a {labels.dtype} "
+            f"{'scalar' if labels.ndim == 0 else 'array'})"
+        )
+    labels = np.asarray(labels, dtype=np.int64)
     if labels.shape != (n,):
         raise ValueError(
             f"partition labels must have one entry per vertex "
@@ -571,59 +580,6 @@ def _kk_decide(payload, state, delta):
     return newT
 
 
-def _luby_priorities(payload, state, delta):
-    from ..hashing.priorities import fixed_priorities
-    from ..hashing.xorshift import hash_iter_vertex
-
-    cand_local, rounds = delta
-    scheme = PriorityScheme.coerce(payload["scheme"])
-    vertices = payload["ids"][cand_local]
-    if scheme is PriorityScheme.FIXED:
-        out = fixed_priorities(payload["n"], seed=payload["seed"])[vertices]
-    else:
-        out = hash_iter_vertex(rounds, vertices, star=(scheme is PriorityScheme.XORSTAR))
-    state["priority"][cand_local] = out
-    return out
-
-
-def _luby_select(payload, state, delta):
-    cand_local, status_halo, prio_halo = delta
-    status, prio = state["status"], state["priority"]
-    halo_local = payload["halo_local"]
-    status[halo_local] = status_halo
-    prio[halo_local] = prio_halo
-    ids = payload["ids"]
-    prio_max = np.uint64(np.iinfo(np.uint64).max)
-    id_max = np.int64(np.iinfo(np.int64).max)
-    slots, seg = _ref.expand_rows(payload["rowmap"], cand_local)
-    nbr = payload["entries"][slots]
-    nbr_undecided = status[nbr] == payload["undecided"]
-    nbr_prio = np.where(nbr_undecided, prio[nbr], prio_max)
-    nbr_id = np.where(nbr_undecided, ids[nbr], id_max)
-    min_p, min_i = _ref.segmented_lexmin([nbr_prio, nbr_id], seg, [prio_max, id_max])
-    own = prio[cand_local]
-    cand_global = ids[cand_local]
-    own_better = (own < min_p) | ((own == min_p) & (cand_global < min_i))
-    winners_local = cand_local[own_better]
-    status[winners_local] = payload["in_value"]
-    return ids[winners_local]
-
-
-def _luby_remove(payload, state, delta):
-    remaining_local, status_halo = delta
-    status = state["status"]
-    status[payload["halo_local"]] = status_halo
-    slots, seg = _ref.expand_rows(payload["rowmap"], remaining_local)
-    losers = np.asarray(
-        _ref.segmented_any_equal(
-            status[payload["entries"][slots]], payload["in_value"], seg
-        ),
-        dtype=bool,
-    )
-    status[remaining_local[losers]] = payload["out_value"]
-    return losers
-
-
 def _color_assign(payload, state, delta):
     from ..coloring.greedy import _speculative_assign
 
@@ -666,25 +622,6 @@ def _scatter(arr: np.ndarray, vertices: List[np.ndarray], live: List[int], outs)
     """Write each live part's phase results into the shared global array."""
     for i, out in zip(live, outs):
         arr[vertices[i]] = out
-
-
-def _exchange_traffic(
-    traffic: TrafficCounter,
-    layout: PartitionLayout,
-    value_bytes: int,
-    parts: Sequence[int],
-) -> None:
-    """Account one ghost exchange: the *live* parts re-read their halo values.
-
-    A part whose worklist has emptied runs no further phases and re-reads
-    nothing, so charging the full ``layout.halo_vertices`` every exchange (as
-    this used to) overstates the modelled ghost traffic more and more as
-    parts converge. ``parts`` are the indices of the parts participating in
-    the exchange — deterministic driver state, so the modelled counts stay
-    identical on every backend.
-    """
-    nbytes = value_bytes * sum(layout.parts[i].num_halo for i in parts)
-    traffic.add("ghost_exchange", bytes_read=nbytes, bytes_written=nbytes)
 
 
 def partitioned_kk_mis2(
@@ -746,7 +683,6 @@ def partitioned_kk_mis2(
 
     packer = TuplePacking(n, word_bits=word_bits)
     OUT = packer.out_value
-    word_bytes = packer.dtype.itemsize
     T = packer.pack(np.zeros(n, dtype=packer.dtype), np.arange(n, dtype=np.int64))
     M = np.full(n, OUT, dtype=packer.dtype)
     members = layout.parts
@@ -783,7 +719,6 @@ def partitioned_kk_mis2(
             # ------------------------------------ Refresh Row (owner-local)
             outs = session.run(_kk_refresh_row, [(i, (w1_loc[i], iteration)) for i in live1])
             _scatter(T, w1, live1, outs)
-            _exchange_traffic(traffic, layout, word_bytes, live2)
 
             # --------------------------------- Refresh Column (reads ghost T)
             outs = session.run(
@@ -791,7 +726,6 @@ def partitioned_kk_mis2(
                 [(i, (members[i].local(w2[i]), T[members[i].halo])) for i in live2],
             )
             _scatter(M, w2, live2, outs)
-            _exchange_traffic(traffic, layout, word_bytes, live1)
 
             # ------------------------------------ Decide (reads ghost M)
             outs = session.run(
@@ -815,141 +749,6 @@ def partitioned_kk_mis2(
         in_mask=in_mask,
         iterations=iteration,
         worklist_sizes=worklist_sizes,
-        traffic=traffic,
-        config=config,
-        partition_stats=layout.stats(
-            session.supersteps, session=session, elapsed_seconds=elapsed
-        ),
-    )
-
-
-def partitioned_luby_mis1(
-    graph: CSRGraph,
-    partitions: PartitionSpec,
-    priority_scheme: Union[str, PriorityScheme] = PriorityScheme.XORSTAR,
-    seed: int = 0,
-    backend: "Optional[str | ExecutionBackend]" = None,
-):
-    """Luby's Algorithm A executed partition-parallel; bit-identical to
-    :func:`luby_mis1`.
-
-    Each round runs three supersteps: priority refresh (owner-local), winner
-    selection (reads ghost priorities and statuses) and neighbour removal
-    (owner-computes: an undecided owned vertex goes OUT when any neighbour —
-    local or ghost — just joined the set). Each is one
-    :meth:`ResidentSession.run` barrier over the live parts; the per-part
-    CSR ships once, and every phase ships the part's candidates as local
-    indices plus the halo of each array it reads.
-    """
-    import math
-
-    from ..mis.luby import _IN, _OUT, _UNDECIDED
-    from ..mis.result import MISConfig, MISResult
-
-    scheme = PriorityScheme.coerce(priority_scheme)
-    B = resolve_backend(backend)
-    layout = build_partition_layout(graph, partitions)
-    n = graph.num_vertices
-    config = MISConfig(
-        algorithm="luby",
-        k=1,
-        priority_scheme=scheme.value,
-        use_worklists=True,
-        packed_tuples=False,
-        simd=False,
-        seed=seed,
-        backend=B.name,
-        partitions=layout.num_parts,
-    )
-    traffic = TrafficCounter(backend=B.name)
-    if n == 0:
-        return MISResult(
-            in_set=np.zeros(0, dtype=np.int64),
-            in_mask=np.zeros(0, dtype=bool),
-            iterations=0,
-            traffic=traffic,
-            config=config,
-            partition_stats=layout.stats(0),
-        )
-
-    members = layout.parts
-    status = np.full(n, _UNDECIDED, dtype=np.uint8)
-    priority = np.zeros(n, dtype=np.uint64)
-    rounds = 0
-    max_rounds = 20 * max(4, int(math.log2(n + 2))) + 64
-
-    payloads = [
-        _resident_payload(
-            p,
-            n=n,
-            scheme=scheme.value,
-            seed=seed,
-            undecided=_UNDECIDED,
-            in_value=_IN,
-            out_value=_OUT,
-        )
-        for p in members
-    ]
-    states = [{"status": status[p.ids], "priority": priority[p.ids]} for p in members]
-    token = f"{layout.token}/luby1/{scheme.value}/s{seed}"
-    session = B.map_partitions_resident(token, payloads, states)
-    t0 = time.perf_counter()
-    try:
-        while np.any(status == _UNDECIDED):
-            if rounds >= max_rounds:
-                raise RuntimeError(
-                    f"partitioned Luby MIS-1 did not converge within {max_rounds} rounds"
-                )
-            cand = [p.owned[status[p.owned] == _UNDECIDED] for p in members]
-            live = _live(cand)
-            cand_loc = {i: members[i].local(cand[i]) for i in live}
-
-            # ------------------------------------ priorities (owner-local)
-            outs = session.run(_luby_priorities, [(i, (cand_loc[i], rounds)) for i in live])
-            _scatter(priority, cand, live, outs)
-            _exchange_traffic(traffic, layout, 8, live)
-
-            # --------------------------- selection (reads ghost priorities)
-            outs = session.run(
-                _luby_select,
-                [
-                    (i, (cand_loc[i], status[members[i].halo], priority[members[i].halo]))
-                    for i in live
-                ],
-            )
-            for winners in outs:
-                status[winners] = _IN
-
-            # ------------------------------ removal (reads ghost statuses)
-            remaining = {i: cand[i][status[cand[i]] == _UNDECIDED] for i in live}
-            live_r = [i for i in live if remaining[i].size]
-            _exchange_traffic(traffic, layout, 1, live_r)
-            outs = session.run(
-                _luby_remove,
-                [
-                    (i, (members[i].local(remaining[i]), status[members[i].halo]))
-                    for i in live_r
-                ],
-            )
-            for i, losers in zip(live_r, outs):
-                status[remaining[i][losers]] = _OUT
-            # The removal phase's OUT statuses are re-ghosted for the next
-            # round's selection snapshot — account that exchange over the
-            # parts that will actually read it, i.e. those with undecided
-            # owned candidates left (next round's live set: a candidate can
-            # only stay undecided if it was one this round).
-            live_next = [i for i in live if np.any(status[cand[i]] == _UNDECIDED)]
-            _exchange_traffic(traffic, layout, 1, live_next)
-            rounds += 1
-    finally:
-        session.close()
-    elapsed = time.perf_counter() - t0
-
-    in_mask = status == _IN
-    return MISResult(
-        in_set=np.nonzero(in_mask)[0].astype(np.int64),
-        in_mask=in_mask,
-        iterations=rounds,
         traffic=traffic,
         config=config,
         partition_stats=layout.stats(
@@ -1018,7 +817,6 @@ def partitioned_greedy_color(
                 _color_assign, [(i, (wl_loc[i], colors[members[i].halo])) for i in live]
             )
             _scatter(colors, worklists, live, outs)
-            _exchange_traffic(traffic, layout, 8, live)
 
             # ------------------- conflicts (reads freshly ghosted colors)
             outs = session.run(
@@ -1028,11 +826,6 @@ def partitioned_greedy_color(
             for i, losers in zip(live, outs):
                 colors[losers] = -1
                 worklists[i] = losers
-            # The conflict phase's -1 resets are re-ghosted for the next round's
-            # speculation snapshot, so this round carries two exchanges like the
-            # other kernels' ghost-reading phase pairs — read by exactly the
-            # parts whose worklists survived into that round.
-            _exchange_traffic(traffic, layout, 8, _live(worklists))
             rounds += 1
     finally:
         session.close()

@@ -161,7 +161,7 @@ def test_experiment_counts_identical_across_all_backends():
 
 # --------------------------------------------------------------------------
 # Partition-equivalence matrix: every registered backend × k ∈ {1, 2, 4, 7} ×
-# {kk, luby, greedy coloring, mis2_agg} must produce output bit-identical to
+# {kk, greedy coloring, mis2_agg} must produce output bit-identical to
 # the *unpartitioned* NumPy reference — the intra-graph sharding contract of
 # repro.parallel.partitioned. Pooled backends run two wide so the resident
 # sessions genuinely fan out (threaded: thread pool; distributed: two rank
@@ -197,18 +197,6 @@ def test_partitioned_kk_mis2_bit_identical(partition_backend, graph_name, k):
     stats = out.partition_stats
     assert stats is not None and stats.num_parts == k
     assert stats.interior_vertices + stats.boundary_vertices == g.num_vertices
-
-
-@pytest.mark.parametrize("k", PARTITION_KS)
-@pytest.mark.parametrize("graph_name", PARTITION_GRAPHS)
-def test_partitioned_luby_mis1_bit_identical(partition_backend, graph_name, k):
-    g = SMALL_GRAPH_CASES[graph_name]
-    ref = luby_mis1(g)
-    out = luby_mis1(g, partitions=k, backend=partition_backend)
-    assert np.array_equal(ref.in_set, out.in_set)
-    assert np.array_equal(ref.in_mask, out.in_mask)
-    assert ref.iterations == out.iterations
-    assert out.config.partitions == k
 
 
 @pytest.mark.parametrize("k", PARTITION_KS)
@@ -257,9 +245,56 @@ def test_partitioned_kk_every_small_graph(session, graph_name, k):
     assert ref.worklist_sizes == out.worklist_sizes
 
 
+#: kk's non-default options, each a field of the resident payload and of the
+#: session token: Table I's hash scheme without the star, the fixed scheme
+#: under a nonzero seed (the service's MIS-2 query) and the paper's 32-bit
+#: packed tuples.
+_KK_OPTIONS = {
+    "xor": {"priority_scheme": "xor"},
+    "fixed-s3": {"priority_scheme": "fixed", "seed": 3},
+    "w32": {"word_bits": 32},
+}
+
+
+@pytest.mark.parametrize("k", (1, 2, 3, 4, 5, 7, 8))
+@pytest.mark.parametrize("graph_name", sorted(SMALL_GRAPH_CASES))
+@pytest.mark.parametrize("option", sorted(_KK_OPTIONS))
+@pytest.mark.parametrize("session", sorted(_EVERY_GRAPH_SESSIONS))
+def test_partitioned_kk_options_every_small_graph(session, option, graph_name, k):
+    """The exhaustive graph coverage again, for each option the parts read
+    from their payload instead of the default xorstar, seed 0, 64 bits."""
+    options = _KK_OPTIONS[option]
+    g = SMALL_GRAPH_CASES[graph_name]
+    ref = kk_mis2(g, **options)
+    out = kk_mis2(g, partitions=k, backend=_EVERY_GRAPH_SESSIONS[session], **options)
+    assert np.array_equal(ref.in_set, out.in_set)
+    assert ref.iterations == out.iterations
+    assert ref.worklist_sizes == out.worklist_sizes
+    assert out.config.priority_scheme == ref.config.priority_scheme
+    assert (out.config.seed, out.config.word_bits) == (ref.config.seed, ref.config.word_bits)
+
+
+@pytest.mark.parametrize("graph_name", PARTITION_GRAPHS)
+def test_kk_options_on_one_layout_each_match_flat(partition_backend, graph_name):
+    """Calls that differ only in a kk option share the layout but not the
+    payload: each runs under its own session token, so on the distributed
+    ranks none may reuse the payload another option cached. Every call, the
+    default's cold and warm runs around the others included, equals its
+    flat run. The fixed scheme under seed 0 runs after seed 3, so only the
+    seed tells their tokens apart."""
+    g = SMALL_GRAPH_CASES[graph_name]
+    layout = build_partition_layout(g, 4)
+    options = [_KK_OPTIONS[name] for name in sorted(_KK_OPTIONS)]
+    runs = [{}, *options, {"priority_scheme": "fixed"}, {}]
+    for options in runs:
+        out = kk_mis2(g, partitions=layout, backend=partition_backend, **options)
+        ref = kk_mis2(g, **options)
+        assert np.array_equal(ref.in_set, out.in_set), options
+        assert ref.iterations == out.iterations, options
+
+
 #: kernel -> (front door, the result fields that must match the flat run).
 _EVERY_GRAPH_KERNELS = {
-    "luby": (luby_mis1, lambda r: (r.in_set, r.in_mask, r.iterations)),
     "color": (greedy_color, lambda r: (r.colors, r.num_colors, r.rounds)),
     "mis2_agg": (mis2_aggregation, lambda r: (r.labels, r.num_aggregates, r.roots)),
 }
@@ -298,7 +333,7 @@ def test_shipped_bytes_accounting_identical_across_backends():
     the same run of every partitioned kernel — that is what makes them
     deterministic counts gateable by `bench compare`."""
     g = SMALL_GRAPH_CASES["gnp60"]
-    for kernel in (kk_mis2, luby_mis1, greedy_color):
+    for kernel in (kk_mis2, greedy_color):
         reference = None
         for name, backend in sorted(PARTITION_BACKENDS.items()):
             out = kernel(g, partitions=4, backend=backend)
@@ -313,11 +348,9 @@ def test_shipped_bytes_accounting_identical_across_backends():
 
 
 #: kernel -> (front door, result values, supersteps per round): Refresh Row,
-#: Refresh Column, Decide (kk); priorities, selection, removal (Luby);
-#: speculation, conflicts (coloring).
+#: Refresh Column, Decide (kk); speculation, conflicts (coloring).
 _ROUND_KERNELS = {
     "kk": (kk_mis2, lambda r: r.in_set, lambda r: 3 * r.iterations),
-    "luby": (luby_mis1, lambda r: r.in_set, lambda r: 3 * r.iterations),
     "color": (greedy_color, lambda r: r.colors, lambda r: 2 * r.rounds),
 }
 

@@ -3,9 +3,10 @@
 The partition-equivalence matrix already drives ``backend=distributed``
 through every kernel x k combination (it enumerates all registered
 backends); this file covers what the matrix cannot see — the wire itself:
-measured-vs-logical byte correspondence, reconnect after transient
-connection loss, exactly-once phase replay, the rank-side store (a running
-session never depends on the payload cache), and the rank-death story.
+measured-vs-logical byte correspondence, the message counts that pin the
+protocol, reconnect after transient connection loss, exactly-once phase
+replay, the rank-side store (a running session never depends on the payload
+cache), and the rank-death story.
 """
 
 from collections import OrderedDict
@@ -14,6 +15,7 @@ from contextlib import ExitStack
 import numpy as np
 import pytest
 
+from repro.coloring import greedy_color
 from repro.graph.generators import elasticity3d, laplace3d
 from repro.mis import kk_mis2
 from repro.parallel import (
@@ -511,6 +513,37 @@ class TestLayoutReuse:
         )
         assert csr > 0
         assert second_sent <= first_sent - csr, (first_sent, second_sent, csr)
+
+
+class TestProtocolMessageCounts:
+    """Message counts pin the partitioned protocol: if one moves, the protocol
+    changed. A repeat call on the same graph object sends as many messages as
+    the first, only fewer bytes, because the ranks still hold its payloads."""
+
+    @pytest.mark.parametrize(
+        "kernel, values, generator, shape, messages",
+        [
+            (kk_mis2, lambda r: r.in_set, laplace3d, (10, 10, 10), 95),
+            (kk_mis2, lambda r: r.in_set, elasticity3d, (6, 6, 6), 46),
+            (greedy_color, lambda r: r.colors, laplace3d, (10, 10, 10), 102),
+            (greedy_color, lambda r: r.colors, elasticity3d, (6, 6, 6), 102),
+        ],
+        ids=["kk-laplace3d", "kk-elasticity3d", "color-laplace3d", "color-elasticity3d"],
+    )
+    def test_first_and_repeat_call_send_the_pinned_counts(
+        self, kernel, values, generator, shape, messages
+    ):
+        graph = generator(*shape)
+        flat = values(kernel(graph))
+        B = get_backend("distributed")
+        for call in ("first", "repeat"):
+            before = B.measured_stats()
+            out = kernel(graph, partitions=4, backend=B)
+            after = B.measured_stats()
+            sent = after["messages_sent"] - before["messages_sent"]
+            received = after["messages_received"] - before["messages_received"]
+            assert (sent, received) == (messages, messages), call
+            assert np.array_equal(values(out), flat), call
 
 
 class TestPhaseDedupCacheBound:

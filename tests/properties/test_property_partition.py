@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.coloring import greedy_color
-from repro.mis import kk_mis2, luby_mis1
+from repro.mis import kk_mis2
 from repro.parallel import build_partition_layout, get_backend, partition_vertices
 
 from tests.properties.strategies import graphs
@@ -91,17 +91,15 @@ def test_partitioned_kernels_match_reference_for_arbitrary_labels(case):
 @given(graph_and_labels())
 @settings(**COMMON)
 def test_supersteps_are_rounds_times_phases(case):
-    """One session run per phase: kk and Luby run three phases a round,
-    coloring two, whatever the labels; the payload ships once at open, so no
+    """One session run per phase: kk runs three phases a round, coloring
+    two, whatever the labels; the payload ships once at open, so no
     superstep ever ships more than all supersteps together."""
     graph, labels = case
     kk = kk_mis2(graph, partitions=labels)
-    luby = luby_mis1(graph, partitions=labels)
     coloring = greedy_color(graph, partitions=labels)
     assert kk.partition_stats.supersteps == 3 * kk.iterations
-    assert luby.partition_stats.supersteps == 3 * luby.iterations
     assert coloring.partition_stats.supersteps == 2 * coloring.rounds
-    for stats in (kk.partition_stats, luby.partition_stats, coloring.partition_stats):
+    for stats in (kk.partition_stats, coloring.partition_stats):
         assert stats.max_superstep_bytes <= stats.superstep_bytes
         assert (stats.resident_bytes > 0) == (graph.num_vertices > 0)
 
@@ -116,7 +114,6 @@ def test_partition_stats_independent_of_backend(case):
     threaded = get_backend("threaded").with_jobs(2)
     for kernel, values in (
         (kk_mis2, lambda r: r.in_set),
-        (luby_mis1, lambda r: r.in_set),
         (greedy_color, lambda r: r.colors),
     ):
         ref = kernel(graph, partitions=labels)
@@ -143,7 +140,3 @@ def test_partitioned_mis_independent_of_part_permutation(graph, k, rng):
     assert np.array_equal(a.in_set, b.in_set)
     assert np.array_equal(a.in_set, ref.in_set)
     assert a.iterations == b.iterations == ref.iterations
-    la = luby_mis1(graph, partitions=labels)
-    lb = luby_mis1(graph, partitions=permuted)
-    assert np.array_equal(la.in_set, lb.in_set)
-    assert la.iterations == lb.iterations

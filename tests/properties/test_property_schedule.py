@@ -19,7 +19,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.coloring import greedy_color
-from repro.mis import kk_mis2, luby_mis1
+from repro.mis import kk_mis2
 from repro.parallel import NumpyBackend, build_partition_layout
 from repro.parallel.backends import _LocalResidentSession
 
@@ -72,7 +72,6 @@ def _deterministic_stats(stats):
 
 _KERNELS = {
     "kk": (lambda g, **kw: kk_mis2(g, seed=0, **kw), lambda r: r.in_set),
-    "luby": (lambda g, **kw: luby_mis1(g, seed=0, **kw), lambda r: r.in_set),
     "color": (greedy_color, lambda r: r.colors),
 }
 
