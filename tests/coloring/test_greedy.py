@@ -54,6 +54,18 @@ class TestCorrectness:
         used = np.unique(result.colors)
         assert used.tolist() == list(range(result.num_colors))
 
+    def test_max_rounds_caps_the_conflict_loop(self):
+        # A cap of exactly the rounds the coloring needs lets it finish; one
+        # round less raises instead of returning an incomplete coloring.
+        g = grid2d(30, 30)
+        result = greedy_color(g)
+        assert result.rounds > 1
+        capped = greedy_color(g, max_rounds=result.rounds)
+        assert np.array_equal(capped.colors, result.colors)
+        assert capped.rounds == result.rounds
+        with pytest.raises(RuntimeError, match="did not converge"):
+            greedy_color(g, max_rounds=result.rounds - 1)
+
 
 class TestResultObject:
     def test_color_classes_partition_vertices(self, small_laplace3d):

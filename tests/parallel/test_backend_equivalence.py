@@ -15,7 +15,15 @@ import pytest
 from repro.bench import BenchConfig, get_experiment
 from repro.coarsen import d2c_aggregation, mis2_aggregation
 from repro.coloring import distance2_color, greedy_color
-from repro.graph import laplace3d_matrix, random_gnp
+from repro.graph import (
+    elasticity3d,
+    grid2d,
+    laplace3d,
+    laplace3d_matrix,
+    path_graph,
+    random_gnp,
+    rmat,
+)
 from repro.gs import ClusterMulticolorGaussSeidel
 from repro.mis import bell_mis, kk_mis2, luby_mis1
 from repro.parallel import (
@@ -221,6 +229,69 @@ def test_partitioned_mis2_aggregation_bit_identical(partition_backend, graph_nam
     assert np.array_equal(ref.labels, out.labels)
     assert ref.num_aggregates == out.num_aggregates
     assert np.array_equal(ref.roots, out.roots)
+
+
+#: Graphs that color in many rounds, or with skewed degrees: meshes and a
+#: path, where a coloring part recomputes only the frontier of what changed
+#: and still falls back to whole-worklist rounds, and a power-law and a
+#: random graph, whose every round recomputes the whole worklist.
+_MANY_ROUND_GRAPHS = {
+    "grid30x30": lambda: grid2d(30, 30),
+    "laplace3d-8": lambda: laplace3d(8, 8, 8),
+    "path200": lambda: path_graph(200),
+    "elasticity3d-4": lambda: elasticity3d(4, 4, 4),
+    "rmat10": lambda: rmat(10),
+    "gnp400": lambda: random_gnp(400, 0.02, seed=2),
+}
+
+#: Part specifications: the multilevel partitioner's 4 parts, 3 contiguous
+#: blocks, and a seeded random 5-part labelling (many cut edges).
+_MANY_ROUND_PARTS = {
+    "k4": lambda n: 4,
+    "k3": lambda n: 3,
+    "random5": lambda n: np.random.default_rng(5).integers(0, 5, n),
+}
+
+
+@pytest.fixture(scope="module")
+def many_round_graphs():
+    return {name: build() for name, build in _MANY_ROUND_GRAPHS.items()}
+
+
+@pytest.mark.parametrize("parts", sorted(_MANY_ROUND_PARTS))
+@pytest.mark.parametrize("graph_name", sorted(_MANY_ROUND_GRAPHS))
+def test_partitioned_coloring_many_rounds_bit_identical(
+    partition_backend, many_round_graphs, graph_name, parts
+):
+    """Partitioned coloring over many rounds and skewed degrees equals the
+    flat kernel, runs two supersteps a round, and records the numpy
+    partitioned run's deterministic counts."""
+    g = many_round_graphs[graph_name]
+    layout = build_partition_layout(g, _MANY_ROUND_PARTS[parts](g.num_vertices))
+    flat = greedy_color(g)
+    out = greedy_color(g, partitions=layout, backend=partition_backend)
+    ref = greedy_color(g, partitions=layout, backend="numpy")
+    assert np.array_equal(out.colors, flat.colors)
+    assert (out.num_colors, out.rounds) == (flat.num_colors, flat.rounds)
+    assert out.partition_stats.supersteps == 2 * out.rounds
+    assert _deterministic_stats(out.partition_stats) == _deterministic_stats(
+        ref.partition_stats
+    )
+
+
+def test_partitioned_coloring_max_rounds(partition_backend, many_round_graphs):
+    """``max_rounds`` caps the partitioned conflict loop as it caps the flat
+    one. A raise closes the session, so the next call on the same backend
+    runs normally."""
+    g = many_round_graphs["grid30x30"]
+    flat = greedy_color(g)
+    capped = greedy_color(g, partitions=4, max_rounds=flat.rounds, backend=partition_backend)
+    assert np.array_equal(capped.colors, flat.colors)
+    assert capped.rounds == flat.rounds
+    with pytest.raises(RuntimeError, match="did not converge"):
+        greedy_color(g, partitions=4, max_rounds=flat.rounds - 1, backend=partition_backend)
+    again = greedy_color(g, partitions=4, backend=partition_backend)
+    assert np.array_equal(again.colors, flat.colors)
 
 
 #: The two in-process sessions: serial (numpy, chunked) and a two-wide

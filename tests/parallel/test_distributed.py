@@ -432,8 +432,17 @@ class TestRankStore:
         assert ("A", 0) not in distributed_mod._PAYLOADS
 
 
+#: Partitioned kernels under the byte gate: front door and result values.
+_GATED_KERNELS = {
+    "kk_mis2": (kk_mis2, lambda r: r.in_set),
+    "greedy_color": (greedy_color, lambda r: r.colors),
+}
+
+
+@pytest.mark.parametrize("kernel", sorted(_GATED_KERNELS))
 class TestMeasuredVsLogicalBytes:
-    """The acceptance gate: socket bytes track the logical accounting.
+    """The acceptance gate: socket bytes track the logical accounting, for
+    each partitioned kernel's protocol.
 
     Every run builds a fresh graph, so each call is the first on its graph
     and ships its CSR: "measured >= logical" holds for that first call. A
@@ -447,11 +456,12 @@ class TestMeasuredVsLogicalBytes:
         ("elasticity3d", elasticity3d, (6, 6, 6)),
     )
 
-    def _run(self, generator, shape):
+    def _run(self, kernel, generator, shape):
         graph = generator(*shape)
+        run, _ = _GATED_KERNELS[kernel]
         B = get_backend("distributed")
         before = B.measured_stats()
-        result = partitioned_kk_mis2(graph, 4, backend=B)
+        result = run(graph, partitions=4, backend=B)
         after = B.measured_stats()
         measured = (after["bytes_sent"] - before["bytes_sent"]) + (
             after["bytes_received"] - before["bytes_received"]
@@ -460,10 +470,11 @@ class TestMeasuredVsLogicalBytes:
         return result, graph, measured, stats.resident_bytes + stats.superstep_bytes
 
     @pytest.mark.parametrize("name,generator,shape", SMOKE, ids=[s[0] for s in SMOKE])
-    def test_measured_within_constant_factor_of_logical(self, name, generator, shape):
-        result, graph, measured, logical = self._run(generator, shape)
+    def test_measured_within_constant_factor_of_logical(self, kernel, name, generator, shape):
+        result, graph, measured, logical = self._run(kernel, generator, shape)
         # Correctness first: the distributed run is bit-identical to serial.
-        assert np.array_equal(result.in_set, kk_mis2(graph).in_set)
+        run, values = _GATED_KERNELS[kernel]
+        assert np.array_equal(values(result), values(run(graph)))
         # Every logical byte crosses the wire (arrays pickle with their full
         # buffers), plus bounded per-message overhead: frame headers, the
         # token/function references of each phase message, pickle framing.
@@ -473,11 +484,11 @@ class TestMeasuredVsLogicalBytes:
         assert measured >= logical, (name, measured, logical)
         assert measured <= 2 * logical, (name, measured, logical)
 
-    def test_ordering_matches_logical_accounting(self):
+    def test_ordering_matches_logical_accounting(self, kernel):
         # The graph that ships more logical bytes also costs more on the wire
         # — the "same ordering" half of the correspondence guarantee.
         totals = {
-            name: self._run(generator, shape)[2:]
+            name: self._run(kernel, generator, shape)[2:]
             for name, generator, shape in self.SMOKE
         }
         (laplace_measured, laplace_logical) = totals["laplace3d"]

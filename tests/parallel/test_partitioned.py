@@ -5,7 +5,16 @@ import pytest
 
 from repro.coarsen import mis2_aggregation
 from repro.coloring import greedy_color
-from repro.graph import cycle_graph, empty_graph, from_edges, grid2d, path_graph, random_gnp
+from repro.graph import (
+    cycle_graph,
+    empty_graph,
+    from_edges,
+    grid2d,
+    laplace3d,
+    path_graph,
+    random_gnp,
+    rmat,
+)
 from repro.mis import kk_mis2
 from repro.parallel import (
     ChunkedBackend,
@@ -315,6 +324,49 @@ class TestDrivers:
             assert isinstance(value, float) and value >= 0.0
 
 
+class TestColoringFrontier:
+    """Which coloring phases recompute only the frontier of what changed.
+    The bit-identity tests on these graphs cover both regimes only while
+    both occur: meshes and paths settle a thin wavefront a round, random
+    and power-law graphs change most of the worklist every round."""
+
+    @staticmethod
+    def _frontier_phases(monkeypatch, g, parts):
+        """One bool per phase after round 0: True when it ran the frontier."""
+        from repro.parallel import partitioned as P
+
+        kinds = []
+        near = P._color_near
+
+        def recording(payload, state, view, halo, rows, also=None):
+            result = near(payload, state, view, halo, rows, also)
+            kinds.append(result is not None)
+            return result
+
+        monkeypatch.setattr(P, "_color_near", recording)
+        out = greedy_color(g, partitions=parts)
+        assert np.array_equal(out.colors, greedy_color(g).colors)
+        return kinds
+
+    @pytest.mark.parametrize(
+        "graph",
+        [grid2d(30, 30), path_graph(200), laplace3d(8, 8, 8)],
+        ids=["grid30x30", "path200", "laplace3d-8"],
+    )
+    @pytest.mark.parametrize("parts", [3, 4])
+    def test_meshes_take_frontier_and_whole_worklist_phases(self, monkeypatch, graph, parts):
+        kinds = self._frontier_phases(monkeypatch, graph, parts)
+        assert any(kinds) and not all(kinds)
+
+    @pytest.mark.parametrize(
+        "graph", [rmat(10), random_gnp(400, 0.02, seed=2)], ids=["rmat10", "gnp400"]
+    )
+    @pytest.mark.parametrize("parts", [3, 4])
+    def test_random_graphs_recompute_the_whole_worklist(self, monkeypatch, graph, parts):
+        kinds = self._frontier_phases(monkeypatch, graph, parts)
+        assert kinds and not any(kinds)
+
+
 class TestResidentSessions:
     """The rank-resident seam: ship the payload once, deltas per superstep."""
 
@@ -394,15 +446,19 @@ class TestShippedNbytes:
 
 
 class _RecordingBackend(NumpyBackend):
-    """Backend whose resident sessions log every phase's (fn, tasks) stream
-    plus, per phase, the shared global arrays at the moment it ships.
+    """Backend whose resident sessions log every phase: its ``(fn, tasks)``
+    stream, its results, and the shared global values of the per-vertex
+    state arrays ``views`` just before it ships and just after it returns.
 
-    Every task keeps its part's owned state entries equal to the
-    coordinator's global values, so the global arrays are the union of the
-    parts' owned entries.
+    A view's shared value at a vertex is the owning part's state entry:
+    every task keeps its owned entries current, and the coordinator gathers
+    halos from the same values. A part that has not built a view yet —
+    coloring parts build their state in their first task — holds ``unset``.
     """
 
-    def __init__(self):
+    def __init__(self, views, unset=-1):
+        self.views = views
+        self.unset = unset
         self.phases = []
 
     def map_partitions_resident(self, token, payloads, states):
@@ -415,15 +471,20 @@ class _RecordingBackend(NumpyBackend):
         original_run = session.run
 
         def shared(name):
-            arr = np.empty(n, dtype=states[0][name].dtype)
+            arr = np.full(n, outer.unset, dtype=np.int64)
             for payload, state, own in zip(payloads, states, owned):
-                arr[payload["ids"][own]] = state[name][own]
+                if name in state:
+                    arr = arr.astype(state[name].dtype)
+                    arr[payload["ids"][own]] = state[name][own]
             return arr
 
         def recording_run(fn, tasks):
             tasks = list(tasks)
-            outer.phases.append((fn, tasks, {name: shared(name) for name in states[0]}))
-            return original_run(fn, tasks)
+            before = {name: shared(name) for name in outer.views}
+            outs = original_run(fn, tasks)
+            after = {name: shared(name) for name in outer.views}
+            outer.phases.append((fn, tasks, before, outs, after))
+            return outs
 
         session.run = recording_run
         return session
@@ -431,33 +492,65 @@ class _RecordingBackend(NumpyBackend):
 
 class TestDenseWireFormat:
     def test_ghost_reading_tasks_ship_worklist_and_gathered_halos(self):
-        # Every ghost-reading task carries its worklist (local indices of
-        # owned vertices) and, for each ghosted array, exactly the shared
-        # global array gathered at part.halo when the phase ships.
+        # Every kk ghost-reading task carries its worklist (local indices of
+        # owned vertices) and exactly the shared global array it reads at
+        # ghosts, gathered at part.halo when the phase ships.
         from repro.parallel import partitioned as P
 
         g = random_gnp(90, 0.07, seed=11)
         layout = build_partition_layout(g, 4)
-        for kernel, ghosted in (
-            (P.partitioned_kk_mis2, {P._kk_refresh_column: ("T",), P._kk_decide: ("M",)}),
-            (
-                P.partitioned_greedy_color,
-                {P._color_assign: ("colors",), P._color_conflict: ("colors",)},
-            ),
-        ):
-            recorder = _RecordingBackend()
-            kernel(g, layout, backend=recorder)
-            assert set(ghosted) <= {fn for fn, tasks, _ in recorder.phases if tasks}
-            for fn, tasks, shared in recorder.phases:
-                if fn not in ghosted:
+        ghosted = {P._kk_refresh_column: "T", P._kk_decide: "M"}
+        recorder = _RecordingBackend(("T", "M"))
+        P.partitioned_kk_mis2(g, layout, backend=recorder)
+        assert set(ghosted) <= {fn for fn, tasks, *_ in recorder.phases if tasks}
+        for fn, tasks, before, _, _ in recorder.phases:
+            if fn not in ghosted:
+                continue
+            for part_id, (worklist, halo) in tasks:
+                part = layout.parts[part_id]
+                assert worklist.dtype == np.int64 and worklist.size
+                assert np.isin(part.ids[worklist], part.owned).all()
+                assert np.array_equal(halo, before[ghosted[fn]][part.halo])
+
+    def test_coloring_ships_the_gathered_halo_and_returns_boundary_values(self):
+        # A coloring task's delta is exactly the shared colors gathered at
+        # part.halo — final colors for speculation, the conflict-time view
+        # (proposals on the worklist) for conflicts — with no worklist: the
+        # part keeps its own. Both phases return only what other parts read:
+        # the values of the part's boundary worklist, its boundary vertices
+        # still uncolored when the phase ships. Conflicts also return the
+        # worklist size left, and in the round it reaches 0 the values are
+        # all the part's owned colors.
+        from repro.parallel import partitioned as P
+
+        g = random_gnp(90, 0.07, seed=11)
+        layout = build_partition_layout(g, 4)
+        recorder = _RecordingBackend(("final", "cur"))
+        out = P.partitioned_greedy_color(g, layout, backend=recorder)
+        assert np.array_equal(out.colors, greedy_color(g).colors)
+        assert [fn for fn, *_ in recorder.phases] == [
+            P._color_assign,
+            P._color_conflict,
+        ] * out.rounds
+        read = {P._color_assign: "final", P._color_conflict: "cur"}
+        emptied = []
+        for fn, tasks, before, outs, after in recorder.phases:
+            for (part_id, halo), result in zip(tasks, outs):
+                part = layout.parts[part_id]
+                assert halo.dtype == np.int64
+                assert np.array_equal(halo, before[read[fn]][part.halo])
+                boundary = part.boundary()
+                bwl = boundary[before["final"][boundary] < 0]
+                if fn is P._color_assign:
+                    assert np.array_equal(result, after["cur"][bwl])
                     continue
-                for part_id, (worklist, *halos) in tasks:
-                    part = layout.parts[part_id]
-                    assert worklist.dtype == np.int64 and worklist.size
-                    assert np.isin(part.ids[worklist], part.owned).all()
-                    assert len(halos) == len(ghosted[fn])
-                    for name, values in zip(ghosted[fn], halos):
-                        assert np.array_equal(values, shared[name][part.halo])
+                size, values = result
+                assert size == np.count_nonzero(after["final"][part.owned] < 0)
+                expected = after["final"][bwl if size else part.owned]
+                assert np.array_equal(values, expected)
+                if not size:
+                    emptied.append(part_id)
+        assert sorted(emptied) == [p.part_id for p in layout.parts if p.num_owned]
 
 
 def _record_sessions(backend):
@@ -540,24 +633,56 @@ class TestBarrierSchedule:
 
 
 class TestSmokeGraphBytes:
-    """On the smoke graphs the largest superstep of kk and coloring is the
-    first ghost-reading phase, which ships every owned vertex's index and
-    every ghost's value, and gets every owned value back — and it stays
-    below the resident payload, which ships once."""
+    """Shipped-byte pins on the smoke graphs at ``partitions=4``. In both
+    kernels the largest superstep stays below the resident payload, which
+    ships once."""
+
+    @staticmethod
+    def _graph(generator):
+        from repro.graph.generators import elasticity3d, laplace3d
+
+        return laplace3d(10, 10, 10) if generator == "laplace3d" else elasticity3d(6, 6, 6)
 
     @pytest.mark.parametrize("generator", ["laplace3d", "elasticity3d"])
     def test_largest_superstep_is_the_first_dense_halo_exchange(self, generator):
-        from repro.graph.generators import elasticity3d, laplace3d
-
-        g = laplace3d(10, 10, 10) if generator == "laplace3d" else elasticity3d(6, 6, 6)
+        # kk's largest superstep is its first ghost-reading phase, which
+        # ships every owned vertex's index and every ghost's value, and gets
+        # every owned value back.
+        g = self._graph(generator)
         layout = build_partition_layout(g, 4)
         first_exchange = 8 * g.num_vertices + 8 * layout.halo_vertices + 8 * g.num_vertices
-        for kernel in (kk_mis2, greedy_color):
-            stats = kernel(g, partitions=layout).partition_stats
-            assert stats.supersteps > 0
-            assert stats.max_superstep_bytes == first_exchange, kernel.__name__
-            assert stats.max_superstep_bytes < stats.resident_bytes
-            assert stats.max_superstep_bytes < stats.superstep_bytes
+        stats = kk_mis2(g, partitions=layout).partition_stats
+        assert stats.supersteps > 0
+        assert stats.max_superstep_bytes == first_exchange
+        assert stats.max_superstep_bytes < stats.resident_bytes
+        assert stats.max_superstep_bytes < stats.superstep_bytes
+
+    @pytest.mark.parametrize(
+        "generator, largest, total",
+        [("laplace3d", 6_872, 139_480), ("elasticity3d", 9_344, 195_160)],
+    )
+    def test_coloring_ships_halos_out_and_boundary_values_back(
+        self, generator, largest, total
+    ):
+        """Every coloring phase ships 8 B per ghost of each live part out.
+        Back come 8 B per boundary worklist vertex, and from conflicts also
+        an 8-byte worklist size; a part whose worklist empties returns 8 B
+        per owned vertex instead. The largest superstep is therefore a
+        conflict phase: round 0's, 8 x (halo + boundary + parts) = 9,344 B,
+        on elasticity3d(6^3); on laplace3d(10^3) the round in which a part's
+        worklist empties and returns its 264 owned colors, 6,872 B against
+        round 0's 6,560 B."""
+        g = self._graph(generator)
+        layout = build_partition_layout(g, 4)
+        stats = greedy_color(g, partitions=layout).partition_stats
+        round0_conflicts = 8 * (
+            layout.halo_vertices + layout.boundary_vertices + layout.num_parts
+        )
+        everything_back = 8 * (layout.halo_vertices + g.num_vertices + layout.num_parts)
+        assert round0_conflicts <= stats.max_superstep_bytes <= everything_back
+        assert stats.max_superstep_bytes == largest
+        assert stats.superstep_bytes == total
+        assert stats.max_superstep_bytes < stats.resident_bytes
 
 
 def _resident_add(payload, state, delta):

@@ -15,10 +15,11 @@ from random import Random
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.coloring import greedy_color
+from repro.graph import grid2d
 from repro.mis import kk_mis2
 from repro.parallel import NumpyBackend, build_partition_layout
 from repro.parallel.backends import _LocalResidentSession
@@ -78,6 +79,9 @@ _KERNELS = {
 
 @pytest.mark.parametrize("kernel", sorted(_KERNELS))
 @given(graphs(), st.integers(min_value=1, max_value=4), st.integers(0, 2**31))
+# The drawn graphs color in a few rounds; a 30 x 30 grid takes 30, most of
+# them recomputing only the coloring frontier.
+@example(graph=grid2d(30, 30), k=4, seed=7)
 @settings(**COMMON)
 def test_any_task_order_within_a_phase_is_bit_identical(kernel, graph, k, seed):
     run, values = _KERNELS[kernel]
