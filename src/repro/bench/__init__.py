@@ -49,7 +49,6 @@ from .fig3 import Fig3Row, run_fig3, fig3_table
 from .fig45 import ScalingRow, run_scaling, scaling_table, DEFAULT_THREAD_COUNTS
 from .fig67 import SpeedupRow, run_fig6, run_fig7, speedup_table
 from .smoke import SmokeRow, run_smoke, smoke_table
-from .service_bench import ServiceRow, run_service, service_table
 
 __all__ = [
     "BenchConfig",
@@ -80,5 +79,4 @@ __all__ = [
     "ScalingRow", "run_scaling", "scaling_table", "DEFAULT_THREAD_COUNTS",
     "SpeedupRow", "run_fig6", "run_fig7", "speedup_table",
     "SmokeRow", "run_smoke", "smoke_table",
-    "ServiceRow", "run_service", "service_table",
 ]

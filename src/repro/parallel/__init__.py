@@ -81,7 +81,6 @@ from .partitioned import (
     PartitionLayout,
     PartitionStats,
     build_partition_layout,
-    carry_partition_labels,
     partition_vertices,
     partitioned_greedy_color,
     partitioned_kk_mis2,
@@ -122,7 +121,6 @@ __all__ = [
     "PartitionLayout",
     "PartitionStats",
     "build_partition_layout",
-    "carry_partition_labels",
     "partition_vertices",
     "partitioned_greedy_color",
     "partitioned_kk_mis2",

@@ -32,15 +32,15 @@ Protocol (one coordinator connection per rank, request/response, pipelined):
 ``("forget", session_key, parts)``
     Session close: drops the records and the phase dedup cache; payloads stay
     cached for reruns on the same layout.
-``("ping",)`` / ``("shutdown",)``
-    Liveness probe; orderly rank exit.
+``("shutdown",)``
+    Orderly rank exit.
 
 Every coordinator request ships wrapped as ``("req", rid, message)`` and is
 answered as ``("resp", rid, reply)`` — the **multiplexing layer** that lets
 several requests stay in flight per rank at once (a session's pipelined
-installs, a health probe beside a running session): the coordinator collects
-replies by request id in any order, parking early arrivals for their own
-collect, and a reconnect re-sends exactly the unanswered backlog.
+installs): the coordinator collects replies by request id in any order,
+parking early arrivals for their own collect, and a reconnect re-sends
+exactly the unanswered backlog.
 
 Rank-side storage is this module's process-global store (:func:`_install`,
 :func:`_rank_reply`). Each session owns one record per part, ``(session,
@@ -82,7 +82,6 @@ import itertools
 import multiprocessing
 import os
 import threading
-import time
 from collections import OrderedDict
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -220,8 +219,6 @@ def _rank_reply(msg: tuple) -> tuple:
         for done_key in [k for k in _PHASE_DONE if k[0] == session_key]:
             del _PHASE_DONE[done_key]
         return ("ok", True)
-    if kind == "ping":
-        return ("pong", os.getpid())
     return ("error", f"unknown message kind {kind!r}")
 
 
@@ -511,49 +508,6 @@ class RankCluster:
         """Send a batch to one rank and wait for one reply per message
         (:meth:`submit` + :meth:`collect`)."""
         return self.collect(rank, self.submit(rank, list(messages)))
-
-    def ping(self, timeout: float = 5.0) -> Dict[int, bool]:
-        """Health-check every rank; returns ``{rank: responsive}``.
-
-        Unlike the kernel paths this never respawns or retries: it answers
-        "is the rank serving *right now*?" within ``timeout`` seconds per
-        rank. A rank that is alive but wedged — process running, serve loop
-        stuck — trips the transport's per-receive deadline instead of
-        hanging the caller, which is exactly what the GraphService health
-        endpoint needs. Responses for other in-flight requests that arrive
-        while waiting are parked for their own collect, so a health probe is
-        safe to interleave with running sessions.
-        """
-        health: Dict[int, bool] = {}
-        for rank, handle in enumerate(self._handles):
-            with handle.lock:
-                if not self._alive(handle):
-                    health[rank] = False
-                    continue
-                try:
-                    conn = self._connection(handle)
-                    self._flush_locked(handle, conn)
-                    rid = next(handle.rids)
-                    conn.send(("req", rid, ("ping",)))
-                    deadline = time.monotonic() + timeout
-                    while True:
-                        frame = conn.recv(timeout=max(0.001, deadline - time.monotonic()))
-                        if frame[0] != "resp":
-                            raise TransportError(f"malformed rank frame {frame[:1]!r}")
-                        _, got, reply = frame
-                        if got == rid:
-                            health[rank] = reply[0] == "pong"
-                            break
-                        if handle.outstanding.pop(got, None) is not None:
-                            handle.inflight.discard(got)
-                            handle.arrived[got] = reply
-                except TransportError:
-                    # Deadline expiry desyncs the frame stream (a late pong
-                    # would be misattributed) — retire the connection so the
-                    # next session traffic starts from a clean handshake.
-                    handle.retire_connection()
-                    health[rank] = False
-        return health
 
     # ------------------------------------------------------------ cache mirror
     def known(self, rank: int, key: Tuple[str, int]) -> bool:

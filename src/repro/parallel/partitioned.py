@@ -73,7 +73,6 @@ __all__ = [
     "PartitionLayout",
     "PartitionStats",
     "build_partition_layout",
-    "carry_partition_labels",
     "partition_vertices",
     "partitioned_greedy_color",
     "partitioned_kk_mis2",
@@ -493,38 +492,6 @@ def _read_only(layout: PartitionLayout) -> PartitionLayout:
             if isinstance(value, np.ndarray):
                 value.setflags(write=False)
     return layout
-
-
-def carry_partition_labels(
-    old_labels: np.ndarray,
-    num_parts: int,
-    keep: "Optional[np.ndarray]" = None,
-    new_vertices: int = 0,
-) -> np.ndarray:
-    """Part labels for a mutated graph, carried over from the previous layout.
-
-    The GraphService rebuilds its (immutable) CSR graph on every mutation and
-    must mint a *fresh* :class:`PartitionLayout` — a new token, which is
-    exactly what invalidates the worker-resident payload caches keyed on it.
-    But repartitioning from scratch would move surviving vertices between
-    parts on every mutation, churning the whole resident store for a local
-    edit. This helper keeps the assignment stable instead: surviving vertices
-    keep their old part (``keep`` selects them, in new-id order, when
-    vertices were removed) and ``new_vertices`` appended vertices go to the
-    currently lightest parts. Empty parts remain legal layout inputs, so a
-    part that loses all its vertices keeps its slot.
-    """
-    old_labels = np.asarray(old_labels, dtype=np.int64)
-    labels = old_labels if keep is None else old_labels[np.asarray(keep, dtype=np.int64)]
-    if new_vertices:
-        sizes = np.bincount(labels, minlength=max(1, int(num_parts))).astype(np.int64)
-        extra = np.empty(int(new_vertices), dtype=np.int64)
-        for i in range(int(new_vertices)):
-            part = int(np.argmin(sizes))
-            extra[i] = part
-            sizes[part] += 1
-        labels = np.concatenate([labels, extra]) if labels.size else extra
-    return labels
 
 
 # ------------------------------------------------------ superstep task functions

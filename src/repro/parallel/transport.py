@@ -165,7 +165,7 @@ class MessageConnection:
         the call raises :class:`TransportError` instead of hanging the
         coordinator forever. ``None`` (default) blocks indefinitely, the
         right mode for rank serve loops that legitimately idle between
-        requests. The service layer's health checks rely on the deadline.
+        requests.
         """
         deadline = None if timeout is None else time.monotonic() + timeout
         (length,) = _HEADER.unpack(self._recv_exact(_HEADER.size, deadline))

@@ -1,16 +1,13 @@
-"""Always-on graph service over the resident partitioned kernels.
+"""Always-on graph service.
 
-:class:`GraphService` (:mod:`repro.service.core`) holds partitioned graphs
-resident across any execution backend, batches concurrent MIS / coloring /
-aggregation queries onto shared kernel runs, and supports dynamic graphs:
-edge/vertex insert/delete with localized incremental repair
-(:mod:`repro.service.repair`) proven bit-identical to from-scratch
-recomputation. :class:`AsyncGraphService` (:mod:`repro.service.aio`) is the
-asyncio front over the same store.
+:class:`GraphService` (:mod:`repro.service.core`) holds named graphs
+resident, batches concurrent MIS / coloring / aggregation queries onto shared
+kernel runs, and supports dynamic graphs: edge/vertex insert/delete with
+localized incremental repair (:mod:`repro.service.repair`) proven
+bit-identical to from-scratch recomputation.
 """
 
 from .core import GraphService, ServiceClosed, ServiceStats
-from .aio import AsyncGraphService
 from .repair import (
     mis_keys,
     ordered_color,
@@ -21,7 +18,6 @@ from .repair import (
 
 __all__ = [
     "GraphService",
-    "AsyncGraphService",
     "ServiceClosed",
     "ServiceStats",
     "mis_keys",

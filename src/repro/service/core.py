@@ -1,33 +1,21 @@
 """The always-on :class:`GraphService`: resident graphs, batched queries,
 dynamic mutations with incremental repair.
 
-The resident layer (sessions pinned under a
-:class:`~repro.parallel.partitioned.PartitionLayout` token) already lets a
-partitioned kernel run without re-shipping its graph; this module turns that
-into a *service*:
+Every query runs the flat kernels on the graph the service holds. MIS-2,
+coloring and aggregation are deterministic, so no backend or partition count
+could change an answer, and the service offers no choice of either.
 
-**Session lifetime beyond one kernel run.** Each graph the service holds
-keeps one layout per mutation epoch and passes it to every query, so the
-workers' payload caches (keyed ``(token, part)``) stay warm across queries —
-the second ``mis2`` on an unchanged graph ships each phase its halo values
-but never the part's CSR again, on any backend including ``distributed``.
-
-**Mutation → token invalidation.** :class:`~repro.graph.csr.CSRGraph` is
-immutable (bit-identical determinism relies on it), so every mutation builds
-a new graph and mints a fresh layout via
-:func:`~repro.parallel.partitioned.carry_partition_labels` — same part
-assignment for surviving vertices, *new token*. A stale worker cache entry
-can therefore never serve a mutated graph: the token is the invalidation
-rule. An edge write splices only the rows it touches into copies of
-``rowmap``/``entries`` and keeps the held graph canonical, so its cost
+**Mutations.** :class:`~repro.graph.csr.CSRGraph` is immutable (bit-identical
+determinism relies on it), so every mutation installs a new graph and bumps
+the graph's epoch. An edge write splices only the rows it touches into copies
+of ``rowmap``/``entries`` and keeps the held graph canonical, so its cost
 grows with the batch, not with the graph's edge count.
 
-**Batched queries.** Queries enter through :meth:`GraphService.submit` (any
-thread; the asyncio front in :mod:`repro.service.aio` awaits the same
-futures). A single dispatcher drains the queue in batches and coalesces
-identical ``(graph, kind, params, epoch)`` requests onto one kernel run — N
-concurrent clients asking for the same answer share one run's supersteps and
-one cache fill.
+**Batched queries.** Queries enter through :meth:`GraphService.submit` from
+any thread. A single dispatcher drains the queue in batches and coalesces
+identical ``(graph, kind, params)`` requests onto one kernel run — N
+concurrent clients asking for the same answer share one run and one cache
+fill.
 
 **Incremental repair.** Edge mutations (and width-preserving vertex appends)
 carry a dirty-neighbourhood frontier; a later repairable query
@@ -36,7 +24,7 @@ carry a dirty-neighbourhood frontier; a later repairable query
 cached answer instead of recomputing, falling back to full recompute past
 the crossover (``repair_crossover`` of the vertex count). Repair is
 bit-identical to from-scratch by construction — the Hypothesis suite pins
-it for every mutation sequence, backend and partition count.
+it for random mutation sequences.
 """
 
 from __future__ import annotations
@@ -45,7 +33,7 @@ import threading
 import queue as queue_mod
 from concurrent.futures import Future
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -53,12 +41,6 @@ from ..graph.build import from_edges, to_scipy
 from ..graph.csr import CSRGraph
 from ..graph.ops import induced_subgraph
 from ..hashing.packing import priority_bits
-from ..parallel.backends import ExecutionBackend, resolve_backend
-from ..parallel.partitioned import (
-    PartitionLayout,
-    build_partition_layout,
-    carry_partition_labels,
-)
 from ..parallel.primitives import expand_rows
 from . import repair as _repair
 
@@ -123,8 +105,6 @@ class _Cached:
 class _Entry:
     name: str
     graph: CSRGraph  # guarded-by: lock
-    layout: Optional[PartitionLayout]  # guarded-by: lock
-    parts: Optional[int]
     epoch: int = 0  # guarded-by: lock
     lock: threading.RLock = field(default_factory=threading.RLock)
     mutations: List[_Mutation] = field(default_factory=list)  # guarded-by: lock
@@ -200,6 +180,28 @@ def _canonical_edges(n: int, edges: Iterable[Tuple[int, int]]) -> np.ndarray:
     return np.unique(lo[~loop] * n + hi[~loop])
 
 
+def _vertex_ids(n: int, vertices: Iterable[int]) -> np.ndarray:
+    """Validate a vertex batch to its sorted unique ids.
+
+    The batch is any iterable of integer ids or an integer array. A
+    non-integer or bool id, or one outside ``[0, n)``, raises ``ValueError``
+    naming it.
+    """
+    ids = np.asarray(
+        vertices if isinstance(vertices, np.ndarray) else list(vertices)
+    ).ravel()
+    if ids.size == 0:
+        return np.zeros(0, dtype=np.int64)
+    if not np.issubdtype(ids.dtype, np.integer):
+        raise ValueError(
+            f"vertex ids must be integers, got {ids.dtype}: {ids[:5].tolist()}"
+        )
+    bad = np.flatnonzero((ids < 0) | (ids >= n))
+    if bad.size:
+        raise ValueError(f"vertex id {ids[bad[0]]} out of range for {n} vertices")
+    return np.unique(ids.astype(np.int64))
+
+
 def _splice(
     graph: CSRGraph, codes: np.ndarray, insert: bool
 ) -> Tuple[CSRGraph, np.ndarray]:
@@ -246,16 +248,11 @@ def _splice(
 
 
 class GraphService:
-    """Long-running, thread-safe front over the resident partitioned kernels.
+    """Long-running, thread-safe store of named graphs that answers MIS-2,
+    coloring and aggregation queries and repairs them across writes.
 
     Parameters
     ----------
-    backend:
-        Execution backend (name or instance) every query runs on; ``None``
-        uses the process default. All backends answer bit-identically.
-    parts:
-        Intra-graph partition count for graphs added without an explicit
-        ``parts=``; ``None`` runs unpartitioned.
     repair_crossover:
         Fraction of the vertex count the repair worklist may touch before a
         query falls back to full recompute (the dirty seed is screened
@@ -263,8 +260,9 @@ class GraphService:
 
     Queries (``mis2`` / ``color`` / ``aggregate``) can be called directly
     (synchronous; internally routed through the batching dispatcher) or
-    submitted as futures via :meth:`submit`. MIS-2 queries and their repairs
-    use ``kk_mis2``'s 64-bit packed-tuple keys. Mutations (``add_edges`` /
+    submitted as futures via :meth:`submit`. A full compute runs the flat
+    kernel on the held graph. MIS-2 queries and their repairs use
+    ``kk_mis2``'s 64-bit packed-tuple keys. Mutations (``add_edges`` /
     ``remove_edges`` / ``add_vertices`` / ``remove_vertices``) apply
     immediately under the graph's lock and bump its epoch. :meth:`add_graph`
     canonicalises a graph whose rows are unsorted or hold duplicates,
@@ -274,18 +272,9 @@ class GraphService:
 
     _REPAIRABLE = frozenset({"mis2", "color"})
 
-    def __init__(
-        self,
-        backend: "Optional[str | ExecutionBackend]" = None,
-        parts: Optional[int] = None,
-        repair_crossover: float = 0.25,
-    ) -> None:
-        if parts is not None and parts < 1:
-            raise ValueError("parts must be >= 1")
+    def __init__(self, repair_crossover: float = 0.25) -> None:
         if not (0.0 <= repair_crossover <= 1.0):
             raise ValueError("repair_crossover must be in [0, 1]")
-        self._backend = resolve_backend(backend)
-        self._parts = parts
         self._crossover = float(repair_crossover)
         self._entries: Dict[str, _Entry] = {}  # guarded-by: _entries_lock
         self._entries_lock = threading.RLock()
@@ -299,9 +288,7 @@ class GraphService:
         self._dispatcher.start()
 
     # ------------------------------------------------------------ graph store
-    def add_graph(
-        self, name: str, graph: CSRGraph, parts: Optional[int] = None
-    ) -> None:
+    def add_graph(self, name: str, graph: CSRGraph) -> None:
         """Register ``graph`` under ``name`` (replacing any previous holder).
 
         A graph that is not canonical (rows sorted without duplicates, no
@@ -312,16 +299,8 @@ class GraphService:
         self._check_open()
         if not _is_canonical(graph):
             graph = from_edges(graph.num_vertices, graph.edge_array())
-        parts = parts if parts is not None else self._parts
-        layout = (
-            build_partition_layout(graph, parts)
-            if parts is not None and parts > 1
-            else None
-        )
         with self._entries_lock:
-            self._entries[name] = _Entry(
-                name=name, graph=graph, layout=layout, parts=parts
-            )
+            self._entries[name] = _Entry(name=name, graph=graph)
 
     def remove_graph(self, name: str) -> None:
         with self._entries_lock:
@@ -336,12 +315,6 @@ class GraphService:
         entry = self._entry(name)
         with entry.lock:
             return entry.epoch
-
-    def token(self, name: str) -> Optional[str]:
-        """The current layout token (the resident-cache invalidation key)."""
-        entry = self._entry(name)
-        with entry.lock:
-            return entry.layout.token if entry.layout is not None else None
 
     def graphs(self) -> List[str]:
         with self._entries_lock:
@@ -409,8 +382,11 @@ class GraphService:
         existing key — so the repair frontier is just the new vertices. When
         the width does grow (vertex count crossing a power of two) the whole
         key order shifts: the mutation is structural and cached results are
-        recomputed from scratch on next query.
+        recomputed from scratch on next query. A ``count`` that is not a
+        non-negative integer raises ``ValueError``.
         """
+        if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
+            raise ValueError(f"count must be an integer, got {count!r}")
         if count < 0:
             raise ValueError("count must be >= 0")
         entry = self._entry(name)
@@ -436,12 +412,15 @@ class GraphService:
                 mis_dirty=fresh,
                 color_dirty=fresh,
                 structural=structural,
-                grew=count,
             )
             return (n, new_n)
 
-    def remove_vertices(self, name: str, vertices: Sequence[int]) -> int:
+    def remove_vertices(self, name: str, vertices: Iterable[int]) -> int:
         """Delete vertices (and their edges), renumbering the survivors.
+
+        ``vertices`` is an iterable of integer ids or an integer array; a
+        non-integer, bool or out-of-range id raises ``ValueError`` and
+        changes nothing.
 
         Renumbering changes every surviving vertex's id and therefore its
         packed key — the mutation is always structural and the next query of
@@ -450,11 +429,9 @@ class GraphService:
         entry = self._entry(name)
         with entry.lock:
             n = entry.graph.num_vertices
-            drop = np.unique(np.asarray(list(vertices), dtype=np.int64))
+            drop = _vertex_ids(n, vertices)
             if drop.size == 0:
                 return 0
-            if drop.size and (drop[0] < 0 or drop[-1] >= n):
-                raise ValueError(f"vertex ids out of range for {n} vertices")
             keep = np.setdiff1d(np.arange(n, dtype=np.int64), drop, assume_unique=True)
             new_graph, _ = induced_subgraph(entry.graph, keep)
             empty = np.zeros(0, dtype=np.int64)
@@ -464,7 +441,6 @@ class GraphService:
                 mis_dirty=empty,
                 color_dirty=empty,
                 structural=True,
-                keep=keep,
             )
             return int(drop.size)
 
@@ -475,22 +451,10 @@ class GraphService:
         mis_dirty: np.ndarray,
         color_dirty: np.ndarray,
         structural: bool = False,
-        grew: int = 0,
-        keep: Optional[np.ndarray] = None,
     ) -> None:  # holds: lock
         entry.graph = new_graph
         entry.epoch += 1
         entry.keys.clear()
-        if entry.layout is not None:
-            labels = carry_partition_labels(
-                entry.layout.labels,
-                entry.layout.num_parts,
-                keep=keep,
-                new_vertices=grew,
-            )
-            # Fresh layout object => fresh token: the old token's worker-side
-            # payload entries can never serve the mutated graph.
-            entry.layout = build_partition_layout(new_graph, labels)
         entry.mutations.append(
             _Mutation(
                 epoch=entry.epoch,
@@ -673,7 +637,6 @@ class GraphService:
         return _readonly(value)
 
     def _full_compute(self, entry: _Entry, kind: str, params: Dict[str, Any]) -> Any:  # holds: lock
-        partitions = entry.layout
         if kind == "mis2":
             from ..mis.kk import kk_mis2
 
@@ -681,8 +644,6 @@ class GraphService:
                 entry.graph,
                 priority_scheme="fixed",
                 seed=int(params.get("seed", 0)),
-                backend=self._backend,
-                partitions=partitions,
             )
             return _readonly(result.in_mask.copy())
         if kind == "color":
@@ -691,13 +652,7 @@ class GraphService:
         if kind == "aggregate":
             from ..coarsen.mis2_agg import mis2_aggregation
 
-            aggregation = mis2_aggregation(
-                entry.graph,
-                seed=int(params.get("seed", 0)),
-                backend=self._backend,
-                partitions=partitions,
-            )
-            return aggregation
+            return mis2_aggregation(entry.graph, seed=int(params.get("seed", 0)))
         raise ValueError(f"unknown query kind {kind!r}")
 
     # ------------------------------------------------------------------ stats
@@ -709,43 +664,24 @@ class GraphService:
             return self.stats.to_dict()
 
     # ----------------------------------------------------------------- health
-    def health(self, timeout: float = 5.0) -> Dict[str, Any]:
-        """Liveness snapshot: the store, the backend, and — on the
-        distributed backend — a deadline-bounded ping of every rank.
-
-        The rank probe uses the transport's per-receive deadline, so a rank
-        that is alive but wedged reports unhealthy within ``timeout`` instead
-        of hanging the caller.
-        """
+    def health(self) -> Dict[str, Any]:
+        """Liveness snapshot: ``closed``, ``healthy`` (open), and per graph
+        its ``vertices``, ``edges`` and ``epoch``."""
         graphs: Dict[str, Dict[str, Any]] = {}
         with self._entries_lock:
             closed = self._closed
             entries = list(self._entries.items())
         for name, entry in entries:
-            # Per-entry lock: a concurrent _apply_mutation reassigns graph,
-            # epoch, and layout in sequence — reading them unlocked could mix
-            # the new graph with the old epoch/token (a torn snapshot).
+            # Per-entry lock: a concurrent _apply_mutation reassigns graph
+            # and epoch in sequence — reading them unlocked could mix the new
+            # graph with the old epoch (a torn snapshot).
             with entry.lock:
                 graphs[name] = {
                     "vertices": entry.graph.num_vertices,
                     "edges": entry.graph.num_edges,
                     "epoch": entry.epoch,
-                    "parts": entry.layout.num_parts if entry.layout else 1,
-                    "token": entry.layout.token if entry.layout else None,
                 }
-        report: Dict[str, Any] = {
-            "closed": closed,
-            "backend": self._backend.name,
-            "graphs": graphs,
-        }
-        cluster_of = getattr(self._backend, "cluster", None)
-        if cluster_of is not None:
-            ranks = cluster_of().ping(timeout=timeout)
-            report["ranks"] = ranks
-            report["healthy"] = not closed and all(ranks.values())
-        else:
-            report["healthy"] = not closed
-        return report
+        return {"closed": closed, "healthy": not closed, "graphs": graphs}
 
     # -------------------------------------------------------------- lifecycle
     def _check_open(self) -> None:
@@ -755,11 +691,8 @@ class GraphService:
             raise ServiceClosed("GraphService is closed")
 
     def close(self) -> None:
-        """Stop the dispatcher and reject further work (idempotent).
-
-        In-flight queries finish; the resident worker caches are left to
-        their LRU (tokens of dropped graphs simply age out).
-        """
+        """Stop the dispatcher and reject further work (idempotent);
+        in-flight queries finish."""
         with self._entries_lock:
             if self._closed:
                 return

@@ -11,7 +11,7 @@ from repro.bench.__main__ import EXPERIMENTS, main
 def test_every_experiment_is_registered():
     assert set(EXPERIMENTS) == {
         "table1", "table2", "table3", "table4", "table5", "table6",
-        "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "smoke", "service",
+        "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "smoke",
     }
     assert set(EXPERIMENTS) == set(experiment_names())
 

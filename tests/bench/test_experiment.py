@@ -32,7 +32,7 @@ TINY = BenchConfig(scale=0.002, trials=1, warmup=0, matrices=("ecology2", "tmt_s
 
 class TestRegistry:
     def test_all_twelve_paper_experiments_registered(self):
-        assert PAPER_EXPERIMENTS | {"smoke", "service"} == set(experiment_names())
+        assert PAPER_EXPERIMENTS | {"smoke"} == set(experiment_names())
 
     def test_registry_names_match_cli(self):
         assert set(EXPERIMENTS) == set(experiment_names())

@@ -207,9 +207,10 @@ class TestDistributedSession:
     def test_shutdown_stops_ranks_in_order(self):
         # Shutdown travels in the request form like every other message; a
         # rank that did not understand it would die of the malformed frame
-        # (nonzero exit code) or be terminated (negative exit code).
+        # (nonzero exit code) or be terminated (negative exit code). The
+        # empty forget returns only once the rank serves.
         cluster = RankCluster(1)
-        assert cluster.ping() == {0: True}
+        assert cluster.request(0, [("forget", 0, [])]) == [("ok", True)]
         process = cluster._handles[0].process
         cluster.shutdown()
         assert process.exitcode == 0

@@ -2,8 +2,8 @@
 
 The service's whole correctness story rests on one claim — after any
 sequence of mutations, answering a repairable query by patching the cached
-result yields *exactly* the array a from-scratch run would produce, on every
-backend and partition count. These tests pin that claim three ways:
+result yields *exactly* the array a from-scratch run would produce. These
+tests pin that claim three ways:
 
 1. the repair engine alone (``repair_mis2`` / ``repair_ordered_color``)
    against the serial references, for single random edge toggles;
@@ -11,8 +11,7 @@ backend and partition count. These tests pin that claim three ways:
    (``kk_mis2(priority_scheme="fixed")``), so "repairable semantics" and
    "what the kernels compute" provably coincide;
 3. the full service — random mutation sequences, query-after-every-mutation,
-   compared bit-for-bit against fresh kernel runs — across a
-   backend x partition matrix.
+   compared bit-for-bit against fresh kernel runs.
 
 Beneath all three sits the graph each write leaves behind: the service
 splices the touched CSR rows, and that splice must equal a from-scratch
@@ -22,7 +21,6 @@ build of the new edge set.
 from __future__ import annotations
 
 import numpy as np
-import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
@@ -227,18 +225,14 @@ def _check_against_scratch(svc: GraphService, name: str, seed: int) -> None:
     )
 
 
-@pytest.mark.parametrize(
-    "backend,parts",
-    [("numpy", None), ("numpy", 3), ("chunked", None), ("threaded", 2)],
-)
 @given(
     graph=graphs(max_vertices=16, max_extra_edges=30),
     ops=mutation_ops(),
     seed=st.integers(min_value=0, max_value=2),
 )
 @settings(**SERVICE_COMMON)
-def test_service_repair_bit_identical_across_mutations(backend, parts, graph, ops, seed):
-    with GraphService(backend=backend, parts=parts, repair_crossover=1.0) as svc:
+def test_service_repair_bit_identical_across_mutations(graph, ops, seed):
+    with GraphService(repair_crossover=1.0) as svc:
         svc.add_graph("g", graph)
         _check_against_scratch(svc, "g", seed)  # seed the caches
         for kind, payload in ops:
@@ -258,7 +252,7 @@ def test_service_repair_bit_identical_across_mutations(backend, parts, graph, op
 @settings(**SERVICE_COMMON)
 def test_service_crossover_zero_still_bit_identical(graph, ops):
     """With the tightest crossover, repair mostly falls back — results hold."""
-    with GraphService(backend="numpy", repair_crossover=0.0) as svc:
+    with GraphService(repair_crossover=0.0) as svc:
         svc.add_graph("g", graph)
         _check_against_scratch(svc, "g", 0)
         for kind, payload in ops:

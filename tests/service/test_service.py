@@ -1,15 +1,14 @@
-"""GraphService behaviour: store, caching, batching, mutation, health, asyncio.
+"""GraphService behaviour: store, caching, batching, mutation, health.
 
 Bit-identity of repair vs. recompute lives in
 ``tests/properties/test_property_service_repair.py``; this module pins the
-*service* semantics around it — epoch/token bookkeeping, cache hits,
-coalescing, read-only results, error delivery, lifecycle, the asyncio front,
-and the distributed-backend health probe.
+*service* semantics around it — epoch bookkeeping, cache hits, coalescing,
+read-only results, error delivery, lifecycle, and the counts of a scripted
+run.
 """
 
 from __future__ import annotations
 
-import asyncio
 import threading
 from concurrent.futures import Future
 
@@ -20,7 +19,6 @@ from repro.coarsen.mis2_agg import mis2_aggregation
 from repro.graph import from_edges
 from repro.mis.kk import kk_mis2
 from repro.service import (
-    AsyncGraphService,
     GraphService,
     ServiceClosed,
     mis_keys,
@@ -33,17 +31,16 @@ def _path_graph(n):
     return from_edges(n, [(i, i + 1) for i in range(n - 1)])
 
 
-def _grid_graph():
-    # 4x4 grid: 16 vertices, enough structure for partitioned runs.
+def _grid_graph(side=4):
     edges = []
-    for r in range(4):
-        for c in range(4):
-            v = 4 * r + c
-            if c < 3:
+    for r in range(side):
+        for c in range(side):
+            v = side * r + c
+            if c < side - 1:
                 edges.append((v, v + 1))
-            if r < 3:
-                edges.append((v, v + 4))
-    return from_edges(16, edges)
+            if r < side - 1:
+                edges.append((v, v + side))
+    return from_edges(side * side, edges)
 
 
 class TestStore:
@@ -68,17 +65,6 @@ class TestStore:
             with pytest.raises(ValueError, match="unknown query kind"):
                 svc.submit("g", "pagerank")
 
-    def test_token_none_unpartitioned_fresh_when_partitioned(self):
-        with GraphService() as svc:
-            svc.add_graph("flat", _grid_graph())
-            assert svc.token("flat") is None
-            svc.add_graph("split", _grid_graph(), parts=4)
-            before = svc.token("split")
-            assert before is not None
-            svc.add_edges("split", [(0, 15)])
-            after = svc.token("split")
-            assert after is not None and after != before
-
     def test_mutation_bumps_epoch_noop_does_not(self):
         with GraphService() as svc:
             svc.add_graph("g", _path_graph(5))
@@ -90,7 +76,7 @@ class TestStore:
 
 class TestQueries:
     def test_mis2_matches_kernel_and_is_readonly(self):
-        with GraphService(parts=3) as svc:
+        with GraphService() as svc:
             svc.add_graph("g", _grid_graph())
             mask = svc.mis2("g", seed=1)
             expected = kk_mis2(
@@ -113,7 +99,7 @@ class TestQueries:
 
     def test_aggregate_matches_direct_call(self):
         graph = _grid_graph()
-        with GraphService(parts=2) as svc:
+        with GraphService() as svc:
             svc.add_graph("g", graph)
             agg = svc.aggregate("g", seed=2)
             direct = mis2_aggregation(graph, seed=2)
@@ -162,7 +148,7 @@ class TestBatching:
                     request.future.result(timeout=5)
 
     def test_concurrent_submitters_agree(self):
-        with GraphService(backend="threaded", parts=2) as svc:
+        with GraphService() as svc:
             svc.add_graph("g", _grid_graph())
             futures = [svc.submit("g", "mis2", seed=0) for _ in range(16)]
             results = [f.result(timeout=30) for f in futures]
@@ -270,6 +256,33 @@ class TestMutations:
             expected = kk_mis2(svc.graph("g"), priority_scheme="fixed").in_mask
             np.testing.assert_array_equal(np.asarray(mask), expected)
 
+    @pytest.mark.parametrize(
+        "ids,match",
+        [
+            ([2.7], r"float64: \[2\.7\]"),
+            ([True], r"bool: \[True\]"),
+            ([-1], r"vertex id -1 out of range"),
+            ([5], r"vertex id 5 out of range"),
+        ],
+        ids=["float", "bool", "negative", "past-the-end"],
+    )
+    def test_remove_vertices_rejects_bad_ids_and_keeps_the_epoch(self, ids, match):
+        with GraphService() as svc:
+            svc.add_graph("g", _path_graph(5))
+            with pytest.raises(ValueError, match=match):
+                svc.remove_vertices("g", ids)
+            assert svc.epoch("g") == 0
+            assert svc.graph("g") == _path_graph(5)
+
+    @pytest.mark.parametrize("count", [2.5, True, -1], ids=["float", "bool", "negative"])
+    def test_add_vertices_rejects_bad_counts_and_keeps_the_epoch(self, count):
+        with GraphService() as svc:
+            svc.add_graph("g", _path_graph(5))
+            with pytest.raises(ValueError, match="count must be"):
+                svc.add_vertices("g", count)
+            assert svc.epoch("g") == 0
+            assert svc.graph("g") == _path_graph(5)
+
     def test_remove_vertices_renumbers_and_recomputes(self):
         with GraphService() as svc:
             svc.add_graph("g", _path_graph(6))
@@ -335,18 +348,16 @@ class TestRepairPath:
 
 
 class TestLifecycleAndHealth:
-    def test_health_reports_store_and_backend(self):
-        with GraphService(parts=2) as svc:
+    def test_health_reports_liveness_and_graph_sizes(self):
+        with GraphService() as svc:
             svc.add_graph("g", _grid_graph())
             svc.add_edges("g", [(0, 15)])
             report = svc.health()
+            assert set(report) == {"closed", "healthy", "graphs"}
+            assert report["closed"] is False
             assert report["healthy"] is True
-            assert report["backend"] == svc._backend.name
             info = report["graphs"]["g"]
-            assert info["vertices"] == 16
-            assert info["epoch"] == 1
-            assert info["parts"] == 2
-            assert info["token"] == svc.token("g")
+            assert info == {"vertices": 16, "edges": 25, "epoch": 1}
 
     def test_closed_service_rejects_work_and_reports_unhealthy(self):
         svc = GraphService()
@@ -371,69 +382,50 @@ class TestLifecycleAndHealth:
             assert set(stats) == set(svc.stats.__dict__)
 
 
-class TestAsyncFront:
-    def test_gathered_queries_and_mutations(self):
-        async def scenario():
-            async with AsyncGraphService(backend="threaded", parts=2) as svc:
-                await svc.add_graph("g", _grid_graph())
-                masks = await asyncio.gather(*[svc.mis2("g") for _ in range(8)])
-                await svc.add_edges("g", [(0, 15)])
-                repaired = await svc.mis2("g")
-                colors = await svc.color("g")
-                report = await svc.health()
-                return masks, repaired, colors, report, svc.service.graph("g")
+class TestScriptedRun:
+    """The counts of one scripted run: initial queries, then a diagonal chord
+    toggled per write with a query of each repairable kind after it. They
+    are deterministic, so any change to the write, repair or fallback path
+    that moves one shows here."""
 
-        masks, repaired, colors, report, graph = asyncio.run(scenario())
-        base = kk_mis2(_grid_graph(), priority_scheme="fixed").in_mask
-        for mask in masks:
-            np.testing.assert_array_equal(np.asarray(mask), base)
-        np.testing.assert_array_equal(
-            np.asarray(repaired), kk_mis2(graph, priority_scheme="fixed").in_mask
-        )
-        np.testing.assert_array_equal(
-            np.asarray(colors), ordered_color(graph, mis_keys(16, 0))
-        )
-        assert report["healthy"] is True
-
-    def test_wrapping_existing_service_shares_store_and_never_closes_it(self):
-        with GraphService() as svc:
-            svc.add_graph("g", _path_graph(5))
-
-            async def scenario():
-                front = AsyncGraphService(service=svc)
-                assert front.graphs() == ["g"]
-                mask = await front.mis2("g")
-                await front.close()  # must NOT close the wrapped service
-                return mask
-
-            mask = asyncio.run(scenario())
-            assert not svc._closed
-            np.testing.assert_array_equal(
-                np.asarray(mask),
-                kk_mis2(_path_graph(5), priority_scheme="fixed").in_mask,
+    @pytest.mark.parametrize(
+        "side,writes,expected",
+        [
+            (12, 6, dict(vertices=144, edges=270, mis2=21, colors=5, aggregates=28,
+                         mutations=6, structural_mutations=0, repairs=12,
+                         repair_fallbacks=0, full_recomputes=3)),
+            (20, 4, dict(vertices=400, edges=764, mis2=59, colors=4, aggregates=77,
+                         mutations=4, structural_mutations=0, repairs=8,
+                         repair_fallbacks=0, full_recomputes=3)),
+        ],
+        ids=["grid12", "grid20"],
+    )
+    def test_counts_are_pinned(self, side, writes, expected):
+        n = side * side
+        with GraphService(repair_crossover=0.5) as svc:
+            svc.add_graph("g", _grid_graph(side))
+            svc.mis2("g", seed=0)
+            svc.color("g")
+            aggregation = svc.aggregate("g", seed=0)
+            for r in range(writes):
+                a = (7 * r) % (n - side - 1)
+                chord = [(a, a + side + 1)]
+                if svc.add_edges("g", chord) == 0:
+                    svc.remove_edges("g", chord)
+                svc.mis2("g", seed=0)
+                svc.color("g")
+            graph = svc.graph("g")
+            stats = svc.stats_snapshot()
+            got = dict(
+                vertices=graph.num_vertices,
+                edges=graph.num_edges,
+                mis2=int(np.count_nonzero(svc.mis2("g", seed=0))),
+                colors=int(svc.color("g").max()) + 1,
+                aggregates=aggregation.num_aggregates,
+                **{key: stats[key] for key in (
+                    "mutations", "structural_mutations", "repairs",
+                    "repair_fallbacks", "full_recomputes",
+                )},
             )
-
-    def test_constructor_rejects_service_plus_kwargs(self):
-        with GraphService() as svc:
-            with pytest.raises(ValueError, match="either"):
-                AsyncGraphService(service=svc, parts=2)
-
-
-class TestDistributedService:
-    def test_resident_distributed_queries_mutations_and_rank_health(self):
-        with GraphService(backend="distributed", parts=2) as svc:
-            svc.add_graph("g", _grid_graph())
-            mask = svc.mis2("g")
-            np.testing.assert_array_equal(
-                np.asarray(mask),
-                kk_mis2(_grid_graph(), priority_scheme="fixed").in_mask,
-            )
-            svc.add_edges("g", [(0, 15)])
-            repaired = svc.mis2("g")
-            np.testing.assert_array_equal(
-                np.asarray(repaired),
-                kk_mis2(svc.graph("g"), priority_scheme="fixed").in_mask,
-            )
-            report = svc.health(timeout=10.0)
-            assert report["healthy"] is True
-            assert report["ranks"] and all(report["ranks"].values())
+            assert got == expected
+            assert svc.epoch("g") == writes

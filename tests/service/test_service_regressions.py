@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from repro.graph import CSRGraph, from_edges
-from repro.parallel import build_partition_layout
 from repro.service import GraphService, ServiceClosed
 from repro.service.repair import (
     mis_keys,
@@ -188,10 +187,8 @@ def test_net_zero_writes_restore_the_epoch0_graph(stored, writes):
 
 
 def test_canonical_graph_is_held_as_the_same_object():
-    """No copy for a canonical graph, so its memoised layouts survive."""
+    """``add_graph`` copies only a graph it must canonicalise."""
     graph = _ring(12)
-    layout = build_partition_layout(graph, 2)
-    with GraphService(parts=2) as svc:
+    with GraphService() as svc:
         svc.add_graph("g", graph)
         assert svc.graph("g") is graph
-        assert svc.token("g") == layout.token
