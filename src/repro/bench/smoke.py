@@ -47,10 +47,10 @@ class SmokeRow:
     #: Ghost-exchange supersteps executed by the partitioned MIS + coloring runs.
     ghost_supersteps: int = 0
     #: Logical bytes shipped once at session open by the partitioned MIS +
-    #: coloring runs (per-part CSR + index maps + initial state).
+    #: coloring runs (per-part CSR, index maps and static parameters).
     resident_bytes: int = 0
-    #: Logical bytes shipped across all supersteps, both directions
-    #: (worklists, halo values and scalars out + results back).
+    #: Logical bytes shipped across all supersteps, both directions (halo
+    #: values and scalars out, boundary worklist values and sizes back).
     superstep_bytes: int = 0
     #: Largest single-superstep shipment across the partitioned runs.
     max_superstep_bytes: int = 0

@@ -135,7 +135,7 @@ atexit.register(shutdown_partition_pools)
 # A partitioned kernel run opens a *session* that ships each part's immutable
 # payload (local CSR, index maps, static parameters) and its initial mutable
 # state exactly once, and afterwards ships only the per-superstep deltas
-# (worklist indices, halo values, phase scalars) out and the results back.
+# (halo values, phase scalars) out and the results back.
 # The in-process session keeps both in the caller's address space; the
 # distributed backend pins part ``i`` to rank process ``i % ranks`` and runs
 # the same protocol over sockets against the rank-side store of
@@ -340,8 +340,8 @@ class ExecutionBackend:
         mutable arrays; both ship once, identified by the layout ``token``.
         The returned :class:`ResidentSession` then executes each superstep
         phase via ``session.run(fn, [(part_index, delta), ...])`` — after the
-        first superstep only the deltas (worklist indices, halo values, phase
-        scalars) cross whatever boundary the backend has.
+        first superstep only the deltas (halo values, phase scalars) cross
+        whatever boundary the backend has.
 
         The contract every backend must honour is the determinism rule of the
         partitioned kernels: ``fn(payload, state, delta)`` is a *pure*

@@ -24,24 +24,25 @@ only the exchange volume, never the result.
 
 Every kernel runs through one superstep path. ``ExecutionBackend.
 map_partitions_resident`` opens a session that installs each part's
-loop-invariant payload (local CSR, index maps, static parameters) and initial
-state once; the distributed ranks cache payloads under the layout token, so a
-rerun on the same layout skips the CSR. An integer ``partitions=k`` reuses
-the graph's layout for ``k``, built once and kept on the immutable graph
-while it lives, so repeated calls on one graph object neither partition
-again nor re-ship the CSR; a label array builds a fresh layout, with a
-fresh token, on every call. Each phase is then one
+loop-invariant payload (local CSR, index maps, static parameters) and an
+empty state once; the distributed ranks cache payloads under the layout
+token, so a rerun on the same layout skips the CSR. An integer
+``partitions=k`` reuses the graph's layout for ``k``, built once and kept on
+the immutable graph while it lives, so repeated calls on one graph object
+neither partition again nor re-ship the CSR; a label array builds a fresh
+layout, with a fresh token, on every call. Each phase is then one
 :meth:`~repro.parallel.backends.ResidentSession.run` call — a barrier — that
 executes ``fn(payload, state, delta)`` for every live part. Every delta
 carries, for each array the phase reads at ghosts, the coordinator's global
 array gathered at ``part.halo`` (dense); the task writes those values into
-its state and computes from that snapshot. The kernels differ in who keeps
-the worklist. A kk delta also carries the part's worklist (local indices)
-and the phase scalars, and a kk task returns every worklist value it
-computed. A coloring part keeps its own worklist and coloring state and
-recomputes only what the last round changed; its tasks return only the
-values other parts read (its boundary worklist), and all its owned colors
-once, in the round its worklist empties. The session
+its state and computes from that snapshot. A kk delta that reads no ghost
+is the iteration number alone. Each part builds and keeps its own state
+and worklists in its first task, so no index list ships: its tasks return
+only the values other parts read (those of its boundary worklist, plus the
+worklist size left), and all its owned values once, in the phase its
+worklist empties. The coordinator derives the same boundary worklists from
+its own arrays. A coloring part also recomputes only what the last round
+changed. The session
 is in-process on every backend but one: serial on numpy and chunked,
 fanned over a thread pool on threaded, and on the distributed backend it pins
 part ``i`` to a rank process over sockets (:mod:`repro.parallel.distributed`);
@@ -191,15 +192,16 @@ class PartitionStats:
     cut_edges: int
     #: Ghost-exchange rounds (superstep phases) the driver executed.
     supersteps: int
-    #: Logical bytes shipped once at session open (per-part CSR + index maps +
-    #: initial state).
+    #: Logical bytes shipped once at session open (per-part CSR, index maps
+    #: and static parameters; the state ships empty).
     resident_bytes: int = 0
     #: Logical bytes shipped across all supersteps, both directions: halo
-    #: values (plus kk's worklist indices and phase scalars) out and the
-    #: result arrays back.
+    #: values (or kk's iteration number) out, and the boundary worklist's
+    #: values and worklist sizes back.
     superstep_bytes: int = 0
-    #: Largest single-superstep shipment — O(halo + worklist) for kk,
-    #: O(halo + boundary) for coloring — well below ``resident_bytes``.
+    #: Largest single-superstep shipment — O(halo + boundary), plus the owned
+    #: values of a part whose worklist empties — well below
+    #: ``resident_bytes``.
     max_superstep_bytes: int = 0
     #: Coordinator wall-clock spent computing between session calls (elapsed
     #: minus exchange minus idle). ``perf_counter``-based and machine-varying —
@@ -500,12 +502,13 @@ def _read_only(layout: PartitionLayout) -> PartitionLayout:
 # ``fn(payload, state, delta)`` — ``payload`` is the part's loop-invariant
 # shipment (local CSR, index maps, static kernel parameters; installed once
 # per run, cached across runs under the layout token), ``state`` the part's
-# retained per-vertex arrays over the local space, and ``delta`` the phase's
-# shipment: the ghosted arrays' halo values and, for kk, the worklist as
-# local indices and the phase scalars. A task first writes the halo values
-# into its state, computes from that snapshot with the per-vertex arithmetic
-# of the unpartitioned kernel (which is what makes the drivers bit-identical
-# to it), and writes its owned results last.
+# retained per-vertex arrays and worklists over the local space (empty until
+# the part's first task builds them), and ``delta`` the phase's shipment: the
+# ghosted array's halo values, or kk Refresh Row's iteration number. A task
+# first writes the halo values into its state, computes its worklist from
+# that snapshot with the per-vertex arithmetic of the unpartitioned kernel
+# (which is what makes the drivers bit-identical to it), compacts its
+# worklists, and returns its boundary worklist's values.
 
 
 def _resident_payload(part: GraphPart, **extra) -> Dict:
@@ -520,43 +523,78 @@ def _resident_payload(part: GraphPart, **extra) -> Dict:
     return payload
 
 
-def _kk_refresh_row(payload, state, delta):
+def _kk_state(payload) -> Dict:
+    """A part's kk state, built by the part itself in its first task.
+
+    ``T`` and ``M`` are the flat kernel's initial tuples and minima over the
+    local space, ghosts included. ``w1`` and ``w2`` are the worklists (local
+    ids, ascending), ``bw1`` and ``bw2`` their boundary vertices: the ones
+    other parts read.
+    """
+    packer = TuplePacking(payload["n"], word_bits=payload["word_bits"])
+    ids = payload["ids"]
+    return {
+        "T": packer.pack(np.zeros(ids.size, dtype=packer.dtype), ids),
+        "M": np.full(ids.size, packer.out_value, dtype=packer.dtype),
+        "w1": payload["owned_local"],
+        "w2": payload["owned_local"],
+        "bw1": payload["boundary_local"],
+        "bw2": payload["boundary_local"],
+    }
+
+
+def _kk_refresh_row(payload, state, iteration):
+    """Refresh Row: fresh tuples for ``w1``. Returns those of ``bw1``."""
     from ..mis.kk import _priorities_for
 
-    w1_local, iteration = delta
+    if not state:
+        state.update(_kk_state(payload))
+    w1, T = state["w1"], state["T"]
     scheme = PriorityScheme.coerce(payload["scheme"])
     packer = TuplePacking(payload["n"], word_bits=payload["word_bits"])
-    vertices = payload["ids"][w1_local]
+    vertices = payload["ids"][w1]
     prios = _priorities_for(scheme, iteration, vertices, payload["n"], payload["seed"])
-    out = packer.pack(prios.astype(packer.dtype), vertices)
-    state["T"][w1_local] = out
-    return out
+    T[w1] = packer.pack(prios.astype(packer.dtype), vertices)
+    return T[state["bw1"]]
 
 
-def _kk_refresh_column(payload, state, delta):
-    w2_local, T_halo = delta
-    T = state["T"]
+def _kk_refresh_column(payload, state, T_halo):
+    """Refresh Column: the closed-neighbourhood minima of ``w2``.
+
+    Returns the size of ``w2`` left and ``M`` at the ``bw2`` the phase
+    started with, then drops the vertices whose ``M`` became ``OUT`` from
+    both.
+    """
+    T, M, w2, bw2 = state["T"], state["M"], state["w2"], state["bw2"]
     T[payload["halo_local"]] = T_halo
     packer = TuplePacking(payload["n"], word_bits=payload["word_bits"])
     IN, OUT = packer.in_value, packer.out_value
-    slots, seg = _ref.expand_rows(payload["rowmap"], w2_local)
+    slots, seg = _ref.expand_rows(payload["rowmap"], w2)
     min_nbr = _ref.segmented_min(T[payload["entries"][slots]], seg, identity=OUT)
-    Mv = np.minimum(min_nbr, T[w2_local])
-    out = np.where(Mv == IN, OUT, Mv)
-    state["M"][w2_local] = out
-    return out
+    Mv = np.minimum(min_nbr, T[w2])
+    Mv = np.where(Mv == IN, OUT, Mv)
+    M[w2] = Mv
+    values = M[bw2]
+    state["w2"] = w2 = w2[Mv != OUT]
+    state["bw2"] = bw2[values != OUT]
+    return w2.size, values
 
 
-def _kk_decide(payload, state, delta):
-    w1_local, M_halo = delta
-    T, M = state["T"], state["M"]
+def _kk_decide(payload, state, M_halo):
+    """Decide Set for ``w1``.
+
+    Returns the size of ``w1`` left and ``T`` at the ``bw1`` the phase
+    started with, then drops the decided vertices from both. In the phase
+    ``w1`` empties it returns all the owned tuples instead.
+    """
+    T, M, w1, bw1 = state["T"], state["M"], state["w1"], state["bw1"]
     M[payload["halo_local"]] = M_halo
     packer = TuplePacking(payload["n"], word_bits=payload["word_bits"])
     IN, OUT = packer.in_value, packer.out_value
-    slots, seg = _ref.expand_rows(payload["rowmap"], w1_local)
+    slots, seg = _ref.expand_rows(payload["rowmap"], w1)
     nbr_M = M[payload["entries"][slots]]
-    Tw = T[w1_local]
-    Mw = M[w1_local]
+    Tw = T[w1]
+    Mw = M[w1]
     any_out = _ref.segmented_any_equal(nbr_M, OUT, seg) | (Mw == OUT)
     all_match = _ref.segmented_all_equal(nbr_M, Tw, seg) & (Mw == Tw)
     undecided = packer.is_undecided(Tw)
@@ -565,8 +603,13 @@ def _kk_decide(payload, state, delta):
     newT = Tw.copy()
     newT[to_out] = OUT
     newT[to_in] = IN
-    T[w1_local] = newT
-    return newT
+    T[w1] = newT
+    state["w1"] = w1 = w1[packer.is_undecided(newT)]
+    if not w1.size:
+        return 0, T[payload["owned_local"]]
+    values = T[bw1]
+    state["bw1"] = bw1[packer.is_undecided(values)]
+    return w1.size, values
 
 
 #: A frontier phase's budget: the share of the worklist's adjacency slots its
@@ -702,17 +745,6 @@ def _color_conflict(payload, state, cur_halo):
 
 
 # ------------------------------------------------------------------- drivers
-def _live(worklists: List[np.ndarray]) -> List[int]:
-    """Indices of the parts with a non-empty worklist (no-op parts are skipped)."""
-    return [i for i, w in enumerate(worklists) if w.size]
-
-
-def _scatter(arr: np.ndarray, vertices: List[np.ndarray], live: List[int], outs) -> None:
-    """Write each live part's phase results into the shared global array."""
-    for i, out in zip(live, outs):
-        arr[vertices[i]] = out
-
-
 def partitioned_kk_mis2(
     graph: CSRGraph,
     partitions: PartitionSpec,
@@ -727,11 +759,34 @@ def partitioned_kk_mis2(
 
     Each main-loop iteration runs as three supersteps (Refresh Row, Refresh
     Column, Decide), each one :meth:`ResidentSession.run` barrier over the
-    live parts. Each part's local CSR ships to its session once. Refresh
-    Row ships the worklist and the iteration number; Refresh Column and
-    Decide ship the worklist plus the part's halo of ``T`` and ``M``
-    respectively. Worklist compaction is owner-local. See the module
-    docstring for the determinism argument.
+    live parts. Each part's local CSR ships to its session once. The part
+    builds and keeps its tuples ``T``, minima ``M`` and worklists ``w1``
+    (undecided) and ``w2`` (``M`` not yet ``OUT``), and compacts them itself
+    after each phase, as the flat kernel does. Refresh Row ships only the
+    iteration number; Refresh Column and Decide ship only the part's halo of
+    ``T`` and ``M`` respectively. Each phase returns only what other parts
+    read: the values of the part's *boundary worklist* (its boundary
+    vertices still in ``w1``, or in ``w2`` for Refresh Column) as the phase
+    started, plus the worklist size left. In the iteration its ``w1``
+    empties, Decide returns all the part's owned tuples instead. The
+    coordinator derives the same ordered boundary worklists from its own
+    ``T`` and ``M``, so no index list ships either way.
+
+    This is exact:
+
+    * A part's ``w1`` is its undecided owned vertices, and from iteration 1
+      on its ``w2`` is its owned vertices with ``M != OUT``. That is what the
+      flat kernel's compaction keeps, so the live parts and
+      ``worklist_sizes`` come out the same.
+    * A vertex leaves a worklist only when its value is final: an IN or OUT
+      tuple never changes again, and ``OUT`` in ``M`` is sticky. Every phase
+      returns every boundary value it can change, the ones that just became
+      final included. So the coordinator's ``T`` and ``M`` are current on
+      every boundary vertex, and every halo gather ships current values.
+    * Each non-empty part returns all its owned tuples exactly once, so the
+      final ``T`` is complete.
+
+    See the module docstring for the determinism argument.
     """
     from ..mis.kk import SIMD_DEGREE_THRESHOLD, _max_iterations
     from ..mis.result import MISConfig, MISResult
@@ -775,58 +830,63 @@ def partitioned_kk_mis2(
     T = packer.pack(np.zeros(n, dtype=packer.dtype), np.arange(n, dtype=np.int64))
     M = np.full(n, OUT, dtype=packer.dtype)
     members = layout.parts
-    w1 = [p.owned for p in members]
-    w2 = [p.owned for p in members]
+    # The boundary worklists, in the order the parts keep them too.
+    bw1 = [p.boundary() for p in members]
+    bw2 = list(bw1)
+    left1 = [p.num_owned for p in members]
+    left2 = list(left1)
     worklist_sizes: List[Tuple[int, int]] = []
     iteration = 0
     max_iter = _max_iterations(n)
 
     payloads = [
-        _resident_payload(p, n=n, word_bits=word_bits, scheme=scheme.value, seed=seed)
+        _resident_payload(
+            p,
+            n=n,
+            word_bits=word_bits,
+            scheme=scheme.value,
+            seed=seed,
+            owned_local=p.owned_local,
+            boundary_local=p.owned_local[~p.interior_mask],
+        )
         for p in members
     ]
-    states = [{"T": T[p.ids], "M": M[p.ids]} for p in members]
+    states: List[Dict] = [{} for _ in members]
     token = f"{layout.token}/kk2/{scheme.value}/s{seed}/w{word_bits}"
     session = B.map_partitions_resident(token, payloads, states)
     t0 = time.perf_counter()
     try:
-        while True:
-            total1 = sum(w.size for w in w1)
-            if total1 == 0:
-                break
+        while any(left1):
             if iteration >= max_iter:
                 raise RuntimeError(
                     f"partitioned MIS-2 did not converge within {max_iter} iterations; "
                     "this indicates a bug in the priority scheme or the graph structure"
                 )
-            worklist_sizes.append((int(total1), int(sum(w.size for w in w2))))
-
-            live1 = _live(w1)
-            live2 = _live(w2)
-            w1_loc = {i: members[i].local(w1[i]) for i in live1}
+            worklist_sizes.append((sum(left1), sum(left2)))
+            live1 = [i for i, size in enumerate(left1) if size]
+            live2 = [i for i, size in enumerate(left2) if size]
 
             # ------------------------------------ Refresh Row (owner-local)
-            outs = session.run(_kk_refresh_row, [(i, (w1_loc[i], iteration)) for i in live1])
-            _scatter(T, w1, live1, outs)
+            outs = session.run(_kk_refresh_row, [(i, iteration) for i in live1])
+            for i, values in zip(live1, outs):
+                T[bw1[i]] = values
 
             # --------------------------------- Refresh Column (reads ghost T)
-            outs = session.run(
-                _kk_refresh_column,
-                [(i, (members[i].local(w2[i]), T[members[i].halo])) for i in live2],
-            )
-            _scatter(M, w2, live2, outs)
+            outs = session.run(_kk_refresh_column, [(i, T[members[i].halo]) for i in live2])
+            for i, (size, values) in zip(live2, outs):
+                left2[i] = size
+                M[bw2[i]] = values
+                bw2[i] = bw2[i][values != OUT]
 
             # ------------------------------------ Decide (reads ghost M)
-            outs = session.run(
-                _kk_decide, [(i, (w1_loc[i], M[members[i].halo])) for i in live1]
-            )
-            _scatter(T, w1, live1, outs)
-
-            # --------------------------------------- Compaction (owner-local)
-            for i in live1:
-                w1[i] = w1[i][packer.is_undecided(T[w1[i]])]
-            for i in live2:
-                w2[i] = w2[i][M[w2[i]] != OUT]
+            outs = session.run(_kk_decide, [(i, M[members[i].halo]) for i in live1])
+            for i, (size, values) in zip(live1, outs):
+                left1[i] = size
+                if size:
+                    T[bw1[i]] = values
+                    bw1[i] = bw1[i][packer.is_undecided(values)]
+                else:
+                    T[members[i].owned] = values
             iteration += 1
     finally:
         session.close()

@@ -155,15 +155,46 @@ def _is_canonical(graph: CSRGraph) -> bool:
     )
 
 
+def _has_bool(item: Any) -> bool:
+    """Whether ``item``, a batch entry, is or holds a bool."""
+    if isinstance(item, (bool, np.bool_)):
+        return True
+    if isinstance(item, np.ndarray):
+        return item.dtype == np.bool_
+    if isinstance(item, (list, tuple)):
+        return any(_has_bool(x) for x in item)
+    return False
+
+
+def _as_batch(batch: Iterable, what: str) -> np.ndarray:
+    """A write batch as an array.
+
+    ``np.asarray`` turns a bool among integers into 0 or 1, which would run
+    the write on ids the caller never named, so a batch that converts to
+    integers while holding a bool raises ``ValueError`` naming the entry.
+    An all-bool batch keeps its bool dtype for the caller's dtype check.
+    """
+    if isinstance(batch, np.ndarray):
+        return batch
+    items = list(batch)
+    array = np.asarray(items)
+    if array.dtype.kind in "iu":
+        for item in items:
+            if _has_bool(item):
+                raise ValueError(f"{what} must be integers, got {item!r}")
+    return array
+
+
 def _canonical_edges(n: int, edges: Iterable[Tuple[int, int]]) -> np.ndarray:
     """Validate and canonicalise an edge batch to unique ``u*n+v`` codes, u<v.
 
     The batch is any iterable of integer ``(u, v)`` pairs or an ``(m, 2)``
-    integer array; anything else raises ``ValueError``. Self-loops are
-    dropped (the CSR form is self-loop free; the kernels treat vertices as
-    implicitly self-adjacent), duplicates collapse.
+    integer array; anything else, a bool endpoint included, raises
+    ``ValueError``. Self-loops are dropped (the CSR form is self-loop free;
+    the kernels treat vertices as implicitly self-adjacent), duplicates
+    collapse.
     """
-    pairs = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges))
+    pairs = _as_batch(edges, "edge endpoints")
     if pairs.size == 0:
         return np.zeros(0, dtype=np.int64)
     if pairs.ndim != 2 or pairs.shape[1] != 2:
@@ -187,9 +218,7 @@ def _vertex_ids(n: int, vertices: Iterable[int]) -> np.ndarray:
     non-integer or bool id, or one outside ``[0, n)``, raises ``ValueError``
     naming it.
     """
-    ids = np.asarray(
-        vertices if isinstance(vertices, np.ndarray) else list(vertices)
-    ).ravel()
+    ids = _as_batch(vertices, "vertex ids").ravel()
     if ids.size == 0:
         return np.zeros(0, dtype=np.int64)
     if not np.issubdtype(ids.dtype, np.integer):
@@ -482,13 +511,16 @@ class GraphService:
         Concurrent submissions of the same ``(graph, kind, params)`` at the
         same epoch are coalesced by the dispatcher onto a single computation.
         """
-        self._check_open()
         if kind not in ("mis2", "color", "aggregate"):
             raise ValueError(f"unknown query kind {kind!r}")
         future: "Future[Any]" = Future()
-        self._queue.put(
-            _Request(name, kind, tuple(sorted(params.items())), future)
-        )
+        request = _Request(name, kind, tuple(sorted(params.items())), future)
+        # The open check and the put are one step under the lock that close()
+        # holds while it enqueues its stop sentinel, so no request can land
+        # behind the sentinel, where the dispatcher would never drain it.
+        with self._entries_lock:
+            self._check_open()
+            self._queue.put(request)
         return future
 
     def mis2(self, name: str, seed: int = 0):
@@ -697,7 +729,7 @@ class GraphService:
             if self._closed:
                 return
             self._closed = True
-        self._queue.put(None)
+            self._queue.put(None)
         self._dispatcher.join(timeout=30.0)
 
     def __enter__(self) -> "GraphService":

@@ -279,6 +279,31 @@ def test_partitioned_coloring_many_rounds_bit_identical(
     )
 
 
+@pytest.mark.parametrize("option", ("default", "fixed-s3"))
+@pytest.mark.parametrize("parts", sorted(_MANY_ROUND_PARTS))
+@pytest.mark.parametrize("graph_name", sorted(_MANY_ROUND_GRAPHS))
+def test_partitioned_kk_many_iterations_bit_identical(
+    partition_backend, many_round_graphs, graph_name, parts, option
+):
+    """Partitioned kk on larger meshes, skewed degrees and many cut edges
+    equals the flat kernel, worklist sizes included, runs three supersteps
+    an iteration, and records the numpy partitioned run's deterministic
+    counts. ``fixed-s3`` is the service's MIS-2 query."""
+    options = {} if option == "default" else _KK_OPTIONS[option]
+    g = many_round_graphs[graph_name]
+    layout = build_partition_layout(g, _MANY_ROUND_PARTS[parts](g.num_vertices))
+    flat = kk_mis2(g, **options)
+    out = kk_mis2(g, partitions=layout, backend=partition_backend, **options)
+    ref = kk_mis2(g, partitions=layout, backend="numpy", **options)
+    assert np.array_equal(out.in_set, flat.in_set)
+    assert out.iterations == flat.iterations
+    assert out.worklist_sizes == flat.worklist_sizes
+    assert out.partition_stats.supersteps == 3 * out.iterations
+    assert _deterministic_stats(out.partition_stats) == _deterministic_stats(
+        ref.partition_stats
+    )
+
+
 def test_partitioned_coloring_max_rounds(partition_backend, many_round_graphs):
     """``max_rounds`` caps the partitioned conflict loop as it caps the flat
     one. A raise closes the session, so the next call on the same backend

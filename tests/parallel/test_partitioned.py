@@ -453,7 +453,7 @@ class _RecordingBackend(NumpyBackend):
     A view's shared value at a vertex is the owning part's state entry:
     every task keeps its owned entries current, and the coordinator gathers
     halos from the same values. A part that has not built a view yet —
-    coloring parts build their state in their first task — holds ``unset``.
+    parts build their state in their first task — holds ``unset``.
     """
 
     def __init__(self, views, unset=-1):
@@ -491,26 +491,60 @@ class _RecordingBackend(NumpyBackend):
 
 
 class TestDenseWireFormat:
-    def test_ghost_reading_tasks_ship_worklist_and_gathered_halos(self):
-        # Every kk ghost-reading task carries its worklist (local indices of
-        # owned vertices) and exactly the shared global array it reads at
-        # ghosts, gathered at part.halo when the phase ships.
+    def test_kk_ships_the_gathered_halo_and_returns_boundary_values(self):
+        # Refresh Row's delta is the iteration number alone; Refresh
+        # Column's and Decide's are exactly the shared T and M gathered at
+        # part.halo, with no worklist: the part keeps its own. Every phase
+        # returns only what other parts read: the values of the part's
+        # boundary worklist as the phase ships, its boundary vertices still
+        # undecided (for Refresh Column: with M not yet OUT, all of them in
+        # iteration 0). Refresh Column and Decide also return the worklist
+        # size left, and in the iteration a part's w1 empties, Decide's
+        # values are all the part's owned tuples.
+        from repro.hashing.packing import TuplePacking
         from repro.parallel import partitioned as P
 
         g = random_gnp(90, 0.07, seed=11)
         layout = build_partition_layout(g, 4)
-        ghosted = {P._kk_refresh_column: "T", P._kk_decide: "M"}
         recorder = _RecordingBackend(("T", "M"))
-        P.partitioned_kk_mis2(g, layout, backend=recorder)
-        assert set(ghosted) <= {fn for fn, tasks, *_ in recorder.phases if tasks}
-        for fn, tasks, before, _, _ in recorder.phases:
-            if fn not in ghosted:
-                continue
-            for part_id, (worklist, halo) in tasks:
+        out = P.partitioned_kk_mis2(g, layout, backend=recorder)
+        assert np.array_equal(out.in_set, kk_mis2(g).in_set)
+        assert [fn for fn, *_ in recorder.phases] == [
+            P._kk_refresh_row,
+            P._kk_refresh_column,
+            P._kk_decide,
+        ] * out.iterations
+        packer = TuplePacking(g.num_vertices)
+        undecided, OUT = packer.is_undecided, packer.out_value
+        emptied = []
+        for step, (fn, tasks, before, outs, after) in enumerate(recorder.phases):
+            iteration = step // 3
+            for (part_id, delta), result in zip(tasks, outs):
                 part = layout.parts[part_id]
-                assert worklist.dtype == np.int64 and worklist.size
-                assert np.isin(part.ids[worklist], part.owned).all()
-                assert np.array_equal(halo, before[ghosted[fn]][part.halo])
+                boundary = part.boundary()
+                if fn is P._kk_refresh_row:
+                    assert type(delta) is int and delta == iteration
+                    # A refresh keeps every tuple's decided state, so the
+                    # refreshed T tells the boundary worklist too.
+                    bw1 = boundary[undecided(after["T"][boundary])]
+                    assert np.array_equal(result, after["T"][bw1])
+                    continue
+                size, values = result
+                if fn is P._kk_refresh_column:
+                    assert np.array_equal(delta, before["T"][part.halo])
+                    bw2 = boundary
+                    if iteration:
+                        bw2 = boundary[before["M"][boundary] != OUT]
+                    assert size == np.count_nonzero(after["M"][part.owned] != OUT)
+                    assert np.array_equal(values, after["M"][bw2])
+                    continue
+                assert np.array_equal(delta, before["M"][part.halo])
+                bw1 = boundary[undecided(before["T"][boundary])]
+                assert size == np.count_nonzero(undecided(after["T"][part.owned]))
+                assert np.array_equal(values, after["T"][bw1 if size else part.owned])
+                if not size:
+                    emptied.append(part_id)
+        assert sorted(emptied) == [p.part_id for p in layout.parts if p.num_owned]
 
     def test_coloring_ships_the_gathered_halo_and_returns_boundary_values(self):
         # A coloring task's delta is exactly the shared colors gathered at
@@ -643,17 +677,30 @@ class TestSmokeGraphBytes:
 
         return laplace3d(10, 10, 10) if generator == "laplace3d" else elasticity3d(6, 6, 6)
 
-    @pytest.mark.parametrize("generator", ["laplace3d", "elasticity3d"])
-    def test_largest_superstep_is_the_first_dense_halo_exchange(self, generator):
-        # kk's largest superstep is its first ghost-reading phase, which
-        # ships every owned vertex's index and every ghost's value, and gets
-        # every owned value back.
+    @pytest.mark.parametrize(
+        "generator, largest, total",
+        [("laplace3d", 6_560, 87_584), ("elasticity3d", 10_144, 68_784)],
+    )
+    def test_kk_ships_halos_out_and_boundary_values_back(self, generator, largest, total):
+        """Refresh Row ships each live part its 8-byte iteration number;
+        Refresh Column and Decide ship 8 B per ghost. Back come 8 B per
+        boundary worklist vertex, and from Refresh Column and Decide also an
+        8-byte worklist size; a part whose w1 empties returns 8 B per owned
+        tuple from Decide instead. Iteration 0's ghost-reading phases each
+        move 8 x (halo + boundary + parts) = 6,560 B on laplace3d(10^3),
+        its largest superstep. On elasticity3d(6^3) the largest is
+        iteration 1's Decide, in which two parts' w1 empties and they return
+        their 206 + 129 owned tuples: 10,144 B against iteration 0's
+        9,344 B."""
         g = self._graph(generator)
         layout = build_partition_layout(g, 4)
-        first_exchange = 8 * g.num_vertices + 8 * layout.halo_vertices + 8 * g.num_vertices
         stats = kk_mis2(g, partitions=layout).partition_stats
+        iteration0 = 8 * (layout.halo_vertices + layout.boundary_vertices + layout.num_parts)
+        everything_back = 8 * (layout.halo_vertices + g.num_vertices + layout.num_parts)
         assert stats.supersteps > 0
-        assert stats.max_superstep_bytes == first_exchange
+        assert iteration0 <= stats.max_superstep_bytes <= everything_back
+        assert stats.max_superstep_bytes == largest
+        assert stats.superstep_bytes == total
         assert stats.max_superstep_bytes < stats.resident_bytes
         assert stats.max_superstep_bytes < stats.superstep_bytes
 

@@ -175,8 +175,8 @@ class TestMutations:
 
     @pytest.mark.parametrize(
         "batch",
-        [[(0, 1, 2)], np.array([0, 2]), [(0, 2.7)], np.array([[0.0, 2.0]])],
-        ids=["triple", "1-d-array", "float-id", "float-array"],
+        [[(0, 1, 2)], np.array([0, 2]), [(0, 2.7)], np.array([[0.0, 2.0]]), [(0, True)]],
+        ids=["triple", "1-d-array", "float-id", "float-array", "bool-endpoint"],
     )
     def test_malformed_batch_raises_and_keeps_the_epoch(self, batch):
         with GraphService() as svc:
@@ -261,10 +261,11 @@ class TestMutations:
         [
             ([2.7], r"float64: \[2\.7\]"),
             ([True], r"bool: \[True\]"),
+            ([3, True], r"vertex ids must be integers, got True"),
             ([-1], r"vertex id -1 out of range"),
             ([5], r"vertex id 5 out of range"),
         ],
-        ids=["float", "bool", "negative", "past-the-end"],
+        ids=["float", "bool", "bool-among-ints", "negative", "past-the-end"],
     )
     def test_remove_vertices_rejects_bad_ids_and_keeps_the_epoch(self, ids, match):
         with GraphService() as svc:

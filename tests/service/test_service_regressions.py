@@ -152,6 +152,64 @@ def test_concurrent_close_is_idempotent_and_rejects_new_work():
     svc.close()  # still idempotent after the fact
 
 
+class _StallingQueue:
+    """The service queue, with every request's ``put`` held until
+    ``release`` is set: a ``submit`` stalled between its open check and its
+    enqueue."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.stalled = threading.Event()
+        self.release = threading.Event()
+        self.sentinel = threading.Event()
+
+    def put(self, item):
+        if item is None:
+            self.sentinel.set()
+        else:
+            self.stalled.set()
+            self.release.wait(timeout=10)
+        self.inner.put(item)
+
+    def get(self):
+        return self.inner.get()
+
+    def get_nowait(self):
+        return self.inner.get_nowait()
+
+
+def test_submit_racing_close_raises_or_resolves():
+    """A request enqueued after close() put its stop sentinel was never
+    drained, so its future never resolved. The open check and the enqueue
+    are now one step, which close() waits for."""
+    svc = GraphService()
+    svc.add_graph("g", _ring(8))
+    stall = svc._queue = _StallingQueue(svc._queue)
+    outcome = {}
+
+    def submit():
+        try:
+            outcome["future"] = svc.submit("g", "mis2")
+        except ServiceClosed as exc:
+            outcome["closed"] = exc
+
+    submitter = threading.Thread(target=submit)
+    submitter.start()
+    assert stall.stalled.wait(timeout=10)
+    closer = threading.Thread(target=svc.close)
+    closer.start()
+    # Give close() the time to enqueue its sentinel if it can get past the
+    # stalled submit.
+    stall.sentinel.wait(timeout=0.5)
+    stall.release.set()
+    submitter.join(timeout=10)
+    closer.join(timeout=10)
+    assert not submitter.is_alive() and not closer.is_alive()
+    if "closed" not in outcome:
+        assert isinstance(outcome["future"].result(timeout=2), np.ndarray)
+    assert svc.health()["closed"] is True
+
+
 # ------------------------------------------------------- canonical held graph
 #: The path 0-1-2-3 stored non-canonically: with a self-loop on vertex 1,
 #: with rows 1 and 2 unsorted, and with vertex 2 twice in row 1.
