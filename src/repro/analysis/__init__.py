@@ -12,7 +12,8 @@ deterministic counts, honest byte accounting, thread-safe service state) by
 * bytes-*      — raw sockets and pickle stay inside ``repro.parallel.transport``
   so the byte meter can't be bypassed;
 * purity       — callables crossing the backend seam are module-level
-  (picklable) and kernels take ``backend=`` instead of hard-wiring one.
+  (picklable), and code that picks a backend resolves it through the
+  registry instead of hard-wiring one.
 
 Run it with ``python -m repro.analysis [--baseline FILE] [--json] [paths...]``.
 See ``src/repro/analysis/README.md`` for the annotation and suppression

@@ -7,9 +7,11 @@
   in the chunked backend's process pool and over the distributed backend's
   sockets.  ``functools.partial`` is unwrapped — its underlying callable is
   checked instead.
-* ``backend-concrete`` — kernels take ``backend=`` and resolve through the
-  registry; instantiating a concrete ``*Backend`` class anywhere else
-  hard-wires an execution strategy and breaks the equivalence matrix.
+* ``backend-concrete`` — code that picks a backend (a partitioned kernel's
+  session, the bench harness's ``map_graphs``) takes a name or instance and
+  resolves it through the registry's ``get_backend``; instantiating a
+  concrete ``*Backend`` class anywhere else hard-wires an execution strategy
+  and breaks the equivalence matrix.
 """
 
 from __future__ import annotations

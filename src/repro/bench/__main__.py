@@ -17,9 +17,10 @@ work over a process pool and ``--backend threaded`` over a thread pool.
 Flags
 -----
 ``--backend``
-    Execution backend every measurement runs on (default: the process default,
-    the NumPy reference). The chosen backend is printed with the results and
-    recorded on each kernel's traffic counter.
+    Execution backend of the run (default: ``numpy``, the reference). Its
+    ``map_graphs`` runs the experiment's units; with ``--parts`` the
+    partitioned kernels also run their sessions on it. The chosen backend is
+    printed with the results and names the JSON record.
 ``--jobs``
     Worker-pool width for the sharded backends' ``map_graphs`` (chunked
     processes / threaded threads). Serial backends ignore it. Caveat: with a
@@ -54,8 +55,8 @@ coloring / aggregation kernels through the partition-parallel drivers, and
 *verifies bit-identicality against the unpartitioned reference*; boundary and
 ghost-exchange stats land in the rows and deterministic counts, and records
 persist under a ``_p<k>`` infix. ``--backend distributed`` runs the
-partitioned drivers over localhost rank processes through the
-socket transport (``--jobs`` sets the rank count); results stay
+partitioned drivers over the registered backend's two localhost rank
+processes through the socket transport; results stay
 bit-identical and the logical byte counts unchanged, while the cluster
 additionally meters actual on-the-wire bytes
 (:meth:`repro.parallel.DistributedBackend.measured_stats`).
@@ -76,7 +77,7 @@ import dataclasses
 import sys
 from typing import Dict, List, Optional
 
-from ..parallel.backends import available_backends, default_backend
+from ..parallel.backends import available_backends
 
 from . import (  # noqa: F401 - importing the modules registers every experiment
     BenchConfig,
@@ -146,8 +147,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--matrices", nargs="*", default=None,
                         help="subset of suite matrices to run")
     parser.add_argument("--backend", choices=available_backends(), default=None,
-                        help="execution backend every measurement runs on "
-                             "(default: the process default, the NumPy reference)")
+                        help="execution backend of the run (default: numpy): its "
+                             "map_graphs runs the units, and with --parts the "
+                             "partitioned sessions run on it")
     parser.add_argument("--backends", type=_parse_backends,
                         default=None,
                         help="comma-separated backend list for 'sweep' "
@@ -257,8 +259,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.backends is not None:
         parser.error("--backends is only valid with 'sweep'; use --backend")
 
-    backend_name = config.backend or default_backend().name
-    print(f"backend: {backend_name}")
+    print(f"backend: {config.backend or 'numpy'}")
     if config.parts is not None:
         print(f"parts: {config.parts} (partition-parallel, verified vs reference)")
     print()

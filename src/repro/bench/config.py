@@ -48,9 +48,8 @@ class BenchConfig:
     mtx_dir: Optional[str] = None
     #: Subset of suite matrices to run (None = all 17).
     matrices: Optional[Tuple[str, ...]] = None
-    #: Execution backend every measurement runs on (None = the process default).
-    #: The drivers install it as the default backend for the run, so every kernel's
-    #: traffic counter records it.
+    #: Execution backend of the run (None = ``numpy``): its ``map_graphs`` runs
+    #: the units, and a parts-aware task runs its partitioned calls on it.
     backend: Optional[str] = None
     #: Intra-graph partition count for the experiments that support
     #: partition-parallel execution (None = unpartitioned). Partitioned runs

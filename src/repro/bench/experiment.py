@@ -36,12 +36,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..parallel.backends import (
-    ExecutionBackend,
-    default_backend,
-    resolve_backend,
-    set_default_backend,
-)
+from ..parallel.backends import ExecutionBackend, get_backend
 from ..util.tables import Table, format_seconds
 from .config import BenchConfig
 
@@ -197,29 +192,18 @@ class ExperimentResult:
 
 @dataclass(frozen=True)
 class _TaskInvocation:
-    """Picklable closure binding an experiment task to its config and backend.
+    """Picklable closure binding an experiment task to its config.
 
     This is what actually crosses the ``map_graphs`` seam: the task function (a
     module-level callable or a :func:`functools.partial` of one — never a
-    lambda), the frozen :class:`BenchConfig`, and the backend *instance* (every
-    shipped backend pickles, including configured clones like
-    ``ChunkedBackend(processes=2)`` — carrying the instance rather than a
-    registry name means a worker runs exactly the configuration the caller
-    passed, even on spawn-started pools where the registry default would
-    otherwise win). A process-pool worker starts with the process default
-    (NumPy) backend, so the invocation installs the carried backend on first
-    use; in the threaded and serial paths the default is already this very
-    instance and the identity check makes it a no-op, keeping the
-    process-global default race-free.
+    lambda) and the frozen :class:`BenchConfig`, whose ``backend`` names the
+    backend a parts-aware task runs its partitioned calls on.
     """
 
     task: Callable[[Any, BenchConfig], Any]
     config: BenchConfig
-    backend: ExecutionBackend
 
     def __call__(self, unit: Any) -> Any:
-        if default_backend() is not self.backend:
-            set_default_backend(self.backend)
         return self.task(unit, self.config)
 
 
@@ -282,8 +266,9 @@ class Experiment:
         config:
             Benchmark knobs (defaults to :class:`BenchConfig()`).
         backend:
-            Execution backend name/instance. ``None`` falls back to
-            ``config.backend``, then to the process default.
+            Execution backend name/instance whose ``map_graphs`` runs the
+            units. ``None`` falls back to ``config.backend``, then to
+            ``"numpy"``. Its name is written into the config the tasks get.
         jobs:
             ``map_graphs`` pool width override (ignored by serial backends).
         units / task:
@@ -298,13 +283,12 @@ class Experiment:
                 f"execution (parts={config.parts}); parts-aware experiments: "
                 f"{sorted(n for n, e in _EXPERIMENTS.items() if e.parts_aware)}"
             )
-        resolved = resolve_backend(backend if backend is not None else config.backend)
-        mapper = resolved.with_jobs(jobs)
+        resolved = get_backend(backend or config.backend or "numpy")
+        config = dataclasses.replace(config, backend=resolved.name)
         work = list(units) if units is not None else list(self.plan(config))
-        invocation = _TaskInvocation(task if task is not None else self.task, config, resolved)
+        invocation = _TaskInvocation(task if task is not None else self.task, config)
         start = time.perf_counter()
-        with set_default_backend(resolved):
-            rows = mapper.map_graphs(invocation, work)
+        rows = resolved.with_jobs(jobs).map_graphs(invocation, work)
         elapsed = time.perf_counter() - start
         return ExperimentResult(
             experiment=self.name,

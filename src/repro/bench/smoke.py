@@ -39,7 +39,6 @@ class SmokeRow:
     rounds: int
     num_aggregates: int
     predicted_v100_us: float
-    backend: str
     #: Intra-graph partition count (1 = unpartitioned run).
     parts: int = 1
     #: Vertices adjacent to another part in the partition layout.
@@ -119,12 +118,13 @@ def smoke_task(unit: Tuple[str, int, int, int], config: BenchConfig) -> SmokeRow
     if config.parts is not None:
         # Partition-parallel runs must be bit-identical to the unpartitioned
         # results computed above — the intra-graph sharding contract.
-        pmis = kk_mis2(graph, seed=config.seed, partitions=config.parts)
+        backend = config.backend or "numpy"
+        pmis = kk_mis2(graph, seed=config.seed, partitions=config.parts, backend=backend)
         if not (np.array_equal(pmis.in_set, mis.in_set) and pmis.iterations == mis.iterations):
             raise RuntimeError(
                 f"smoke check failed: partitioned MIS-2 diverged from the reference on {label}"
             )
-        pcoloring = greedy_color(graph, partitions=config.parts)
+        pcoloring = greedy_color(graph, partitions=config.parts, backend=backend)
         if not (
             np.array_equal(pcoloring.colors, coloring.colors)
             and pcoloring.rounds == coloring.rounds
@@ -135,7 +135,9 @@ def smoke_task(unit: Tuple[str, int, int, int], config: BenchConfig) -> SmokeRow
         # pmis is already verified identical to mis, so reuse it for phase 1
         # (as the unpartitioned path reuses mis) — only the phase-2 sub-MIS
         # still runs partitioned.
-        pagg = mis2_aggregation(graph, mis=pmis, seed=config.seed, partitions=config.parts)
+        pagg = mis2_aggregation(
+            graph, mis=pmis, seed=config.seed, partitions=config.parts, backend=backend
+        )
         if not (
             np.array_equal(pagg.labels, agg.labels)
             and pagg.num_aggregates == agg.num_aggregates
@@ -161,7 +163,6 @@ def smoke_task(unit: Tuple[str, int, int, int], config: BenchConfig) -> SmokeRow
         rounds=coloring.rounds,
         num_aggregates=agg.num_aggregates,
         predicted_v100_us=predicted * 1e6,
-        backend=mis.config.backend,
         parts=config.parts if config.parts is not None else 1,
         boundary_vertices=boundary_vertices,
         ghost_supersteps=ghost_supersteps,
@@ -179,7 +180,7 @@ def smoke_table(rows: List[SmokeRow]) -> Table:
     """Format the smoke rows as the CI sanity-check table."""
     partitioned = any(row.parts > 1 for row in rows)
     columns = ["graph", "|V|", "|MIS-2|", "iters", "colors", "rounds", "aggregates",
-               "V100 (us)", "backend"]
+               "V100 (us)"]
     if partitioned:
         columns += ["parts", "boundary", "exchanges", "resident B", "step B",
                     "max step B", "compute ms", "exchange ms", "idle ms"]
@@ -189,7 +190,7 @@ def smoke_table(rows: List[SmokeRow]) -> Table:
     for row in rows:
         cells = [row.graph, row.num_vertices, row.mis2_size, row.iterations,
                  row.num_colors, row.rounds, row.num_aggregates,
-                 round(row.predicted_v100_us, 1), row.backend]
+                 round(row.predicted_v100_us, 1)]
         if partitioned:
             cells += [row.parts, row.boundary_vertices, row.ghost_supersteps,
                       row.resident_bytes, row.superstep_bytes, row.max_superstep_bytes,

@@ -40,8 +40,6 @@ class Aggregation:
         the flag records what the *paper* says about the corresponding MueLu scheme).
     phase_vertex_counts:
         Number of vertices aggregated by each phase, for quality reporting.
-    backend:
-        Name of the execution backend that ran the aggregation kernels.
     """
 
     labels: np.ndarray
@@ -50,7 +48,6 @@ class Aggregation:
     algorithm: str = ""
     deterministic: bool = True
     phase_vertex_counts: Dict[str, int] = field(default_factory=dict)
-    backend: str = "numpy"
 
     def __post_init__(self) -> None:
         self.labels = np.asarray(self.labels, dtype=np.int64)

@@ -23,7 +23,6 @@ import numpy as np
 from ..coloring.distance2 import distance2_color
 from ..coloring.greedy import ColoringResult
 from ..graph.csr import CSRGraph
-from ..parallel.backends import ExecutionBackend, resolve_backend
 from ..parallel.primitives import expand_rows, segmented_sum, stream_compact
 from .aggregation import Aggregation, join_by_max_coupling
 
@@ -34,7 +33,6 @@ def d2c_aggregation(
     graph: CSRGraph,
     coloring: Optional[ColoringResult] = None,
     min_root_neighbors: int = 2,
-    backend: "Optional[str | ExecutionBackend]" = None,
 ) -> Aggregation:
     """Coarsen ``graph`` using a distance-2 coloring to seed aggregate roots.
 
@@ -47,17 +45,13 @@ def d2c_aggregation(
     min_root_neighbors:
         Minimum number of unaggregated neighbours a root needs to form an aggregate
         (matching Algorithm 3's phase-2 rule).
-    backend:
-        Execution backend (name or instance) forwarded to the on-demand
-        coloring and named on the result; ``None`` uses the default.
     """
-    B = resolve_backend(backend)
     n = graph.num_vertices
     labels = -np.ones(n, dtype=np.int64)
     if n == 0:
-        return Aggregation(labels, 0, algorithm="d2c_agg", backend=B.name)
+        return Aggregation(labels, 0, algorithm="d2c_agg")
     if coloring is None:
-        coloring = distance2_color(graph, backend=B)
+        coloring = distance2_color(graph)
 
     next_aggregate = 0
     roots_list = []
@@ -115,5 +109,4 @@ def d2c_aggregation(
         algorithm="d2c_agg",
         deterministic=True,
         phase_vertex_counts={"phase1": phase1, "cleanup": n - phase1},
-        backend=B.name,
     )

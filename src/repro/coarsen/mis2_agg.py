@@ -28,7 +28,7 @@ from ..graph.csr import CSRGraph
 from ..graph.ops import induced_subgraph
 from ..mis.kk import kk_mis2
 from ..mis.result import MISResult
-from ..parallel.backends import ExecutionBackend, resolve_backend
+from ..parallel.backends import ExecutionBackend
 from ..parallel.primitives import expand_rows, segmented_sum, stream_compact
 from .aggregation import Aggregation, join_by_max_coupling
 
@@ -40,7 +40,7 @@ def mis2_aggregation(
     mis: Optional[MISResult] = None,
     min_secondary_neighbors: int = 2,
     seed: int = 0,
-    backend: "Optional[str | ExecutionBackend]" = None,
+    backend: "str | ExecutionBackend" = "numpy",
     partitions=None,
 ) -> Aggregation:
     """Coarsen ``graph`` with Algorithm 3 (the paper's "MIS2 Agg" scheme).
@@ -50,15 +50,17 @@ def mis2_aggregation(
     graph:
         Undirected input graph.
     mis:
-        Optional precomputed MIS-2 used for phase 1.
+        Optional precomputed MIS-2 of ``graph`` used for phase 1. One over
+        another vertex count raises ``ValueError``; a same-size MIS-2 of
+        another graph is not detected.
     min_secondary_neighbors:
         Minimum number of unaggregated neighbours a phase-2 root needs to form an
         aggregate (the paper uses 2).
     seed:
         Seed forwarded to the MIS-2 computations.
     backend:
-        Execution backend (name or instance) forwarded to the MIS-2
-        computations and named on the result; ``None`` uses the default.
+        Execution backend (name or instance) whose session runs the parts of
+        both MIS-2 computations when ``partitions`` is set; unused without it.
     partitions:
         When not ``None``, run both MIS-2 computations partition-parallel
         (part count, label array or layout); the phase-2 sub-MIS inherits the
@@ -66,19 +68,20 @@ def mis2_aggregation(
         partitioned MIS driver is bit-identical to the unpartitioned kernel,
         the aggregation is too.
     """
-    B = resolve_backend(backend)
     n = graph.num_vertices
+    if mis is not None and mis.num_vertices != n:
+        raise ValueError(f"mis covers {mis.num_vertices} vertices but the graph has {n}")
     layout = None
     if partitions is not None:
         from ..parallel.partitioned import build_partition_layout
 
         layout = build_partition_layout(graph, partitions)
     if mis is None:
-        mis = kk_mis2(graph, seed=seed, backend=B, partitions=layout)
+        mis = kk_mis2(graph, seed=seed, backend=backend, partitions=layout)
     roots = np.asarray(mis.in_set, dtype=np.int64)
     labels = -np.ones(n, dtype=np.int64)
     if n == 0:
-        return Aggregation(labels, 0, roots, algorithm="mis2_agg", backend=B.name)
+        return Aggregation(labels, 0, roots, algorithm="mis2_agg")
 
     # ------------------------------------------------------------------ phase 1
     labels[roots] = np.arange(roots.size, dtype=np.int64)
@@ -98,7 +101,7 @@ def mis2_aggregation(
         sub_mis = kk_mis2(
             sub,
             seed=seed,
-            backend=B,
+            backend=backend,
             partitions=None if layout is None else layout.labels[mapping],
         )
         candidates = mapping[sub_mis.in_set]
@@ -134,5 +137,4 @@ def mis2_aggregation(
         algorithm="mis2_agg",
         deterministic=True,
         phase_vertex_counts={"phase1": phase1, "phase2": phase2, "cleanup": cleanup},
-        backend=B.name,
     )

@@ -20,7 +20,6 @@ import numpy as np
 
 from ..graph.csr import CSRGraph
 from ..graph.ops import square
-from ..parallel.backends import ExecutionBackend, resolve_backend
 from .greedy import ColoringResult, greedy_color
 
 __all__ = ["distance2_color"]
@@ -29,19 +28,16 @@ __all__ = ["distance2_color"]
 def distance2_color(
     graph: CSRGraph,
     max_rounds: Optional[int] = None,
-    backend: "Optional[str | ExecutionBackend]" = None,
 ) -> ColoringResult:
     """Distance-2 greedy coloring of ``graph`` (via distance-1 coloring of ``G^2``)."""
-    B = resolve_backend(backend)
     if graph.num_vertices == 0:
-        return ColoringResult(np.zeros(0, dtype=np.int64), 0, 0, distance=2, backend=B.name)
+        return ColoringResult(np.zeros(0, dtype=np.int64), 0, 0, distance=2)
     sq = square(graph)
-    result = greedy_color(sq, max_rounds=max_rounds, backend=B)
+    result = greedy_color(sq, max_rounds=max_rounds)
     return ColoringResult(
         colors=result.colors,
         num_colors=result.num_colors,
         rounds=result.rounds,
         traffic=result.traffic,
         distance=2,
-        backend=result.backend,
     )

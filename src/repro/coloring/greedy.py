@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, List, Optional, Tuple
 import numpy as np
 
 from ..graph.csr import CSRGraph
-from ..parallel.backends import ExecutionBackend, resolve_backend
+from ..parallel.backends import ExecutionBackend
 from ..parallel.costmodel import TrafficCounter
 from ..parallel.primitives import expand_rows
 
@@ -41,8 +41,6 @@ class ColoringResult:
     traffic: TrafficCounter = field(default_factory=TrafficCounter)
     #: Distance of the coloring (1 or 2).
     distance: int = 1
-    #: Name of the execution backend that ran the kernels.
-    backend: str = "numpy"
     #: Number of intra-graph partitions the run was sharded into (1 = unpartitioned).
     partitions: int = 1
     #: Partitioning measurables when the partition-parallel driver ran.
@@ -84,7 +82,7 @@ def _speculative_assign(
 def greedy_color(
     graph: CSRGraph,
     max_rounds: Optional[int] = None,
-    backend: "Optional[str | ExecutionBackend]" = None,
+    backend: "str | ExecutionBackend" = "numpy",
     partitions=None,
 ) -> ColoringResult:
     """Distance-1 greedy coloring of ``graph``.
@@ -97,9 +95,9 @@ def greedy_color(
         Safety cap on speculative rounds (defaults to ``num_vertices + 2``; the
         algorithm terminates far sooner in practice).
     backend:
-        Execution backend (name or instance): it runs the partitioned session
-        when ``partitions`` is set and names the result's ``backend``; ``None``
-        uses the default. All backends produce bit-identical colorings.
+        Execution backend (name or instance) whose session runs the parts
+        when ``partitions`` is set; unused without it. All backends produce
+        bit-identical colorings.
     partitions:
         When not ``None``, shard the run within the graph (part count, label
         array or layout); the partition-parallel driver is bit-identical to
@@ -119,11 +117,10 @@ def greedy_color(
             max_rounds=max_rounds,
             backend=backend,
         )
-    B = resolve_backend(backend)
     n = graph.num_vertices
-    traffic = TrafficCounter(backend=B.name)
+    traffic = TrafficCounter()
     if n == 0:
-        return ColoringResult(np.zeros(0, dtype=np.int64), 0, 0, traffic, backend=B.name)
+        return ColoringResult(np.zeros(0, dtype=np.int64), 0, 0, traffic)
     colors = -np.ones(n, dtype=np.int64)
     worklist = np.arange(n, dtype=np.int64)
     max_colors = graph.max_degree() + 1
@@ -161,7 +158,7 @@ def greedy_color(
         rounds += 1
 
     colors, num_colors = _compact_colors(colors)
-    return ColoringResult(colors, num_colors, rounds, traffic, distance=1, backend=B.name)
+    return ColoringResult(colors, num_colors, rounds, traffic, distance=1)
 
 
 def _compact_colors(colors: np.ndarray) -> Tuple[np.ndarray, int]:

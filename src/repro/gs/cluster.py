@@ -26,7 +26,6 @@ compress to 27 levels per direction.
 
 from __future__ import annotations
 
-import inspect
 import time
 from typing import Callable, List, Optional, Sequence
 
@@ -39,7 +38,6 @@ from ..coarsen.mis2_agg import mis2_aggregation
 from ..coloring.greedy import greedy_color
 from ..graph.build import from_scipy
 from ..graph.csr import CSRGraph
-from ..parallel.backends import ExecutionBackend, resolve_backend
 from ..parallel.primitives import expand_rows, segmented_max
 from .multicolor import row_blocks, sweep
 
@@ -85,11 +83,10 @@ class ClusterMulticolorGaussSeidel:
     symmetric:
         Apply symmetric sweeps (forward colors then backward colors, with the row
         order inside each cluster reversed on the backward pass).
-    backend:
-        Execution backend (name or instance) used for the setup-phase coarsening
-        and coloring kernels; forwarded to ``aggregation_fn`` when its signature
-        accepts a ``backend`` parameter. ``None`` uses the default. The setup is
-        bit-identical across backends.
+
+    ``aggregation_fn`` is called with the matrix graph alone; bind any other
+    argument into it, e.g. ``functools.partial(mis2_aggregation, partitions=4,
+    backend="threaded")`` for a partitioned coarsening.
     """
 
     def __init__(
@@ -98,11 +95,8 @@ class ClusterMulticolorGaussSeidel:
         aggregation_fn: AggregationFn = mis2_aggregation,
         sweeps: int = 1,
         symmetric: bool = True,
-        backend: "Optional[str | ExecutionBackend]" = None,
     ) -> None:
         setup_start = time.perf_counter()
-        B = resolve_backend(backend)
-        self.backend = B.name
         self.A = sp.csr_matrix(A).astype(np.float64)
         if self.A.shape[0] != self.A.shape[1]:
             raise ValueError("A must be square")
@@ -115,20 +109,9 @@ class ClusterMulticolorGaussSeidel:
 
         # --- Setup (Algorithm 4 lines 3-5): coarsen, then color the coarse graph.
         fine_graph = from_scipy(self.A)
-        try:
-            accepts_backend = "backend" in inspect.signature(aggregation_fn).parameters
-        except (TypeError, ValueError):
-            accepts_backend = False
-        # A backend the caller already bound into aggregation_fn (e.g. via
-        # functools.partial(mis2_aggregation, backend=...)) takes precedence —
-        # forwarding ours would silently override it.
-        prebound = "backend" in (getattr(aggregation_fn, "keywords", None) or {})
-        if accepts_backend and not prebound:
-            self.aggregation = aggregation_fn(fine_graph, backend=B)
-        else:
-            self.aggregation = aggregation_fn(fine_graph)
+        self.aggregation = aggregation_fn(fine_graph)
         self.coarse = coarse_graph(fine_graph, self.aggregation)
-        self.coloring = greedy_color(self.coarse, backend=B)
+        self.coloring = greedy_color(self.coarse)
         self.num_colors = self.coloring.num_colors
 
         # Sequential Algorithm 4 order: colors ascending, the rows of each cluster

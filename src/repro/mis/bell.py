@@ -18,14 +18,13 @@ worklists, packing) rather than implementation quality.
 from __future__ import annotations
 
 import math
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
 from ..graph.csr import CSRGraph
 from ..hashing.priorities import PriorityScheme, fixed_priorities
 from ..hashing.xorshift import hash_iter_vertex
-from ..parallel.backends import ExecutionBackend, resolve_backend
 from ..parallel.costmodel import TrafficCounter
 from ..parallel.primitives import expand_rows, segmented_lexmin
 from .result import MISConfig, MISResult
@@ -55,7 +54,6 @@ def bell_mis(
     priority_scheme: Union[str, PriorityScheme] = PriorityScheme.FIXED,
     word_bits: int = 64,
     seed: int = 0,
-    backend: "Optional[str | ExecutionBackend]" = None,
 ) -> MISResult:
     """Compute a distance-``k`` maximal independent set with Bell's algorithm.
 
@@ -72,13 +70,10 @@ def bell_mis(
         Word width used only for traffic accounting (the priorities are 64-bit).
     seed:
         Seed of the fixed-priority scheme.
-    backend:
-        Execution backend (name or instance); ``None`` uses the default.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     scheme = PriorityScheme.coerce(priority_scheme)
-    B = resolve_backend(backend)
     n = graph.num_vertices
     config = MISConfig(
         algorithm="bell",
@@ -89,9 +84,8 @@ def bell_mis(
         simd=False,
         word_bits=word_bits,
         seed=seed,
-        backend=B.name,
     )
-    traffic = TrafficCounter(backend=B.name)
+    traffic = TrafficCounter()
     if n == 0:
         return MISResult(
             in_set=np.zeros(0, dtype=np.int64),

@@ -35,7 +35,7 @@ from ..graph.csr import CSRGraph
 from ..hashing.packing import TuplePacking
 from ..hashing.priorities import PriorityScheme, fixed_priorities
 from ..hashing.xorshift import hash_iter_vertex
-from ..parallel.backends import ExecutionBackend, resolve_backend
+from ..parallel.backends import ExecutionBackend
 from ..parallel.costmodel import TrafficCounter
 from ..parallel.primitives import (
     expand_rows,
@@ -81,7 +81,7 @@ def kk_mis2(
     simd: Optional[bool] = None,
     word_bits: int = 64,
     seed: int = 0,
-    backend: "Optional[str | ExecutionBackend]" = None,
+    backend: "str | ExecutionBackend" = "numpy",
     partitions=None,
 ) -> MISResult:
     """Compute a distance-2 maximal independent set with Algorithm 1.
@@ -110,9 +110,8 @@ def kk_mis2(
     seed:
         Seed of the fixed-priority scheme (ignored by the hash schemes).
     backend:
-        Execution backend (name or instance): it runs the partitioned session
-        when ``partitions`` is set and names the result's ``config.backend``;
-        ``None`` uses :func:`repro.parallel.default_backend`. All backends produce
+        Execution backend (name or instance) whose session runs the parts
+        when ``partitions`` is set; unused without it. All backends produce
         bit-identical results.
     partitions:
         When not ``None``, shard the run *within* the graph: a part count, a
@@ -141,7 +140,6 @@ def kk_mis2(
             backend=backend,
         )
     scheme = PriorityScheme.coerce(priority_scheme)
-    B = resolve_backend(backend)
     n = graph.num_vertices
     if simd is None:
         simd = graph.average_degree() >= SIMD_DEGREE_THRESHOLD
@@ -154,9 +152,8 @@ def kk_mis2(
         simd=bool(simd),
         word_bits=word_bits,
         seed=seed,
-        backend=B.name,
     )
-    traffic = TrafficCounter(backend=B.name)
+    traffic = TrafficCounter()
     if n == 0:
         return MISResult(
             in_set=np.zeros(0, dtype=np.int64),

@@ -13,14 +13,13 @@ cross-check of Algorithm 1.
 from __future__ import annotations
 
 import math
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
 from ..graph.csr import CSRGraph
 from ..hashing.priorities import PriorityScheme, fixed_priorities
 from ..hashing.xorshift import hash_iter_vertex
-from ..parallel.backends import ExecutionBackend, resolve_backend
 from ..parallel.costmodel import TrafficCounter
 from ..parallel.primitives import expand_rows, segmented_lexmin, stream_compact
 from .result import MISConfig, MISResult
@@ -36,7 +35,6 @@ def luby_mis1(
     graph: CSRGraph,
     priority_scheme: Union[str, PriorityScheme] = PriorityScheme.XORSTAR,
     seed: int = 0,
-    backend: "Optional[str | ExecutionBackend]" = None,
 ) -> MISResult:
     """Compute a distance-1 maximal independent set with Luby's Algorithm A.
 
@@ -50,11 +48,8 @@ def luby_mis1(
         the greedy ECL-MIS-style algorithm.
     seed:
         Seed for the fixed-priority scheme.
-    backend:
-        Execution backend (name or instance); ``None`` uses the default.
     """
     scheme = PriorityScheme.coerce(priority_scheme)
-    B = resolve_backend(backend)
     n = graph.num_vertices
     config = MISConfig(
         algorithm="luby",
@@ -64,9 +59,8 @@ def luby_mis1(
         packed_tuples=False,
         simd=False,
         seed=seed,
-        backend=B.name,
     )
-    traffic = TrafficCounter(backend=B.name)
+    traffic = TrafficCounter()
     if n == 0:
         return MISResult(
             in_set=np.zeros(0, dtype=np.int64),

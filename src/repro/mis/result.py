@@ -35,9 +35,6 @@ class MISConfig:
     word_bits: int = 64
     #: Seed for the fixed-priority scheme.
     seed: int = 0
-    #: Name of the execution backend the call was made on (``numpy``,
-    #: ``chunked``, ``threaded`` or ``distributed``).
-    backend: str = "numpy"
     #: Number of intra-graph partitions the run was sharded into (1 = the
     #: unpartitioned kernel; >1 means the partition-parallel driver ran it).
     partitions: int = 1

@@ -10,8 +10,9 @@ analogue used by the reproduction:
 * :mod:`~repro.parallel.backends` — the pluggable :class:`ExecutionBackend` seam that
   decides where graphs and partitions run: the serial ``numpy`` reference, the
   process-pool ``chunked`` backend, the shared-memory ``threaded`` backend and the
-  socket ``distributed`` backend (:mod:`~repro.parallel.distributed`). Select per call
-  (``backend="chunked"``) or process-wide with :class:`set_default_backend`.
+  socket ``distributed`` backend (:mod:`~repro.parallel.distributed`). A partitioned
+  call picks the session its parts run in (``partitions=4, backend="threaded"``);
+  the benchmark harness picks the ``map_graphs`` strategy of a sweep.
 * :mod:`~repro.parallel.machine` — device catalogue (V100, MI100, Skylake, ThunderX2)
   with the published memory bandwidths the paper's Fig. 3 uses.
 * :mod:`~repro.parallel.costmodel` — roofline-style traffic/latency model converting
@@ -41,9 +42,6 @@ from .backends import (
     register_backend,
     get_backend,
     available_backends,
-    default_backend,
-    resolve_backend,
-    set_default_backend,
     shipped_nbytes,
     shutdown_partition_pools,
 )
@@ -104,9 +102,6 @@ __all__ = [
     "register_backend",
     "get_backend",
     "available_backends",
-    "default_backend",
-    "resolve_backend",
-    "set_default_backend",
     "shipped_nbytes",
     "shutdown_partition_pools",
     "MessageConnection",

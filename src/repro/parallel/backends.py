@@ -6,9 +6,11 @@ primitives of :mod:`repro.parallel.primitives` directly, and an
 :class:`ExecutionBackend` is the execution strategy around them: it maps a
 batch of independent graphs (:meth:`ExecutionBackend.map_graphs`) and opens
 the part-pinned session a partitioned kernel runs its supersteps in
-(:meth:`ExecutionBackend.map_partitions_resident`). A backend is chosen
-per call (``backend="chunked"``) or process-wide
-(:class:`set_default_backend`), and its name is recorded on every result.
+(:meth:`ExecutionBackend.map_partitions_resident`). The flat kernels run
+the same NumPy code whatever backend exists, so only two places pick one:
+a partitioned call (``kk_mis2(graph, partitions=4, backend="threaded")``)
+picks the session its parts run in, and the benchmark harness picks the
+``map_graphs`` strategy of a sweep.
 
 Three backends ship with this module (``distributed`` registers itself from
 :mod:`repro.parallel.distributed`):
@@ -50,9 +52,6 @@ __all__ = [
     "register_backend",
     "get_backend",
     "available_backends",
-    "default_backend",
-    "resolve_backend",
-    "set_default_backend",
     "shipped_nbytes",
     "shutdown_partition_pools",
 ]
@@ -312,11 +311,11 @@ class ExecutionBackend:
     The base class is the serial reference strategy: :meth:`map_graphs` maps
     in order and :meth:`map_partitions_resident` runs the parts in-process.
     A backend overrides the strategies it parallelises; the
-    backend-equivalence suite runs the full kernel stack on every registered
-    backend and asserts bit-identical results.
+    backend-equivalence suite runs every partitioned kernel on every
+    registered backend and asserts bit-identical results.
     """
 
-    #: Registry key and the name recorded on results / traffic counters.
+    #: Registry key (what ``get_backend`` and ``--backend`` look up).
     name: str = "abstract"
 
     # ------------------------------------------------------------ graph batches
@@ -504,45 +503,3 @@ def available_backends() -> List[str]:
 register_backend(NumpyBackend())
 register_backend(ChunkedBackend())
 register_backend(ThreadedBackend())
-
-_DEFAULT: ExecutionBackend = _REGISTRY["numpy"]
-
-
-def default_backend() -> ExecutionBackend:
-    """The process-wide default backend (the NumPy reference unless changed)."""
-    return _DEFAULT
-
-
-def resolve_backend(backend: "Optional[str | ExecutionBackend]" = None) -> ExecutionBackend:
-    """Resolve a kernel's ``backend=`` argument (None means the default)."""
-    if backend is None:
-        return _DEFAULT
-    return get_backend(backend)
-
-
-class set_default_backend:
-    """Set the process-wide default backend, optionally scoped as a context.
-
-    Usable both as a plain call (sets the default until changed again)::
-
-        set_default_backend("chunked")
-
-    and as a context manager that restores the previous default on exit::
-
-        with set_default_backend("chunked"):
-            kk_mis2(graph)   # runs on the chunked backend
-    """
-
-    def __init__(self, backend: "str | ExecutionBackend") -> None:
-        global _DEFAULT
-        self._previous = _DEFAULT
-        self.backend = get_backend(backend)
-        _DEFAULT = self.backend
-
-    def __enter__(self) -> ExecutionBackend:
-        return self.backend
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        global _DEFAULT
-        _DEFAULT = self._previous
-        return False

@@ -17,7 +17,7 @@ relative (speedup) comparisons.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Sequence
 
 import numpy as np
 
@@ -61,12 +61,10 @@ class TrafficCounter:
 
     Kernels call :meth:`add` once per parallel region; the MIS-2 drivers attach one
     counter per run so that the benchmark harness can convert the run into predicted
-    device times. ``backend`` records which execution backend produced the measured
-    kernels, so benchmark rows can attribute every measurement.
+    device times.
     """
 
     kernels: List[KernelTraffic] = field(default_factory=list)
-    backend: Optional[str] = None
 
     def add(
         self,
@@ -116,19 +114,6 @@ class TrafficCounter:
             out[k.name] = out.get(k.name, 0) + k.total_bytes
         return out
 
-    def merge(self, other: "TrafficCounter") -> "TrafficCounter":
-        """Return a new counter containing the kernels of both operands.
-
-        The backend label survives only when both operands agree on it.
-        """
-        merged = TrafficCounter()
-        merged.kernels = list(self.kernels) + list(other.kernels)
-        if other.backend in (None, self.backend):
-            merged.backend = self.backend
-        elif self.backend is None:
-            merged.backend = other.backend
-        return merged
-
 
 def scale_traffic(traffic: TrafficCounter, factor: float) -> TrafficCounter:
     """Scale every kernel's byte counts by ``factor`` (kernel count unchanged).
@@ -141,7 +126,7 @@ def scale_traffic(traffic: TrafficCounter, factor: float) -> TrafficCounter:
     """
     if factor <= 0:
         raise ValueError("factor must be positive")
-    scaled = TrafficCounter(backend=traffic.backend)
+    scaled = TrafficCounter()
     for k in traffic.kernels:
         scaled.kernels.append(
             KernelTraffic(

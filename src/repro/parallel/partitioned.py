@@ -40,10 +40,10 @@ is the iteration number alone. Each part builds and keeps its own state
 and worklists in its first task, so no index list ships: its tasks return
 only the values other parts read (those of its boundary worklist, plus the
 worklist size left), and all its owned values once, in the phase its
-worklist empties. The coordinator derives the same boundary worklists from
-its own arrays. A coloring part also recomputes only what the last round
-changed. The session
-is in-process on every backend but one: serial on numpy and chunked,
+worklist empties (kk: only whether each is IN, since all are final then).
+The coordinator derives the same boundary worklists from its own arrays.
+A coloring part also recomputes only what the last round changed. The
+session is in-process on every backend but one: serial on numpy and chunked,
 fanned over a thread pool on threaded, and on the distributed backend it pins
 part ``i`` to a rank process over sockets (:mod:`repro.parallel.distributed`);
 the drivers here are the same for all of them. Shipped bytes are accounted
@@ -66,8 +66,7 @@ from ..graph.csr import CSRGraph
 from ..hashing.packing import TuplePacking
 from ..hashing.priorities import PriorityScheme
 from . import primitives as _ref
-from .backends import ExecutionBackend, ResidentSession, resolve_backend
-from .costmodel import TrafficCounter
+from .backends import ExecutionBackend, ResidentSession, get_backend
 
 __all__ = [
     "GraphPart",
@@ -585,7 +584,8 @@ def _kk_decide(payload, state, M_halo):
 
     Returns the size of ``w1`` left and ``T`` at the ``bw1`` the phase
     started with, then drops the decided vertices from both. In the phase
-    ``w1`` empties it returns all the owned tuples instead.
+    ``w1`` empties every owned tuple is ``IN`` or ``OUT``, so it returns
+    which owned vertices are ``IN`` instead.
     """
     T, M, w1, bw1 = state["T"], state["M"], state["w1"], state["bw1"]
     M[payload["halo_local"]] = M_halo
@@ -606,7 +606,7 @@ def _kk_decide(payload, state, M_halo):
     T[w1] = newT
     state["w1"] = w1 = w1[packer.is_undecided(newT)]
     if not w1.size:
-        return 0, T[payload["owned_local"]]
+        return 0, packer.is_in(T[payload["owned_local"]])
     values = T[bw1]
     state["bw1"] = bw1[packer.is_undecided(values)]
     return w1.size, values
@@ -753,7 +753,7 @@ def partitioned_kk_mis2(
     simd: Optional[bool] = None,
     word_bits: int = 64,
     seed: int = 0,
-    backend: "Optional[str | ExecutionBackend]" = None,
+    backend: "str | ExecutionBackend" = "numpy",
 ):
     """Algorithm 1 executed partition-parallel; bit-identical to :func:`kk_mis2`.
 
@@ -768,9 +768,9 @@ def partitioned_kk_mis2(
     read: the values of the part's *boundary worklist* (its boundary
     vertices still in ``w1``, or in ``w2`` for Refresh Column) as the phase
     started, plus the worklist size left. In the iteration its ``w1``
-    empties, Decide returns all the part's owned tuples instead. The
-    coordinator derives the same ordered boundary worklists from its own
-    ``T`` and ``M``, so no index list ships either way.
+    empties, Decide returns which of the part's owned vertices are ``IN``
+    instead. The coordinator derives the same ordered boundary worklists
+    from its own ``T`` and ``M``, so no index list ships either way.
 
     This is exact:
 
@@ -783,8 +783,8 @@ def partitioned_kk_mis2(
       returns every boundary value it can change, the ones that just became
       final included. So the coordinator's ``T`` and ``M`` are current on
       every boundary vertex, and every halo gather ships current values.
-    * Each non-empty part returns all its owned tuples exactly once, so the
-      final ``T`` is complete.
+    * Each non-empty part returns its owned ``IN`` mask exactly once, when
+      every owned tuple is ``IN`` or ``OUT``, so the final ``T`` is complete.
 
     See the module docstring for the determinism argument.
     """
@@ -797,7 +797,7 @@ def partitioned_kk_mis2(
             "partitioned execution always maintains per-part worklists; "
             "use partitions=None for the use_worklists=False ablation"
         )
-    B = resolve_backend(backend)
+    B = get_backend(backend)
     layout = build_partition_layout(graph, partitions)
     n = graph.num_vertices
     if simd is None:
@@ -811,22 +811,19 @@ def partitioned_kk_mis2(
         simd=bool(simd),
         word_bits=word_bits,
         seed=seed,
-        backend=B.name,
         partitions=layout.num_parts,
     )
-    traffic = TrafficCounter(backend=B.name)
     if n == 0:
         return MISResult(
             in_set=np.zeros(0, dtype=np.int64),
             in_mask=np.zeros(0, dtype=bool),
             iterations=0,
-            traffic=traffic,
             config=config,
             partition_stats=layout.stats(0),
         )
 
     packer = TuplePacking(n, word_bits=word_bits)
-    OUT = packer.out_value
+    IN, OUT = packer.in_value, packer.out_value
     T = packer.pack(np.zeros(n, dtype=packer.dtype), np.arange(n, dtype=np.int64))
     M = np.full(n, OUT, dtype=packer.dtype)
     members = layout.parts
@@ -886,7 +883,7 @@ def partitioned_kk_mis2(
                     T[bw1[i]] = values
                     bw1[i] = bw1[i][packer.is_undecided(values)]
                 else:
-                    T[members[i].owned] = values
+                    T[members[i].owned] = np.where(values, IN, OUT)
             iteration += 1
     finally:
         session.close()
@@ -898,7 +895,6 @@ def partitioned_kk_mis2(
         in_mask=in_mask,
         iterations=iteration,
         worklist_sizes=worklist_sizes,
-        traffic=traffic,
         config=config,
         partition_stats=layout.stats(
             session.supersteps, session=session, elapsed_seconds=elapsed
@@ -910,7 +906,7 @@ def partitioned_greedy_color(
     graph: CSRGraph,
     partitions: PartitionSpec,
     max_rounds: Optional[int] = None,
-    backend: "Optional[str | ExecutionBackend]" = None,
+    backend: "str | ExecutionBackend" = "numpy",
 ):
     """Speculative greedy coloring executed partition-parallel; bit-identical to
     :func:`greedy_color`.
@@ -952,17 +948,14 @@ def partitioned_greedy_color(
     """
     from ..coloring.greedy import ColoringResult, _compact_colors
 
-    B = resolve_backend(backend)
+    B = get_backend(backend)
     layout = build_partition_layout(graph, partitions)
     n = graph.num_vertices
-    traffic = TrafficCounter(backend=B.name)
     if n == 0:
         return ColoringResult(
             np.zeros(0, dtype=np.int64),
             0,
             0,
-            traffic,
-            backend=B.name,
             partitions=layout.num_parts,
             partition_stats=layout.stats(0),
         )
@@ -1020,9 +1013,6 @@ def partitioned_greedy_color(
         colors,
         num_colors,
         rounds,
-        traffic,
-        distance=1,
-        backend=B.name,
         partitions=layout.num_parts,
         partition_stats=layout.stats(
             session.supersteps, session=session, elapsed_seconds=elapsed

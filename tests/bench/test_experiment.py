@@ -55,26 +55,14 @@ class TestRegistry:
             assert experiment.key_field
 
     def test_task_invocations_are_picklable(self):
-        """No lambdas on the map_graphs seam: every task must cross a process pool,
-        with every registered backend instance (including a configured chunked
-        clone) riding along."""
-        from repro.parallel import ChunkedBackend, available_backends, get_backend
-
-        backends = [get_backend(b) for b in available_backends()]
-        backends.append(ChunkedBackend(processes=2))
+        """No lambdas on the map_graphs seam: every task must cross a process
+        pool, with its config riding along."""
         for name in experiment_names():
             experiment = get_experiment(name)
-            for backend in backends:
-                invocation = _TaskInvocation(experiment.task, TINY, backend)
-                restored = pickle.loads(pickle.dumps(invocation))
-                assert restored.backend.name == backend.name
-                assert restored.config == TINY
-        # The configured clone keeps its configuration across the boundary.
-        clone = pickle.loads(
-            pickle.dumps(_TaskInvocation(get_experiment("table1").task, TINY,
-                                         ChunkedBackend(processes=2)))
-        ).backend
-        assert clone.processes == 2
+            invocation = _TaskInvocation(experiment.task, TINY)
+            restored = pickle.loads(pickle.dumps(invocation))
+            assert restored.config == TINY
+            assert pickle.dumps(restored.task) == pickle.dumps(experiment.task)
 
 
 class TestExperimentRun:
@@ -100,6 +88,19 @@ class TestExperimentRun:
             scale=0.002, trials=1, warmup=0, matrices=("ecology2",), backend="threaded"
         )
         assert run_experiment("table1", config).backend == "threaded"
+
+    def test_smoke_runs_its_partitioned_calls_on_the_run_backend(self):
+        """The run's backend reaches smoke's six partitioned calls: over the
+        registered two-rank cluster they send 52 (kk) + 58 (coloring) + 34
+        (aggregation) messages on laplace3d(10^3) and 28 + 56 + 26 on
+        elasticity3d(6^3), as the same calls do run directly."""
+        from repro.parallel import get_backend
+
+        ranks = get_backend("distributed")
+        before = ranks.measured_stats()["messages_sent"]
+        result = run_experiment("smoke", BenchConfig(parts=2), backend="distributed")
+        assert result.backend == "distributed"
+        assert ranks.measured_stats()["messages_sent"] - before == 254
 
 
 class TestJsonRoundTrip:

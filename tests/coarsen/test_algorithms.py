@@ -11,7 +11,14 @@ from repro.coarsen import (
     mis2_basic_aggregation,
     serial_aggregation,
 )
-from repro.graph import connected_components, empty_graph, grid2d, induced_subgraph, star_graph
+from repro.graph import (
+    connected_components,
+    empty_graph,
+    grid2d,
+    induced_subgraph,
+    path_graph,
+    star_graph,
+)
 from repro.mis import kk_mis2
 
 ALGORITHMS = {
@@ -108,6 +115,13 @@ class TestAlgorithmSpecific:
         a = mis2_aggregation(small_laplace3d, mis=mis)
         b = mis2_aggregation(small_laplace3d)
         assert np.array_equal(a.labels, b.labels)
+
+    @pytest.mark.parametrize("other", [10, 30], ids=["smaller", "larger"])
+    def test_mis2_agg_rejects_an_mis_of_another_vertex_count(self, other):
+        # A smaller MIS would seed aggregates from roots that are no MIS-2
+        # of the graph; a larger one indexes past the graph's vertices.
+        with pytest.raises(ValueError, match=f"mis covers {other} vertices but the graph has 20"):
+            mis2_aggregation(path_graph(20), mis=kk_mis2(path_graph(other)))
 
 
 class TestQualityMetrics:

@@ -1,31 +1,21 @@
 """Backend-equivalence suite: the paper's determinism guarantee, enforced.
 
-Every registered execution backend (numpy, chunked, threaded, distributed)
-must produce *bit-identical* results to the vectorised-NumPy
-reference for the full kernel stack — MIS-2 (Algorithm 1 and the Bell/Luby
-baselines), greedy and distance-2 coloring, both aggregation schemes, and the
-cluster multicolor Gauss-Seidel setup/apply. The ``map_graphs``-driven
-Experiment path is asserted to yield identical rows regardless of backend and
-pool width.
+A flat call runs one NumPy path whatever the backend; a backend acts in
+two places, and both are checked here. Every partitioned kernel (kk MIS-2,
+greedy coloring, MIS-2 aggregation) must produce results *bit-identical* to
+the flat reference on every registered execution backend's session (numpy,
+chunked, threaded, distributed), and the ``map_graphs``-driven Experiment
+path must yield identical rows regardless of backend and pool width.
 """
 
 import numpy as np
 import pytest
 
 from repro.bench import BenchConfig, get_experiment
-from repro.coarsen import d2c_aggregation, mis2_aggregation
-from repro.coloring import distance2_color, greedy_color
-from repro.graph import (
-    elasticity3d,
-    grid2d,
-    laplace3d,
-    laplace3d_matrix,
-    path_graph,
-    random_gnp,
-    rmat,
-)
-from repro.gs import ClusterMulticolorGaussSeidel
-from repro.mis import bell_mis, kk_mis2, luby_mis1
+from repro.coarsen import mis2_aggregation
+from repro.coloring import greedy_color
+from repro.graph import elasticity3d, grid2d, laplace3d, path_graph, random_gnp, rmat
+from repro.mis import kk_mis2
 from repro.parallel import (
     available_backends,
     build_partition_layout,
@@ -37,105 +27,10 @@ from tests.conftest import SMALL_GRAPH_CASES
 #: Backends under test: every registered backend but the reference itself.
 BACKENDS = {name: get_backend(name) for name in available_backends() if name != "numpy"}
 
-GRAPH_NAMES = sorted(SMALL_GRAPH_CASES)
-
 
 @pytest.fixture(params=sorted(BACKENDS), ids=sorted(BACKENDS))
 def backend(request):
     return BACKENDS[request.param]
-
-
-@pytest.mark.parametrize("graph_name", GRAPH_NAMES)
-@pytest.mark.parametrize("scheme", ["xorstar", "xor", "fixed"])
-def test_kk_mis2_bit_identical(backend, graph_name, scheme):
-    g = SMALL_GRAPH_CASES[graph_name]
-    ref = kk_mis2(g, priority_scheme=scheme)
-    out = kk_mis2(g, priority_scheme=scheme, backend=backend)
-    assert np.array_equal(ref.in_set, out.in_set)
-    assert np.array_equal(ref.in_mask, out.in_mask)
-    assert ref.iterations == out.iterations
-    assert ref.worklist_sizes == out.worklist_sizes
-    assert out.config.backend == backend.name
-
-
-@pytest.mark.parametrize("graph_name", GRAPH_NAMES)
-def test_bell_mis_bit_identical(backend, graph_name):
-    g = SMALL_GRAPH_CASES[graph_name]
-    ref = bell_mis(g)
-    out = bell_mis(g, backend=backend)
-    assert np.array_equal(ref.in_set, out.in_set)
-    assert ref.iterations == out.iterations
-
-
-@pytest.mark.parametrize("graph_name", GRAPH_NAMES)
-def test_luby_mis1_bit_identical(backend, graph_name):
-    g = SMALL_GRAPH_CASES[graph_name]
-    ref = luby_mis1(g)
-    out = luby_mis1(g, backend=backend)
-    assert np.array_equal(ref.in_set, out.in_set)
-    assert ref.iterations == out.iterations
-
-
-@pytest.mark.parametrize("graph_name", GRAPH_NAMES)
-def test_greedy_coloring_bit_identical(backend, graph_name):
-    g = SMALL_GRAPH_CASES[graph_name]
-    ref = greedy_color(g)
-    out = greedy_color(g, backend=backend)
-    assert np.array_equal(ref.colors, out.colors)
-    assert ref.num_colors == out.num_colors
-    assert ref.rounds == out.rounds
-    assert out.backend == backend.name
-
-
-@pytest.mark.parametrize("graph_name", GRAPH_NAMES)
-def test_distance2_coloring_bit_identical(backend, graph_name):
-    g = SMALL_GRAPH_CASES[graph_name]
-    ref = distance2_color(g)
-    out = distance2_color(g, backend=backend)
-    assert np.array_equal(ref.colors, out.colors)
-    assert ref.num_colors == out.num_colors
-
-
-@pytest.mark.parametrize("graph_name", GRAPH_NAMES)
-def test_mis2_aggregation_bit_identical(backend, graph_name):
-    g = SMALL_GRAPH_CASES[graph_name]
-    ref = mis2_aggregation(g)
-    out = mis2_aggregation(g, backend=backend)
-    assert np.array_equal(ref.labels, out.labels)
-    assert ref.num_aggregates == out.num_aggregates
-    assert np.array_equal(ref.roots, out.roots)
-    assert out.backend == backend.name
-
-
-@pytest.mark.parametrize("graph_name", GRAPH_NAMES)
-def test_d2c_aggregation_bit_identical(backend, graph_name):
-    g = SMALL_GRAPH_CASES[graph_name]
-    ref = d2c_aggregation(g)
-    out = d2c_aggregation(g, backend=backend)
-    assert np.array_equal(ref.labels, out.labels)
-    assert ref.num_aggregates == out.num_aggregates
-
-
-def test_cluster_gs_bit_identical(backend):
-    A = laplace3d_matrix(6, 6, 6)
-    b = np.sin(np.arange(A.shape[0], dtype=np.float64))
-    ref = ClusterMulticolorGaussSeidel(A)
-    out = ClusterMulticolorGaussSeidel(A, backend=backend)
-    assert np.array_equal(ref.aggregation.labels, out.aggregation.labels)
-    assert np.array_equal(ref.coloring.colors, out.coloring.colors)
-    assert np.array_equal(ref.apply(b), out.apply(b))
-    assert out.backend == backend.name
-
-
-def test_larger_random_graph_bit_identical(backend):
-    g = random_gnp(400, 0.02, seed=7)
-    assert np.array_equal(kk_mis2(g).in_set, kk_mis2(g, backend=backend).in_set)
-    assert np.array_equal(
-        greedy_color(g).colors, greedy_color(g, backend=backend).colors
-    )
-    assert np.array_equal(
-        mis2_aggregation(g).labels, mis2_aggregation(g, backend=backend).labels
-    )
 
 
 #: Tiny configuration for the Experiment-path equivalence checks below.
@@ -200,7 +95,6 @@ def test_partitioned_kk_mis2_bit_identical(partition_backend, graph_name, k):
     assert np.array_equal(ref.in_mask, out.in_mask)
     assert ref.iterations == out.iterations
     assert ref.worklist_sizes == out.worklist_sizes
-    assert out.config.backend == partition_backend.name
     assert out.config.partitions == k
     stats = out.partition_stats
     assert stats is not None and stats.num_parts == k
@@ -319,11 +213,14 @@ def test_partitioned_coloring_max_rounds(partition_backend, many_round_graphs):
     assert np.array_equal(again.colors, flat.colors)
 
 
-#: The two in-process sessions: serial (numpy, chunked) and a two-wide
-#: thread pool, where the parts genuinely run concurrently.
+#: The three kinds of session: serial in-process (numpy, chunked), a
+#: two-wide thread pool, where the parts genuinely run concurrently, and the
+#: registered two-rank socket cluster, where empty parts and all-interior
+#: parts are installed on rank processes.
 _EVERY_GRAPH_SESSIONS = {
     "numpy": get_backend("numpy"),
     "threaded": get_backend("threaded").with_jobs(2),
+    "distributed": get_backend("distributed"),
 }
 
 
@@ -331,8 +228,8 @@ _EVERY_GRAPH_SESSIONS = {
 @pytest.mark.parametrize("graph_name", sorted(SMALL_GRAPH_CASES))
 @pytest.mark.parametrize("session", sorted(_EVERY_GRAPH_SESSIONS))
 def test_partitioned_kk_every_small_graph(session, graph_name, k):
-    """Exhaustive graph coverage (incl. empty/isolated/complete) on both
-    in-process sessions."""
+    """Exhaustive graph coverage (incl. empty/isolated/complete) on every
+    kind of session."""
     g = SMALL_GRAPH_CASES[graph_name]
     ref = kk_mis2(g)
     out = kk_mis2(g, partitions=k, backend=_EVERY_GRAPH_SESSIONS[session])

@@ -11,11 +11,8 @@ from repro.parallel import (
     NumpyBackend,
     ThreadedBackend,
     available_backends,
-    default_backend,
     get_backend,
     register_backend,
-    resolve_backend,
-    set_default_backend,
 )
 from repro.parallel.backends import _REGISTRY
 
@@ -59,40 +56,6 @@ class TestRegistry:
             register_backend(original, overwrite=True)
 
 
-class TestDefaultBackend:
-    def test_default_is_numpy(self):
-        assert default_backend().name == "numpy"
-        assert resolve_backend(None) is default_backend()
-
-    def test_resolve_by_name(self):
-        assert resolve_backend("chunked").name == "chunked"
-
-    def test_set_default_backend_context_restores(self):
-        before = default_backend()
-        with set_default_backend("chunked") as active:
-            assert active.name == "chunked"
-            assert default_backend().name == "chunked"
-            # Kernels called without backend= pick up the scoped default.
-            result = kk_mis2(path_graph(8))
-            assert result.config.backend == "chunked"
-        assert default_backend() is before
-
-    def test_set_default_backend_plain_call(self):
-        before = default_backend()
-        try:
-            set_default_backend("chunked")
-            assert default_backend().name == "chunked"
-        finally:
-            set_default_backend(before)
-
-    def test_context_restores_on_exception(self):
-        before = default_backend()
-        with pytest.raises(RuntimeError):
-            with set_default_backend("chunked"):
-                raise RuntimeError("boom")
-        assert default_backend() is before
-
-
 class TestChunkedBackend:
     def test_validates_parameters(self):
         with pytest.raises(ValueError):
@@ -119,8 +82,9 @@ class TestThreadedBackend:
         assert pooled == serial == inline
 
     def test_requestable_by_name(self):
-        result = kk_mis2(path_graph(8), backend="threaded")
-        assert result.config.backend == "threaded"
+        g = path_graph(8)
+        result = kk_mis2(g, partitions=2, backend="threaded")
+        assert np.array_equal(result.in_set, kk_mis2(g).in_set)
 
 
 class TestWithJobs:

@@ -37,13 +37,6 @@ class TestTrafficCounter:
         t.add("b", 1, 1)
         assert t.by_kernel() == {"a": 20, "b": 2}
 
-    def test_merge(self):
-        a = make_traffic(2, 100)
-        b = make_traffic(3, 100)
-        merged = a.merge(b)
-        assert merged.num_kernels == 5
-        assert a.num_kernels == 2  # unchanged
-
     def test_validation(self):
         t = TrafficCounter()
         with pytest.raises(ValueError):
