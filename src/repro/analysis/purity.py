@@ -34,7 +34,6 @@ SEAM_CALLS: Tuple[str, ...] = (
 CONCRETE_BACKENDS: Tuple[str, ...] = (
     "NumpyBackend",
     "ChunkedBackend",
-    "ThreadedBackend",
     "DistributedBackend",
 )
 BACKEND_HOME_MODULES: Tuple[str, ...] = (

@@ -3,8 +3,8 @@
 One module per table or figure of the paper's evaluation section (Section VI); each
 expresses its sweep declaratively through the :mod:`~repro.bench.experiment`
 framework — a *plan* stage producing picklable work units, a module-level *task*
-function executed through :meth:`ExecutionBackend.map_graphs` (so the chunked and
-threaded backends shard the sweep over worker pools), and a *render* stage printing
+function executed through :meth:`ExecutionBackend.map_graphs` (so the chunked
+backend shards the sweep over a process pool), and a *render* stage printing
 the same rows the paper reports (plus the published reference numbers). Each module
 still exposes the classic ``run_*`` function returning structured rows and the
 ``*_table`` formatter; ``Experiment.run`` additionally returns a JSON-persistable

@@ -12,7 +12,7 @@ Regenerate any of the paper's tables/figures without pytest::
 Every experiment is a registered :class:`repro.bench.experiment.Experiment`
 (plan / map / reduce); the sweep itself executes through
 ``ExecutionBackend.map_graphs``, so ``--backend chunked`` shards the per-matrix
-work over a process pool and ``--backend threaded`` over a thread pool.
+work over a process pool.
 
 Flags
 -----
@@ -22,10 +22,10 @@ Flags
     partitioned kernels also run their sessions on it. The chosen backend is
     printed with the results and names the JSON record.
 ``--jobs``
-    Worker-pool width for the sharded backends' ``map_graphs`` (chunked
-    processes / threaded threads). Serial backends ignore it. Caveat: with a
-    pooled backend the per-matrix *Python wall-clock* columns are measured
-    while sibling matrices run concurrently, so pool contention inflates them;
+    Process count of chunked's ``map_graphs`` pool; the other backends map
+    serially and ignore it. Caveat: with the pooled backend the per-matrix
+    *Python wall-clock* columns are measured while sibling matrices run
+    concurrently, so pool contention inflates them;
     the modelled (traffic-derived) columns and all deterministic counts are
     unaffected, and the sweep driver's per-backend wall-clock measures the
     whole sweep, which is exactly what sharding accelerates.
@@ -37,8 +37,8 @@ Flags
 
 Cross-backend sweep (the paper's Fig. 3 analogue for Python backends)::
 
-    python -m repro.bench sweep table1 --backends numpy,chunked,threaded
-    python -m repro.bench sweep smoke --backends numpy,threaded --json
+    python -m repro.bench sweep table1 --backends numpy,chunked --jobs 2
+    python -m repro.bench sweep smoke --backends numpy,chunked --json
 
 ``sweep`` runs one experiment once per backend, *asserts the deterministic
 measured counts (iterations, set sizes, modelled times) are bit-identical
@@ -47,7 +47,7 @@ across backends*, and prints the per-backend wall-clock/speedup table.
 Partition-parallel mode (intra-graph sharding)::
 
     python -m repro.bench partitioned smoke --parts 4
-    python -m repro.bench sweep smoke --parts 4 --backends numpy,chunked,threaded
+    python -m repro.bench sweep smoke --parts 4 --backends numpy,chunked,distributed
 
 ``partitioned <exp> --parts k`` (and ``--parts`` on any run or sweep) splits
 every graph of a parts-aware experiment into ``k`` parts, runs the MIS /
@@ -63,7 +63,7 @@ additionally meters actual on-the-wire bytes
 
 Regression gate over persisted records::
 
-    python -m repro.bench compare BENCH_smoke_numpy.json BENCH_smoke_threaded.json
+    python -m repro.bench compare BENCH_smoke_numpy.json BENCH_smoke_chunked.json
 
 ``compare`` fails (exit 1) on any deterministic-count drift between the two
 records and warns when the candidate's wall-clock regressed by more than
@@ -153,10 +153,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--backends", type=_parse_backends,
                         default=None,
                         help="comma-separated backend list for 'sweep' "
-                             "(default: numpy,chunked,threaded)")
+                             "(default: numpy,chunked)")
     parser.add_argument("--jobs", type=int, default=None,
-                        help="map_graphs worker-pool width for the sharded backends "
-                             "(chunked processes / threaded threads)")
+                        help="process count of chunked's map_graphs pool "
+                             "(the other backends map serially)")
     parser.add_argument("--parts", type=int, default=None,
                         help="intra-graph partition count for parts-aware experiments "
                              "(partition-parallel runs are verified bit-identical to "
@@ -194,7 +194,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             parser.error(
                 "compare requires two BENCH_*.json paths, e.g. "
                 "'compare benchmarks/results/BENCH_smoke_numpy.json "
-                "benchmarks/results/BENCH_smoke_threaded.json'"
+                "benchmarks/results/BENCH_smoke_chunked.json'"
             )
         if args.tolerance < 0:
             parser.error("--tolerance must be >= 0")
@@ -225,7 +225,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.backend is not None:
             parser.error("--backend is not valid with 'sweep'; use --backends")
         _require_parts_aware(args.target)
-        backends = args.backends or ["numpy", "chunked", "threaded"]
+        backends = args.backends or ["numpy", "chunked"]
         result = sweep(args.target, backends, config, jobs=args.jobs)
         print(sweep_table(result).render())
         if args.json:

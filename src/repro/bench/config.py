@@ -72,9 +72,9 @@ class BenchConfig:
 # every worker transparently builds its own cache on first use (the dicts are
 # never pickled — task functions carry only the key ingredients), and on Linux a
 # fork-started worker additionally inherits whatever the parent had already
-# built. A lock keeps lookups/evictions safe under the threaded backend's pool;
+# built. A lock keeps lookups/evictions safe when threads share the caches;
 # generation itself runs outside the lock (a rare duplicate generation is
-# harmless — both workers produce the identical deterministic object). Bounded so
+# harmless — both callers produce the identical deterministic object). Bounded so
 # a long sweep over many scales cannot grow without limit.
 
 _CacheKey = Tuple[str, float, int, Optional[str]]

@@ -10,8 +10,7 @@ each experiment is expressed **declaratively** as
   (matrix names, grid specs, scheme names);
 * a *map* stage: a **module-level, picklable** ``task(unit, config) -> row``
   function executed through :meth:`ExecutionBackend.map_graphs`, so the chunked
-  backend shards the sweep over a process pool and the threaded backend over a
-  thread pool without the experiment knowing;
+  backend shards the sweep over a process pool without the experiment knowing;
 * a *reduce* stage: a ``render`` function formatting the collected rows as the
   paper-style table.
 
@@ -430,20 +429,20 @@ def sweep(
     experiment's ``warm`` hook runs first, untimed, to populate the per-process
     suite caches — otherwise the baseline backend would pay the one-time graph
     generation inside its timed region while later backends reuse the warm
-    caches (shared address space for the threaded backend, fork-inherited for
-    the chunked pool), systematically inflating every non-baseline speedup. With
-    ``check_counts`` (default) a :class:`SweepMismatchError` is raised if any
-    backend's deterministic counts (iteration counts, set sizes, modelled
-    times) differ from the baseline's — the paper's portability claim is
-    precisely that they never do.
+    caches (in-process, or fork-inherited by the chunked pool), systematically
+    inflating every non-baseline speedup. With ``check_counts`` (default) a
+    :class:`SweepMismatchError` is raised if any backend's deterministic
+    counts (iteration counts, set sizes, modelled times) differ from the
+    baseline's — the paper's portability claim is precisely that they never
+    do.
     """
     if not backends:
         raise ValueError("sweep requires at least one backend")
     experiment = get_experiment(name)
     if warmup and experiment.warm is not None:
         # Populate the *parent* process's caches at generation cost only —
-        # the threaded backend shares them and fork-started pool workers
-        # inherit them, so no backend pays one-time generation while timed.
+        # serial backends reuse them and fork-started pool workers inherit
+        # them, so no backend pays one-time generation while timed.
         resolved_config = config if config is not None else BenchConfig()
         experiment.warm(experiment.units(resolved_config), resolved_config)
     results = [experiment.run(config, backend=b, jobs=jobs) for b in backends]

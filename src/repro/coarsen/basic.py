@@ -35,7 +35,8 @@ def mis2_basic_aggregation(
         Undirected input graph.
     mis:
         Optionally, a precomputed MIS-2 of ``graph`` (any valid MIS-2 works); when
-        omitted, Algorithm 1 computes one.
+        omitted, Algorithm 1 computes one. One over another vertex count raises
+        ``ValueError``; a same-size MIS-2 of another graph is not detected.
     seed:
         Seed forwarded to the MIS-2 computation.
 
@@ -47,6 +48,8 @@ def mis2_basic_aggregation(
     n = graph.num_vertices
     if mis is None:
         mis = kk_mis2(graph, seed=seed)
+    elif mis.num_vertices != n:
+        raise ValueError(f"mis covers {mis.num_vertices} vertices but the graph has {n}")
     roots = np.asarray(mis.in_set, dtype=np.int64)
     labels = -np.ones(n, dtype=np.int64)
     if n == 0:

@@ -86,7 +86,7 @@ class ClusterMulticolorGaussSeidel:
 
     ``aggregation_fn`` is called with the matrix graph alone; bind any other
     argument into it, e.g. ``functools.partial(mis2_aggregation, partitions=4,
-    backend="threaded")`` for a partitioned coarsening.
+    backend="distributed")`` for a partitioned coarsening.
     """
 
     def __init__(

@@ -9,10 +9,10 @@ analogue used by the reproduction:
   stream compaction).
 * :mod:`~repro.parallel.backends` — the pluggable :class:`ExecutionBackend` seam that
   decides where graphs and partitions run: the serial ``numpy`` reference, the
-  process-pool ``chunked`` backend, the shared-memory ``threaded`` backend and the
-  socket ``distributed`` backend (:mod:`~repro.parallel.distributed`). A partitioned
-  call picks the session its parts run in (``partitions=4, backend="threaded"``);
-  the benchmark harness picks the ``map_graphs`` strategy of a sweep.
+  process-pool ``chunked`` backend and the socket ``distributed`` backend
+  (:mod:`~repro.parallel.distributed`). A partitioned call picks the session its
+  parts run in (``partitions=4, backend="distributed"``); the benchmark harness
+  picks the ``map_graphs`` strategy of a sweep.
 * :mod:`~repro.parallel.machine` — device catalogue (V100, MI100, Skylake, ThunderX2)
   with the published memory bandwidths the paper's Fig. 3 uses.
 * :mod:`~repro.parallel.costmodel` — roofline-style traffic/latency model converting
@@ -37,13 +37,11 @@ from .backends import (
     ExecutionBackend,
     NumpyBackend,
     ChunkedBackend,
-    ThreadedBackend,
     ResidentSession,
     register_backend,
     get_backend,
     available_backends,
     shipped_nbytes,
-    shutdown_partition_pools,
 )
 from .transport import (
     MessageConnection,
@@ -97,13 +95,11 @@ __all__ = [
     "ExecutionBackend",
     "NumpyBackend",
     "ChunkedBackend",
-    "ThreadedBackend",
     "ResidentSession",
     "register_backend",
     "get_backend",
     "available_backends",
     "shipped_nbytes",
-    "shutdown_partition_pools",
     "MessageConnection",
     "MessageListener",
     "TransportError",

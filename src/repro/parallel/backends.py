@@ -8,12 +8,12 @@ batch of independent graphs (:meth:`ExecutionBackend.map_graphs`) and opens
 the part-pinned session a partitioned kernel runs its supersteps in
 (:meth:`ExecutionBackend.map_partitions_resident`). The flat kernels run
 the same NumPy code whatever backend exists, so only two places pick one:
-a partitioned call (``kk_mis2(graph, partitions=4, backend="threaded")``)
+a partitioned call (``kk_mis2(graph, partitions=4, backend="distributed")``)
 picks the session its parts run in, and the benchmark harness picks the
 ``map_graphs`` strategy of a sweep.
 
-Three backends ship with this module (``distributed`` registers itself from
-:mod:`repro.parallel.distributed`):
+Two backends ship with this module (``distributed`` registers itself from
+:mod:`repro.parallel.distributed` and runs each part on a socket rank):
 
 ``numpy`` (:class:`NumpyBackend`)
     The reference: batches and partitions run serially in-process.
@@ -22,23 +22,15 @@ Three backends ship with this module (``distributed`` registers itself from
     Batches of independent graphs fan out over a process pool, the sharding
     hook for multi-graph benchmark sweeps; partitions run serially.
 
-``threaded`` (:class:`ThreadedBackend`)
-    Shared-memory parallelism: batches and partitions fan out over a
-    :class:`~concurrent.futures.ThreadPoolExecutor`. No pickling of tasks or
-    graphs is needed, so it shards the benchmark sweeps with zero start-up
-    cost (NumPy releases the GIL inside the large array kernels).
-
 Every strategy runs the same pure task functions on the same inputs, so
 results are bit-identical across backends; the equivalence tests enforce it.
 """
 
 from __future__ import annotations
 
-import atexit
 import os
-import threading
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -47,35 +39,12 @@ __all__ = [
     "ExecutionBackend",
     "NumpyBackend",
     "ChunkedBackend",
-    "ThreadedBackend",
     "ResidentSession",
     "register_backend",
     "get_backend",
     "available_backends",
     "shipped_nbytes",
-    "shutdown_partition_pools",
 ]
-
-
-def _pool_map(executor_cls, width: Optional[int], fn: Callable, items: Sequence) -> List:
-    """Order-preserving pooled map shared by the chunked/threaded backends.
-
-    ``width`` of ``None`` means the CPU count; a one-worker pool or a
-    single-item batch executes inline.
-    """
-    workers = width if width is not None else max(1, os.cpu_count() or 1)
-    items = list(items)
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with executor_cls(max_workers=min(workers, len(items))) as pool:
-        return list(pool.map(fn, items))
-
-
-# Guards the persistent partition pools below: the threaded sessions' thread
-# pools. Partitioned kernels run one small batch of per-part tasks per
-# superstep phase, many times per run, so the pools are created lazily, shared
-# by every backend instance in the process and torn down at interpreter exit.
-_PARTITION_POOL_LOCK = threading.Lock()
 
 
 def _in_worker_process() -> bool:
@@ -91,42 +60,20 @@ def _in_worker_process() -> bool:
     return multiprocessing.parent_process() is not None
 
 
-# Thread pools of the threaded backend's sessions, keyed by width: thread
-# spin-up is cheap, but paying it 3x per kernel iteration is still pointless.
-_PARTITION_THREAD_POOLS: "Dict[int, ThreadPoolExecutor]" = {}  # guarded-by: _PARTITION_POOL_LOCK
+def _check_count(name: str, value: Optional[int]) -> Optional[int]:
+    """Validate a worker or rank count: ``None`` or an integer >= 1.
 
-
-def _partition_thread_pool(workers: int) -> ThreadPoolExecutor:
-    with _PARTITION_POOL_LOCK:
-        pool = _PARTITION_THREAD_POOLS.get(workers)
-        if pool is None:
-            pool = ThreadPoolExecutor(max_workers=workers)
-            _PARTITION_THREAD_POOLS[workers] = pool
-        return pool
-
-
-def _drop_inherited_partition_pools() -> None:
-    # Fork-started children inherit the parent's executor objects, whose worker
-    # threads and queues belong to the parent (threads don't survive a fork at
-    # all); drop the references so a child that does reach the pool path
-    # builds its own.
-    _PARTITION_THREAD_POOLS.clear()  # analysis-ok: lock-guard -- at-fork child is single-threaded; the inherited lock may be held by a parent thread that did not survive the fork, so taking it here could deadlock
-
-
-if hasattr(os, "register_at_fork"):  # pragma: no branch - POSIX
-    os.register_at_fork(after_in_child=_drop_inherited_partition_pools)
-
-
-def shutdown_partition_pools() -> None:
-    """Shut down the threaded sessions' persistent thread pools (idempotent)."""
-    with _PARTITION_POOL_LOCK:
-        pools = list(_PARTITION_THREAD_POOLS.values())
-        _PARTITION_THREAD_POOLS.clear()
-    for pool in pools:
-        pool.shutdown(wait=True, cancel_futures=True)
-
-
-atexit.register(shutdown_partition_pools)
+    A bool or a float is rejected, not truncated: ``ranks=2.5`` would
+    otherwise key a cluster of its own and ``processes=True`` would quietly
+    mean one worker.
+    """
+    if value is None:
+        return None
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1")
+    return int(value)
 
 
 # ------------------------------------------------------------ resident sessions
@@ -276,33 +223,22 @@ class ResidentSession:
 class _LocalResidentSession(ResidentSession):
     """In-address-space session: payloads and states live in the session.
 
-    The serial reference and the threaded backend both use it — tasks read and
-    mutate the caller's arrays directly, so it is trivially correct (nothing
-    ever crosses a pickle boundary). An optional thread pool fans the per-part
-    tasks out; each task touches only its own part's state, so the fan-out is
-    race-free.
+    Tasks read and mutate the caller's arrays directly and run serially in
+    task order, so it is trivially correct (nothing ever crosses a pickle
+    boundary). The numpy and chunked backends use it, and the distributed
+    backend falls back to it when there is nothing to fan out.
     """
 
-    def __init__(
-        self,
-        token: str,
-        payloads: Sequence,
-        states: Sequence,
-        pool: Optional[ThreadPoolExecutor] = None,
-    ) -> None:
+    def __init__(self, token: str, payloads: Sequence, states: Sequence) -> None:
         super().__init__(token, payloads, states)
         self._payloads = list(payloads)
         self._states = list(states)
-        self._pool = pool
 
     def _submit(self, fn: Callable, tasks: Sequence[Tuple[int, Any]]) -> Callable[[], List]:
         # Lazy: the tasks run inside the collector, so their compute is
         # metered as wait time, as it is on the distributed session.
         calls = [(self._payloads[i], self._states[i], delta) for i, delta in tasks]
-        pool = self._pool
-        if pool is None or len(calls) <= 1:
-            return lambda: [fn(p, s, d) for p, s, d in calls]
-        return lambda: list(pool.map(lambda c: fn(*c), calls))
+        return lambda: [fn(p, s, d) for p, s, d in calls]
 
 
 class ExecutionBackend:
@@ -349,8 +285,7 @@ class ExecutionBackend:
         interleaving yields bit-identical results. The reference
         implementation keeps everything in the caller's address space and runs
         the parts serially (the numpy and chunked backends use it); the
-        threaded backend fans them over a thread pool, and the distributed
-        backend pins part ``i`` to a rank process.
+        distributed backend pins part ``i`` to a rank process.
         """
         return _LocalResidentSession(token, payloads, states)
 
@@ -381,19 +316,23 @@ class ChunkedBackend(ExecutionBackend):
     :class:`~concurrent.futures.ProcessPoolExecutor` under :meth:`map_graphs`,
     which shards multi-graph benchmark sweeps across processes.
 
+    Fork-started workers keep the parent's BLAS thread count, so ``N``
+    workers each run ``N`` BLAS threads and a BLAS-heavy sweep (GMRES in
+    Table VI) oversubscribes the CPUs. Neither NumPy nor SciPy can change
+    that count at run time: set ``OPENBLAS_NUM_THREADS=1`` (or the variable
+    of the BLAS in use) in the environment before starting Python.
+
     Parameters
     ----------
     processes:
         Worker-pool width for :meth:`map_graphs`. ``None`` uses the CPU count;
-        1 executes inline.
+        1 executes inline. A bool or non-integer raises ``ValueError``.
     """
 
     name = "chunked"
 
     def __init__(self, processes: Optional[int] = None) -> None:
-        if processes is not None and processes < 1:
-            raise ValueError("processes must be >= 1")
-        self.processes = processes
+        self.processes = _check_count("processes", processes)
 
     def map_graphs(self, fn: Callable, items: Sequence) -> List:
         """Fan a batch of independent per-graph computations over a process pool.
@@ -402,71 +341,17 @@ class ChunkedBackend(ExecutionBackend):
         configuration. ``fn`` and the items must be picklable; order is
         preserved, so results are deterministic regardless of pool width.
         """
-        return _pool_map(ProcessPoolExecutor, self.processes, fn, items)
+        workers = self.processes if self.processes is not None else max(1, os.cpu_count() or 1)
+        items = list(items)
+        if workers <= 1 or len(items) <= 1:
+            return [fn(item) for item in items]
+        with ProcessPoolExecutor(max_workers=min(workers, len(items))) as pool:
+            return list(pool.map(fn, items))
 
     def with_jobs(self, jobs: Optional[int]) -> "ChunkedBackend":
         if jobs is None:
             return self
         return ChunkedBackend(processes=jobs)
-
-
-class ThreadedBackend(ExecutionBackend):
-    """Shared-memory threaded backend.
-
-    :meth:`map_graphs` fans a batch of independent per-graph computations
-    over a :class:`~concurrent.futures.ThreadPoolExecutor`, and a partitioned
-    call's session fans its parts over a persistent thread pool. Unlike the
-    chunked backend's process pool this needs no pickling: tasks share the caller's
-    address space (and its graph caches), which makes it the cheapest way to
-    shard a multi-graph benchmark sweep. NumPy releases the GIL inside the
-    large array kernels, so independent graphs genuinely overlap.
-
-    Parameters
-    ----------
-    threads:
-        Worker-pool width for :meth:`map_graphs`. ``None`` uses the CPU count;
-        1 executes inline.
-    """
-
-    name = "threaded"
-
-    def __init__(self, threads: Optional[int] = None) -> None:
-        if threads is not None and threads < 1:
-            raise ValueError("threads must be >= 1")
-        self.threads = threads
-
-    def map_graphs(self, fn: Callable, items: Sequence) -> List:
-        """Fan a batch of independent per-graph computations over a thread pool.
-
-        Order is preserved (results are deterministic regardless of pool
-        width); single-item batches and one-thread configurations execute
-        inline.
-        """
-        return _pool_map(ThreadPoolExecutor, self.threads, fn, items)
-
-    def map_partitions_resident(
-        self, token: str, payloads: Sequence, states: Sequence
-    ) -> ResidentSession:
-        """In-process session fanned over the persistent thread pool.
-
-        Payloads and states already live in the caller's address space, so the
-        resident contract is free — tasks mutate their part's state directly
-        and nothing is ever serialised. The shipped-bytes accounting is the
-        logical one every session keeps, so the recorded measurables stay
-        bit-identical across backends.
-        """
-        workers = self.threads if self.threads is not None else max(1, os.cpu_count() or 1)
-        pool = (
-            _partition_thread_pool(workers)
-            if workers > 1 and len(payloads) > 1
-            else None
-        )
-        return _LocalResidentSession(token, payloads, states, pool=pool)
-
-    def with_jobs(self, jobs: Optional[int]) -> "ThreadedBackend":
-        if jobs is None:
-            return self
-        return ThreadedBackend(threads=jobs)
 
 
 # ------------------------------------------------------------------- registry
@@ -502,4 +387,3 @@ def available_backends() -> List[str]:
 
 register_backend(NumpyBackend())
 register_backend(ChunkedBackend())
-register_backend(ThreadedBackend())

@@ -816,16 +816,15 @@ class DistributedBackend(ExecutionBackend):
     ----------
     ranks:
         Rank-process count sessions fan over. ``None`` uses the default
-        two-rank cluster; 1 executes in-process. (``with_jobs``/``--jobs``
-        reconfigure it, mirroring the pooled backends.)
+        two-rank cluster; 1 executes in-process. A bool or non-integer raises
+        ``ValueError``. (``with_jobs``/``--jobs`` reconfigure it, mirroring
+        the chunked backend's pool width.)
     """
 
     name = "distributed"
 
     def __init__(self, ranks: Optional[int] = None) -> None:
-        if ranks is not None and ranks < 1:
-            raise ValueError("ranks must be >= 1")
-        self.ranks = ranks
+        self.ranks = _B._check_count("ranks", ranks)
 
     def _nranks(self) -> int:
         return self.ranks if self.ranks is not None else _DEFAULT_RANKS

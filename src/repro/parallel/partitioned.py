@@ -43,13 +43,12 @@ worklist size left), and all its owned values once, in the phase its
 worklist empties (kk: only whether each is IN, since all are final then).
 The coordinator derives the same boundary worklists from its own arrays.
 A coloring part also recomputes only what the last round changed. The
-session is in-process on every backend but one: serial on numpy and chunked,
-fanned over a thread pool on threaded, and on the distributed backend it pins
-part ``i`` to a rank process over sockets (:mod:`repro.parallel.distributed`);
-the drivers here are the same for all of them. Shipped bytes are accounted
-logically (array ``nbytes``, identical on every backend), in **both
-directions** — deltas out, result arrays back — and recorded on
-``PartitionStats``.
+session runs the parts serially in-process on numpy and chunked, and on the
+distributed backend it pins part ``i`` to a rank process over sockets
+(:mod:`repro.parallel.distributed`); the drivers here are the same for
+both. Shipped bytes are accounted logically (array ``nbytes``, identical on
+every backend), in **both directions** — deltas out, result arrays back —
+and recorded on ``PartitionStats``.
 """
 
 from __future__ import annotations

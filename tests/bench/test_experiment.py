@@ -77,7 +77,7 @@ class TestExperimentRun:
         assert result.counts["ecology2/xorstar"] >= 1
 
     def test_rows_preserve_plan_order_across_backends(self):
-        for backend in ("chunked", "threaded"):
+        for backend in ("chunked", "distributed"):
             result = run_experiment("table1", TINY, backend=backend, jobs=2)
             assert [r.matrix for r in result.rows] == list(TINY.matrices)
             assert result.backend == backend
@@ -85,9 +85,9 @@ class TestExperimentRun:
 
     def test_config_backend_is_honoured(self):
         config = BenchConfig(
-            scale=0.002, trials=1, warmup=0, matrices=("ecology2",), backend="threaded"
+            scale=0.002, trials=1, warmup=0, matrices=("ecology2",), backend="chunked"
         )
-        assert run_experiment("table1", config).backend == "threaded"
+        assert run_experiment("table1", config).backend == "chunked"
 
     def test_smoke_runs_its_partitioned_calls_on_the_run_backend(self):
         """The run's backend reaches smoke's six partitioned calls: over the
@@ -177,15 +177,15 @@ class TestJsonRoundTrip:
 
 class TestSweep:
     def test_smoke_sweep_across_backends(self):
-        """The acceptance smoke sweep: 2 tiny matrices, serial + threaded."""
-        result = sweep("table1", ["numpy", "threaded"], TINY, jobs=2)
-        assert [r.backend for r in result.results] == ["numpy", "threaded"]
+        """The acceptance smoke sweep: 2 tiny matrices, serial + process pool."""
+        result = sweep("table1", ["numpy", "chunked"], TINY, jobs=2)
+        assert [r.backend for r in result.results] == ["numpy", "chunked"]
         assert result.reference.backend == "numpy"
         # Identical measured iteration counts across backends — the paper's claim.
         assert result.results[0].counts == result.results[1].counts
         assert result.speedup(result.reference) == pytest.approx(1.0)
         text = sweep_table(result).render()
-        assert "numpy" in text and "threaded" in text and "identical" in text
+        assert "numpy" in text and "chunked" in text and "identical" in text
 
     def test_sweep_requires_backends(self):
         with pytest.raises(ValueError, match="at least one backend"):
@@ -194,7 +194,7 @@ class TestSweep:
     def test_sweep_detects_count_mismatch(self):
         good = run_experiment("table1", TINY)
         bad = ExperimentResult.from_dict(good.to_dict())
-        bad.backend = "threaded"
+        bad.backend = "chunked"
         bad.counts = dict(bad.counts)
         bad.counts["ecology2/xorstar"] = -99
         from repro.bench.experiment import _check_counts
@@ -203,14 +203,14 @@ class TestSweep:
             _check_counts("table1", [good, bad])
 
     def test_sweep_summary_round_trip(self, tmp_path):
-        result = sweep("smoke", ["numpy", "threaded"], TINY)
+        result = sweep("smoke", ["numpy", "chunked"], TINY)
         path = result.save(tmp_path)
         assert path.name == "BENCH_sweep_smoke.json"
         import json
 
         summary = json.loads(path.read_text())
         assert summary["experiment"] == "smoke"
-        assert summary["backends"] == ["numpy", "threaded"]
+        assert summary["backends"] == ["numpy", "chunked"]
         assert summary["speedups"]["numpy"] == pytest.approx(1.0)
 
     def test_sweep_result_mismatch_renders_in_table(self):

@@ -117,11 +117,14 @@ class TestAlgorithmSpecific:
         assert np.array_equal(a.labels, b.labels)
 
     @pytest.mark.parametrize("other", [10, 30], ids=["smaller", "larger"])
-    def test_mis2_agg_rejects_an_mis_of_another_vertex_count(self, other):
+    @pytest.mark.parametrize(
+        "aggregate", [mis2_aggregation, mis2_basic_aggregation], ids=["mis2_agg", "mis2_basic"]
+    )
+    def test_mis2_agg_rejects_an_mis_of_another_vertex_count(self, aggregate, other):
         # A smaller MIS would seed aggregates from roots that are no MIS-2
         # of the graph; a larger one indexes past the graph's vertices.
         with pytest.raises(ValueError, match=f"mis covers {other} vertices but the graph has 20"):
-            mis2_aggregation(path_graph(20), mis=kk_mis2(path_graph(other)))
+            aggregate(path_graph(20), mis=kk_mis2(path_graph(other)))
 
 
 class TestQualityMetrics:

@@ -128,3 +128,14 @@ def any_small_graph(request) -> CSRGraph:
 def nonempty_small_graph(request) -> CSRGraph:
     """Parametrised fixture over the non-empty named small graphs."""
     return SMALL_GRAPH_CASES[request.param]
+
+
+#: Invalid worker/rank counts and the error each one names: a bool or a
+#: non-integer is refused at construction, before any pool or rank starts.
+INVALID_COUNTS = [
+    (0, ">= 1"),
+    (2.5, "an integer, got 2.5"),
+    (2.0, "an integer, got 2.0"),
+    (True, "an integer, got True"),
+    ("2", "an integer, got '2'"),
+]

@@ -4,8 +4,9 @@ A flat call runs one NumPy path whatever the backend; a backend acts in
 two places, and both are checked here. Every partitioned kernel (kk MIS-2,
 greedy coloring, MIS-2 aggregation) must produce results *bit-identical* to
 the flat reference on every registered execution backend's session (numpy,
-chunked, threaded, distributed), and the ``map_graphs``-driven Experiment
-path must yield identical rows regardless of backend and pool width.
+chunked, distributed) and on a four-rank distributed session, and the
+``map_graphs``-driven Experiment path must yield identical rows regardless
+of backend and pool width.
 """
 
 import numpy as np
@@ -17,6 +18,7 @@ from repro.coloring import greedy_color
 from repro.graph import elasticity3d, grid2d, laplace3d, path_graph, random_gnp, rmat
 from repro.mis import kk_mis2
 from repro.parallel import (
+    DistributedBackend,
     available_backends,
     build_partition_layout,
     get_backend,
@@ -66,13 +68,15 @@ def test_experiment_counts_identical_across_all_backends():
 # Partition-equivalence matrix: every registered backend × k ∈ {1, 2, 4, 7} ×
 # {kk, greedy coloring, mis2_agg} must produce output bit-identical to
 # the *unpartitioned* NumPy reference — the intra-graph sharding contract of
-# repro.parallel.partitioned. Pooled backends run two wide so the resident
-# sessions genuinely fan out (threaded: thread pool; distributed: two rank
-# processes); numpy and chunked run the serial in-process session.
+# repro.parallel.partitioned. numpy and chunked run the serial in-process
+# session; distributed runs two rank processes, and "distributed4" four, so
+# k = 2 gives it fewer parts than ranks and k >= 4 runs four parts at once.
 
 #: One instance per registered backend name (including the numpy reference —
-#: here it is the *execution* under test, not the baseline).
+#: here it is the *execution* under test, not the baseline), plus the
+#: four-rank session.
 PARTITION_BACKENDS = {name: get_backend(name).with_jobs(2) for name in available_backends()}
+PARTITION_BACKENDS["distributed4"] = DistributedBackend(ranks=4)
 
 PARTITION_KS = (1, 2, 4, 7)
 
@@ -213,14 +217,14 @@ def test_partitioned_coloring_max_rounds(partition_backend, many_round_graphs):
     assert np.array_equal(again.colors, flat.colors)
 
 
-#: The three kinds of session: serial in-process (numpy, chunked), a
-#: two-wide thread pool, where the parts genuinely run concurrently, and the
-#: registered two-rank socket cluster, where empty parts and all-interior
-#: parts are installed on rank processes.
+#: The two kinds of session: serial in-process (numpy, chunked) and socket
+#: ranks, where empty parts and all-interior parts are installed on rank
+#: processes: the registered two-rank cluster, and a four-rank one, which
+#: holds fewer parts than ranks at k = 2 and 3 and runs four parts at once.
 _EVERY_GRAPH_SESSIONS = {
     "numpy": get_backend("numpy"),
-    "threaded": get_backend("threaded").with_jobs(2),
     "distributed": get_backend("distributed"),
+    "distributed4": DistributedBackend(ranks=4),
 }
 
 
@@ -399,7 +403,7 @@ def test_partitioned_smoke_sweep_counts_identical():
     from repro.bench import sweep
 
     config = _BC(parts=2)
-    result = sweep("smoke", ["numpy", "threaded"], config, jobs=2)
+    result = sweep("smoke", ["numpy", "chunked"], config, jobs=2)
     assert result.reference.parts == 2
     for res in result.results:
         assert res.counts == result.reference.counts

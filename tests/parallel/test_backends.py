@@ -3,18 +3,20 @@
 import numpy as np
 import pytest
 
-from repro.graph import path_graph, random_gnp
+from repro.graph import random_gnp
 from repro.mis import kk_mis2
 from repro.parallel import (
     ChunkedBackend,
+    DistributedBackend,
     ExecutionBackend,
     NumpyBackend,
-    ThreadedBackend,
     available_backends,
     get_backend,
     register_backend,
 )
 from repro.parallel.backends import _REGISTRY
+
+from tests.conftest import INVALID_COUNTS
 
 
 def _graph_mis_size(graph):
@@ -24,21 +26,18 @@ def _graph_mis_size(graph):
 
 class TestRegistry:
     def test_builtin_backends_registered(self):
-        assert available_backends() == [
-            "numpy",
-            "chunked",
-            "threaded",
-            "distributed",
-        ]
+        assert available_backends() == ["numpy", "chunked", "distributed"]
 
     def test_get_backend_by_name_and_instance(self):
         np_backend = get_backend("numpy")
         assert isinstance(np_backend, NumpyBackend)
         assert get_backend(np_backend) is np_backend
 
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            get_backend("cuda")
+    @pytest.mark.parametrize("name", ["cuda", "threaded"])
+    def test_unknown_backend_rejected(self, name):
+        # A deleted backend's name fails like a name that never existed.
+        with pytest.raises(ValueError, match=rf"unknown backend '{name}'; registered: \["):
+            get_backend(name)
 
     def test_register_rejects_duplicates_and_non_backends(self):
         with pytest.raises(ValueError):
@@ -57,9 +56,14 @@ class TestRegistry:
 
 
 class TestChunkedBackend:
-    def test_validates_parameters(self):
-        with pytest.raises(ValueError):
-            ChunkedBackend(processes=0)
+    @pytest.mark.parametrize("processes, message", INVALID_COUNTS)
+    def test_validates_parameters(self, processes, message):
+        with pytest.raises(ValueError, match=f"processes must be {message}"):
+            ChunkedBackend(processes=processes)
+
+    def test_numpy_integer_count_is_valid(self):
+        backend = ChunkedBackend(processes=np.int64(2))
+        assert backend.processes == 2 and type(backend.processes) is int
 
     def test_map_graphs_process_pool_preserves_order(self):
         graphs = [random_gnp(40, 0.1, seed=s) for s in range(4)]
@@ -67,24 +71,6 @@ class TestChunkedBackend:
         pooled = ChunkedBackend(processes=2).map_graphs(_graph_mis_size, graphs)
         inline = ChunkedBackend(processes=1).map_graphs(_graph_mis_size, graphs)
         assert pooled == serial == inline
-
-
-class TestThreadedBackend:
-    def test_validates_parameters(self):
-        with pytest.raises(ValueError):
-            ThreadedBackend(threads=0)
-
-    def test_map_graphs_thread_pool_preserves_order(self):
-        graphs = [random_gnp(40, 0.1, seed=s) for s in range(4)]
-        serial = NumpyBackend().map_graphs(_graph_mis_size, graphs)
-        pooled = ThreadedBackend(threads=3).map_graphs(_graph_mis_size, graphs)
-        inline = ThreadedBackend(threads=1).map_graphs(_graph_mis_size, graphs)
-        assert pooled == serial == inline
-
-    def test_requestable_by_name(self):
-        g = path_graph(8)
-        result = kk_mis2(g, partitions=2, backend="threaded")
-        assert np.array_equal(result.in_set, kk_mis2(g).in_set)
 
 
 class TestWithJobs:
@@ -100,13 +86,6 @@ class TestWithJobs:
         assert clone.processes == 3
         assert B.processes is None  # registered instance untouched
         assert B.with_jobs(None) is B
-
-    def test_threaded_clone(self):
-        B = ThreadedBackend()
-        clone = B.with_jobs(2)
-        assert clone is not B
-        assert clone.threads == 2
-        assert B.threads is None
 
 
 def test_every_registered_backend_is_an_execution_backend():
@@ -127,10 +106,16 @@ def test_backends_define_no_primitives():
 
 # ------------------------------------------------------------ session contract
 
-#: Every session implementation, each asked for two workers: serial in-process
-#: (numpy, and chunked, whose pool serves only map_graphs), a thread pool and
-#: socket ranks, where the parts genuinely fan out.
-SESSION_BACKENDS = ["numpy", "threaded", "chunked", "distributed"]
+#: Every session implementation: serial in-process (numpy, and chunked, whose
+#: pool serves only map_graphs), and socket ranks, where the parts genuinely
+#: fan out: the registered two-rank cluster and a four-rank one (more ranks
+#: than most sessions here have parts).
+SESSION_BACKENDS = {
+    "numpy": get_backend("numpy"),
+    "chunked": get_backend("chunked"),
+    "distributed": get_backend("distributed"),
+    "distributed4": DistributedBackend(ranks=4),
+}
 
 
 class _Boom(RuntimeError):
@@ -152,10 +137,10 @@ def _boom(payload, state, delta):
 
 
 def _open_session(backend_name, tag, parts=3, n=16):
-    """A two-wide session over ``parts`` parts; part ``i`` has ``w = arange(n) + i``."""
+    """A session over ``parts`` parts; part ``i`` has ``w = arange(n) + i``."""
     payloads = [{"w": np.arange(n, dtype=np.int64) + part} for part in range(parts)]
     states = [{"acc": np.zeros(n, dtype=np.int64)} for _ in range(parts)]
-    return get_backend(backend_name).with_jobs(2).map_partitions_resident(
+    return SESSION_BACKENDS[backend_name].map_partitions_resident(
         f"tok/{tag}/{backend_name}", payloads, states
     )
 
@@ -248,7 +233,7 @@ def test_failure_in_committed_singleton_phase_commits_nothing(backend_name):
     # session must recover: the next phase commits cleanly.
     payloads = [{"w": np.arange(16, dtype=np.int64)} for _ in range(3)]
     states = [{"acc": np.zeros(16, dtype=np.int64)} for _ in range(3)]
-    session = get_backend(backend_name).with_jobs(2).map_partitions_resident(
+    session = SESSION_BACKENDS[backend_name].map_partitions_resident(
         f"tok/phase-errors-single/{backend_name}", payloads, states
     )
     with session:

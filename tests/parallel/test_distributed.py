@@ -32,6 +32,8 @@ from repro.parallel import distributed as distributed_mod
 from repro.parallel.distributed import RankCluster
 from repro.parallel.transport import MessageListener, connect_with_retry
 
+from tests.conftest import INVALID_COUNTS
+
 
 # ---- module-level task functions (pickled by reference to rank processes)
 
@@ -193,9 +195,20 @@ class TestDistributedSession:
         clone = pickle.loads(pickle.dumps(B))
         assert isinstance(clone, DistributedBackend) and clone.ranks == 2
 
-    def test_validates_parameters(self):
-        with pytest.raises(ValueError):
-            DistributedBackend(ranks=0)
+    @pytest.mark.parametrize("ranks, message", INVALID_COUNTS)
+    def test_validates_parameters(self, ranks, message):
+        # Refused before any cluster exists: accepted, ranks=2.5 would spawn
+        # a second two-rank cluster keyed 2.5 and ranks=True would run
+        # in-process.
+        clusters = sorted(distributed_mod._CLUSTERS)
+        with pytest.raises(ValueError, match=f"ranks must be {message}"):
+            DistributedBackend(ranks=ranks)
+        assert sorted(distributed_mod._CLUSTERS) == clusters
+
+    def test_numpy_integer_rank_count_shares_the_registered_cluster(self):
+        backend = DistributedBackend(ranks=np.int64(2))
+        assert backend.ranks == 2 and type(backend.ranks) is int
+        assert backend.cluster() is get_backend("distributed").cluster()
 
     def test_session_inside_pool_worker_runs_inline(self):
         # A partitioned kernel inside a map_graphs process-pool worker must

@@ -20,7 +20,6 @@ from repro.parallel import (
     ChunkedBackend,
     DistributedBackend,
     NumpyBackend,
-    ThreadedBackend,
     build_partition_layout,
     get_backend,
     partition_vertices,
@@ -295,7 +294,7 @@ class TestDrivers:
 
     def test_config_and_stats_recorded(self):
         g = grid2d(5, 5)
-        out = kk_mis2(g, partitions=2, backend="threaded")
+        out = kk_mis2(g, partitions=2, backend="distributed")
         assert out.config.partitions == 2
         assert out.partition_stats.supersteps == 3 * out.iterations
         coloring = greedy_color(g, partitions=2)
@@ -399,15 +398,6 @@ class TestResidentSessions:
         assert session.superstep_bytes == (16 + 16) + (8 + 8)
         assert session.max_superstep_bytes == 32
         assert session.supersteps == 2
-
-    def test_threaded_session_shares_state(self):
-        payloads, states = self._payloads_states(k=4)
-        session = get_backend("threaded").with_jobs(2).map_partitions_resident(
-            "t", payloads, states
-        )
-        outs = session.run(_resident_add, [(i, 10) for i in range(4)])
-        assert outs == [10, 11, 12, 13]
-        assert [int(s["acc"][0]) for s in states] == [10, 10, 10, 10]
 
 
 class TestShippedNbytes:
@@ -629,12 +619,13 @@ _SCHEDULE_KERNELS = {
     "mis2_agg": (mis2_aggregation, lambda r: r.labels, "kk"),
 }
 
-#: Fresh two-wide instances, so recording never touches a registered backend.
+#: Fresh instances, so recording never touches a registered backend; the
+#: four-rank one holds the three parts on three of its ranks.
 _SCHEDULE_BACKENDS = {
     "numpy": NumpyBackend,
-    "threaded": lambda: ThreadedBackend(threads=2),
     "chunked": lambda: ChunkedBackend(processes=2),
     "distributed": lambda: DistributedBackend(ranks=2),
+    "distributed4": lambda: DistributedBackend(ranks=4),
 }
 
 

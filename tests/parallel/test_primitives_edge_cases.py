@@ -4,7 +4,8 @@ Covers the corners Algorithm 1 actually hits: empty worklists (last iteration),
 single-vertex graphs, isolated vertices (empty adjacency segments), and dtype
 preservation through ``exclusive_scan`` / ``segmented_min`` (the packed status
 tuples are uint64 and must not be silently promoted or truncated). The two
-kernel-level cases run on every backend.
+kernel-level cases run the flat ``kk_mis2`` once; its partitioned single-vertex
+and edgeless cases are in ``test_backend_equivalence.py``.
 """
 
 import numpy as np
@@ -12,7 +13,6 @@ import pytest
 
 from repro.graph import empty_graph, from_edges, path_graph
 from repro.mis import kk_mis2, verify_mis
-from repro.parallel import available_backends, get_backend
 from repro.parallel.primitives import (
     exclusive_scan,
     expand_rows,
@@ -24,14 +24,6 @@ from repro.parallel.primitives import (
     segmented_sum,
     stream_compact,
 )
-
-BACKENDS = {name: get_backend(name) for name in available_backends()}
-
-
-@pytest.fixture(params=sorted(BACKENDS), ids=sorted(BACKENDS))
-def backend(request):
-    return BACKENDS[request.param]
-
 
 class TestEmptyWorklists:
     def test_expand_rows_empty_worklist(self):
@@ -59,12 +51,12 @@ class TestEmptyWorklists:
 
 
 class TestSingleVertexAndIsolated:
-    def test_single_vertex_graph(self, backend):
+    def test_single_vertex_graph(self):
         g = empty_graph(1)
         slots, seg = expand_rows(g.rowmap, np.array([0], dtype=np.int64))
         assert slots.size == 0
         assert seg.tolist() == [0, 0]
-        result = kk_mis2(g, backend=backend)
+        result = kk_mis2(g)
         assert result.in_set.tolist() == [0]
 
     def test_isolated_vertices_give_empty_segments(self):
@@ -81,9 +73,9 @@ class TestSingleVertexAndIsolated:
         ref = np.array([7, 4, 0, 0, 0], dtype=np.int64)
         assert segmented_all_equal(vals, ref, seg).tolist() == [True, False, True, True, True]
 
-    def test_mis_on_all_isolated_vertices(self, backend):
+    def test_mis_on_all_isolated_vertices(self):
         g = empty_graph(6)
-        result = kk_mis2(g, backend=backend)
+        result = kk_mis2(g)
         assert result.in_set.tolist() == list(range(6))
         assert verify_mis(g, result.in_set, k=2)
 

@@ -107,17 +107,18 @@ def test_supersteps_are_rounds_times_phases(case):
 @given(graph_and_labels())
 @settings(**COMMON)
 def test_partition_stats_independent_of_backend(case):
-    """The in-process reference and the thread-pool session record the same
-    results and the same deterministic counts for any labels: bytes are
-    logical, and the schedule is the same one barrier per phase."""
+    """The in-process reference and the socket-rank session record the same
+    results and the same deterministic counts for any labels, empty parts
+    included: bytes are logical, and the schedule is the same one barrier
+    per phase."""
     graph, labels = case
-    threaded = get_backend("threaded").with_jobs(2)
+    distributed = get_backend("distributed")
     for kernel, values in (
         (kk_mis2, lambda r: r.in_set),
         (greedy_color, lambda r: r.colors),
     ):
         ref = kernel(graph, partitions=labels)
-        out = kernel(graph, partitions=labels, backend=threaded)
+        out = kernel(graph, partitions=labels, backend=distributed)
         assert np.array_equal(values(ref), values(out))
         a, b = ref.partition_stats.to_dict(), out.partition_stats.to_dict()
         assert {k: v for k, v in a.items() if not k.endswith("_seconds")} == {

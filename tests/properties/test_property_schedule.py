@@ -2,13 +2,14 @@
 
 Every partitioned kernel runs each phase as one
 :meth:`~repro.parallel.backends.ResidentSession.run` barrier over the live
-parts. The rule that makes threaded and distributed execution safe is that
-the tasks of one phase are independent: each reads only its payload, its own
-part's state and its delta, and writes only its own part's state. The
-strategy here drives the partitioned kernels through a session that executes
-each phase's per-part tasks in a drawn random order; whatever order comes
-out, results must equal the flat NumPy kernel and every deterministic
-``PartitionStats`` count must equal the in-order NumPy partitioned run.
+parts. The rule that makes the distributed session's concurrent ranks
+safe is that the tasks of one phase are independent: each reads only its
+payload, its own part's state and its delta, and writes only its own part's
+state. The strategy here drives the partitioned kernels through a session
+that executes each phase's per-part tasks in a drawn random order; whatever
+order comes out, results must equal the flat NumPy kernel and every
+deterministic ``PartitionStats`` count must equal the in-order NumPy
+partitioned run.
 """
 
 from random import Random
