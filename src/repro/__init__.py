@@ -3,7 +3,7 @@ Distance-2 Maximal Independent Set and Graph Coarsening* (IPDPS 2022).
 
 The package is organised as a small stack:
 
-* :mod:`repro.util` — timers, tables, validation helpers.
+* :mod:`repro.util` — timers and tables.
 * :mod:`repro.graph` — compressed-row-storage graphs, generators, the 17-matrix suite.
 * :mod:`repro.parallel` — a Kokkos-like portable execution substrate plus device cost models.
 * :mod:`repro.hashing` — xorshift/xorshift* hashing and compressed status-tuple packing.

@@ -1,17 +1,15 @@
 """Picklability and backend purity at the execution seam.
 
-* ``pickle-callable`` — the first argument to ``map_graphs`` and to a
-  resident session's ``run`` crosses a process (or socket) boundary, so it
-  must be a module-level callable.  Lambdas and functions defined
-  inside another function close over frames and fail (or silently diverge)
-  in the chunked backend's process pool and over the distributed backend's
-  sockets.  ``functools.partial`` is unwrapped — its underlying callable is
-  checked instead.
+* ``pickle-callable`` — the first argument to a resident session's ``run``
+  crosses a process (or socket) boundary, so it must be a module-level
+  callable.  Lambdas and functions defined inside another function close
+  over frames and fail (or silently diverge) over the distributed
+  backend's sockets.  ``functools.partial`` is unwrapped — its underlying
+  callable is checked instead.
 * ``backend-concrete`` — code that picks a backend (a partitioned kernel's
-  session, the bench harness's ``map_graphs``) takes a name or instance and
-  resolves it through the registry's ``get_backend``; instantiating a
-  concrete ``*Backend`` class anywhere else hard-wires an execution strategy
-  and breaks the equivalence matrix.
+  session) takes a name or instance and resolves it through the registry's
+  ``get_backend``; instantiating a concrete ``*Backend`` class anywhere else
+  hard-wires an execution strategy and breaks the equivalence matrix.
 """
 
 from __future__ import annotations
@@ -25,7 +23,6 @@ from .modules import ModuleInfo
 
 #: Seam entry points whose first positional argument must be picklable.
 SEAM_CALLS: Tuple[str, ...] = (
-    "map_graphs",
     "map_partitions_resident",
     "run",
 )
@@ -33,7 +30,6 @@ SEAM_CALLS: Tuple[str, ...] = (
 #: Concrete backend classes; only these modules may instantiate them.
 CONCRETE_BACKENDS: Tuple[str, ...] = (
     "NumpyBackend",
-    "ChunkedBackend",
     "DistributedBackend",
 )
 BACKEND_HOME_MODULES: Tuple[str, ...] = (
@@ -59,10 +55,10 @@ class PurityRule(Rule):
     ids = ("pickle-callable", "backend-concrete")
     name = "purity"
     example = """
-def run(backend, graphs):
-    def kernel(g):                  # nested: closes over this frame
-        return g.num_vertices
-    return backend.map_graphs(kernel, graphs)   # pickle-callable
+def phase(session, tasks):
+    def task(payload, state, delta):    # nested: closes over this frame
+        return delta
+    return session.run(task, tasks)     # pickle-callable
 """
 
     def check(self, info: ModuleInfo, context: AnalysisContext) -> Iterator[Finding]:

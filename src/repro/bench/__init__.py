@@ -3,14 +3,14 @@
 One module per table or figure of the paper's evaluation section (Section VI); each
 expresses its sweep declaratively through the :mod:`~repro.bench.experiment`
 framework — a *plan* stage producing picklable work units, a module-level *task*
-function executed through :meth:`ExecutionBackend.map_graphs` (so the chunked
-backend shards the sweep over a process pool), and a *render* stage printing
-the same rows the paper reports (plus the published reference numbers). Each module
-still exposes the classic ``run_*`` function returning structured rows and the
+function that ``Experiment.run`` maps over the units (in order, or over its own
+process pool with ``jobs >= 2``), and a *render* stage printing
+the same rows the paper reports (plus the published reference numbers). Each paper
+module still exposes the classic ``run_*`` function returning structured rows and the
 ``*_table`` formatter; ``Experiment.run`` additionally returns a JSON-persistable
 :class:`~repro.bench.experiment.ExperimentResult`, and
-:func:`~repro.bench.experiment.sweep` compares one experiment's wall-clock across
-backends. The ``benchmarks/`` directory at the repository root wraps these drivers
+:func:`~repro.bench.experiment.sweep` compares one partitioned experiment's
+wall-clock across backends. The ``benchmarks/`` directory at the repository root wraps these drivers
 with pytest-benchmark targets, and EXPERIMENTS.md records paper-vs-measured for
 every experiment.
 """
@@ -48,7 +48,7 @@ from .fig2 import Fig2Row, run_fig2, fig2_table, fig2_geometric_means, PAPER_FIG
 from .fig3 import Fig3Row, run_fig3, fig3_table
 from .fig45 import ScalingRow, run_scaling, scaling_table, DEFAULT_THREAD_COUNTS
 from .fig67 import SpeedupRow, run_fig6, run_fig7, speedup_table
-from .smoke import SmokeRow, run_smoke, smoke_table
+from .smoke import SmokeRow, smoke_table
 
 __all__ = [
     "BenchConfig",
@@ -78,5 +78,5 @@ __all__ = [
     "Fig3Row", "run_fig3", "fig3_table",
     "ScalingRow", "run_scaling", "scaling_table", "DEFAULT_THREAD_COUNTS",
     "SpeedupRow", "run_fig6", "run_fig7", "speedup_table",
-    "SmokeRow", "run_smoke", "smoke_table",
+    "SmokeRow", "smoke_table",
 ]

@@ -6,48 +6,40 @@ Regenerate any of the paper's tables/figures without pytest::
     python -m repro.bench fig2 --matrices ecology2 thermal2
     python -m repro.bench all --scale 0.005
     python -m repro.bench smoke                        # fast CI sanity check
-    python -m repro.bench table1 --backend chunked --jobs 4
+    python -m repro.bench table1 --jobs 4              # map the units over 4 processes
     python -m repro.bench table2 --json                # persist the JSON record
 
 Every experiment is a registered :class:`repro.bench.experiment.Experiment`
-(plan / map / reduce); the sweep itself executes through
-``ExecutionBackend.map_graphs``, so ``--backend chunked`` shards the per-matrix
-work over a process pool.
+(plan / map / reduce); ``Experiment.run`` maps the units itself, in order or,
+with ``--jobs``, over its own process pool.
 
 Flags
 -----
-``--backend``
-    Execution backend of the run (default: ``numpy``, the reference). Its
-    ``map_graphs`` runs the experiment's units; with ``--parts`` the
-    partitioned kernels also run their sessions on it. The chosen backend is
-    printed with the results and names the JSON record.
 ``--jobs``
-    Process count of chunked's ``map_graphs`` pool; the other backends map
-    serially and ignore it. Caveat: with the pooled backend the per-matrix
-    *Python wall-clock* columns are measured while sibling matrices run
-    concurrently, so pool contention inflates them;
-    the modelled (traffic-derived) columns and all deterministic counts are
-    unaffected, and the sweep driver's per-backend wall-clock measures the
-    whole sweep, which is exactly what sharding accelerates.
+    Worker processes the experiment's units are mapped over (default 1: in
+    order in this process). Caveat: in a pooled run the per-matrix *Python
+    wall-clock* columns are measured while sibling matrices run
+    concurrently, so pool contention inflates them; the modelled
+    (traffic-derived) columns and all deterministic counts are unaffected,
+    and the record's wall-clock measures the whole run, which is exactly
+    what the pool accelerates. Fork-started workers keep the parent's BLAS
+    thread count: run BLAS-heavy experiments (Table VI) pooled with
+    ``OPENBLAS_NUM_THREADS=1``.
+``--backend``
+    With ``--parts`` (or ``partitioned``) only: the execution backend the
+    partitioned kernels run their sessions on (default: ``numpy``, the
+    reference). A flat run takes no backend. The backend is printed with the
+    results and names the JSON record.
 ``--json``
     Additionally persist each run as a structured
     ``benchmarks/results/BENCH_<experiment>_<backend>.json`` record
     (:class:`~repro.bench.experiment.ExperimentResult`), the perf-trajectory
-    feed.
-
-Cross-backend sweep (the paper's Fig. 3 analogue for Python backends)::
-
-    python -m repro.bench sweep table1 --backends numpy,chunked --jobs 2
-    python -m repro.bench sweep smoke --backends numpy,chunked --json
-
-``sweep`` runs one experiment once per backend, *asserts the deterministic
-measured counts (iterations, set sizes, modelled times) are bit-identical
-across backends*, and prints the per-backend wall-clock/speedup table.
+    feed; ``REPRO_BENCH_RESULTS`` names another directory.
 
 Partition-parallel mode (intra-graph sharding)::
 
     python -m repro.bench partitioned smoke --parts 4
-    python -m repro.bench sweep smoke --parts 4 --backends numpy,chunked,distributed
+    python -m repro.bench partitioned smoke --parts 4 --backend distributed
 
 ``partitioned <exp> --parts k`` (and ``--parts`` on any run or sweep) splits
 every graph of a parts-aware experiment into ``k`` parts, runs the MIS /
@@ -56,18 +48,32 @@ coloring / aggregation kernels through the partition-parallel drivers, and
 ghost-exchange stats land in the rows and deterministic counts, and records
 persist under a ``_p<k>`` infix. ``--backend distributed`` runs the
 partitioned drivers over the registered backend's two localhost rank
-processes through the socket transport; results stay
-bit-identical and the logical byte counts unchanged, while the cluster
-additionally meters actual on-the-wire bytes
+processes through the socket transport (each ``--jobs`` worker over its own
+two ranks); results stay bit-identical and the logical byte counts
+unchanged, while the cluster additionally meters actual on-the-wire bytes
 (:meth:`repro.parallel.DistributedBackend.measured_stats`).
+
+Cross-backend sweep of a partitioned run (the paper's Fig. 3 analogue for
+Python backends)::
+
+    python -m repro.bench sweep smoke --parts 4 --backends numpy,distributed --json
+
+``sweep`` runs one partitioned experiment once per backend (default: every
+registered backend), *asserts the deterministic measured counts (iterations,
+set sizes, modelled times, shipped bytes) are bit-identical across
+backends*, and prints the per-backend wall-clock/speedup table.
 
 Regression gate over persisted records::
 
-    python -m repro.bench compare BENCH_smoke_numpy.json BENCH_smoke_chunked.json
+    python -m repro.bench smoke --json
+    REPRO_BENCH_RESULTS=benchmarks/results/jobs2 python -m repro.bench smoke --jobs 2 --json
+    python -m repro.bench compare benchmarks/results/BENCH_smoke_numpy.json \
+        benchmarks/results/jobs2/BENCH_smoke_numpy.json
 
 ``compare`` fails (exit 1) on any deterministic-count drift between the two
-records and warns when the candidate's wall-clock regressed by more than
-``--tolerance`` (default 25%).
+records, notes differing backends, partition counts and pool widths, and
+warns when the candidate's wall-clock regressed by more than ``--tolerance``
+(default 25%).
 """
 
 from __future__ import annotations
@@ -139,24 +145,25 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="with 'compare': the candidate BENCH_*.json path",
     )
     parser.add_argument("--scale", type=float, default=BenchConfig().scale,
-                        help="fraction of the paper's problem sizes for the stand-ins")
-    parser.add_argument("--trials", type=int, default=1, help="timed trials per measurement")
-    parser.add_argument("--seed", type=int, default=0, help="deterministic seed")
+                        help="fraction of the paper's problem sizes for the stand-ins "
+                             "(> 0)")
+    parser.add_argument("--trials", type=int, default=1,
+                        help="timed trials per measurement (>= 1)")
+    parser.add_argument("--seed", type=int, default=0, help="deterministic seed (>= 0)")
     parser.add_argument("--mtx-dir", default=None,
                         help="directory with real SuiteSparse .mtx files (optional)")
     parser.add_argument("--matrices", nargs="*", default=None,
                         help="subset of suite matrices to run")
     parser.add_argument("--backend", choices=available_backends(), default=None,
-                        help="execution backend of the run (default: numpy): its "
-                             "map_graphs runs the units, and with --parts the "
-                             "partitioned sessions run on it")
+                        help="with --parts or 'partitioned': the backend the "
+                             "partitioned sessions run on (default: numpy)")
     parser.add_argument("--backends", type=_parse_backends,
                         default=None,
-                        help="comma-separated backend list for 'sweep' "
-                             "(default: numpy,chunked)")
+                        help="comma-separated backend list for a partitioned "
+                             "'sweep' (default: every registered backend)")
     parser.add_argument("--jobs", type=int, default=None,
-                        help="process count of chunked's map_graphs pool "
-                             "(the other backends map serially)")
+                        help="worker processes the units are mapped over "
+                             "(default 1: in order in this process)")
     parser.add_argument("--parts", type=int, default=None,
                         help="intra-graph partition count for parts-aware experiments "
                              "(partition-parallel runs are verified bit-identical to "
@@ -175,6 +182,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         parser.error("--jobs must be >= 1")
     if args.parts is not None and args.parts < 1:
         parser.error("--parts must be >= 1")
+    if args.trials < 1:
+        parser.error("--trials must be >= 1")
+    if not args.scale > 0:
+        parser.error("--scale must be > 0")
+    if args.seed < 0:
+        parser.error("--seed must be >= 0")
     if args.candidate is not None and args.experiment != "compare":
         parser.error("a third positional argument is only valid with 'compare'")
 
@@ -194,7 +207,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             parser.error(
                 "compare requires two BENCH_*.json paths, e.g. "
                 "'compare benchmarks/results/BENCH_smoke_numpy.json "
-                "benchmarks/results/BENCH_smoke_chunked.json'"
+                "benchmarks/results/jobs2/BENCH_smoke_numpy.json'"
             )
         if args.tolerance < 0:
             parser.error("--tolerance must be >= 0")
@@ -206,6 +219,16 @@ def main(argv: Optional[List[str]] = None) -> int:
             elapsed_tolerance=args.tolerance,
             strict_elapsed=args.strict_elapsed,
         )
+
+    if args.parts is None and args.experiment != "partitioned":
+        # A backend picks only where a partitioned call's parts run; on a
+        # flat run every backend would run the same code.
+        if args.experiment == "sweep":
+            parser.error("sweep compares backends, which differ only on a "
+                         "partitioned run: pass --parts, e.g. 'sweep smoke --parts 4'")
+        if args.backend is not None or args.backends is not None:
+            parser.error("--backend and --backends are only valid for a partitioned "
+                         "run (--parts or 'partitioned')")
 
     config = BenchConfig(
         scale=args.scale,
@@ -219,13 +242,13 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     if args.experiment == "sweep":
         if args.target is None:
-            parser.error("sweep requires an experiment name, e.g. 'sweep table1'")
+            parser.error("sweep requires an experiment name, e.g. 'sweep smoke'")
         if args.target not in EXPERIMENTS:
             parser.error(f"unknown experiment {args.target!r} for sweep")
         if args.backend is not None:
             parser.error("--backend is not valid with 'sweep'; use --backends")
         _require_parts_aware(args.target)
-        backends = args.backends or ["numpy", "chunked"]
+        backends = args.backends or available_backends()
         result = sweep(args.target, backends, config, jobs=args.jobs)
         print(sweep_table(result).render())
         if args.json:
@@ -259,10 +282,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.backends is not None:
         parser.error("--backends is only valid with 'sweep'; use --backend")
 
-    print(f"backend: {config.backend or 'numpy'}")
     if config.parts is not None:
+        print(f"backend: {config.backend or 'numpy'}")
         print(f"parts: {config.parts} (partition-parallel, verified vs reference)")
-    print()
+        print()
     for name in names:
         result, text = EXPERIMENTS[name].run_and_render(config, jobs=args.jobs)
         print(text)

@@ -21,10 +21,10 @@
   baseline (default 25%) is reported loudly but does not fail the gate
   (``--strict-elapsed`` promotes it to a failure for curated trajectories).
 
-Records whose run context differs (``backend`` or ``parts``) are still
-comparable — the counts must match regardless — but the mismatch is called
-out explicitly in the rendered output so a wrong-pair comparison never gates
-silently.
+Records whose run context differs (``backend``, ``parts`` or ``jobs``) are
+still comparable — the counts must match regardless — but the mismatch is
+called out explicitly in the rendered output so a wrong-pair comparison never
+gates silently.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ class ComparisonReport:
     #: ``_bytes`` counts where the candidate ships *less* than the baseline
     #: (reported, never a failure — shrinking communication is the goal).
     bytes_improved: List[str] = field(default_factory=list)
-    #: Run-context fields (backend, parts) that differ between the records.
+    #: Run-context fields (backend, parts, jobs) that differ between the records.
     #: Informational: counts must match regardless, but the mismatch is
     #: rendered so a wrong-pair comparison never gates silently.
     context_mismatch: List[str] = field(default_factory=list)
@@ -139,11 +139,13 @@ def compare_results(
             f"experiment: {baseline.experiment!r} != {candidate.experiment!r}"
         )
     # Differing run context is legitimate (that is what the cross-backend
-    # gates compare) but must be visible, not silent.
+    # and serial-vs-pooled gates compare) but must be visible, not silent.
     if baseline.backend != candidate.backend:
         context.append(f"backends differ: {baseline.backend!r} vs {candidate.backend!r}")
     if baseline.parts != candidate.parts:
         context.append(f"partition counts differ: {baseline.parts!r} vs {candidate.parts!r}")
+    if baseline.jobs != candidate.jobs:
+        context.append(f"pool widths differ: {baseline.jobs!r} vs {candidate.jobs!r}")
     # The directional bytes exemption applies only across different part
     # counts, where shipping less is an improvement. Two records of the same
     # part count must agree on every byte count — there a smaller value is

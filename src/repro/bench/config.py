@@ -33,7 +33,7 @@ class BenchConfig:
 
     The dataclass is frozen and contains only primitives/tuples, so it is both
     hashable and picklable — experiment task functions carry it into the
-    chunked backend's process-pool workers unchanged.
+    harness's process-pool workers (``jobs >= 2``) unchanged.
     """
 
     #: Fraction of the paper's vertex counts used for the synthetic suite stand-ins.
@@ -48,8 +48,8 @@ class BenchConfig:
     mtx_dir: Optional[str] = None
     #: Subset of suite matrices to run (None = all 17).
     matrices: Optional[Tuple[str, ...]] = None
-    #: Execution backend of the run (None = ``numpy``): its ``map_graphs`` runs
-    #: the units, and a parts-aware task runs its partitioned calls on it.
+    #: Execution backend a parts-aware task runs its partitioned calls on
+    #: (None = ``numpy``); a flat run never uses it.
     backend: Optional[str] = None
     #: Intra-graph partition count for the experiments that support
     #: partition-parallel execution (None = unpartitioned). Partitioned runs

@@ -9,8 +9,9 @@ each experiment is expressed **declaratively** as
 * a *plan* stage: ``plan(config) -> units`` producing the picklable work units
   (matrix names, grid specs, scheme names);
 * a *map* stage: a **module-level, picklable** ``task(unit, config) -> row``
-  function executed through :meth:`ExecutionBackend.map_graphs`, so the chunked
-  backend shards the sweep over a process pool without the experiment knowing;
+  function that :meth:`Experiment.run` maps over the units itself, in order
+  in the caller or, with ``jobs >= 2``, over a process pool, without the
+  experiment knowing;
 * a *reduce* stage: a ``render`` function formatting the collected rows as the
   paper-style table.
 
@@ -21,7 +22,8 @@ whose ``counts`` dictionary holds the experiment's *deterministic* measurables
 across several backends, asserts those counts are identical everywhere (the
 determinism guarantee of the backend-equivalence suite, enforced end-to-end on the
 real sweep path) and reports the per-backend wall-clock speedup table — the
-paper's Fig. 3 analogue for Python backends.
+paper's Fig. 3 analogue for Python backends. A backend matters only to a
+partitioned run, whose parts-aware task runs its partitioned calls on it.
 """
 
 from __future__ import annotations
@@ -31,11 +33,12 @@ import json
 import math
 import os
 import time
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..parallel.backends import ExecutionBackend, get_backend
+from ..parallel.backends import ExecutionBackend, _check_count, get_backend
 from ..util.tables import Table, format_seconds
 from .config import BenchConfig
 
@@ -113,12 +116,13 @@ class ExperimentResult:
 
     ``rows`` holds the per-unit row dataclasses in plan order (plain dicts after a
     JSON round-trip); ``counts`` holds the deterministic measurables that must be
-    identical across backends and pool widths.
+    identical across backends and pool widths. ``jobs`` is the pool width the
+    units were mapped with (1: in order in the caller).
     """
 
     experiment: str
     backend: str
-    jobs: Optional[int]
+    jobs: int
     scale: float
     seed: int
     trials: int
@@ -193,7 +197,7 @@ class ExperimentResult:
 class _TaskInvocation:
     """Picklable closure binding an experiment task to its config.
 
-    This is what actually crosses the ``map_graphs`` seam: the task function (a
+    This is what a pooled run ships to its workers: the task function (a
     module-level callable or a :func:`functools.partial` of one — never a
     lambda) and the frozen :class:`BenchConfig`, whose ``backend`` names the
     backend a parts-aware task runs its partitioned calls on.
@@ -258,23 +262,33 @@ class Experiment:
         units: Optional[Sequence[Any]] = None,
         task: Optional[Callable[[Any, BenchConfig], Any]] = None,
     ) -> ExperimentResult:
-        """Execute the experiment through ``ExecutionBackend.map_graphs``.
+        """Execute the experiment: map its task over the units, in plan order.
 
         Parameters
         ----------
         config:
             Benchmark knobs (defaults to :class:`BenchConfig()`).
         backend:
-            Execution backend name/instance whose ``map_graphs`` runs the
-            units. ``None`` falls back to ``config.backend``, then to
-            ``"numpy"``. Its name is written into the config the tasks get.
+            Execution backend name/instance a parts-aware task runs its
+            partitioned calls on. ``None`` falls back to ``config.backend``,
+            then to ``"numpy"``. Its name is written into the config the
+            tasks get.
         jobs:
-            ``map_graphs`` pool width override (ignored by serial backends).
+            Worker processes the units are mapped over. ``None`` or 1 maps
+            them in order in the caller; ``N >= 2`` maps them over a
+            :class:`~concurrent.futures.ProcessPoolExecutor` of
+            ``min(N, units)`` workers, each of which opens its own rank
+            clusters for a distributed partitioned call. A bool or a
+            non-integer raises ``ValueError`` before any unit runs.
+            Fork-started workers keep the parent's BLAS thread count, so run
+            a BLAS-heavy experiment (Table VI) pooled with
+            ``OPENBLAS_NUM_THREADS=1`` in the environment.
         units / task:
             Optional overrides used by ``run_*`` wrappers that expose extra
             driver parameters (custom grids, tolerances, …). An override task
-            must still be picklable for the process-pool path.
+            must still be picklable for a pooled run.
         """
+        jobs = _check_count("jobs", jobs) or 1
         config = config if config is not None else BenchConfig()
         if config.parts is not None and not self.parts_aware:
             raise ValueError(
@@ -287,7 +301,11 @@ class Experiment:
         work = list(units) if units is not None else list(self.plan(config))
         invocation = _TaskInvocation(task if task is not None else self.task, config)
         start = time.perf_counter()
-        rows = resolved.with_jobs(jobs).map_graphs(invocation, work)
+        if jobs == 1 or not work:
+            rows = [invocation(unit) for unit in work]
+        else:
+            with ProcessPoolExecutor(max_workers=min(jobs, len(work))) as pool:
+                rows = list(pool.map(invocation, work))
         elapsed = time.perf_counter() - start
         return ExperimentResult(
             experiment=self.name,
@@ -299,18 +317,15 @@ class Experiment:
             units=len(work),
             elapsed_seconds=elapsed,
             counts=self.counts(rows),
-            rows=list(rows),
+            rows=rows,
             parts=config.parts,
         )
 
     def run_and_render(
-        self,
-        config: Optional[BenchConfig] = None,
-        backend: "Optional[str | ExecutionBackend]" = None,
-        jobs: Optional[int] = None,
+        self, config: Optional[BenchConfig] = None, jobs: Optional[int] = None
     ) -> Tuple[ExperimentResult, str]:
         """Run the experiment and format its rows (the CLI's main path)."""
-        result = self.run(config, backend=backend, jobs=jobs)
+        result = self.run(config, jobs=jobs)
         return result, self.render(result.rows)
 
 
@@ -429,20 +444,21 @@ def sweep(
     experiment's ``warm`` hook runs first, untimed, to populate the per-process
     suite caches — otherwise the baseline backend would pay the one-time graph
     generation inside its timed region while later backends reuse the warm
-    caches (in-process, or fork-inherited by the chunked pool), systematically
-    inflating every non-baseline speedup. With ``check_counts`` (default) a
-    :class:`SweepMismatchError` is raised if any backend's deterministic
-    counts (iteration counts, set sizes, modelled times) differ from the
-    baseline's — the paper's portability claim is precisely that they never
-    do.
+    caches (in-process, or fork-inherited by the ``jobs`` pool's workers),
+    systematically inflating every non-baseline speedup. With
+    ``check_counts`` (default) a :class:`SweepMismatchError` is raised if any
+    backend's deterministic counts (iteration counts, set sizes, modelled
+    times) differ from the baseline's — the paper's portability claim is
+    precisely that they never do.
     """
     if not backends:
         raise ValueError("sweep requires at least one backend")
+    _check_count("jobs", jobs)  # before the warm-up generates anything
     experiment = get_experiment(name)
     if warmup and experiment.warm is not None:
         # Populate the *parent* process's caches at generation cost only —
-        # serial backends reuse them and fork-started pool workers inherit
-        # them, so no backend pays one-time generation while timed.
+        # serial runs reuse them and fork-started pool workers inherit them,
+        # so no backend pays one-time generation while timed.
         resolved_config = config if config is not None else BenchConfig()
         experiment.warm(experiment.units(resolved_config), resolved_config)
     results = [experiment.run(config, backend=b, jobs=jobs) for b in backends]
@@ -469,7 +485,7 @@ def sweep_table(result: SweepResult) -> Table:
         table.add_row(
             [
                 res.backend,
-                "auto" if res.jobs is None else res.jobs,
+                res.jobs,
                 res.units,
                 format_seconds(res.elapsed_seconds),
                 round(result.speedup(res), 2),

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from ..graph.suite import paper_statistics
 from ..mis.variants import OPTIMIZATION_LEVELS, run_optimization_level
@@ -100,8 +100,6 @@ FIG2_EXPERIMENT = register_experiment(
 def run_fig2(
     config: BenchConfig = BenchConfig(),
     extrapolate_to_paper_size: bool = True,
-    backend: Optional[str] = None,
-    jobs: Optional[int] = None,
 ) -> List[Fig2Row]:
     """Run the optimization ladder on every suite matrix.
 
@@ -112,7 +110,7 @@ def run_fig2(
     task = None
     if not extrapolate_to_paper_size:
         task = functools.partial(fig2_task, extrapolate_to_paper_size=False)
-    return FIG2_EXPERIMENT.run(config, backend=backend, jobs=jobs, task=task).rows
+    return FIG2_EXPERIMENT.run(config, task=task).rows
 
 
 def fig2_geometric_means(rows: List[Fig2Row], use_model: bool = True) -> Dict[str, float]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from ..mis.kk import kk_mis2
 from ..graph.suite import paper_statistics
@@ -77,8 +77,6 @@ FIG3_EXPERIMENT = register_experiment(
 def run_fig3(
     config: BenchConfig = BenchConfig(),
     extrapolate_to_paper_size: bool = True,
-    backend: Optional[str] = None,
-    jobs: Optional[int] = None,
 ) -> List[Fig3Row]:
     """Compute the bandwidth-efficiency profile for every suite matrix.
 
@@ -90,7 +88,7 @@ def run_fig3(
     task = None
     if not extrapolate_to_paper_size:
         task = functools.partial(fig3_task, extrapolate_to_paper_size=False)
-    return FIG3_EXPERIMENT.run(config, backend=backend, jobs=jobs, task=task).rows
+    return FIG3_EXPERIMENT.run(config, task=task).rows
 
 
 def fig3_table(rows: List[Fig3Row]) -> Table:

@@ -116,8 +116,6 @@ def run_scaling(
     config: BenchConfig = BenchConfig(),
     thread_counts: "Sequence[int] | None" = None,
     extrapolate_to_paper_size: bool = True,
-    backend: Optional[str] = None,
-    jobs: Optional[int] = None,
 ) -> List[ScalingRow]:
     """Compute strong-scaling curves for every suite matrix on ``device_key``."""
     spec = device(device_key)
@@ -132,7 +130,7 @@ def run_scaling(
             thread_counts=tuple(thread_counts) if thread_counts is not None else None,
             extrapolate_to_paper_size=extrapolate_to_paper_size,
         )
-    return experiment.run(config, backend=backend, jobs=jobs, task=task).rows
+    return experiment.run(config, task=task).rows
 
 
 def scaling_table(rows: List[ScalingRow]) -> Table:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 import time
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 from ..coarsen.basic import mis2_basic_aggregation
 from ..graph.suite import paper_statistics
@@ -155,8 +155,6 @@ FIG7_EXPERIMENT = register_experiment(
 def run_fig6(
     config: BenchConfig = BenchConfig(),
     extrapolate_to_paper_size: bool = True,
-    backend: Optional[str] = None,
-    jobs: Optional[int] = None,
 ) -> List[SpeedupRow]:
     """Fig. 6: MIS-2 alone, Algorithm 1 vs CUSP (Bell's algorithm).
 
@@ -167,20 +165,18 @@ def run_fig6(
     task = None
     if not extrapolate_to_paper_size:
         task = functools.partial(fig6_task, extrapolate_to_paper_size=False)
-    return FIG6_EXPERIMENT.run(config, backend=backend, jobs=jobs, task=task).rows
+    return FIG6_EXPERIMENT.run(config, task=task).rows
 
 
 def run_fig7(
     config: BenchConfig = BenchConfig(),
     extrapolate_to_paper_size: bool = True,
-    backend: Optional[str] = None,
-    jobs: Optional[int] = None,
 ) -> List[SpeedupRow]:
     """Fig. 7: MIS-2 + Algorithm 2 coarsening, Algorithm 1 vs ViennaCL (Bell + same coarsening)."""
     task = None
     if not extrapolate_to_paper_size:
         task = functools.partial(fig7_task, extrapolate_to_paper_size=False)
-    return FIG7_EXPERIMENT.run(config, backend=backend, jobs=jobs, task=task).rows
+    return FIG7_EXPERIMENT.run(config, task=task).rows
 
 
 def speedup_table(rows: List[SpeedupRow], figure: str) -> Table:

@@ -1,12 +1,12 @@
 """Smoke experiment: a fast end-to-end sanity check of every kernel layer.
 
-Used by CI (``python -m repro.bench smoke`` and the cross-backend
-``sweep smoke``): each work unit builds a small structured graph, runs MIS-2,
-greedy coloring, MIS-2 aggregation and the device cost model, *verifies* every
-result, and records the deterministic measurables. An invalid result raises,
-failing the CI job; the registered deterministic fields make the smoke
-experiment a meaningful (and cheap) cross-backend determinism probe for the
-sweep driver.
+Used by CI (``python -m repro.bench smoke``, its ``--jobs 2`` pooled run and
+the partitioned cross-backend ``sweep smoke --parts 4``): each work unit
+builds a small structured graph, runs MIS-2, greedy coloring, MIS-2
+aggregation and the device cost model, *verifies* every result, and records
+the deterministic measurables. An invalid result raises, failing the CI job;
+the registered deterministic fields make the smoke experiment a meaningful
+(and cheap) determinism probe across pool widths and backends.
 """
 
 from __future__ import annotations
@@ -222,11 +222,3 @@ SMOKE_EXPERIMENT = register_experiment(
     )
 )
 
-
-def run_smoke(
-    config: BenchConfig = BenchConfig(),
-    backend=None,
-    jobs=None,
-) -> List[SmokeRow]:
-    """Run the smoke experiment and return one verified row per smoke graph."""
-    return SMOKE_EXPERIMENT.run(config, backend=backend, jobs=jobs).rows

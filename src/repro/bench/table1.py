@@ -13,7 +13,7 @@ Algorithm 1) on the 17-matrix suite. The headline observations to reproduce are:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from ..graph.suite import paper_statistics
 from ..hashing.priorities import PriorityScheme
@@ -77,11 +77,9 @@ TABLE1_EXPERIMENT = register_experiment(
 
 def run_table1(
     config: BenchConfig = BenchConfig(),
-    backend: Optional[str] = None,
-    jobs: Optional[int] = None,
 ) -> List[Table1Row]:
     """Run the Table I experiment and return one row per suite matrix."""
-    return TABLE1_EXPERIMENT.run(config, backend=backend, jobs=jobs).rows
+    return TABLE1_EXPERIMENT.run(config).rows
 
 
 def table1_table(rows: List[Table1Row]) -> Table:

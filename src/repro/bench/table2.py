@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from ..graph.ops import degree_statistics
 from ..graph.suite import paper_statistics
@@ -95,8 +95,6 @@ TABLE2_EXPERIMENT = register_experiment(
 def run_table2(
     config: BenchConfig = BenchConfig(),
     extrapolate_to_paper_size: bool = True,
-    backend: Optional[str] = None,
-    jobs: Optional[int] = None,
 ) -> List[Table2Row]:
     """Run the Table II experiment and return one row per suite matrix.
 
@@ -109,7 +107,7 @@ def run_table2(
     task = None
     if not extrapolate_to_paper_size:
         task = functools.partial(table2_task, extrapolate_to_paper_size=False)
-    return TABLE2_EXPERIMENT.run(config, backend=backend, jobs=jobs, task=task).rows
+    return TABLE2_EXPERIMENT.run(config, task=task).rows
 
 
 def table2_table(rows: List[Table2Row]) -> Table:

@@ -10,7 +10,7 @@ on grids scaled down by a configurable factor.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from ..graph.generators import elasticity3d, laplace3d
 from ..mis.kk import kk_mis2
@@ -102,12 +102,10 @@ def run_table3(
     config: BenchConfig = BenchConfig(),
     elasticity_grids: Sequence[Tuple[int, int, int]] = tuple(DEFAULT_ELASTICITY_GRIDS),
     laplace_grids: Sequence[Tuple[int, int, int]] = tuple(DEFAULT_LAPLACE_GRIDS),
-    backend: Optional[str] = None,
-    jobs: Optional[int] = None,
 ) -> List[Table3Row]:
     """Run the Table III sweep on Elasticity3D and Laplace3D grids."""
     return TABLE3_EXPERIMENT.run(
-        config, backend=backend, jobs=jobs, units=_units(elasticity_grids, laplace_grids)
+        config, units=_units(elasticity_grids, laplace_grids)
     ).rows
 
 

@@ -12,7 +12,7 @@ cost quality.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 from ..graph.suite import paper_statistics
 from ..mis.bell import bell_mis
@@ -84,11 +84,9 @@ TABLE4_EXPERIMENT = register_experiment(
 
 def run_table4(
     config: BenchConfig = BenchConfig(),
-    backend: Optional[str] = None,
-    jobs: Optional[int] = None,
 ) -> List[Table4Row]:
     """Run the Table IV experiment and return one row per suite matrix."""
-    return TABLE4_EXPERIMENT.run(config, backend=backend, jobs=jobs).rows
+    return TABLE4_EXPERIMENT.run(config).rows
 
 
 def table4_table(rows: List[Table4Row]) -> Table:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 
 import numpy as np
 
@@ -109,9 +109,9 @@ def table5_task(
 ) -> Table5Row:
     """Per-scheme map stage: SA-AMG setup/solve with one aggregation scheme.
 
-    The scheme is carried across the ``map_graphs`` seam by *name* and resolved
-    against :data:`AGGREGATION_SCHEMES` here, so the task stays picklable even
-    though the schemes themselves are functions.
+    The scheme is carried to a pool worker by *name* and resolved against
+    :data:`AGGREGATION_SCHEMES` here, so the task stays picklable even though
+    the schemes themselves are functions.
     """
     fn, _paper_det = AGGREGATION_SCHEMES[scheme]
     A = laplace3d_matrix(*grid)
@@ -156,14 +156,12 @@ def run_table5(
     config: BenchConfig = BenchConfig(),
     grid: Tuple[int, int, int] = DEFAULT_TABLE5_GRID,
     tol: float = 1e-12,
-    backend: Optional[str] = None,
-    jobs: Optional[int] = None,
 ) -> List[Table5Row]:
     """Run the Table V experiment on a Laplace3D grid (30^3 by default)."""
     task = None
     if (tuple(grid), tol) != (DEFAULT_TABLE5_GRID, 1e-12):
         task = functools.partial(table5_task, grid=tuple(grid), tol=tol)
-    return TABLE5_EXPERIMENT.run(config, backend=backend, jobs=jobs, task=task).rows
+    return TABLE5_EXPERIMENT.run(config, task=task).rows
 
 
 def table5_table(rows: List[Table5Row]) -> Table:

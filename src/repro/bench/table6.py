@@ -15,7 +15,7 @@ from __future__ import annotations
 import functools
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -120,14 +120,12 @@ def run_table6(
     config: BenchConfig = BenchConfig(),
     tol: float = 1e-8,
     maxiter: int = 800,
-    backend: Optional[str] = None,
-    jobs: Optional[int] = None,
 ) -> List[Table6Row]:
     """Run the Table VI experiment on the five stand-in systems."""
     task = None
     if (tol, maxiter) != (1e-8, 800):
         task = functools.partial(table6_task, tol=tol, maxiter=maxiter)
-    return TABLE6_EXPERIMENT.run(config, backend=backend, jobs=jobs, task=task).rows
+    return TABLE6_EXPERIMENT.run(config, task=task).rows
 
 
 def table6_table(rows: List[Table6Row]) -> Table:

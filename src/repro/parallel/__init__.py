@@ -8,11 +8,10 @@ analogue used by the reproduction:
   graph kernels call directly (segmented min/any/all over CSR rows, exclusive scans,
   stream compaction).
 * :mod:`~repro.parallel.backends` — the pluggable :class:`ExecutionBackend` seam that
-  decides where graphs and partitions run: the serial ``numpy`` reference, the
-  process-pool ``chunked`` backend and the socket ``distributed`` backend
+  decides where the parts of a partitioned call run: serially in-process on the
+  ``numpy`` reference, or on socket ranks on the ``distributed`` backend
   (:mod:`~repro.parallel.distributed`). A partitioned call picks the session its
-  parts run in (``partitions=4, backend="distributed"``); the benchmark harness
-  picks the ``map_graphs`` strategy of a sweep.
+  parts run in (``partitions=4, backend="distributed"``).
 * :mod:`~repro.parallel.machine` — device catalogue (V100, MI100, Skylake, ThunderX2)
   with the published memory bandwidths the paper's Fig. 3 uses.
 * :mod:`~repro.parallel.costmodel` — roofline-style traffic/latency model converting
@@ -36,7 +35,6 @@ from .primitives import (
 from .backends import (
     ExecutionBackend,
     NumpyBackend,
-    ChunkedBackend,
     ResidentSession,
     register_backend,
     get_backend,
@@ -94,7 +92,6 @@ __all__ = [
     "segmented_sum",
     "ExecutionBackend",
     "NumpyBackend",
-    "ChunkedBackend",
     "ResidentSession",
     "register_backend",
     "get_backend",

@@ -1,36 +1,26 @@
-"""Pluggable execution backends: where graphs and partitions run.
+"""Pluggable execution backends: where the parts of a partitioned call run.
 
 The paper gets *performance portability* from one kernel source run under
 several Kokkos execution spaces. Here the kernels call the data-parallel
 primitives of :mod:`repro.parallel.primitives` directly, and an
-:class:`ExecutionBackend` is the execution strategy around them: it maps a
-batch of independent graphs (:meth:`ExecutionBackend.map_graphs`) and opens
-the part-pinned session a partitioned kernel runs its supersteps in
-(:meth:`ExecutionBackend.map_partitions_resident`). The flat kernels run
-the same NumPy code whatever backend exists, so only two places pick one:
-a partitioned call (``kk_mis2(graph, partitions=4, backend="distributed")``)
-picks the session its parts run in, and the benchmark harness picks the
-``map_graphs`` strategy of a sweep.
+:class:`ExecutionBackend` decides one thing: where the parts of a
+partitioned call run. It opens the part-pinned session a partitioned kernel
+runs its supersteps in (:meth:`ExecutionBackend.map_partitions_resident`).
+The flat kernels run the same NumPy code whatever backend exists, so only a
+partitioned call (``kk_mis2(graph, partitions=4, backend="distributed")``)
+picks one.
 
-Two backends ship with this module (``distributed`` registers itself from
-:mod:`repro.parallel.distributed` and runs each part on a socket rank):
+``numpy`` (:class:`NumpyBackend`) ships with this module and runs the parts
+serially in-process; ``distributed`` registers itself from
+:mod:`repro.parallel.distributed` and runs each part on a socket rank.
 
-``numpy`` (:class:`NumpyBackend`)
-    The reference: batches and partitions run serially in-process.
-
-``chunked`` (:class:`ChunkedBackend`)
-    Batches of independent graphs fan out over a process pool, the sharding
-    hook for multi-graph benchmark sweeps; partitions run serially.
-
-Every strategy runs the same pure task functions on the same inputs, so
+Every session runs the same pure task functions on the same inputs, so
 results are bit-identical across backends; the equivalence tests enforce it.
 """
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -38,7 +28,6 @@ import numpy as np
 __all__ = [
     "ExecutionBackend",
     "NumpyBackend",
-    "ChunkedBackend",
     "ResidentSession",
     "register_backend",
     "get_backend",
@@ -47,25 +36,12 @@ __all__ = [
 ]
 
 
-def _in_worker_process() -> bool:
-    """True when this process is itself a multiprocessing pool worker.
-
-    A partitioned kernel running inside a ``map_graphs`` process-pool worker
-    must not fan its parts out to rank processes (cpu² oversubscription, and
-    re-pickling every snapshot); its parts execute inline instead — the outer
-    pool already provides the parallelism.
-    """
-    import multiprocessing
-
-    return multiprocessing.parent_process() is not None
-
-
 def _check_count(name: str, value: Optional[int]) -> Optional[int]:
     """Validate a worker or rank count: ``None`` or an integer >= 1.
 
     A bool or a float is rejected, not truncated: ``ranks=2.5`` would
-    otherwise key a cluster of its own and ``processes=True`` would quietly
-    mean one worker.
+    otherwise key a cluster of its own and ``jobs=True`` would quietly mean
+    one worker.
     """
     if value is None:
         return None
@@ -225,8 +201,8 @@ class _LocalResidentSession(ResidentSession):
 
     Tasks read and mutate the caller's arrays directly and run serially in
     task order, so it is trivially correct (nothing ever crosses a pickle
-    boundary). The numpy and chunked backends use it, and the distributed
-    backend falls back to it when there is nothing to fan out.
+    boundary). The numpy backend uses it, and the distributed backend falls
+    back to it when there is nothing to fan out.
     """
 
     def __init__(self, token: str, payloads: Sequence, states: Sequence) -> None:
@@ -244,25 +220,14 @@ class _LocalResidentSession(ResidentSession):
 class ExecutionBackend:
     """Interface every execution backend implements.
 
-    The base class is the serial reference strategy: :meth:`map_graphs` maps
-    in order and :meth:`map_partitions_resident` runs the parts in-process.
-    A backend overrides the strategies it parallelises; the
-    backend-equivalence suite runs every partitioned kernel on every
-    registered backend and asserts bit-identical results.
+    The base class is the serial reference: :meth:`map_partitions_resident`
+    runs the parts in-process. A backend overrides it to run the parts
+    elsewhere; the backend-equivalence suite runs every partitioned kernel
+    on every registered backend and asserts bit-identical results.
     """
 
     #: Registry key (what ``get_backend`` and ``--backend`` look up).
     name: str = "abstract"
-
-    # ------------------------------------------------------------ graph batches
-    def map_graphs(self, fn: Callable, items: Sequence) -> List:
-        """Apply ``fn`` to every item of a batch, preserving order.
-
-        The reference executes serially; sharded backends may fan the batch out
-        over a worker pool. ``fn`` must be a pure function so results are
-        independent of the execution strategy.
-        """
-        return [fn(item) for item in items]
 
     def map_partitions_resident(
         self, token: str, payloads: Sequence, states: Sequence
@@ -284,19 +249,10 @@ class ExecutionBackend:
         the tasks of one phase are independent and any execution order or
         interleaving yields bit-identical results. The reference
         implementation keeps everything in the caller's address space and runs
-        the parts serially (the numpy and chunked backends use it); the
-        distributed backend pins part ``i`` to a rank process.
+        the parts serially (the numpy backend uses it); the distributed
+        backend pins part ``i`` to a rank process.
         """
         return _LocalResidentSession(token, payloads, states)
-
-    def with_jobs(self, jobs: Optional[int]) -> "ExecutionBackend":
-        """A backend equivalent to this one with ``jobs`` ``map_graphs`` workers.
-
-        Serial backends ignore the request and return themselves; pooled
-        backends return a reconfigured clone (the registered instance is never
-        mutated). ``None`` means "backend default".
-        """
-        return self
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(name={self.name!r})"
@@ -306,52 +262,6 @@ class NumpyBackend(ExecutionBackend):
     """The serial reference backend."""
 
     name = "numpy"
-
-
-class ChunkedBackend(ExecutionBackend):
-    """Process-pool backend: :meth:`map_graphs` fans out over worker processes.
-
-    A partitioned call runs its parts in the reference's serial in-process
-    session. What this backend adds is a
-    :class:`~concurrent.futures.ProcessPoolExecutor` under :meth:`map_graphs`,
-    which shards multi-graph benchmark sweeps across processes.
-
-    Fork-started workers keep the parent's BLAS thread count, so ``N``
-    workers each run ``N`` BLAS threads and a BLAS-heavy sweep (GMRES in
-    Table VI) oversubscribes the CPUs. Neither NumPy nor SciPy can change
-    that count at run time: set ``OPENBLAS_NUM_THREADS=1`` (or the variable
-    of the BLAS in use) in the environment before starting Python.
-
-    Parameters
-    ----------
-    processes:
-        Worker-pool width for :meth:`map_graphs`. ``None`` uses the CPU count;
-        1 executes inline. A bool or non-integer raises ``ValueError``.
-    """
-
-    name = "chunked"
-
-    def __init__(self, processes: Optional[int] = None) -> None:
-        self.processes = _check_count("processes", processes)
-
-    def map_graphs(self, fn: Callable, items: Sequence) -> List:
-        """Fan a batch of independent per-graph computations over a process pool.
-
-        Falls back to inline execution for single-item batches or a one-worker
-        configuration. ``fn`` and the items must be picklable; order is
-        preserved, so results are deterministic regardless of pool width.
-        """
-        workers = self.processes if self.processes is not None else max(1, os.cpu_count() or 1)
-        items = list(items)
-        if workers <= 1 or len(items) <= 1:
-            return [fn(item) for item in items]
-        with ProcessPoolExecutor(max_workers=min(workers, len(items))) as pool:
-            return list(pool.map(fn, items))
-
-    def with_jobs(self, jobs: Optional[int]) -> "ChunkedBackend":
-        if jobs is None:
-            return self
-        return ChunkedBackend(processes=jobs)
 
 
 # ------------------------------------------------------------------- registry
@@ -386,4 +296,3 @@ def available_backends() -> List[str]:
 
 
 register_backend(NumpyBackend())
-register_backend(ChunkedBackend())

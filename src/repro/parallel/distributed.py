@@ -102,8 +102,8 @@ __all__ = [
     "shutdown_rank_clusters",
 ]
 
-#: Rank count when ``DistributedBackend(ranks=None)`` (CI runs two-rank
-#: clusters; ``with_jobs`` / ``--jobs`` reconfigure it).
+#: Rank count of ``DistributedBackend(ranks=None)``, the registered instance
+#: (CI runs two-rank clusters; pass ``ranks=`` for another count).
 _DEFAULT_RANKS = 2
 
 #: Transient-failure reconnect schedule: attempts per request, and the first
@@ -817,8 +817,8 @@ class DistributedBackend(ExecutionBackend):
     ranks:
         Rank-process count sessions fan over. ``None`` uses the default
         two-rank cluster; 1 executes in-process. A bool or non-integer raises
-        ``ValueError``. (``with_jobs``/``--jobs`` reconfigure it, mirroring
-        the chunked backend's pool width.)
+        ``ValueError``. Each process has its own clusters, so a session opened
+        in a benchmark pool worker fans over that worker's ranks.
     """
 
     name = "distributed"
@@ -838,17 +838,12 @@ class DistributedBackend(ExecutionBackend):
     ) -> ResidentSession:
         """Open a rank-pinned session over the socket transport.
 
-        Single-rank configurations, single-part layouts and calls from inside
-        a ``map_graphs`` pool worker fall back to the in-process session.
+        Single-rank configurations and single-part layouts fall back to the
+        in-process session.
         """
-        if self._nranks() <= 1 or len(payloads) <= 1 or _B._in_worker_process():
+        if self._nranks() <= 1 or len(payloads) <= 1:
             return _B._LocalResidentSession(token, payloads, states)
         return _DistributedResidentSession(self.cluster(), token, payloads, states)
-
-    def with_jobs(self, jobs: Optional[int]) -> "DistributedBackend":
-        if jobs is None:
-            return self
-        return DistributedBackend(ranks=jobs)
 
     def measured_stats(self) -> Dict[str, int]:
         """Measured on-the-wire totals of this backend's cluster (zeros when

@@ -1,7 +1,6 @@
 """Partition-parallel execution: shard the graph kernels *within* one graph.
 
-``ExecutionBackend.map_graphs`` shards *across* graphs. This module shards
-*one* graph: the vertex set is split into ``k`` parts (with
+The vertex set of one graph is split into ``k`` parts (with
 :func:`repro.partition.multilevel_kway` by default), each part owns its
 vertices plus read-only *ghost* copies of the neighbours it can see in other
 parts, and every iteration of the randomized MIS / coloring kernels runs as
@@ -43,7 +42,7 @@ worklist size left), and all its owned values once, in the phase its
 worklist empties (kk: only whether each is IN, since all are final then).
 The coordinator derives the same boundary worklists from its own arrays.
 A coloring part also recomputes only what the last round changed. The
-session runs the parts serially in-process on numpy and chunked, and on the
+session runs the parts serially in-process on numpy, and on the
 distributed backend it pins part ``i`` to a rank process over sockets
 (:mod:`repro.parallel.distributed`); the drivers here are the same for
 both. Shipped bytes are accounted logically (array ``nbytes``, identical on

@@ -1,17 +1,9 @@
-"""Utility helpers shared across the reproduction: timing, tables, validation."""
+"""Utility helpers shared across the reproduction: timing and tables."""
 
 from __future__ import annotations
 
 from .timing import Timer, TimingStats, repeat_timed
 from .tables import Table, format_float, geometric_mean
-from .validation import (
-    check_array_1d,
-    check_integer_dtype,
-    check_nonnegative,
-    check_positive,
-    check_square_matrix,
-    require,
-)
 
 __all__ = [
     "Timer",
@@ -20,10 +12,4 @@ __all__ = [
     "Table",
     "format_float",
     "geometric_mean",
-    "check_array_1d",
-    "check_integer_dtype",
-    "check_nonnegative",
-    "check_positive",
-    "check_square_matrix",
-    "require",
 ]

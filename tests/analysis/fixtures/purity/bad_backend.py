@@ -2,12 +2,8 @@
 backend-concrete x1 outside the registry modules, clean inside them)."""
 
 
-def _noop(graph):
-    return graph
+def kernel(token, payloads, states):
+    from repro.parallel.backends import NumpyBackend
 
-
-def kernel(graph):
-    from repro.parallel.backends import ChunkedBackend
-
-    backend = ChunkedBackend()
-    return backend.map_graphs(_noop, [graph])
+    backend = NumpyBackend()
+    return backend.map_partitions_resident(token, payloads, states)

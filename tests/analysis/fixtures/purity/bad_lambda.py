@@ -5,5 +5,5 @@ def go(session, tasks):
     return session.run(lambda payload, state, delta: delta, tasks)
 
 
-def fan(backend, graphs):
-    return backend.map_graphs(lambda g: g, graphs)
+def fan(session, tasks):
+    return session.run(lambda payload, state, delta: state, tasks)

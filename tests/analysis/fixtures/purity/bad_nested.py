@@ -4,11 +4,11 @@
 from functools import partial
 
 
-def driver(backend, graphs):
-    def kernel(graph):
-        return graph
+def driver(session, tasks):
+    def kernel(payload, state, delta):
+        return delta
 
-    return backend.map_graphs(kernel, graphs)
+    return session.run(kernel, tasks)
 
 
 def resident(session, tasks):

@@ -4,16 +4,16 @@ module-level callable, backend resolved by name (expect clean)."""
 from functools import partial
 
 
-def _kernel(graph, scale=1):
-    return graph
+def _kernel(payload, state, delta, scale=1):
+    return delta
 
 
-def drive(backend, graphs):
-    return backend.map_graphs(_kernel, graphs)
+def drive(session, tasks):
+    return session.run(_kernel, tasks)
 
 
-def drive_partial(backend, graphs):
-    return backend.map_graphs(partial(_kernel, scale=2), graphs)
+def drive_partial(session, tasks):
+    return session.run(partial(_kernel, scale=2), tasks)
 
 
 def drive_resident(session, fn, tasks):

@@ -23,14 +23,14 @@ def test_cli_smoke_check(capsys):
 
 
 def test_cli_backend_flag_records_backend(capsys):
-    code = main(["smoke", "--backend", "chunked"])
+    code = main(["smoke", "--parts", "2", "--backend", "distributed"])
     assert code == 0
     out = capsys.readouterr().out
-    assert "backend: chunked" in out
+    assert "backend: distributed" in out
     assert "smoke check: OK" in out
 
 
-@pytest.mark.parametrize("name", ["cuda", "threaded"])
+@pytest.mark.parametrize("name", ["cuda", "threaded", "chunked"])
 def test_cli_rejects_unknown_backend(name, capsys):
     # A deleted backend's name fails like a name that never existed.
     with pytest.raises(SystemExit):
@@ -63,12 +63,13 @@ def test_cli_rejects_unknown_experiment():
         main(["table99"])
 
 
-def test_cli_jobs_flag(capsys):
+def test_cli_jobs_flag(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("REPRO_BENCH_RESULTS", str(tmp_path))
     code = main(["table1", "--scale", "0.002", "--matrices", "ecology2", "tmt_sym",
-                 "--backend", "chunked", "--jobs", "2"])
+                 "--jobs", "2", "--json"])
     assert code == 0
-    out = capsys.readouterr().out
-    assert "backend: chunked" in out and "Table I" in out
+    assert "Table I" in capsys.readouterr().out
+    assert json.loads((tmp_path / "BENCH_table1_numpy.json").read_text())["jobs"] == 2
 
 
 def test_cli_rejects_bad_jobs():
@@ -89,31 +90,22 @@ def test_cli_json_writes_record(capsys, tmp_path, monkeypatch):
 
 
 def test_cli_sweep(capsys):
-    code = main(["sweep", "table1", "--backends", "numpy,chunked",
-                 "--scale", "0.002", "--matrices", "ecology2", "tmt_sym", "--jobs", "2"])
+    code = main(["sweep", "smoke", "--parts", "2", "--backends", "numpy,distributed",
+                 "--jobs", "2"])
     assert code == 0
     out = capsys.readouterr().out
-    assert "Sweep: table1" in out
+    assert "Sweep: smoke" in out
     assert "identical" in out
-    assert "numpy" in out and "chunked" in out
+    assert "numpy" in out and "distributed" in out
 
 
-def test_cli_sweep_json(capsys, tmp_path, monkeypatch):
+def test_cli_sweep_defaults_to_every_backend(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_BENCH_RESULTS", str(tmp_path))
-    code = main(["sweep", "smoke", "--backends", "numpy,chunked", "--json"])
-    assert code == 0
-    assert (tmp_path / "BENCH_smoke_numpy.json").exists()
-    assert (tmp_path / "BENCH_smoke_chunked.json").exists()
-    assert (tmp_path / "BENCH_sweep_smoke.json").exists()
-
-
-def test_cli_sweep_defaults_to_numpy_and_chunked(capsys, tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_BENCH_RESULTS", str(tmp_path))
-    assert main(["sweep", "smoke", "--json"]) == 0
+    assert main(["sweep", "smoke", "--parts", "2", "--json"]) == 0
     assert sorted(p.name for p in tmp_path.iterdir()) == [
-        "BENCH_smoke_chunked.json",
-        "BENCH_smoke_numpy.json",
-        "BENCH_sweep_smoke.json",
+        "BENCH_smoke_p2_distributed.json",
+        "BENCH_smoke_p2_numpy.json",
+        "BENCH_sweep_smoke_p2.json",
     ]
 
 
@@ -139,12 +131,47 @@ def test_cli_sweep_rejects_duplicate_backends():
 
 def test_cli_sweep_rejects_backend_flag():
     with pytest.raises(SystemExit):
-        main(["sweep", "smoke", "--backend", "chunked"])
+        main(["sweep", "smoke", "--parts", "2", "--backend", "distributed"])
 
 
 def test_cli_rejects_backends_without_sweep():
     with pytest.raises(SystemExit):
-        main(["smoke", "--backends", "numpy,chunked"])
+        main(["smoke", "--parts", "2", "--backends", "numpy,distributed"])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["smoke", "--backend", "distributed"],
+        ["smoke", "--backend", "numpy"],
+        ["sweep", "smoke"],
+        ["sweep", "smoke", "--backends", "numpy,distributed"],
+    ],
+    ids=["backend-distributed", "backend-numpy", "sweep", "sweep-backends"],
+)
+def test_cli_takes_a_backend_only_for_a_partitioned_run(argv, capsys):
+    # A backend picks only where a partitioned call's parts run: on a flat
+    # run every backend runs the same code, so choosing one is an error.
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "partitioned run" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["fig2", "--trials", "0"], "--trials must be >= 1"),
+        (["table1", "--scale", "0"], "--scale must be > 0"),
+        (["table1", "--seed", "-1"], "--seed must be >= 0"),
+    ],
+    ids=["trials", "scale", "seed"],
+)
+def test_cli_rejects_malformed_numbers_with_a_usage_error(argv, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--matrices", "ecology2"])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
 
 
 def test_cli_rejects_stray_target():
@@ -169,26 +196,23 @@ def test_cli_parts_flag_on_plain_run(capsys):
 
 def test_cli_sweep_with_parts_writes_partitioned_records(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_BENCH_RESULTS", str(tmp_path))
-    code = main(["sweep", "smoke", "--parts", "2", "--backends", "numpy,chunked", "--json"])
+    code = main(["sweep", "smoke", "--parts", "2", "--backends", "numpy,distributed", "--json"])
     assert code == 0
     assert (tmp_path / "BENCH_smoke_p2_numpy.json").exists()
-    assert (tmp_path / "BENCH_smoke_p2_chunked.json").exists()
+    assert (tmp_path / "BENCH_smoke_p2_distributed.json").exists()
     assert (tmp_path / "BENCH_sweep_smoke_p2.json").exists()
     assert "2 parts/graph" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("candidate", ["chunked", "distributed"])
-def test_cli_partitioned_sweep_passes_compare_gate(candidate, capsys, tmp_path, monkeypatch):
-    # CI's logical-accounting gate: a partitioned sweep's record on a pooled
-    # backend carries exactly the serial run's deterministic counts, shipped
-    # bytes included, so `bench compare` passes it.
+def test_cli_partitioned_sweep_passes_compare_gate(capsys, tmp_path, monkeypatch):
+    # CI's logical-accounting gate: a partitioned sweep's record on the
+    # socket ranks carries exactly the in-process run's deterministic counts,
+    # shipped bytes included, so `bench compare` passes it.
     monkeypatch.setenv("REPRO_BENCH_RESULTS", str(tmp_path))
-    code = main(
-        ["sweep", "smoke", "--parts", "2", "--backends", f"numpy,{candidate}", "--json"]
-    )
+    code = main(["sweep", "smoke", "--parts", "2", "--backends", "numpy,distributed", "--json"])
     assert code == 0
     baseline = tmp_path / "BENCH_smoke_p2_numpy.json"
-    record = tmp_path / f"BENCH_smoke_p2_{candidate}.json"
+    record = tmp_path / "BENCH_smoke_p2_distributed.json"
     counts = json.loads(record.read_text())["counts"]
     assert any(key.endswith("/total_shipped_bytes") for key in counts)
     capsys.readouterr()
@@ -230,7 +254,7 @@ def test_cli_rejects_parts_on_unaware_experiment():
     with pytest.raises(SystemExit):
         main(["partitioned", "table1", "--scale", "0.002", "--matrices", "ecology2"])
     with pytest.raises(SystemExit):
-        main(["sweep", "table1", "--parts", "4", "--backends", "numpy,chunked"])
+        main(["sweep", "table1", "--parts", "4", "--backends", "numpy,distributed"])
 
 
 def test_run_rejects_parts_on_unaware_experiment():
@@ -313,11 +337,11 @@ def test_cli_compare_reports_backend_mismatch(capsys, tmp_path, monkeypatch):
     a = _write_record(tmp_path, monkeypatch, "a")
     b = tmp_path / "BENCH_other_backend.json"
     record = json.loads(a.read_text())
-    record["backend"] = "chunked"
+    record["backend"] = "distributed"
     b.write_text(json.dumps(record))
     assert main(["compare", str(a), str(b)]) == 0
     out = capsys.readouterr().out
-    assert "note: backends differ: 'numpy' vs 'chunked'" in out
+    assert "note: backends differ: 'numpy' vs 'distributed'" in out
     assert "deterministic counts: identical" in out
 
 
@@ -332,6 +356,20 @@ def test_cli_compare_reports_parts_mismatch(capsys, tmp_path, monkeypatch):
     assert "note: partition counts differ: None vs 4" in out
     header = next(line for line in out.splitlines() if line.startswith("bench compare:"))
     assert "4 parts" in header  # candidate label carries the part count
+
+
+def test_cli_compare_reports_pool_width_mismatch(capsys, tmp_path, monkeypatch):
+    # The flat gates pair a serial record with a --jobs 2 record of the same
+    # backend; without the note the pair renders like a file against itself.
+    a = _write_record(tmp_path, monkeypatch, "a")
+    b = tmp_path / "BENCH_pooled.json"
+    record = json.loads(a.read_text())
+    record["jobs"] = 2
+    b.write_text(json.dumps(record))
+    assert main(["compare", str(a), str(b)]) == 0
+    out = capsys.readouterr().out
+    assert "note: pool widths differ: 1 vs 2" in out
+    assert "deterministic counts: identical" in out
 
 
 def test_cli_compare_gates_shipped_bytes_directionally(capsys, tmp_path, monkeypatch):

@@ -1,6 +1,9 @@
 """Tests for the Experiment framework: registry, JSON persistence, sweep driver."""
 
+import dataclasses
+import os
 import pickle
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
@@ -17,8 +20,12 @@ from repro.bench import (
     sweep_table,
 )
 from repro.bench.__main__ import EXPERIMENTS
+import repro.bench.experiment as experiment_module
 from repro.bench.experiment import SweepResult, _TaskInvocation
 from repro.bench.table1 import Table1Row
+from repro.parallel import get_backend
+
+from tests.conftest import INVALID_COUNTS
 
 #: The paper's twelve experiments plus the CI smoke check.
 PAPER_EXPERIMENTS = {
@@ -28,6 +35,25 @@ PAPER_EXPERIMENTS = {
 
 #: Two tiny matrices keep every run in this module to a fraction of a second.
 TINY = BenchConfig(scale=0.002, trials=1, warmup=0, matrices=("ecology2", "tmt_sym"))
+
+
+@dataclasses.dataclass(frozen=True)
+class _PidRow:
+    matrix: str
+    pid: int
+
+
+def _pid_task(unit, config):
+    """Module-level, so a pooled run can pickle it: which process ran the unit."""
+    return _PidRow(unit, os.getpid())
+
+
+def _unit_must_not_run(unit, config):
+    raise AssertionError(f"unit {unit!r} ran")
+
+
+#: table1's plan with rows that carry the pid of the process that made them.
+PID_EXPERIMENT = dataclasses.replace(get_experiment("table1"), deterministic_fields=("pid",))
 
 
 class TestRegistry:
@@ -55,8 +81,8 @@ class TestRegistry:
             assert experiment.key_field
 
     def test_task_invocations_are_picklable(self):
-        """No lambdas on the map_graphs seam: every task must cross a process
-        pool, with its config riding along."""
+        """No lambdas in a task: every task must cross a process pool, with
+        its config riding along."""
         for name in experiment_names():
             experiment = get_experiment(name)
             invocation = _TaskInvocation(experiment.task, TINY)
@@ -77,7 +103,7 @@ class TestExperimentRun:
         assert result.counts["ecology2/xorstar"] >= 1
 
     def test_rows_preserve_plan_order_across_backends(self):
-        for backend in ("chunked", "distributed"):
+        for backend in ("numpy", "distributed"):
             result = run_experiment("table1", TINY, backend=backend, jobs=2)
             assert [r.matrix for r in result.rows] == list(TINY.matrices)
             assert result.backend == backend
@@ -85,17 +111,68 @@ class TestExperimentRun:
 
     def test_config_backend_is_honoured(self):
         config = BenchConfig(
-            scale=0.002, trials=1, warmup=0, matrices=("ecology2",), backend="chunked"
+            scale=0.002, trials=1, warmup=0, matrices=("ecology2",), backend="distributed"
         )
-        assert run_experiment("table1", config).backend == "chunked"
+        assert run_experiment("table1", config).backend == "distributed"
+
+    @pytest.mark.parametrize("backend", ["numpy", "distributed"])
+    def test_pooled_run_maps_units_in_worker_processes(self, backend):
+        # jobs=2 maps the units over the harness's own pool on every backend,
+        # the serial reference included.
+        result = PID_EXPERIMENT.run(TINY, backend=backend, jobs=2, task=_pid_task)
+        assert [r.matrix for r in result.rows] == list(TINY.matrices)
+        assert os.getpid() not in {r.pid for r in result.rows}
+        assert result.jobs == 2
+
+    @pytest.mark.parametrize("jobs, workers", [(2, 2), (3, 3), (8, 3)])
+    def test_pool_is_jobs_wide_but_no_wider_than_the_units(self, jobs, workers, monkeypatch):
+        widths = []
+
+        class _RecordingPool(ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                widths.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(experiment_module, "ProcessPoolExecutor", _RecordingPool)
+        config = dataclasses.replace(TINY, matrices=("ecology2", "tmt_sym", "apache2"))
+        result = PID_EXPERIMENT.run(config, jobs=jobs, task=_pid_task)
+        assert widths == [workers]
+        assert result.jobs == jobs
+        assert [r.matrix for r in result.rows] == list(config.matrices)
+        assert len({r.pid for r in result.rows}) <= workers
+
+    def test_pooled_unit_failure_reaches_the_caller(self):
+        # The first failing unit in plan order re-raises in the caller as
+        # its own exception, not as a broken pool.
+        with pytest.raises(AssertionError, match="unit 'ecology2' ran"):
+            get_experiment("table1").run(TINY, jobs=2, task=_unit_must_not_run)
+
+    def test_default_run_maps_in_the_caller_and_records_one_job(self):
+        result = PID_EXPERIMENT.run(TINY, task=_pid_task)
+        assert {r.pid for r in result.rows} == {os.getpid()}
+        assert result.jobs == 1
+
+    @pytest.mark.parametrize("jobs, message", INVALID_COUNTS)
+    def test_invalid_jobs_raise_before_any_unit_runs(self, jobs, message):
+        with pytest.raises(ValueError, match=f"jobs must be {message}"):
+            get_experiment("table1").run(TINY, jobs=jobs, task=_unit_must_not_run)
+
+    def test_pooled_distributed_run_opens_sessions_in_its_workers(self):
+        """jobs=2 on the distributed backend runs smoke's partitioned calls on
+        rank clusters the pool workers open, not on the caller's, and records
+        the serial numpy run's counts."""
+        ranks = get_backend("distributed")
+        before = ranks.measured_stats()
+        pooled = run_experiment("smoke", BenchConfig(parts=2), backend="distributed", jobs=2)
+        assert (pooled.backend, pooled.jobs) == ("distributed", 2)
+        assert ranks.measured_stats() == before
+        assert pooled.counts == run_experiment("smoke", BenchConfig(parts=2)).counts
 
     def test_smoke_runs_its_partitioned_calls_on_the_run_backend(self):
         """The run's backend reaches smoke's six partitioned calls: over the
         registered two-rank cluster they send 52 (kk) + 58 (coloring) + 34
         (aggregation) messages on laplace3d(10^3) and 28 + 56 + 26 on
         elasticity3d(6^3), as the same calls do run directly."""
-        from repro.parallel import get_backend
-
         ranks = get_backend("distributed")
         before = ranks.measured_stats()["messages_sent"]
         result = run_experiment("smoke", BenchConfig(parts=2), backend="distributed")
@@ -146,8 +223,6 @@ class TestJsonRoundTrip:
         assert set(parsed["rows"][0]["efficiency"]) == {"v100", "mi100", "skylake", "tx2"}
 
     def test_parts_round_trip_and_filename(self, tmp_path):
-        import dataclasses
-
         config = dataclasses.replace(TINY, parts=2)
         result = run_experiment("smoke", config)
         assert result.parts == 2
@@ -162,8 +237,6 @@ class TestJsonRoundTrip:
         assert ExperimentResult.from_dict(legacy).filename == "BENCH_smoke_numpy.json"
 
     def test_partitioned_smoke_rows_record_boundary_stats(self):
-        import dataclasses
-
         config = dataclasses.replace(TINY, parts=3)
         result = run_experiment("smoke", config)
         for row in result.rows:
@@ -177,24 +250,40 @@ class TestJsonRoundTrip:
 
 class TestSweep:
     def test_smoke_sweep_across_backends(self):
-        """The acceptance smoke sweep: 2 tiny matrices, serial + process pool."""
-        result = sweep("table1", ["numpy", "chunked"], TINY, jobs=2)
-        assert [r.backend for r in result.results] == ["numpy", "chunked"]
+        """The acceptance smoke sweep: 2 tiny matrices, both backends, pooled."""
+        result = sweep("table1", ["numpy", "distributed"], TINY, jobs=2)
+        assert [r.backend for r in result.results] == ["numpy", "distributed"]
         assert result.reference.backend == "numpy"
         # Identical measured iteration counts across backends — the paper's claim.
         assert result.results[0].counts == result.results[1].counts
         assert result.speedup(result.reference) == pytest.approx(1.0)
         text = sweep_table(result).render()
-        assert "numpy" in text and "chunked" in text and "identical" in text
+        assert "numpy" in text and "distributed" in text and "identical" in text
 
     def test_sweep_requires_backends(self):
         with pytest.raises(ValueError, match="at least one backend"):
             sweep("table1", [], TINY)
 
+    @pytest.mark.parametrize("jobs, message", INVALID_COUNTS)
+    def test_invalid_jobs_raise_before_the_warm_up(self, jobs, message):
+        # The warm-up fills this process's suite caches; a bad pool width
+        # is refused before it generates anything.
+        clear_suite_cache()
+        with pytest.raises(ValueError, match=f"jobs must be {message}"):
+            sweep("table1", ["numpy", "distributed"], TINY, jobs=jobs)
+        assert suite_cache_stats() == {"graphs": 0, "matrices": 0}
+
+    def test_sweep_table_prints_a_serial_run_as_one_job(self):
+        result = sweep("smoke", ["numpy"], TINY)
+        assert result.reference.jobs == 1
+        header, _, row = sweep_table(result).render().splitlines()[1:4]
+        assert header.split()[:2] == ["backend", "jobs"]
+        assert row.split()[:2] == ["numpy", "1"]
+
     def test_sweep_detects_count_mismatch(self):
         good = run_experiment("table1", TINY)
         bad = ExperimentResult.from_dict(good.to_dict())
-        bad.backend = "chunked"
+        bad.backend = "distributed"
         bad.counts = dict(bad.counts)
         bad.counts["ecology2/xorstar"] = -99
         from repro.bench.experiment import _check_counts
@@ -203,20 +292,20 @@ class TestSweep:
             _check_counts("table1", [good, bad])
 
     def test_sweep_summary_round_trip(self, tmp_path):
-        result = sweep("smoke", ["numpy", "chunked"], TINY)
+        result = sweep("smoke", ["numpy", "distributed"], TINY)
         path = result.save(tmp_path)
         assert path.name == "BENCH_sweep_smoke.json"
         import json
 
         summary = json.loads(path.read_text())
         assert summary["experiment"] == "smoke"
-        assert summary["backends"] == ["numpy", "chunked"]
+        assert summary["backends"] == ["numpy", "distributed"]
         assert summary["speedups"]["numpy"] == pytest.approx(1.0)
 
     def test_sweep_result_mismatch_renders_in_table(self):
         good = run_experiment("smoke", TINY)
         bad = ExperimentResult.from_dict(good.to_dict())
-        bad.backend = "chunked"
+        bad.backend = "distributed"
         bad.counts = dict(bad.counts, extra=1)
         text = sweep_table(SweepResult(experiment="smoke", results=[good, bad])).render()
         assert "MISMATCH" in text

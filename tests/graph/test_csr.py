@@ -58,7 +58,7 @@ class TestConstruction:
 
     @pytest.mark.parametrize("how", ["pickle", "deepcopy", "copy"])
     def test_round_trip_stays_read_only_and_equal(self, how):
-        # Regression: pickles (every map_graphs pool worker) and copies came
+        # Regression: pickles (every bench pool worker) and copies came
         # back with writable arrays. They also leave the stored layouts behind.
         import copy
         import pickle

@@ -1,13 +1,16 @@
 """Backend-equivalence suite: the paper's determinism guarantee, enforced.
 
-A flat call runs one NumPy path whatever the backend; a backend acts in
-two places, and both are checked here. Every partitioned kernel (kk MIS-2,
-greedy coloring, MIS-2 aggregation) must produce results *bit-identical* to
-the flat reference on every registered execution backend's session (numpy,
-chunked, distributed) and on a four-rank distributed session, and the
-``map_graphs``-driven Experiment path must yield identical rows regardless
-of backend and pool width.
+A flat call runs one NumPy path whatever the backend; a backend picks only
+where the parts of a partitioned call run. Every partitioned kernel (kk
+MIS-2, greedy coloring, MIS-2 aggregation) must produce results
+*bit-identical* to the flat reference on every registered execution
+backend's session (numpy, distributed), on a four-rank distributed
+session and on the distributed ranks a benchmark pool worker opens, and the
+Experiment path must yield identical rows regardless of backend and pool
+width.
 """
+
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -26,8 +29,9 @@ from repro.parallel import (
 
 from tests.conftest import SMALL_GRAPH_CASES
 
-#: Backends under test: every registered backend but the reference itself.
-BACKENDS = {name: get_backend(name) for name in available_backends() if name != "numpy"}
+#: Backends under test: every registered backend. The serial numpy run is
+#: the reference, and a pool width of 2 maps its units over worker processes.
+BACKENDS = {name: get_backend(name) for name in available_backends()}
 
 
 @pytest.fixture(params=sorted(BACKENDS), ids=sorted(BACKENDS))
@@ -41,12 +45,12 @@ _EXPERIMENT_CONFIG = BenchConfig(
 )
 
 
-def test_experiment_map_graphs_rows_identical(backend):
-    """The sharded suite-sweep path must yield the reference rows, bit for bit.
+def test_experiment_rows_identical_at_every_pool_width(backend):
+    """The pooled suite-sweep path must yield the reference rows, bit for bit.
 
     ``table1`` rows contain no wall-clock fields, so full row equality holds —
-    the same matrices through ``map_graphs`` on any backend at any pool width
-    produce exactly the rows the serial NumPy reference produces.
+    the same matrices on any backend at any pool width produce exactly the
+    rows the serial NumPy reference produces.
     """
     experiment = get_experiment("table1")
     reference = experiment.run(_EXPERIMENT_CONFIG, backend="numpy").rows
@@ -68,15 +72,20 @@ def test_experiment_counts_identical_across_all_backends():
 # Partition-equivalence matrix: every registered backend × k ∈ {1, 2, 4, 7} ×
 # {kk, greedy coloring, mis2_agg} must produce output bit-identical to
 # the *unpartitioned* NumPy reference — the intra-graph sharding contract of
-# repro.parallel.partitioned. numpy and chunked run the serial in-process
-# session; distributed runs two rank processes, and "distributed4" four, so
+# repro.parallel.partitioned. numpy runs the serial in-process session;
+# distributed runs two rank processes, and "distributed4" four, so
 # k = 2 gives it fewer parts than ranks and k >= 4 runs four parts at once.
+# "pooled" makes each call in a benchmark pool worker (``Experiment.run``
+# with ``jobs >= 2``), whose registered distributed backend opens the
+# worker's own two ranks while this process keeps its clusters.
 
 #: One instance per registered backend name (including the numpy reference —
 #: here it is the *execution* under test, not the baseline), plus the
 #: four-rank session.
-PARTITION_BACKENDS = {name: get_backend(name).with_jobs(2) for name in available_backends()}
+PARTITION_BACKENDS = {name: get_backend(name) for name in available_backends()}
 PARTITION_BACKENDS["distributed4"] = DistributedBackend(ranks=4)
+
+PARTITION_RUNS = sorted([*PARTITION_BACKENDS, "pooled"])
 
 PARTITION_KS = (1, 2, 4, 7)
 
@@ -84,17 +93,38 @@ PARTITION_KS = (1, 2, 4, 7)
 PARTITION_GRAPHS = ("grid5x7", "gnp60", "disconnected")
 
 
-@pytest.fixture(params=sorted(PARTITION_BACKENDS), ids=sorted(PARTITION_BACKENDS))
-def partition_backend(request):
-    return PARTITION_BACKENDS[request.param]
+def _on_worker_ranks(kernel, graph, kwargs):
+    """Pool-worker side of a "pooled" call."""
+    return kernel(graph, backend="distributed", **kwargs)
+
+
+@pytest.fixture(scope="module")
+def pool_worker():
+    """One worker, so a prebuilt layout's warm rerun finds its payloads on
+    the ranks its cold run filled."""
+    with ProcessPoolExecutor(max_workers=1) as pool:
+        yield pool
+
+
+@pytest.fixture(params=PARTITION_RUNS)
+def partition_run(request):
+    """``run(kernel, graph, **kwargs)``: the partitioned call where this cell
+    runs its parts."""
+    if request.param == "pooled":
+        pool = request.getfixturevalue("pool_worker")
+        return lambda kernel, graph, **kwargs: pool.submit(
+            _on_worker_ranks, kernel, graph, kwargs
+        ).result(timeout=60)
+    backend = PARTITION_BACKENDS[request.param]
+    return lambda kernel, graph, **kwargs: kernel(graph, backend=backend, **kwargs)
 
 
 @pytest.mark.parametrize("k", PARTITION_KS)
 @pytest.mark.parametrize("graph_name", PARTITION_GRAPHS)
-def test_partitioned_kk_mis2_bit_identical(partition_backend, graph_name, k):
+def test_partitioned_kk_mis2_bit_identical(partition_run, graph_name, k):
     g = SMALL_GRAPH_CASES[graph_name]
     ref = kk_mis2(g)
-    out = kk_mis2(g, partitions=k, backend=partition_backend)
+    out = partition_run(kk_mis2, g, partitions=k)
     assert np.array_equal(ref.in_set, out.in_set)
     assert np.array_equal(ref.in_mask, out.in_mask)
     assert ref.iterations == out.iterations
@@ -107,10 +137,10 @@ def test_partitioned_kk_mis2_bit_identical(partition_backend, graph_name, k):
 
 @pytest.mark.parametrize("k", PARTITION_KS)
 @pytest.mark.parametrize("graph_name", PARTITION_GRAPHS)
-def test_partitioned_greedy_coloring_bit_identical(partition_backend, graph_name, k):
+def test_partitioned_greedy_coloring_bit_identical(partition_run, graph_name, k):
     g = SMALL_GRAPH_CASES[graph_name]
     ref = greedy_color(g)
-    out = greedy_color(g, partitions=k, backend=partition_backend)
+    out = partition_run(greedy_color, g, partitions=k)
     assert np.array_equal(ref.colors, out.colors)
     assert ref.num_colors == out.num_colors
     assert ref.rounds == out.rounds
@@ -120,10 +150,10 @@ def test_partitioned_greedy_coloring_bit_identical(partition_backend, graph_name
 
 @pytest.mark.parametrize("k", PARTITION_KS)
 @pytest.mark.parametrize("graph_name", PARTITION_GRAPHS)
-def test_partitioned_mis2_aggregation_bit_identical(partition_backend, graph_name, k):
+def test_partitioned_mis2_aggregation_bit_identical(partition_run, graph_name, k):
     g = SMALL_GRAPH_CASES[graph_name]
     ref = mis2_aggregation(g)
-    out = mis2_aggregation(g, partitions=k, backend=partition_backend)
+    out = partition_run(mis2_aggregation, g, partitions=k)
     assert np.array_equal(ref.labels, out.labels)
     assert ref.num_aggregates == out.num_aggregates
     assert np.array_equal(ref.roots, out.roots)
@@ -159,7 +189,7 @@ def many_round_graphs():
 @pytest.mark.parametrize("parts", sorted(_MANY_ROUND_PARTS))
 @pytest.mark.parametrize("graph_name", sorted(_MANY_ROUND_GRAPHS))
 def test_partitioned_coloring_many_rounds_bit_identical(
-    partition_backend, many_round_graphs, graph_name, parts
+    partition_run, many_round_graphs, graph_name, parts
 ):
     """Partitioned coloring over many rounds and skewed degrees equals the
     flat kernel, runs two supersteps a round, and records the numpy
@@ -167,7 +197,7 @@ def test_partitioned_coloring_many_rounds_bit_identical(
     g = many_round_graphs[graph_name]
     layout = build_partition_layout(g, _MANY_ROUND_PARTS[parts](g.num_vertices))
     flat = greedy_color(g)
-    out = greedy_color(g, partitions=layout, backend=partition_backend)
+    out = partition_run(greedy_color, g, partitions=layout)
     ref = greedy_color(g, partitions=layout, backend="numpy")
     assert np.array_equal(out.colors, flat.colors)
     assert (out.num_colors, out.rounds) == (flat.num_colors, flat.rounds)
@@ -181,7 +211,7 @@ def test_partitioned_coloring_many_rounds_bit_identical(
 @pytest.mark.parametrize("parts", sorted(_MANY_ROUND_PARTS))
 @pytest.mark.parametrize("graph_name", sorted(_MANY_ROUND_GRAPHS))
 def test_partitioned_kk_many_iterations_bit_identical(
-    partition_backend, many_round_graphs, graph_name, parts, option
+    partition_run, many_round_graphs, graph_name, parts, option
 ):
     """Partitioned kk on larger meshes, skewed degrees and many cut edges
     equals the flat kernel, worklist sizes included, runs three supersteps
@@ -191,7 +221,7 @@ def test_partitioned_kk_many_iterations_bit_identical(
     g = many_round_graphs[graph_name]
     layout = build_partition_layout(g, _MANY_ROUND_PARTS[parts](g.num_vertices))
     flat = kk_mis2(g, **options)
-    out = kk_mis2(g, partitions=layout, backend=partition_backend, **options)
+    out = partition_run(kk_mis2, g, partitions=layout, **options)
     ref = kk_mis2(g, partitions=layout, backend="numpy", **options)
     assert np.array_equal(out.in_set, flat.in_set)
     assert out.iterations == flat.iterations
@@ -202,22 +232,22 @@ def test_partitioned_kk_many_iterations_bit_identical(
     )
 
 
-def test_partitioned_coloring_max_rounds(partition_backend, many_round_graphs):
+def test_partitioned_coloring_max_rounds(partition_run, many_round_graphs):
     """``max_rounds`` caps the partitioned conflict loop as it caps the flat
     one. A raise closes the session, so the next call on the same backend
     runs normally."""
     g = many_round_graphs["grid30x30"]
     flat = greedy_color(g)
-    capped = greedy_color(g, partitions=4, max_rounds=flat.rounds, backend=partition_backend)
+    capped = partition_run(greedy_color, g, partitions=4, max_rounds=flat.rounds)
     assert np.array_equal(capped.colors, flat.colors)
     assert capped.rounds == flat.rounds
     with pytest.raises(RuntimeError, match="did not converge"):
-        greedy_color(g, partitions=4, max_rounds=flat.rounds - 1, backend=partition_backend)
-    again = greedy_color(g, partitions=4, backend=partition_backend)
+        partition_run(greedy_color, g, partitions=4, max_rounds=flat.rounds - 1)
+    again = partition_run(greedy_color, g, partitions=4)
     assert np.array_equal(again.colors, flat.colors)
 
 
-#: The two kinds of session: serial in-process (numpy, chunked) and socket
+#: The two kinds of session: serial in-process (numpy) and socket
 #: ranks, where empty parts and all-interior parts are installed on rank
 #: processes: the registered two-rank cluster, and a four-rank one, which
 #: holds fewer parts than ranks at k = 2 and 3 and runs four parts at once.
@@ -272,7 +302,7 @@ def test_partitioned_kk_options_every_small_graph(session, option, graph_name, k
 
 
 @pytest.mark.parametrize("graph_name", PARTITION_GRAPHS)
-def test_kk_options_on_one_layout_each_match_flat(partition_backend, graph_name):
+def test_kk_options_on_one_layout_each_match_flat(partition_run, graph_name):
     """Calls that differ only in a kk option share the layout but not the
     payload: each runs under its own session token, so on the distributed
     ranks none may reuse the payload another option cached. Every call, the
@@ -284,7 +314,7 @@ def test_kk_options_on_one_layout_each_match_flat(partition_backend, graph_name)
     options = [_KK_OPTIONS[name] for name in sorted(_KK_OPTIONS)]
     runs = [{}, *options, {"priority_scheme": "fixed"}, {}]
     for options in runs:
-        out = kk_mis2(g, partitions=layout, backend=partition_backend, **options)
+        out = partition_run(kk_mis2, g, partitions=layout, **options)
         ref = kk_mis2(g, **options)
         assert np.array_equal(ref.in_set, out.in_set), options
         assert ref.iterations == out.iterations, options
@@ -354,7 +384,7 @@ _ROUND_KERNELS = {
 
 @pytest.mark.parametrize("k", (2, 4))
 @pytest.mark.parametrize("graph_name", PARTITION_GRAPHS)
-def test_prebuilt_layout_rerun_bit_identical(partition_backend, graph_name, k):
+def test_prebuilt_layout_rerun_bit_identical(partition_run, graph_name, k):
     """A rerun on a prebuilt layout reuses the payloads cached under its
     token (the distributed ranks skip the CSR). That
     warm rerun, with another layout's run in between, must match the flat
@@ -367,9 +397,9 @@ def test_prebuilt_layout_rerun_bit_identical(partition_backend, graph_name, k):
     other_layout = build_partition_layout(other, k)
     for name, (kernel, values, _) in sorted(_ROUND_KERNELS.items()):
         flat = values(kernel(g))
-        cold = kernel(g, partitions=layout, backend=partition_backend)
-        between = kernel(other, partitions=other_layout, backend=partition_backend)
-        warm = kernel(g, partitions=layout, backend=partition_backend)
+        cold = partition_run(kernel, g, partitions=layout)
+        between = partition_run(kernel, other, partitions=other_layout)
+        warm = partition_run(kernel, g, partitions=layout)
         assert np.array_equal(values(cold), flat), name
         assert np.array_equal(values(warm), flat), name
         assert np.array_equal(values(between), values(kernel(other))), name
@@ -379,7 +409,7 @@ def test_prebuilt_layout_rerun_bit_identical(partition_backend, graph_name, k):
 
 
 @pytest.mark.parametrize("graph_name", PARTITION_GRAPHS)
-def test_one_superstep_per_phase_and_counts_match_numpy(partition_backend, graph_name):
+def test_one_superstep_per_phase_and_counts_match_numpy(partition_run, graph_name):
     """Barrier schedule on every backend: supersteps is the round count
     times the phases per round, and every deterministic count equals the
     in-process numpy partitioned run's. Three parts take the contiguous-block
@@ -387,7 +417,7 @@ def test_one_superstep_per_phase_and_counts_match_numpy(partition_backend, graph
     g = SMALL_GRAPH_CASES[graph_name]
     layout = build_partition_layout(g, 3)
     for name, (kernel, values, phases) in sorted(_ROUND_KERNELS.items()):
-        out = kernel(g, partitions=layout, backend=partition_backend)
+        out = partition_run(kernel, g, partitions=layout)
         ref = kernel(g, partitions=layout, backend="numpy")
         assert np.array_equal(values(out), values(kernel(g))), name
         assert out.partition_stats.supersteps == phases(out), name
@@ -398,12 +428,12 @@ def test_one_superstep_per_phase_and_counts_match_numpy(partition_backend, graph
 
 def test_partitioned_smoke_sweep_counts_identical():
     """The partitioned smoke sweep (CI's intra-graph sharding gate) passes and
-    records identical deterministic counts on every backend."""
+    records identical deterministic counts on every backend, pooled too."""
     from repro.bench import BenchConfig as _BC
     from repro.bench import sweep
 
     config = _BC(parts=2)
-    result = sweep("smoke", ["numpy", "chunked"], config, jobs=2)
+    result = sweep("smoke", ["numpy", "distributed"], config, jobs=2)
     assert result.reference.parts == 2
     for res in result.results:
         assert res.counts == result.reference.counts

@@ -3,10 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.graph import random_gnp
-from repro.mis import kk_mis2
 from repro.parallel import (
-    ChunkedBackend,
     DistributedBackend,
     ExecutionBackend,
     NumpyBackend,
@@ -16,24 +13,17 @@ from repro.parallel import (
 )
 from repro.parallel.backends import _REGISTRY
 
-from tests.conftest import INVALID_COUNTS
-
-
-def _graph_mis_size(graph):
-    """Module-level so the process-pool test can pickle it."""
-    return int(kk_mis2(graph).in_set.size)
-
 
 class TestRegistry:
     def test_builtin_backends_registered(self):
-        assert available_backends() == ["numpy", "chunked", "distributed"]
+        assert available_backends() == ["numpy", "distributed"]
 
     def test_get_backend_by_name_and_instance(self):
         np_backend = get_backend("numpy")
         assert isinstance(np_backend, NumpyBackend)
         assert get_backend(np_backend) is np_backend
 
-    @pytest.mark.parametrize("name", ["cuda", "threaded"])
+    @pytest.mark.parametrize("name", ["cuda", "threaded", "chunked"])
     def test_unknown_backend_rejected(self, name):
         # A deleted backend's name fails like a name that never existed.
         with pytest.raises(ValueError, match=rf"unknown backend '{name}'; registered: \["):
@@ -46,46 +36,13 @@ class TestRegistry:
             register_backend("numpy")
 
     def test_register_overwrite(self):
-        original = get_backend("chunked")
-        replacement = ChunkedBackend(processes=2)
+        original = get_backend("distributed")
+        replacement = DistributedBackend(ranks=2)
         try:
             register_backend(replacement, overwrite=True)
-            assert get_backend("chunked") is replacement
+            assert get_backend("distributed") is replacement
         finally:
             register_backend(original, overwrite=True)
-
-
-class TestChunkedBackend:
-    @pytest.mark.parametrize("processes, message", INVALID_COUNTS)
-    def test_validates_parameters(self, processes, message):
-        with pytest.raises(ValueError, match=f"processes must be {message}"):
-            ChunkedBackend(processes=processes)
-
-    def test_numpy_integer_count_is_valid(self):
-        backend = ChunkedBackend(processes=np.int64(2))
-        assert backend.processes == 2 and type(backend.processes) is int
-
-    def test_map_graphs_process_pool_preserves_order(self):
-        graphs = [random_gnp(40, 0.1, seed=s) for s in range(4)]
-        serial = NumpyBackend().map_graphs(_graph_mis_size, graphs)
-        pooled = ChunkedBackend(processes=2).map_graphs(_graph_mis_size, graphs)
-        inline = ChunkedBackend(processes=1).map_graphs(_graph_mis_size, graphs)
-        assert pooled == serial == inline
-
-
-class TestWithJobs:
-    def test_serial_backends_ignore_jobs(self):
-        B = NumpyBackend()
-        assert B.with_jobs(4) is B
-        assert B.with_jobs(None) is B
-
-    def test_chunked_clone(self):
-        B = ChunkedBackend()
-        clone = B.with_jobs(3)
-        assert clone is not B
-        assert clone.processes == 3
-        assert B.processes is None  # registered instance untouched
-        assert B.with_jobs(None) is B
 
 
 def test_every_registered_backend_is_an_execution_backend():
@@ -106,13 +63,11 @@ def test_backends_define_no_primitives():
 
 # ------------------------------------------------------------ session contract
 
-#: Every session implementation: serial in-process (numpy, and chunked, whose
-#: pool serves only map_graphs), and socket ranks, where the parts genuinely
-#: fan out: the registered two-rank cluster and a four-rank one (more ranks
-#: than most sessions here have parts).
+#: Every session implementation: serial in-process (numpy), and socket ranks,
+#: where the parts genuinely fan out: the registered two-rank cluster and a
+#: four-rank one (more ranks than most sessions here have parts).
 SESSION_BACKENDS = {
     "numpy": get_backend("numpy"),
-    "chunked": get_backend("chunked"),
     "distributed": get_backend("distributed"),
     "distributed4": DistributedBackend(ranks=4),
 }

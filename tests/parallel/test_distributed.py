@@ -10,6 +10,7 @@ cache), and the rank-death story.
 """
 
 from collections import OrderedDict
+from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 
 import numpy as np
@@ -19,7 +20,6 @@ from repro.coloring import greedy_color
 from repro.graph.generators import elasticity3d, laplace3d
 from repro.mis import kk_mis2
 from repro.parallel import (
-    ChunkedBackend,
     DistributedBackend,
     RankDeathError,
     TransportError,
@@ -181,13 +181,6 @@ class TestDistributedSession:
         )
         assert isinstance(single, backends_mod._LocalResidentSession)
 
-    def test_with_jobs_reconfigures_ranks(self):
-        B = get_backend("distributed")
-        assert B.ranks is None
-        clone = B.with_jobs(3)
-        assert clone is not B and clone.ranks == 3
-        assert B.with_jobs(None) is B
-
     def test_backend_instances_pickle_without_cluster_state(self):
         import pickle
 
@@ -210,12 +203,13 @@ class TestDistributedSession:
         assert backend.ranks == 2 and type(backend.ranks) is int
         assert backend.cluster() is get_backend("distributed").cluster()
 
-    def test_session_inside_pool_worker_runs_inline(self):
-        # A partitioned kernel inside a map_graphs process-pool worker must
-        # not fan its parts out to rank processes (cpu^2 oversubscription);
-        # its parts run inline and the worker spawns no cluster.
-        outs = ChunkedBackend(processes=2).map_graphs(_session_in_worker, [1, 2])
-        assert outs == [("_LocalResidentSession", [[0, 1, 2, 3], [1, 2, 3, 4]], [])] * 2
+    def test_session_inside_pool_worker_fans_over_its_own_ranks(self):
+        # A session opened in a process-pool worker (a pooled bench run) is a
+        # socket session on the worker's own two-rank cluster: the at-fork
+        # hook dropped the parent's, and nothing falls back to in-process.
+        with ProcessPoolExecutor(2) as pool:
+            outs = list(pool.map(_session_in_worker, [1, 2], timeout=60))
+        assert outs == [("_DistributedResidentSession", [[0, 1, 2, 3], [1, 2, 3, 4]], [2])] * 2
 
     def test_shutdown_stops_ranks_in_order(self):
         # Shutdown travels in the request form like every other message; a

@@ -17,7 +17,6 @@ from repro.graph import (
 )
 from repro.mis import kk_mis2
 from repro.parallel import (
-    ChunkedBackend,
     DistributedBackend,
     NumpyBackend,
     build_partition_layout,
@@ -623,7 +622,6 @@ _SCHEDULE_KERNELS = {
 #: four-rank one holds the three parts on three of its ranks.
 _SCHEDULE_BACKENDS = {
     "numpy": NumpyBackend,
-    "chunked": lambda: ChunkedBackend(processes=2),
     "distributed": lambda: DistributedBackend(ranks=2),
     "distributed4": lambda: DistributedBackend(ranks=4),
 }
