@@ -149,7 +149,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                              "(> 0)")
     parser.add_argument("--trials", type=int, default=1,
                         help="timed trials per measurement (>= 1)")
-    parser.add_argument("--seed", type=int, default=0, help="deterministic seed (>= 0)")
+    parser.add_argument("--seed", type=int, default=0,
+                        help="deterministic seed (>= 0, < 2**64)")
     parser.add_argument("--mtx-dir", default=None,
                         help="directory with real SuiteSparse .mtx files (optional)")
     parser.add_argument("--matrices", nargs="*", default=None,
@@ -186,8 +187,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         parser.error("--trials must be >= 1")
     if not args.scale > 0:
         parser.error("--scale must be > 0")
-    if args.seed < 0:
-        parser.error("--seed must be >= 0")
+    if not 0 <= args.seed < 2**64:
+        parser.error("--seed must be >= 0 and < 2**64")
     if args.candidate is not None and args.experiment != "compare":
         parser.error("a third positional argument is only valid with 'compare'")
 

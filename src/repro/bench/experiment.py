@@ -18,12 +18,14 @@ each experiment is expressed **declaratively** as
 :class:`Experiment.run` returns a structured :class:`ExperimentResult` (JSON
 round-trippable, persisted as ``benchmarks/results/BENCH_<exp>_<backend>.json``)
 whose ``counts`` dictionary holds the experiment's *deterministic* measurables
-(iteration counts, set sizes, modelled times). :func:`sweep` runs one experiment
-across several backends, asserts those counts are identical everywhere (the
-determinism guarantee of the backend-equivalence suite, enforced end-to-end on the
-real sweep path) and reports the per-backend wall-clock speedup table — the
-paper's Fig. 3 analogue for Python backends. A backend matters only to a
-partitioned run, whose parts-aware task runs its partitioned calls on it.
+(iteration counts, set sizes, modelled times). :func:`sweep` runs one
+partitioned experiment across several backends, asserts those counts are
+identical everywhere (the determinism guarantee of the backend-equivalence
+suite, enforced end-to-end on the real sweep path) and reports the per-backend
+wall-clock speedup table — the paper's Fig. 3 analogue for Python backends. A
+backend matters only to a partitioned run, whose parts-aware task runs its
+partitioned calls on it, so a flat run and a flat sweep refuse any backend but
+numpy.
 """
 
 from __future__ import annotations
@@ -272,7 +274,8 @@ class Experiment:
             Execution backend name/instance a parts-aware task runs its
             partitioned calls on. ``None`` falls back to ``config.backend``,
             then to ``"numpy"``. Its name is written into the config the
-            tasks get.
+            tasks get. A flat run (``config.parts`` is ``None``) opens no
+            session, so any backend but numpy raises ``ValueError`` there.
         jobs:
             Worker processes the units are mapped over. ``None`` or 1 maps
             them in order in the caller; ``N >= 2`` maps them over a
@@ -297,6 +300,11 @@ class Experiment:
                 f"{sorted(n for n, e in _EXPERIMENTS.items() if e.parts_aware)}"
             )
         resolved = get_backend(backend or config.backend or "numpy")
+        if config.parts is None and resolved.name != "numpy":
+            raise ValueError(
+                f"backend {resolved.name!r} picks where partitioned parts run; "
+                f"a flat run (parts=None) opens no session, so it takes only numpy"
+            )
         config = dataclasses.replace(config, backend=resolved.name)
         work = list(units) if units is not None else list(self.plan(config))
         invocation = _TaskInvocation(task if task is not None else self.task, config)
@@ -438,9 +446,12 @@ def sweep(
     check_counts: bool = True,
     warmup: bool = True,
 ) -> SweepResult:
-    """Run one experiment across ``backends`` and verify cross-backend determinism.
+    """Run one partitioned experiment across ``backends`` and verify
+    cross-backend determinism.
 
-    The first backend is the speedup baseline. With ``warmup`` (default) the
+    ``config.parts`` must be set: backends differ only in where partitioned
+    parts run, so without it ``ValueError`` is raised before any run. The
+    first backend is the speedup baseline. With ``warmup`` (default) the
     experiment's ``warm`` hook runs first, untimed, to populate the per-process
     suite caches — otherwise the baseline backend would pay the one-time graph
     generation inside its timed region while later backends reuse the warm
@@ -454,13 +465,18 @@ def sweep(
     if not backends:
         raise ValueError("sweep requires at least one backend")
     _check_count("jobs", jobs)  # before the warm-up generates anything
+    config = config if config is not None else BenchConfig()
+    if config.parts is None:
+        raise ValueError(
+            "sweep compares backends, which differ only on a partitioned run: "
+            "pass a config with parts"
+        )
     experiment = get_experiment(name)
     if warmup and experiment.warm is not None:
         # Populate the *parent* process's caches at generation cost only —
         # serial runs reuse them and fork-started pool workers inherit them,
         # so no backend pays one-time generation while timed.
-        resolved_config = config if config is not None else BenchConfig()
-        experiment.warm(experiment.units(resolved_config), resolved_config)
+        experiment.warm(experiment.units(config), config)
     results = [experiment.run(config, backend=b, jobs=jobs) for b in backends]
     if check_counts:
         _check_counts(name, results)

@@ -14,6 +14,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from ..graph.csr import CSRGraph
+from ..parallel.primitives import expand_rows
 
 __all__ = ["Aggregation", "join_by_max_coupling"]
 
@@ -116,21 +117,17 @@ def join_by_max_coupling(
         return new_labels
     tentative_sizes = np.bincount(labels[labels >= 0], minlength=max(num_aggregates, 1))
 
-    rowmap, entries = graph.rowmap, graph.entries
     # Gather the tentative labels of all neighbours of all unaggregated vertices.
-    lens = rowmap[unagg + 1] - rowmap[unagg]
-    owner = np.repeat(np.arange(unagg.size, dtype=np.int64), lens)
-    starts = rowmap[unagg]
-    within = np.arange(int(lens.sum()), dtype=np.int64) - np.repeat(np.cumsum(lens) - lens, lens)
-    slots = starts[owner] + within
-    nbr_labels = labels[entries[slots].astype(np.int64)]
+    slots, seg = expand_rows(graph.rowmap, unagg)
+    owner = np.repeat(np.arange(unagg.size, dtype=np.int64), np.diff(seg))
+    nbr_labels = labels[graph.entries[slots]]
     keep = nbr_labels >= 0
     owner = owner[keep]
     nbr_labels = nbr_labels[keep]
-    if np.unique(owner).size != unagg.size:
-        missing = np.setdiff1d(np.arange(unagg.size, dtype=np.int64), np.unique(owner))
+    missing = np.count_nonzero(np.bincount(owner, minlength=unagg.size) == 0)
+    if missing:
         raise ValueError(
-            f"{missing.size} unaggregated vertices have no aggregated neighbour; "
+            f"{missing} unaggregated vertices have no aggregated neighbour; "
             "phase-1 aggregation did not cover the graph"
         )
     # Count couplings per (vertex, aggregate) pair.
@@ -142,7 +139,7 @@ def join_by_max_coupling(
     # Pick, per vertex, the pair with (max coupling, min aggregate size, min label).
     order = np.lexsort((pair_label, pair_size, -counts, pair_owner))
     sorted_owner = pair_owner[order]
-    first_of_owner = np.unique(sorted_owner, return_index=True)[1]
+    first_of_owner = np.flatnonzero(np.diff(sorted_owner, prepend=-1))
     chosen = order[first_of_owner]
     new_labels[unagg[pair_owner[chosen]]] = pair_label[chosen]
     return new_labels

@@ -57,7 +57,10 @@ def mis2_aggregation(
         Minimum number of unaggregated neighbours a phase-2 root needs to form an
         aggregate (the paper uses 2).
     seed:
-        Seed forwarded to the MIS-2 computations.
+        Seed forwarded to each ``kk_mis2`` call (phase 1 when ``mis`` is not
+        given, and the phase-2 sub-MIS). Their default xorstar scheme ignores
+        it, so ``seed`` changes no label; seeded priorities come from passing
+        a fixed-scheme ``mis``.
     backend:
         Execution backend (name or instance) whose session runs the parts of
         both MIS-2 computations when ``partitions`` is set; unused without it.

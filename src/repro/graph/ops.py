@@ -16,6 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 import scipy.sparse as sp
 
+from ..parallel.primitives import expand_rows
 from .build import from_scipy, to_scipy
 from .csr import CSRGraph
 
@@ -65,17 +66,24 @@ def induced_subgraph(
     Returns ``(subgraph, mapping)`` where ``mapping[i]`` is the original id of the
     ``i``-th vertex in the subgraph. Vertex order follows the (deduplicated, sorted)
     input order to keep the operation deterministic.
+
+    Built in NumPy in O(kept rows + their slots): the kept rows' slots are
+    gathered, relabelled and filtered, in row order. On a canonical graph
+    (rows sorted without duplicates, no self-loops, symmetric: what the
+    builders, the generators and every service write produce) the result is
+    canonical and equals ``from_scipy`` of the restricted adjacency matrix. On
+    any other input it holds the stored rows restricted, without symmetrising.
     """
     verts = np.unique(np.asarray(vertices, dtype=np.int64))
     if verts.size and (verts.min() < 0 or verts.max() >= graph.num_vertices):
         raise ValueError("vertices outside the graph's vertex range")
-    keep = np.zeros(graph.num_vertices, dtype=bool)
-    keep[verts] = True
-    new_id = -np.ones(graph.num_vertices, dtype=np.int64)
+    new_id = np.full(graph.num_vertices, -1, dtype=np.int64)
     new_id[verts] = np.arange(verts.size, dtype=np.int64)
-    A = to_scipy(graph, dtype=np.int8)
-    sub = A[verts][:, verts]
-    return from_scipy(sub), verts
+    slots, seg = expand_rows(graph.rowmap, verts)
+    relabelled = new_id[graph.entries[slots]]
+    kept = relabelled >= 0
+    kept_before = np.concatenate([[0], np.cumsum(kept)])
+    return CSRGraph(kept_before[seg], relabelled[kept], validate=False), verts
 
 
 def union(a: CSRGraph, b: CSRGraph) -> CSRGraph:

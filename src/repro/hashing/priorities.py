@@ -63,11 +63,20 @@ def fixed_priorities(num_vertices: int, seed: int = 0) -> np.ndarray:
 
     Each vertex gets ``xorshift64star(seed_hash ^ xorshift64star(v + 1))`` — i.e. a
     deterministic pseudo-random value that does not change between iterations.
+    ``seed`` must be an integer in ``[0, 2**64)``; anything else, a bool
+    included, raises ``ValueError``.
     """
     if num_vertices < 0:
         raise ValueError("num_vertices must be >= 0")
+    if (
+        isinstance(seed, bool)
+        or not isinstance(seed, (int, np.integer))
+        or not 0 <= int(seed) < 2**64
+    ):
+        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
     vertices = np.arange(num_vertices, dtype=np.uint64)
-    seed_hash = xorshift64star(np.uint64(seed) + np.uint64(0x9E3779B97F4A7C15))
+    # The golden-ratio offset wraps modulo 2**64, as a uint64 add would.
+    seed_hash = xorshift64star(np.uint64((int(seed) + 0x9E3779B97F4A7C15) % 2**64))
     return xorshift64star(seed_hash ^ xorshift64star(vertices + np.uint64(1)))
 
 

@@ -25,6 +25,13 @@ cached answer instead of recomputing, falling back to full recompute past
 the crossover (``repair_crossover`` of the vertex count). Repair is
 bit-identical to from-scratch by construction — the Hypothesis suite pins
 it for random mutation sequences.
+
+**One MIS-2 per epoch.** Algorithm 3 seeds its aggregates with an MIS-2, and
+an ``aggregate(seed=s)`` query takes the epoch's own: the ``mis2(seed=s)``
+answer, a cache hit, a repair or a full compute that fills the ``mis2``
+cache. Its phase-1 roots are therefore exactly the ``mis2(seed=s)`` answer
+at the same epoch, and ``seed`` selects the fixed-scheme priorities. After a
+write the aggregate recomputes phases 2 and 3 on top of the repaired MIS-2.
 """
 
 from __future__ import annotations
@@ -534,8 +541,12 @@ class GraphService:
         return self.submit(name, "color").result()
 
     def aggregate(self, name: str, seed: int = 0):
-        """MIS-2 aggregation (Algorithm 3) of the named graph. Cached per
-        epoch; mutations trigger full recompute (no localized repair)."""
+        """MIS-2 aggregation (Algorithm 3) of the named graph, seeded with the
+        epoch's ``mis2(seed=seed)`` answer: its phase-1 roots are exactly that
+        mask's vertices, and ``seed`` selects the fixed-scheme priorities. The
+        lookup fills the ``mis2`` cache but counts as no query. Cached per
+        epoch; after a write, phases 2 and 3 recompute on the repaired MIS-2
+        (no localized repair of the aggregation itself)."""
         return self.submit(name, "aggregate", seed=seed).result()
 
     # ------------------------------------------------------------- dispatcher
@@ -577,29 +588,39 @@ class GraphService:
     # -------------------------------------------------------------- execution
     def _execute(self, name: str, kind: str, params: Dict[str, Any]) -> Any:
         entry = self._entry(name)
+        with self._stats_lock:
+            self.stats.queries += 1
         with entry.lock:
+            value, hit = self._answer(entry, kind, params)
+        if hit:
             with self._stats_lock:
-                self.stats.queries += 1
-            key = (kind,) + tuple(sorted(params.items()))
-            cached = entry.caches.get(key)
-            if cached is not None and cached.at_epoch == entry.epoch:
-                with self._stats_lock:
-                    self.stats.cache_hits += 1
-                return cached.value
-            if (
-                cached is not None
-                and kind in self._REPAIRABLE
-                and entry.graph.num_vertices > 0
-            ):
-                repaired = self._try_repair(entry, kind, params, cached)
-                if repaired is not None:
-                    entry.caches[key] = _Cached(entry.epoch, repaired)
-                    return repaired
+                self.stats.cache_hits += 1
+        return value
+
+    def _answer(
+        self, entry: _Entry, kind: str, params: Dict[str, Any]
+    ) -> Tuple[Any, bool]:  # holds: lock
+        """The epoch-current answer to ``(kind, params)`` and whether it came
+        straight from the cache: a cache hit, else a repair of the cached
+        answer, else a full compute, stored for the epoch either way. Counts
+        the repair or the recompute it runs, never a query or a hit."""
+        key = (kind,) + tuple(sorted(params.items()))
+        cached = entry.caches.get(key)
+        if cached is not None and cached.at_epoch == entry.epoch:
+            return cached.value, True
+        value = None
+        if (
+            cached is not None
+            and kind in self._REPAIRABLE
+            and entry.graph.num_vertices > 0
+        ):
+            value = self._try_repair(entry, kind, params, cached)
+        if value is None:
             value = self._full_compute(entry, kind, params)
-            entry.caches[key] = _Cached(entry.epoch, value)
             with self._stats_lock:
                 self.stats.full_recomputes += 1
-            return value
+        entry.caches[key] = _Cached(entry.epoch, value)
+        return value, False
 
     def _keys(self, entry: _Entry, seed: int) -> np.ndarray:  # holds: lock
         keys = entry.keys.get(seed)
@@ -669,22 +690,24 @@ class GraphService:
         return _readonly(value)
 
     def _full_compute(self, entry: _Entry, kind: str, params: Dict[str, Any]) -> Any:  # holds: lock
+        seed = params.get("seed", 0)
         if kind == "mis2":
             from ..mis.kk import kk_mis2
 
-            result = kk_mis2(
-                entry.graph,
-                priority_scheme="fixed",
-                seed=int(params.get("seed", 0)),
-            )
+            result = kk_mis2(entry.graph, priority_scheme="fixed", seed=seed)
             return _readonly(result.in_mask.copy())
         if kind == "color":
             keys = self._keys(entry, 0)
             return _readonly(_repair.ordered_color(entry.graph, keys))
         if kind == "aggregate":
             from ..coarsen.mis2_agg import mis2_aggregation
+            from ..mis.result import MISResult
 
-            return mis2_aggregation(entry.graph, seed=int(params.get("seed", 0)))
+            # Phase 1 takes the epoch's own MIS-2: the mis2 answer for this
+            # seed, looked up (or repaired, or computed and cached) here.
+            mask, _ = self._answer(entry, "mis2", {"seed": seed})
+            mis = MISResult(np.flatnonzero(mask), mask, iterations=0)
+            return mis2_aggregation(entry.graph, mis=mis)
         raise ValueError(f"unknown query kind {kind!r}")
 
     # ------------------------------------------------------------------ stats

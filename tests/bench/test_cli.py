@@ -164,8 +164,9 @@ def test_cli_takes_a_backend_only_for_a_partitioned_run(argv, capsys):
         (["fig2", "--trials", "0"], "--trials must be >= 1"),
         (["table1", "--scale", "0"], "--scale must be > 0"),
         (["table1", "--seed", "-1"], "--seed must be >= 0"),
+        (["table1", "--seed", str(2**64)], "--seed must be >= 0 and < 2**64"),
     ],
-    ids=["trials", "scale", "seed"],
+    ids=["trials", "scale", "seed", "seed-2**64"],
 )
 def test_cli_rejects_malformed_numbers_with_a_usage_error(argv, message, capsys):
     with pytest.raises(SystemExit) as exc:

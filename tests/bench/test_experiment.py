@@ -35,6 +35,9 @@ PAPER_EXPERIMENTS = {
 
 #: Two tiny matrices keep every run in this module to a fraction of a second.
 TINY = BenchConfig(scale=0.002, trials=1, warmup=0, matrices=("ecology2", "tmt_sym"))
+#: Partitioned smoke: the only kind of run a backend other than numpy changes.
+SMOKE_P2 = dataclasses.replace(TINY, parts=2)
+SMOKE_GRAPHS = ["laplace3d(10,10,10)", "elasticity3d(6,6,6)"]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -52,8 +55,11 @@ def _unit_must_not_run(unit, config):
     raise AssertionError(f"unit {unit!r} ran")
 
 
-#: table1's plan with rows that carry the pid of the process that made them.
-PID_EXPERIMENT = dataclasses.replace(get_experiment("table1"), deterministic_fields=("pid",))
+#: table1's plan with rows that carry the pid of the process that made them
+#: (parts-aware, so a partitioned config may name a backend).
+PID_EXPERIMENT = dataclasses.replace(
+    get_experiment("table1"), deterministic_fields=("pid",), parts_aware=True
+)
 
 
 class TestRegistry:
@@ -104,22 +110,26 @@ class TestExperimentRun:
 
     def test_rows_preserve_plan_order_across_backends(self):
         for backend in ("numpy", "distributed"):
-            result = run_experiment("table1", TINY, backend=backend, jobs=2)
-            assert [r.matrix for r in result.rows] == list(TINY.matrices)
+            result = run_experiment("smoke", SMOKE_P2, backend=backend, jobs=2)
+            assert [r.graph for r in result.rows] == SMOKE_GRAPHS
             assert result.backend == backend
             assert result.jobs == 2
 
     def test_config_backend_is_honoured(self):
-        config = BenchConfig(
-            scale=0.002, trials=1, warmup=0, matrices=("ecology2",), backend="distributed"
-        )
-        assert run_experiment("table1", config).backend == "distributed"
+        ranks = get_backend("distributed")
+        before = ranks.measured_stats()["messages_sent"]
+        config = dataclasses.replace(SMOKE_P2, backend="distributed")
+        assert run_experiment("smoke", config).backend == "distributed"
+        assert ranks.measured_stats()["messages_sent"] > before
 
-    @pytest.mark.parametrize("backend", ["numpy", "distributed"])
-    def test_pooled_run_maps_units_in_worker_processes(self, backend):
+    @pytest.mark.parametrize(
+        "backend, config", [("numpy", TINY), ("distributed", SMOKE_P2)],
+        ids=["numpy", "distributed"],
+    )
+    def test_pooled_run_maps_units_in_worker_processes(self, backend, config):
         # jobs=2 maps the units over the harness's own pool on every backend,
         # the serial reference included.
-        result = PID_EXPERIMENT.run(TINY, backend=backend, jobs=2, task=_pid_task)
+        result = PID_EXPERIMENT.run(config, backend=backend, jobs=2, task=_pid_task)
         assert [r.matrix for r in result.rows] == list(TINY.matrices)
         assert os.getpid() not in {r.pid for r in result.rows}
         assert result.jobs == 2
@@ -156,6 +166,17 @@ class TestExperimentRun:
     def test_invalid_jobs_raise_before_any_unit_runs(self, jobs, message):
         with pytest.raises(ValueError, match=f"jobs must be {message}"):
             get_experiment("table1").run(TINY, jobs=jobs, task=_unit_must_not_run)
+
+    def test_flat_run_takes_no_backend_but_numpy(self):
+        # A flat run opens no session, so naming a backend, by argument or
+        # by config, would only stamp a record with code that never ran.
+        table1 = get_experiment("table1")
+        with pytest.raises(ValueError, match="flat run"):
+            table1.run(TINY, backend="distributed", task=_unit_must_not_run)
+        with pytest.raises(ValueError, match="flat run"):
+            table1.run(
+                dataclasses.replace(TINY, backend="distributed"), task=_unit_must_not_run
+            )
 
     def test_pooled_distributed_run_opens_sessions_in_its_workers(self):
         """jobs=2 on the distributed backend runs smoke's partitioned calls on
@@ -250,8 +271,8 @@ class TestJsonRoundTrip:
 
 class TestSweep:
     def test_smoke_sweep_across_backends(self):
-        """The acceptance smoke sweep: 2 tiny matrices, both backends, pooled."""
-        result = sweep("table1", ["numpy", "distributed"], TINY, jobs=2)
+        """The acceptance smoke sweep: partitioned smoke, both backends."""
+        result = sweep("smoke", ["numpy", "distributed"], SMOKE_P2)
         assert [r.backend for r in result.results] == ["numpy", "distributed"]
         assert result.reference.backend == "numpy"
         # Identical measured iteration counts across backends — the paper's claim.
@@ -264,6 +285,14 @@ class TestSweep:
         with pytest.raises(ValueError, match="at least one backend"):
             sweep("table1", [], TINY)
 
+    def test_sweep_requires_a_partitioned_run(self):
+        # Without parts every backend would run the same flat code; refused
+        # before the warm-up generates anything.
+        clear_suite_cache()
+        with pytest.raises(ValueError, match="partitioned run"):
+            sweep("table1", ["numpy", "distributed"], TINY)
+        assert suite_cache_stats() == {"graphs": 0, "matrices": 0}
+
     @pytest.mark.parametrize("jobs, message", INVALID_COUNTS)
     def test_invalid_jobs_raise_before_the_warm_up(self, jobs, message):
         # The warm-up fills this process's suite caches; a bad pool width
@@ -274,7 +303,7 @@ class TestSweep:
         assert suite_cache_stats() == {"graphs": 0, "matrices": 0}
 
     def test_sweep_table_prints_a_serial_run_as_one_job(self):
-        result = sweep("smoke", ["numpy"], TINY)
+        result = sweep("smoke", ["numpy"], SMOKE_P2)
         assert result.reference.jobs == 1
         header, _, row = sweep_table(result).render().splitlines()[1:4]
         assert header.split()[:2] == ["backend", "jobs"]
@@ -292,9 +321,9 @@ class TestSweep:
             _check_counts("table1", [good, bad])
 
     def test_sweep_summary_round_trip(self, tmp_path):
-        result = sweep("smoke", ["numpy", "distributed"], TINY)
+        result = sweep("smoke", ["numpy", "distributed"], SMOKE_P2)
         path = result.save(tmp_path)
-        assert path.name == "BENCH_sweep_smoke.json"
+        assert path.name == "BENCH_sweep_smoke_p2.json"
         import json
 
         summary = json.loads(path.read_text())

@@ -1,5 +1,7 @@
 """Tests for the priority schemes of Section V-A."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -40,6 +42,27 @@ class TestFixedPriorities:
 
     def test_empty(self):
         assert fixed_priorities(0).size == 0
+
+    @pytest.mark.parametrize(
+        "seed", [-1, 2**64, True, 1.5], ids=["negative", "2**64", "bool", "float"]
+    )
+    def test_seed_outside_the_uint64_range_rejected(self, seed):
+        with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\*\*64\)"):
+            fixed_priorities(4, seed=seed)
+
+    def test_largest_seed_wraps_the_offset_without_a_warning(self):
+        # The golden-ratio offset wraps modulo 2**64; these are the values a
+        # wrapping uint64 add gives.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = fixed_priorities(5, seed=2**64 - 1)
+        assert got.tolist() == [
+            4531050957695392325,
+            18205912698913118986,
+            17385670201042627067,
+            4282657942613946804,
+            16237809041496660201,
+        ]
 
 
 class TestIterationPriorities:

@@ -11,7 +11,9 @@ tests pin that claim three ways:
    (``kk_mis2(priority_scheme="fixed")``), so "repairable semantics" and
    "what the kernels compute" provably coincide;
 3. the full service — random mutation sequences, query-after-every-mutation,
-   compared bit-for-bit against fresh kernel runs.
+   compared bit-for-bit against fresh kernel runs. Its ``aggregate`` must
+   equal Algorithm 3 seeded with a from-scratch fixed-scheme MIS-2, whatever
+   order the epoch's queries arrive in.
 
 Beneath all three sits the graph each write leaves behind: the service
 splices the touched CSR rows, and that splice must equal a from-scratch
@@ -24,6 +26,7 @@ import numpy as np
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from repro.coarsen.mis2_agg import mis2_aggregation
 from repro.graph import from_edges
 from repro.mis.kk import kk_mis2
 from repro.service import (
@@ -246,6 +249,58 @@ def test_service_repair_bit_identical_across_mutations(graph, ops, seed):
             stats.cache_hits + stats.repairs + stats.full_recomputes
             == stats.queries - stats.coalesced
         )
+
+
+def _check_epoch_in_order(svc: GraphService, name: str, seed: int, kinds) -> None:
+    """Ask the epoch's three queries in ``kinds`` order; the aggregate must
+    equal Algorithm 3 seeded with a from-scratch fixed-scheme MIS-2, be
+    complete, and have the ``mis2`` answer's vertices as its phase-1 roots."""
+    graph = svc.graph(name)
+    answers = {
+        "mis2": lambda: svc.mis2(name, seed=seed),
+        "color": lambda: svc.color(name),
+        "aggregate": lambda: svc.aggregate(name, seed=seed),
+    }
+    got = {kind: answers[kind]() for kind in kinds}
+    mis = kk_mis2(graph, priority_scheme="fixed", seed=seed)
+    expected = mis2_aggregation(graph, mis=mis)
+    agg = got["aggregate"]
+    np.testing.assert_array_equal(agg.labels, expected.labels)
+    np.testing.assert_array_equal(agg.roots, expected.roots)
+    assert agg.num_aggregates == expected.num_aggregates
+    assert agg.is_complete()
+    roots = np.flatnonzero(got["mis2"])
+    np.testing.assert_array_equal(agg.roots[: roots.size], roots)
+    np.testing.assert_array_equal(np.asarray(got["mis2"]), mis.in_mask)
+
+
+@given(
+    graph=graphs(max_vertices=16, max_extra_edges=30),
+    ops=mutation_ops(),
+    seed=st.integers(min_value=0, max_value=2),
+    data=st.data(),
+)
+@settings(**SERVICE_COMMON)
+def test_service_aggregate_is_seeded_by_the_epochs_mis2(graph, ops, seed, data):
+    orders = st.permutations(["mis2", "color", "aggregate"])
+    hits = 0
+    with GraphService(repair_crossover=1.0) as svc:
+        svc.add_graph("g", graph)
+        epoch = None
+        for kind, payload in [(None, None)] + ops:
+            if kind is not None:
+                _apply(svc, "g", kind, payload)
+            kinds = data.draw(orders)
+            if svc.epoch("g") == epoch:
+                hits += 3
+            elif kinds.index("aggregate") < kinds.index("mis2"):
+                hits += 1  # the aggregate filled the epoch's mis2 cache
+            epoch = svc.epoch("g")
+            _check_epoch_in_order(svc, "g", seed, kinds)
+        # The aggregate's own MIS-2 lookup is neither a query nor a hit.
+        stats = svc.stats_snapshot()
+        assert stats["queries"] == 3 * (1 + len(ops))
+        assert stats["cache_hits"] == hits
 
 
 @given(graph=graphs(max_vertices=16, max_extra_edges=30), ops=mutation_ops())

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro.coarsen.mis2_agg import mis2_aggregation
-from repro.graph import from_edges
+from repro.graph import from_edges, laplace3d
 from repro.mis.kk import kk_mis2
 from repro.service import (
     GraphService,
@@ -29,6 +29,14 @@ from repro.service.core import _Request
 
 def _path_graph(n):
     return from_edges(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def _reference_aggregation(graph, seed=0):
+    """Algorithm 3 seeded with a from-scratch fixed-scheme MIS-2: what the
+    service's ``aggregate(seed=seed)`` must equal at every epoch."""
+    return mis2_aggregation(
+        graph, mis=kk_mis2(graph, priority_scheme="fixed", seed=seed)
+    )
 
 
 def _grid_graph(side=4):
@@ -102,9 +110,65 @@ class TestQueries:
         with GraphService() as svc:
             svc.add_graph("g", graph)
             agg = svc.aggregate("g", seed=2)
-            direct = mis2_aggregation(graph, seed=2)
+            direct = _reference_aggregation(graph, seed=2)
             np.testing.assert_array_equal(agg.labels, direct.labels)
             np.testing.assert_array_equal(agg.roots, direct.roots)
+
+    def test_aggregate_after_mis2_runs_only_the_sub_mis(self, monkeypatch):
+        """One MIS-2 per epoch: the aggregate takes the epoch's ``mis2``
+        answer, so Algorithm 3 runs ``kk_mis2`` once, for its phase-2 sub-MIS."""
+        import repro.coarsen.mis2_agg as mis2_agg
+
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].num_vertices)
+            return kk_mis2(*args, **kwargs)
+
+        monkeypatch.setattr(mis2_agg, "kk_mis2", counted)
+        graph = _grid_graph(12)
+        with GraphService() as svc:
+            svc.add_graph("g", graph)
+            mask = svc.mis2("g", seed=0)
+            agg = svc.aggregate("g", seed=0)
+            assert len(calls) == 1 and calls[0] < graph.num_vertices
+            roots = np.flatnonzero(mask)
+            np.testing.assert_array_equal(agg.roots[: roots.size], roots)
+
+    def test_aggregate_first_fills_the_mis2_cache(self):
+        with GraphService() as svc:
+            svc.add_graph("g", _grid_graph(12))
+            svc.aggregate("g", seed=1)
+            mask = svc.mis2("g", seed=1)
+            stats = svc.stats_snapshot()
+            assert stats["queries"] == 2
+            assert stats["cache_hits"] == 1
+            assert stats["full_recomputes"] == 2  # the MIS-2 and the aggregate
+            np.testing.assert_array_equal(
+                np.asarray(mask),
+                kk_mis2(_grid_graph(12), priority_scheme="fixed", seed=1).in_mask,
+            )
+
+    def test_aggregate_matches_the_reference_above_toy_size(self):
+        graph = laplace3d(20, 20, 20)
+        with GraphService() as svc:
+            svc.add_graph("g", graph)
+            for write in (None, [(0, 4210)], [(7, 7777), (4000, 4002)]):
+                if write is not None:
+                    svc.add_edges("g", write)
+                agg = svc.aggregate("g", seed=3)
+                direct = _reference_aggregation(svc.graph("g"), seed=3)
+                assert agg.is_complete()
+                assert agg.num_aggregates == direct.num_aggregates
+                np.testing.assert_array_equal(agg.labels, direct.labels)
+                np.testing.assert_array_equal(agg.roots, direct.roots)
+
+    def test_out_of_range_seed_reaches_the_future(self):
+        with GraphService() as svc:
+            svc.add_graph("g", _grid_graph())
+            future = svc.submit("g", "mis2", seed=2**64)
+            with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\*\*64\)"):
+                future.result(timeout=30)
 
     def test_second_query_is_a_cache_hit(self):
         with GraphService() as svc:
@@ -303,7 +367,7 @@ class TestMutations:
             svc.add_edges("g", [(0, 15)])
             agg = svc.aggregate("g")
             assert svc.stats.full_recomputes == full_before + 1
-            direct = mis2_aggregation(svc.graph("g"))
+            direct = _reference_aggregation(svc.graph("g"))
             np.testing.assert_array_equal(agg.labels, direct.labels)
 
 
@@ -392,10 +456,10 @@ class TestScriptedRun:
     @pytest.mark.parametrize(
         "side,writes,expected",
         [
-            (12, 6, dict(vertices=144, edges=270, mis2=21, colors=5, aggregates=28,
+            (12, 6, dict(vertices=144, edges=270, mis2=21, colors=5, aggregates=27,
                          mutations=6, structural_mutations=0, repairs=12,
                          repair_fallbacks=0, full_recomputes=3)),
-            (20, 4, dict(vertices=400, edges=764, mis2=59, colors=4, aggregates=77,
+            (20, 4, dict(vertices=400, edges=764, mis2=59, colors=4, aggregates=74,
                          mutations=4, structural_mutations=0, repairs=8,
                          repair_fallbacks=0, full_recomputes=3)),
         ],
@@ -408,6 +472,8 @@ class TestScriptedRun:
             svc.mis2("g", seed=0)
             svc.color("g")
             aggregation = svc.aggregate("g", seed=0)
+            reference = _reference_aggregation(_grid_graph(side), seed=0)
+            np.testing.assert_array_equal(aggregation.labels, reference.labels)
             for r in range(writes):
                 a = (7 * r) % (n - side - 1)
                 chord = [(a, a + side + 1)]
