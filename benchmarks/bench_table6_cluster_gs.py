@@ -15,8 +15,7 @@ def test_table6_report(benchmark, bench_config, results_dir):
     for row in rows:
         # Both preconditioned solves converge within the iteration budget and with an
         # iteration count in the same ballpark (the paper reports the cluster method
-        # ~5% better; see EXPERIMENTS.md for why the Python point baseline is stronger
-        # than the paper's).
+        # ~5% better).
         assert row.point_converged and row.cluster_converged
         assert row.cluster_iterations <= 2 * row.point_iterations
         assert row.point_setup_seconds > 0 and row.cluster_setup_seconds > 0

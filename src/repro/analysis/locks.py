@@ -3,7 +3,7 @@
 Declare the lock protecting an attribute on its declaring line::
 
     self.stats = ServiceStats()  # guarded-by: _stats_lock
-    mutations: List[_Mutation] = field(default_factory=list)  # guarded-by: lock
+    caches: Dict[Tuple[str, int], _Cached] = field(default_factory=dict)  # guarded-by: lock
     _POOLS: Dict[int, Pool] = {}  # guarded-by: _POOL_LOCK   (module global)
 
 Every later read or write of ``<base>.stats`` must then sit inside

@@ -9,10 +9,9 @@ the same rows the paper reports (plus the published reference numbers). Each pap
 module still exposes the classic ``run_*`` function returning structured rows and the
 ``*_table`` formatter; ``Experiment.run`` additionally returns a JSON-persistable
 :class:`~repro.bench.experiment.ExperimentResult`, and
-:func:`~repro.bench.experiment.sweep` compares one partitioned experiment's
-wall-clock across backends. The ``benchmarks/`` directory at the repository root wraps these drivers
-with pytest-benchmark targets, and EXPERIMENTS.md records paper-vs-measured for
-every experiment.
+:func:`~repro.bench.compare.compare_files` gates two such records on their
+deterministic counts. The ``benchmarks/`` directory at the repository root wraps
+these drivers with pytest-benchmark targets.
 """
 
 from __future__ import annotations
@@ -27,15 +26,11 @@ from .config import (
 from .experiment import (
     Experiment,
     ExperimentResult,
-    SweepMismatchError,
-    SweepResult,
     default_results_dir,
     experiment_names,
     get_experiment,
     register_experiment,
     run_experiment,
-    sweep,
-    sweep_table,
 )
 from .compare import ComparisonReport, compare_files, compare_results
 from .table1 import Table1Row, run_table1, table1_table
@@ -58,15 +53,11 @@ __all__ = [
     "suite_cache_stats",
     "Experiment",
     "ExperimentResult",
-    "SweepMismatchError",
-    "SweepResult",
     "default_results_dir",
     "experiment_names",
     "get_experiment",
     "register_experiment",
     "run_experiment",
-    "sweep",
-    "sweep_table",
     "ComparisonReport", "compare_files", "compare_results",
     "Table1Row", "run_table1", "table1_table",
     "Table2Row", "run_table2", "table2_table",

@@ -26,42 +26,31 @@ Flags
     thread count: run BLAS-heavy experiments (Table VI) pooled with
     ``OPENBLAS_NUM_THREADS=1``.
 ``--backend``
-    With ``--parts`` (or ``partitioned``) only: the execution backend the
-    partitioned kernels run their sessions on (default: ``numpy``, the
-    reference). A flat run takes no backend. The backend is printed with the
-    results and names the JSON record.
+    With ``--parts`` only: the execution backend the partitioned kernels run
+    their sessions on (default: ``numpy``, the reference). A flat run takes
+    no backend. The backend is printed with the results and names the JSON
+    record.
 ``--json``
     Additionally persist each run as a structured
-    ``benchmarks/results/BENCH_<experiment>_<backend>.json`` record
+    ``benchmarks/results/BENCH_<experiment>[_p<k>]_<backend>.json`` record
     (:class:`~repro.bench.experiment.ExperimentResult`), the perf-trajectory
     feed; ``REPRO_BENCH_RESULTS`` names another directory.
 
-Partition-parallel mode (intra-graph sharding)::
+Partition-parallel runs (intra-graph sharding)::
 
-    python -m repro.bench partitioned smoke --parts 4
-    python -m repro.bench partitioned smoke --parts 4 --backend distributed
+    python -m repro.bench smoke --parts 4
+    python -m repro.bench smoke --parts 4 --backend distributed
 
-``partitioned <exp> --parts k`` (and ``--parts`` on any run or sweep) splits
-every graph of a parts-aware experiment into ``k`` parts, runs the MIS /
-coloring / aggregation kernels through the partition-parallel drivers, and
-*verifies bit-identicality against the unpartitioned reference*; boundary and
-ghost-exchange stats land in the rows and deterministic counts, and records
-persist under a ``_p<k>`` infix. ``--backend distributed`` runs the
-partitioned drivers over the registered backend's two localhost rank
-processes through the socket transport (each ``--jobs`` worker over its own
-two ranks); results stay bit-identical and the logical byte counts
-unchanged, while the cluster additionally meters actual on-the-wire bytes
-(:meth:`repro.parallel.DistributedBackend.measured_stats`).
-
-Cross-backend sweep of a partitioned run (the paper's Fig. 3 analogue for
-Python backends)::
-
-    python -m repro.bench sweep smoke --parts 4 --backends numpy,distributed --json
-
-``sweep`` runs one partitioned experiment once per backend (default: every
-registered backend), *asserts the deterministic measured counts (iterations,
-set sizes, modelled times, shipped bytes) are bit-identical across
-backends*, and prints the per-backend wall-clock/speedup table.
+``--parts k`` splits every graph of a parts-aware experiment into ``k``
+parts, runs the MIS / coloring / aggregation kernels through the
+partition-parallel drivers, and *verifies bit-identicality against the
+unpartitioned reference*; boundary and ghost-exchange stats land in the rows
+and deterministic counts, and records persist under a ``_p<k>`` infix.
+``--backend distributed`` runs the partitioned drivers over the registered
+backend's two localhost rank processes through the socket transport (each
+``--jobs`` worker over its own two ranks); results stay bit-identical and the
+logical byte counts unchanged, while the cluster additionally meters actual
+on-the-wire bytes (:meth:`repro.parallel.DistributedBackend.measured_stats`).
 
 Regression gate over persisted records::
 
@@ -69,6 +58,14 @@ Regression gate over persisted records::
     REPRO_BENCH_RESULTS=benchmarks/results/jobs2 python -m repro.bench smoke --jobs 2 --json
     python -m repro.bench compare benchmarks/results/BENCH_smoke_numpy.json \
         benchmarks/results/jobs2/BENCH_smoke_numpy.json
+
+Cross-backend gate of a partitioned run (the paper's portability claim: the
+same counts on every execution backend)::
+
+    python -m repro.bench smoke --parts 4 --json
+    python -m repro.bench smoke --parts 4 --backend distributed --json
+    python -m repro.bench compare benchmarks/results/BENCH_smoke_p4_numpy.json \
+        benchmarks/results/BENCH_smoke_p4_distributed.json
 
 ``compare`` fails (exit 1) on any deterministic-count drift between the two
 records, notes differing backends, partition counts and pool widths, and
@@ -79,20 +76,13 @@ warns when the candidate's wall-clock regressed by more than ``--tolerance``
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 from typing import Dict, List, Optional
 
 from ..parallel.backends import available_backends
 
-from . import (  # noqa: F401 - importing the modules registers every experiment
-    BenchConfig,
-    default_results_dir,
-    experiment_names,
-    get_experiment,
-    sweep,
-    sweep_table,
-)
+# Importing the package registers every experiment.
+from . import BenchConfig, experiment_names, get_experiment
 from .experiment import Experiment
 
 __all__ = ["main", "EXPERIMENTS"]
@@ -101,42 +91,23 @@ __all__ = ["main", "EXPERIMENTS"]
 EXPERIMENTS: Dict[str, Experiment] = {name: get_experiment(name) for name in experiment_names()}
 
 
-def _parse_backends(spec: str) -> List[str]:
-    backends = [b.strip() for b in spec.split(",") if b.strip()]
-    if not backends:
-        raise argparse.ArgumentTypeError("--backends requires at least one backend name")
-    unknown = [b for b in backends if b not in available_backends()]
-    if unknown:
-        raise argparse.ArgumentTypeError(
-            f"unknown backend(s) {unknown}; registered: {available_backends()}"
-        )
-    if len(set(backends)) != len(backends):
-        # Duplicates would collapse in the sweep summary and overwrite each
-        # other's BENCH_*.json records.
-        raise argparse.ArgumentTypeError(f"duplicate backend names in {backends}")
-    return backends
-
-
 def main(argv: Optional[List[str]] = None) -> int:
-    """Parse arguments, run the selected experiment(s) or sweep, print the tables."""
+    """Parse arguments, run the selected experiment(s) or comparison, print the tables."""
     parser = argparse.ArgumentParser(
         prog="python -m repro.bench",
         description="Regenerate the paper's evaluation tables and figures.",
     )
     parser.add_argument(
         "experiment",
-        choices=sorted(EXPERIMENTS) + ["all", "sweep", "partitioned", "compare"],
+        choices=sorted(EXPERIMENTS) + ["all", "compare"],
         help="which table/figure to regenerate ('all' runs every experiment; "
-             "'sweep' compares one experiment across backends; 'partitioned' "
-             "runs one experiment with intra-graph sharding; 'compare' diffs "
-             "two BENCH_*.json records)",
+             "'compare' diffs two BENCH_*.json records)",
     )
     parser.add_argument(
         "target",
         nargs="?",
         default=None,
-        help="with 'sweep'/'partitioned': the experiment to run; "
-             "with 'compare': the baseline BENCH_*.json path",
+        help="with 'compare': the baseline BENCH_*.json path",
     )
     parser.add_argument(
         "candidate",
@@ -156,19 +127,15 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--matrices", nargs="*", default=None,
                         help="subset of suite matrices to run")
     parser.add_argument("--backend", choices=available_backends(), default=None,
-                        help="with --parts or 'partitioned': the backend the "
-                             "partitioned sessions run on (default: numpy)")
-    parser.add_argument("--backends", type=_parse_backends,
-                        default=None,
-                        help="comma-separated backend list for a partitioned "
-                             "'sweep' (default: every registered backend)")
+                        help="with --parts: the backend the partitioned sessions "
+                             "run on (default: numpy)")
     parser.add_argument("--jobs", type=int, default=None,
                         help="worker processes the units are mapped over "
                              "(default 1: in order in this process)")
     parser.add_argument("--parts", type=int, default=None,
                         help="intra-graph partition count for parts-aware experiments "
                              "(partition-parallel runs are verified bit-identical to "
-                             "the unpartitioned reference; 'partitioned' defaults to 4)")
+                             "the unpartitioned reference)")
     parser.add_argument("--json", action="store_true",
                         help="persist each run as benchmarks/results/BENCH_*.json")
     parser.add_argument("--tolerance", type=float, default=0.25,
@@ -189,19 +156,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         parser.error("--scale must be > 0")
     if not 0 <= args.seed < 2**64:
         parser.error("--seed must be >= 0 and < 2**64")
-    if args.candidate is not None and args.experiment != "compare":
-        parser.error("a third positional argument is only valid with 'compare'")
-
-    def _require_parts_aware(name: str) -> None:
-        """--parts only makes sense for experiments whose task honours it —
-        anything else would run unpartitioned while stamping parts=k."""
-        if args.parts is not None or args.experiment == "partitioned":
-            if not EXPERIMENTS[name].parts_aware:
-                aware = sorted(n for n, e in EXPERIMENTS.items() if e.parts_aware)
-                parser.error(
-                    f"experiment {name!r} does not support --parts "
-                    f"(parts-aware experiments: {aware})"
-                )
 
     if args.experiment == "compare":
         if args.target is None or args.candidate is None:
@@ -221,15 +175,29 @@ def main(argv: Optional[List[str]] = None) -> int:
             strict_elapsed=args.strict_elapsed,
         )
 
-    if args.parts is None and args.experiment != "partitioned":
+    if args.target is not None:
+        parser.error("record paths are only valid with 'compare'")
+    if args.parts is None and args.backend is not None:
         # A backend picks only where a partitioned call's parts run; on a
         # flat run every backend would run the same code.
-        if args.experiment == "sweep":
-            parser.error("sweep compares backends, which differ only on a "
-                         "partitioned run: pass --parts, e.g. 'sweep smoke --parts 4'")
-        if args.backend is not None or args.backends is not None:
-            parser.error("--backend and --backends are only valid for a partitioned "
-                         "run (--parts or 'partitioned')")
+        parser.error("--backend is only valid for a partitioned run (--parts)")
+
+    # 'all' regenerates the paper's tables/figures; the smoke check is CI-only.
+    names = (
+        [n for n in sorted(EXPERIMENTS) if n != "smoke"]
+        if args.experiment == "all"
+        else [args.experiment]
+    )
+    if args.parts is not None:
+        # Anything not parts-aware would run unpartitioned while its record
+        # says parts=k.
+        unaware = [n for n in names if not EXPERIMENTS[n].parts_aware]
+        if unaware:
+            aware = sorted(n for n, e in EXPERIMENTS.items() if e.parts_aware)
+            parser.error(
+                f"experiment {unaware[0]!r} does not support --parts "
+                f"(parts-aware experiments: {aware})"
+            )
 
     config = BenchConfig(
         scale=args.scale,
@@ -240,49 +208,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         backend=args.backend,
         parts=args.parts,
     )
-
-    if args.experiment == "sweep":
-        if args.target is None:
-            parser.error("sweep requires an experiment name, e.g. 'sweep smoke'")
-        if args.target not in EXPERIMENTS:
-            parser.error(f"unknown experiment {args.target!r} for sweep")
-        if args.backend is not None:
-            parser.error("--backend is not valid with 'sweep'; use --backends")
-        _require_parts_aware(args.target)
-        backends = args.backends or available_backends()
-        result = sweep(args.target, backends, config, jobs=args.jobs)
-        print(sweep_table(result).render())
-        if args.json:
-            for res in result.results:
-                print(f"wrote {res.save()}")
-            print(f"wrote {result.save()}")
-        return 0
-
-    if args.experiment == "partitioned":
-        if args.target is None:
-            parser.error(
-                "partitioned requires an experiment name, e.g. 'partitioned smoke'"
-            )
-        if args.target not in EXPERIMENTS:
-            parser.error(f"unknown experiment {args.target!r} for partitioned")
-        _require_parts_aware(args.target)
-        if config.parts is None:
-            config = dataclasses.replace(config, parts=4)
-        names = [args.target]
-    else:
-        if args.target is not None:
-            parser.error("a second experiment name is only valid with 'sweep'/'partitioned'")
-        # 'all' regenerates the paper's tables/figures; the smoke check is CI-only.
-        names = (
-            [n for n in sorted(EXPERIMENTS) if n != "smoke"]
-            if args.experiment == "all"
-            else [args.experiment]
-        )
-        for name in names:
-            _require_parts_aware(name)
-    if args.backends is not None:
-        parser.error("--backends is only valid with 'sweep'; use --backend")
-
     if config.parts is not None:
         print(f"backend: {config.backend or 'numpy'}")
         print(f"parts: {config.parts} (partition-parallel, verified vs reference)")

@@ -16,16 +16,13 @@ each experiment is expressed **declaratively** as
   paper-style table.
 
 :class:`Experiment.run` returns a structured :class:`ExperimentResult` (JSON
-round-trippable, persisted as ``benchmarks/results/BENCH_<exp>_<backend>.json``)
+round-trippable, persisted as ``benchmarks/results/BENCH_<exp>[_p<k>]_<backend>.json``)
 whose ``counts`` dictionary holds the experiment's *deterministic* measurables
-(iteration counts, set sizes, modelled times). :func:`sweep` runs one
-partitioned experiment across several backends, asserts those counts are
-identical everywhere (the determinism guarantee of the backend-equivalence
-suite, enforced end-to-end on the real sweep path) and reports the per-backend
-wall-clock speedup table — the paper's Fig. 3 analogue for Python backends. A
-backend matters only to a partitioned run, whose parts-aware task runs its
-partitioned calls on it, so a flat run and a flat sweep refuse any backend but
-numpy.
+(iteration counts, set sizes, modelled times). ``BenchConfig.backend`` names
+the backend a parts-aware task runs its partitioned calls on; a flat run opens
+no session and takes only numpy. The paper's portability claim, identical
+counts on every backend, is checked by :mod:`~repro.bench.compare` on two
+records of one partitioned run, one per backend.
 """
 
 from __future__ import annotations
@@ -40,23 +37,18 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..parallel.backends import ExecutionBackend, _check_count, get_backend
-from ..util.tables import Table, format_seconds
+from ..parallel.backends import _check_count, get_backend
 from .config import BenchConfig
 
 __all__ = [
     "Experiment",
     "ExperimentResult",
-    "SweepMismatchError",
-    "SweepResult",
     "default_results_dir",
     "experiment_names",
     "matrix_plan",
     "get_experiment",
     "register_experiment",
     "run_experiment",
-    "sweep",
-    "sweep_table",
 ]
 
 
@@ -69,22 +61,6 @@ def matrix_plan(config: BenchConfig) -> List[str]:
     """The standard plan stage shared by every suite-matrix sweep: one unit per
     matrix of the configuration, in Table II order."""
     return config.matrix_names()
-
-
-def warm_suite_graphs(units: Sequence[str], config: BenchConfig) -> None:
-    """Warm hook for graph-based suite sweeps: generate each stand-in graph once."""
-    from .config import cached_suite_graph
-
-    for name in units:
-        cached_suite_graph(name, config.scale, config.seed, config.mtx_dir)
-
-
-def warm_suite_matrices(units: Sequence[str], config: BenchConfig) -> None:
-    """Warm hook for matrix-based suite sweeps: generate each stand-in matrix once."""
-    from .config import cached_suite_matrix
-
-    for name in units:
-        cached_suite_matrix(name, config.scale, config.seed, config.mtx_dir)
 
 
 def _jsonable(value: Any) -> Any:
@@ -103,13 +79,6 @@ def _jsonable(value: Any) -> Any:
     if isinstance(value, float) and not math.isfinite(value):
         return None
     return value
-
-
-def _record_infix(parts: Optional[int]) -> str:
-    """The ``_p<k>`` filename infix distinguishing partitioned-run records
-    (shared by per-backend results and sweep summaries — the CI compare gates
-    rely on the two staying pairable)."""
-    return f"_p{parts}" if parts else ""
 
 
 @dataclass
@@ -184,7 +153,8 @@ class ExperimentResult:
         Partitioned runs get a ``_p<k>`` infix so they never clobber the
         unpartitioned — or each other's — trajectory records.
         """
-        return f"BENCH_{self.experiment}{_record_infix(self.parts)}_{self.backend}.json"
+        infix = f"_p{self.parts}" if self.parts else ""
+        return f"BENCH_{self.experiment}{infix}_{self.backend}.json"
 
     def save(self, directory: "Optional[Path | str]" = None) -> Path:
         """Write the JSON record under ``directory`` (default: ``benchmarks/results/``)."""
@@ -230,13 +200,6 @@ class Experiment:
     key_field: str = "matrix"
     #: Row attributes that are deterministic (identical across backends/jobs).
     deterministic_fields: Tuple[str, ...] = ()
-    #: Optional ``warm(units, config)`` hook that populates whatever per-process
-    #: caches the task reads (e.g. :func:`warm_suite_graphs`). ``sweep`` calls it
-    #: once, untimed, before the timed per-backend runs so one-time generation
-    #: cost never lands in the baseline's timed region. ``None`` (experiments
-    #: that generate graphs inside the task — table3, table5, smoke) means there
-    #: is nothing to warm.
-    warm: Optional[Callable[[Sequence[Any], BenchConfig], None]] = None
     #: Whether the task honours ``BenchConfig.parts`` (partition-parallel
     #: execution). Experiments that don't are rejected when ``parts`` is set —
     #: silently running unpartitioned while stamping ``parts=k`` on the record
@@ -248,7 +211,7 @@ class Experiment:
         return list(self.plan(config if config is not None else BenchConfig()))
 
     def counts(self, rows: Sequence[Any]) -> Dict[str, Any]:
-        """Extract the deterministic measurables from ``rows`` (for sweep checks)."""
+        """Extract the deterministic measurables from ``rows`` (what ``compare`` gates)."""
         out: Dict[str, Any] = {}
         for row in rows:
             key = str(getattr(row, self.key_field))
@@ -259,7 +222,6 @@ class Experiment:
     def run(
         self,
         config: Optional[BenchConfig] = None,
-        backend: "Optional[str | ExecutionBackend]" = None,
         jobs: Optional[int] = None,
         units: Optional[Sequence[Any]] = None,
         task: Optional[Callable[[Any, BenchConfig], Any]] = None,
@@ -269,13 +231,11 @@ class Experiment:
         Parameters
         ----------
         config:
-            Benchmark knobs (defaults to :class:`BenchConfig()`).
-        backend:
-            Execution backend name/instance a parts-aware task runs its
-            partitioned calls on. ``None`` falls back to ``config.backend``,
-            then to ``"numpy"``. Its name is written into the config the
-            tasks get. A flat run (``config.parts`` is ``None``) opens no
-            session, so any backend but numpy raises ``ValueError`` there.
+            Benchmark knobs (defaults to :class:`BenchConfig()`). Its
+            ``backend`` (``None``: numpy) names the backend a parts-aware
+            task runs its partitioned calls on. A flat run (``parts`` is
+            ``None``) opens no session, so any backend but numpy raises
+            ``ValueError`` there.
         jobs:
             Worker processes the units are mapped over. ``None`` or 1 maps
             them in order in the caller; ``N >= 2`` maps them over a
@@ -299,7 +259,7 @@ class Experiment:
                 f"execution (parts={config.parts}); parts-aware experiments: "
                 f"{sorted(n for n, e in _EXPERIMENTS.items() if e.parts_aware)}"
             )
-        resolved = get_backend(backend or config.backend or "numpy")
+        resolved = get_backend(config.backend or "numpy")
         if config.parts is None and resolved.name != "numpy":
             raise ValueError(
                 f"backend {resolved.name!r} picks where partitioned parts run; "
@@ -342,7 +302,7 @@ _EXPERIMENTS: Dict[str, Experiment] = {}
 
 
 def register_experiment(experiment: Experiment, *, overwrite: bool = False) -> Experiment:
-    """Register ``experiment`` under its name for CLI/sweep lookup."""
+    """Register ``experiment`` under its name for CLI lookup."""
     if not isinstance(experiment, Experiment):
         raise TypeError("experiment must be an Experiment instance")
     if experiment.name in _EXPERIMENTS and not overwrite:
@@ -369,143 +329,7 @@ def experiment_names() -> List[str]:
 def run_experiment(
     name: str,
     config: Optional[BenchConfig] = None,
-    backend: "Optional[str | ExecutionBackend]" = None,
     jobs: Optional[int] = None,
 ) -> ExperimentResult:
     """Run a registered experiment by name."""
-    return get_experiment(name).run(config, backend=backend, jobs=jobs)
-
-
-# ------------------------------------------------------------------------- sweep
-class SweepMismatchError(RuntimeError):
-    """Raised when two backends disagree on an experiment's deterministic counts."""
-
-
-@dataclass
-class SweepResult:
-    """One experiment executed across several backends (Fig. 3 analogue)."""
-
-    experiment: str
-    results: List[ExperimentResult]
-
-    @property
-    def reference(self) -> ExperimentResult:
-        """The first backend's result — the speedup baseline."""
-        return self.results[0]
-
-    def speedup(self, result: ExperimentResult) -> float:
-        """Wall-clock speedup of ``result`` over the reference backend."""
-        if result.elapsed_seconds <= 0:
-            return float("nan")
-        return self.reference.elapsed_seconds / result.elapsed_seconds
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "experiment": self.experiment,
-            "backends": [r.backend for r in self.results],
-            "parts": self.reference.parts,
-            "elapsed_seconds": {r.backend: r.elapsed_seconds for r in self.results},
-            "speedups": _jsonable({r.backend: self.speedup(r) for r in self.results}),
-        }
-
-    def save(self, directory: "Optional[Path | str]" = None) -> Path:
-        """Persist the sweep summary as ``BENCH_sweep_<exp>[_p<k>].json``."""
-        directory = Path(directory) if directory is not None else default_results_dir()
-        directory.mkdir(parents=True, exist_ok=True)
-        infix = _record_infix(self.reference.parts)
-        path = directory / f"BENCH_sweep_{self.experiment}{infix}.json"
-        path.write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n")
-        return path
-
-
-def _check_counts(experiment: str, results: Sequence[ExperimentResult]) -> None:
-    """Assert every backend produced identical deterministic counts."""
-    reference = results[0]
-    for other in results[1:]:
-        if other.counts == reference.counts:
-            continue
-        keys = sorted(set(reference.counts) | set(other.counts))
-        diffs = [
-            f"  {key}: {reference.backend}={reference.counts.get(key)!r} "
-            f"{other.backend}={other.counts.get(key)!r}"
-            for key in keys
-            if reference.counts.get(key) != other.counts.get(key)
-        ]
-        raise SweepMismatchError(
-            f"experiment {experiment!r}: backend {other.backend!r} disagrees with "
-            f"{reference.backend!r} on {len(diffs)} deterministic count(s):\n"
-            + "\n".join(diffs[:20])
-        )
-
-
-def sweep(
-    name: str,
-    backends: Sequence[str],
-    config: Optional[BenchConfig] = None,
-    jobs: Optional[int] = None,
-    check_counts: bool = True,
-    warmup: bool = True,
-) -> SweepResult:
-    """Run one partitioned experiment across ``backends`` and verify
-    cross-backend determinism.
-
-    ``config.parts`` must be set: backends differ only in where partitioned
-    parts run, so without it ``ValueError`` is raised before any run. The
-    first backend is the speedup baseline. With ``warmup`` (default) the
-    experiment's ``warm`` hook runs first, untimed, to populate the per-process
-    suite caches — otherwise the baseline backend would pay the one-time graph
-    generation inside its timed region while later backends reuse the warm
-    caches (in-process, or fork-inherited by the ``jobs`` pool's workers),
-    systematically inflating every non-baseline speedup. With
-    ``check_counts`` (default) a :class:`SweepMismatchError` is raised if any
-    backend's deterministic counts (iteration counts, set sizes, modelled
-    times) differ from the baseline's — the paper's portability claim is
-    precisely that they never do.
-    """
-    if not backends:
-        raise ValueError("sweep requires at least one backend")
-    _check_count("jobs", jobs)  # before the warm-up generates anything
-    config = config if config is not None else BenchConfig()
-    if config.parts is None:
-        raise ValueError(
-            "sweep compares backends, which differ only on a partitioned run: "
-            "pass a config with parts"
-        )
-    experiment = get_experiment(name)
-    if warmup and experiment.warm is not None:
-        # Populate the *parent* process's caches at generation cost only —
-        # serial runs reuse them and fork-started pool workers inherit them,
-        # so no backend pays one-time generation while timed.
-        experiment.warm(experiment.units(config), config)
-    results = [experiment.run(config, backend=b, jobs=jobs) for b in backends]
-    if check_counts:
-        _check_counts(name, results)
-    return SweepResult(experiment=name, results=results)
-
-
-def sweep_table(result: SweepResult) -> Table:
-    """Format a sweep as the paper-style per-backend wall-clock/speedup table."""
-    experiment = get_experiment(result.experiment)
-    partitioned = (
-        f"; {result.reference.parts} parts/graph" if result.reference.parts else ""
-    )
-    table = Table(
-        ["backend", "jobs", "units", "wall-clock", "speedup", "counts"],
-        title=(
-            f"Sweep: {experiment.name} across execution backends "
-            f"({result.reference.units} units{partitioned}; "
-            f"speedup vs {result.reference.backend}; Fig. 3 analogue)"
-        ),
-    )
-    for res in result.results:
-        table.add_row(
-            [
-                res.backend,
-                res.jobs,
-                res.units,
-                format_seconds(res.elapsed_seconds),
-                round(result.speedup(res), 2),
-                "identical" if res.counts == result.reference.counts else "MISMATCH",
-            ]
-        )
-    return table
+    return get_experiment(name).run(config, jobs=jobs)

@@ -21,7 +21,7 @@ from ..parallel.costmodel import predict_device_time, scale_traffic
 from ..util.tables import Table, geometric_mean
 from ..util.timing import repeat_timed
 from .config import BenchConfig, cached_suite_graph
-from .experiment import Experiment, matrix_plan, register_experiment, warm_suite_graphs
+from .experiment import Experiment, matrix_plan, register_experiment
 
 __all__ = [
     "Fig2Row", "run_fig2", "fig2_table", "fig2_geometric_means", "PAPER_FIG2_MEANS",
@@ -92,7 +92,6 @@ FIG2_EXPERIMENT = register_experiment(
         render=_render,
         key_field="matrix",
         deterministic_fields=("predicted_ms",),
-        warm=warm_suite_graphs,
     )
 )
 

@@ -20,7 +20,7 @@ from ..parallel.costmodel import bandwidth_efficiency, scale_traffic
 from ..parallel.machine import device_names
 from ..util.tables import Table
 from .config import BenchConfig, cached_suite_graph
-from .experiment import Experiment, matrix_plan, register_experiment, warm_suite_graphs
+from .experiment import Experiment, matrix_plan, register_experiment
 
 __all__ = ["Fig3Row", "run_fig3", "fig3_table", "FIG3_EXPERIMENT"]
 
@@ -69,7 +69,6 @@ FIG3_EXPERIMENT = register_experiment(
         render=_render,
         key_field="matrix",
         deterministic_fields=("efficiency",),
-        warm=warm_suite_graphs,
     )
 )
 

@@ -21,7 +21,7 @@ from ..parallel.costmodel import scale_traffic, scaling_efficiency, strong_scali
 from ..parallel.machine import device
 from ..util.tables import Table, geometric_mean
 from .config import BenchConfig, cached_suite_graph
-from .experiment import Experiment, matrix_plan, register_experiment, warm_suite_graphs
+from .experiment import Experiment, matrix_plan, register_experiment
 
 __all__ = [
     "ScalingRow", "run_scaling", "scaling_table", "DEFAULT_THREAD_COUNTS",
@@ -93,7 +93,6 @@ FIG4_EXPERIMENT = register_experiment(
         render=_render,
         key_field="matrix",
         deterministic_fields=("thread_counts", "times", "efficiency"),
-        warm=warm_suite_graphs,
     )
 )
 
@@ -106,7 +105,6 @@ FIG5_EXPERIMENT = register_experiment(
         render=_render,
         key_field="matrix",
         deterministic_fields=("thread_counts", "times", "efficiency"),
-        warm=warm_suite_graphs,
     )
 )
 

@@ -23,7 +23,7 @@ from ..parallel.costmodel import predict_device_time, scale_traffic
 from ..util.tables import Table, geometric_mean
 from ..util.timing import repeat_timed
 from .config import BenchConfig, cached_suite_graph
-from .experiment import Experiment, matrix_plan, register_experiment, warm_suite_graphs
+from .experiment import Experiment, matrix_plan, register_experiment
 
 __all__ = [
     "SpeedupRow", "run_fig6", "run_fig7", "speedup_table",
@@ -134,7 +134,6 @@ FIG6_EXPERIMENT = register_experiment(
         render=_render_fig6,
         key_field="matrix",
         deterministic_fields=("kk_model_ms", "baseline_model_ms"),
-        warm=warm_suite_graphs,
     )
 )
 
@@ -147,7 +146,6 @@ FIG7_EXPERIMENT = register_experiment(
         render=_render_fig7,
         key_field="matrix",
         deterministic_fields=("kk_model_ms", "baseline_model_ms"),
-        warm=warm_suite_graphs,
     )
 )
 

@@ -1,10 +1,10 @@
 """Smoke experiment: a fast end-to-end sanity check of every kernel layer.
 
-Used by CI (``python -m repro.bench smoke``, its ``--jobs 2`` pooled run and
-the partitioned cross-backend ``sweep smoke --parts 4``): each work unit
-builds a small structured graph, runs MIS-2, greedy coloring, MIS-2
-aggregation and the device cost model, *verifies* every result, and records
-the deterministic measurables. An invalid result raises, failing the CI job;
+Used by CI (``python -m repro.bench smoke``, its ``--jobs 2`` pooled run, and
+``smoke --parts 4`` on each backend, whose two records ``compare`` gates):
+each work unit builds a small structured graph, runs MIS-2, greedy coloring,
+MIS-2 aggregation and the device cost model, *verifies* every result, and
+records the deterministic measurables. An invalid result raises, failing the CI job;
 the registered deterministic fields make the smoke experiment a meaningful
 (and cheap) determinism probe across pool widths and backends.
 """
@@ -18,7 +18,7 @@ from ..util.tables import Table
 from .config import BenchConfig
 from .experiment import Experiment, register_experiment
 
-__all__ = ["SmokeRow", "smoke_task", "smoke_table", "run_smoke", "SMOKE_EXPERIMENT"]
+__all__ = ["SmokeRow", "smoke_task", "smoke_table", "SMOKE_EXPERIMENT"]
 
 #: Work units: (generator kind, nx, ny, nz) for two small structured graphs.
 SMOKE_UNITS: Tuple[Tuple[str, int, int, int], ...] = (

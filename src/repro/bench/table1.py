@@ -20,7 +20,7 @@ from ..hashing.priorities import PriorityScheme
 from ..mis.kk import kk_mis2
 from ..util.tables import Table
 from .config import BenchConfig, cached_suite_graph
-from .experiment import Experiment, matrix_plan, register_experiment, warm_suite_graphs
+from .experiment import Experiment, matrix_plan, register_experiment
 
 __all__ = ["Table1Row", "run_table1", "table1_table", "TABLE1_EXPERIMENT"]
 
@@ -70,7 +70,6 @@ TABLE1_EXPERIMENT = register_experiment(
         render=_render,
         key_field="matrix",
         deterministic_fields=("fixed", "xor", "xorstar"),
-        warm=warm_suite_graphs,
     )
 )
 

@@ -4,7 +4,7 @@ The hardware columns (V100, MI100, Skylake, ThunderX2) are reproduced through th
 roofline cost model of :mod:`repro.parallel.costmodel` applied to the memory-traffic
 counters recorded by Algorithm 1; the Python wall-clock time of the vectorised kernel
 is reported as well for completeness, and the paper's published milliseconds are
-attached to every row for direct comparison in EXPERIMENTS.md.
+attached to every row for direct comparison.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from ..parallel.machine import device_names
 from ..util.tables import Table
 from ..util.timing import repeat_timed
 from .config import BenchConfig, cached_suite_graph
-from .experiment import Experiment, matrix_plan, register_experiment, warm_suite_graphs
+from .experiment import Experiment, matrix_plan, register_experiment
 
 __all__ = ["Table2Row", "run_table2", "table2_table", "TABLE2_EXPERIMENT"]
 
@@ -87,7 +87,6 @@ TABLE2_EXPERIMENT = register_experiment(
         render=_render,
         key_field="matrix",
         deterministic_fields=("num_vertices", "num_edge_slots", "max_degree", "predicted_ms"),
-        warm=warm_suite_graphs,
     )
 )
 

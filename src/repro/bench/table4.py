@@ -19,7 +19,7 @@ from ..mis.bell import bell_mis
 from ..mis.kk import kk_mis2
 from ..util.tables import Table
 from .config import BenchConfig, cached_suite_graph
-from .experiment import Experiment, matrix_plan, register_experiment, warm_suite_graphs
+from .experiment import Experiment, matrix_plan, register_experiment
 
 __all__ = ["Table4Row", "run_table4", "table4_table", "TABLE4_EXPERIMENT"]
 
@@ -77,7 +77,6 @@ TABLE4_EXPERIMENT = register_experiment(
         render=_render,
         key_field="matrix",
         deterministic_fields=("kk", "cusp", "viennacl", "num_vertices"),
-        warm=warm_suite_graphs,
     )
 )
 

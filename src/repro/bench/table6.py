@@ -25,7 +25,7 @@ from ..gs.cluster import ClusterMulticolorGaussSeidel
 from ..gs.multicolor import MulticolorGaussSeidel
 from ..util.tables import Table
 from .config import BenchConfig, cached_suite_matrix
-from .experiment import Experiment, register_experiment, warm_suite_matrices
+from .experiment import Experiment, register_experiment
 
 __all__ = [
     "Table6Row", "run_table6", "table6_table", "PAPER_TABLE6", "TABLE6_MATRICES",
@@ -111,7 +111,6 @@ TABLE6_EXPERIMENT = register_experiment(
         render=_render,
         key_field="matrix",
         deterministic_fields=("point_iterations", "cluster_iterations"),
-        warm=warm_suite_matrices,
     )
 )
 

@@ -12,7 +12,7 @@ suite runs in seconds on two CPU cores.
 
 Every :class:`MatrixRecord` also carries the *published* reference numbers used by the
 experiment drivers (Table I iteration counts, Table II statistics and per-device
-times, Table IV MIS-2 sizes) so EXPERIMENTS.md can print paper-vs-measured rows
+times, Table IV MIS-2 sizes) so the drivers can print paper-vs-measured rows
 without hard-coding the data in several places.
 
 If real SuiteSparse ``.mtx`` files are available locally, pass ``mtx_dir`` to

@@ -11,6 +11,7 @@ from .xorshift import (
 )
 from .priorities import (
     PriorityScheme,
+    check_seed,
     fixed_priorities,
     iteration_priorities,
     priority_scheme_names,
@@ -28,6 +29,7 @@ __all__ = [
     "hash_iter_vertex",
     "XORSHIFT64_STAR_MULTIPLIER",
     "PriorityScheme",
+    "check_seed",
     "fixed_priorities",
     "iteration_priorities",
     "priority_scheme_names",

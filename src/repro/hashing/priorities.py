@@ -23,6 +23,7 @@ from .xorshift import hash_iter_vertex, xorshift64star
 
 __all__ = [
     "PriorityScheme",
+    "check_seed",
     "fixed_priorities",
     "iteration_priorities",
     "priority_scheme_names",
@@ -58,25 +59,31 @@ def priority_scheme_names() -> List[str]:
     return [PriorityScheme.FIXED.value, PriorityScheme.XOR.value, PriorityScheme.XORSTAR.value]
 
 
-def fixed_priorities(num_vertices: int, seed: int = 0) -> np.ndarray:
-    """Priorities chosen once for all iterations (Bell's scheme).
-
-    Each vertex gets ``xorshift64star(seed_hash ^ xorshift64star(v + 1))`` — i.e. a
-    deterministic pseudo-random value that does not change between iterations.
-    ``seed`` must be an integer in ``[0, 2**64)``; anything else, a bool
-    included, raises ``ValueError``.
-    """
-    if num_vertices < 0:
-        raise ValueError("num_vertices must be >= 0")
+def check_seed(seed: int) -> int:
+    """``seed`` as a Python int. It must be an integer in ``[0, 2**64)``;
+    anything else, a bool included, raises ``ValueError``."""
     if (
         isinstance(seed, bool)
         or not isinstance(seed, (int, np.integer))
         or not 0 <= int(seed) < 2**64
     ):
         raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+    return int(seed)
+
+
+def fixed_priorities(num_vertices: int, seed: int = 0) -> np.ndarray:
+    """Priorities chosen once for all iterations (Bell's scheme).
+
+    Each vertex gets ``xorshift64star(seed_hash ^ xorshift64star(v + 1))`` — i.e. a
+    deterministic pseudo-random value that does not change between iterations.
+    ``seed`` must pass :func:`check_seed`.
+    """
+    if num_vertices < 0:
+        raise ValueError("num_vertices must be >= 0")
+    seed = check_seed(seed)
     vertices = np.arange(num_vertices, dtype=np.uint64)
     # The golden-ratio offset wraps modulo 2**64, as a uint64 add would.
-    seed_hash = xorshift64star(np.uint64((int(seed) + 0x9E3779B97F4A7C15) % 2**64))
+    seed_hash = xorshift64star(np.uint64((seed + 0x9E3779B97F4A7C15) % 2**64))
     return xorshift64star(seed_hash ^ xorshift64star(vertices + np.uint64(1)))
 
 

@@ -12,19 +12,22 @@ of ``rowmap``/``entries`` and keeps the held graph canonical, so its cost
 grows with the batch, not with the graph's edge count.
 
 **Batched queries.** Queries enter through :meth:`GraphService.submit` from
-any thread. A single dispatcher drains the queue in batches and coalesces
-identical ``(graph, kind, params)`` requests onto one kernel run — N
-concurrent clients asking for the same answer share one run and one cache
-fill.
+any thread, each named by ``(graph, kind, seed)``. A single dispatcher drains
+the queue in batches and coalesces identical requests onto one kernel run —
+N concurrent clients asking for the same answer share one run and one cache
+fill. Answers are cached per graph by ``(kind, seed)``.
 
-**Incremental repair.** Edge mutations (and width-preserving vertex appends)
-carry a dirty-neighbourhood frontier; a later repairable query
-(fixed-scheme MIS-2, order-greedy coloring) seeds
-:mod:`repro.service.repair` from the accumulated frontier and repairs the
-cached answer instead of recomputing, falling back to full recompute past
-the crossover (``repair_crossover`` of the vertex count). Repair is
-bit-identical to from-scratch by construction — the Hypothesis suite pins
-it for random mutation sequences.
+**Incremental repair.** Each cached repairable answer (fixed-scheme MIS-2,
+order-greedy coloring) carries its own frontier: the sorted ids that edge
+writes and width-preserving vertex appends dirtied since its epoch. Its next
+query seeds :mod:`repro.service.repair` from that frontier and repairs the
+answer instead of recomputing. A frontier that outgrows the repair budget
+(``repair_crossover`` of the vertex count, at least 32) is dropped with the
+answer's value, so that query falls back to full recompute. A structural
+write (a vertex removal, or an append that widens the packed ids) drops
+every cached answer, and any other write drops the cached aggregates, which
+are never repaired. Repair is bit-identical to from-scratch by construction
+— the Hypothesis suite pins it for random mutation sequences.
 
 **One MIS-2 per epoch.** Algorithm 3 seeds its aggregates with an MIS-2, and
 an ``aggregate(seed=s)`` query takes the epoch's own: the ``mis2(seed=s)``
@@ -40,7 +43,7 @@ import threading
 import queue as queue_mod
 from concurrent.futures import Future
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -48,6 +51,7 @@ from ..graph.build import from_edges, to_scipy
 from ..graph.csr import CSRGraph
 from ..graph.ops import induced_subgraph
 from ..hashing.packing import priority_bits
+from ..hashing.priorities import check_seed
 from ..parallel.primitives import expand_rows
 from . import repair as _repair
 
@@ -85,27 +89,28 @@ class ServiceStats:
         return {k: int(v) for k, v in self.__dict__.items()}
 
 
-@dataclass
-class _Mutation:
-    """One epoch's dirty-frontier record, in *post-mutation* vertex ids."""
-
-    epoch: int
-    #: True when the mutation invalidated the key order entirely.
-    structural: bool
-    #: Seed frontier for distance-2 (MIS) repair.
-    mis_dirty: np.ndarray
-    #: Seed frontier for distance-1 (coloring) repair.
-    color_dirty: np.ndarray
-    #: Vertex count after this mutation (repair re-indexes cached arrays).
-    num_vertices: int
+def _readonly(array: np.ndarray) -> np.ndarray:
+    view = array.view()
+    view.flags.writeable = False
+    return view
 
 
-@dataclass
-class _Cached:
-    """Immutable per-query snapshot: the value as of ``at_epoch``."""
+#: The frontier of an answer no write has dirtied, shared by every one.
+_CLEAN = _readonly(np.zeros(0, dtype=np.int64))
+
+
+class _Cached(NamedTuple):
+    """One cached answer: its value as of ``at_epoch`` and, for a repairable
+    kind, the sorted ids (post-write numbering) dirtied since."""
 
     at_epoch: int
     value: Any
+    dirty: Optional[np.ndarray] = _CLEAN
+
+
+#: What a repairable answer becomes once its frontier outgrows the repair
+#: budget: no value and no ids, so its next query falls back to a full compute.
+_OUTGROWN = _Cached(at_epoch=-1, value=None, dirty=None)
 
 
 @dataclass
@@ -114,8 +119,8 @@ class _Entry:
     graph: CSRGraph  # guarded-by: lock
     epoch: int = 0  # guarded-by: lock
     lock: threading.RLock = field(default_factory=threading.RLock)
-    mutations: List[_Mutation] = field(default_factory=list)  # guarded-by: lock
-    caches: Dict[Tuple, _Cached] = field(default_factory=dict)  # guarded-by: lock
+    #: Answers by ``(kind, seed)``.
+    caches: Dict[Tuple[str, int], _Cached] = field(default_factory=dict)  # guarded-by: lock
     #: Fixed-scheme key arrays for the current vertex count, per seed.
     keys: Dict[int, np.ndarray] = field(default_factory=dict)  # guarded-by: lock
 
@@ -124,14 +129,8 @@ class _Entry:
 class _Request:
     name: str
     kind: str
-    params: Tuple
+    seed: int
     future: Future
-
-
-def _readonly(array: np.ndarray) -> np.ndarray:
-    view = array.view()
-    view.flags.writeable = False
-    return view
 
 
 def _closed_neighborhood(graph: CSRGraph, vertices: np.ndarray) -> np.ndarray:
@@ -305,8 +304,6 @@ class GraphService:
     self-loops or one-way edges, so a write never changes more than the
     edges it names.
     """
-
-    _REPAIRABLE = frozenset({"mis2", "color"})
 
     def __init__(self, repair_crossover: float = 0.25) -> None:
         if not (0.0 <= repair_crossover <= 1.0):
@@ -491,37 +488,53 @@ class GraphService:
         entry.graph = new_graph
         entry.epoch += 1
         entry.keys.clear()
-        entry.mutations.append(
-            _Mutation(
-                epoch=entry.epoch,
-                structural=bool(structural),
-                mis_dirty=np.asarray(mis_dirty, dtype=np.int64),
-                color_dirty=np.asarray(color_dirty, dtype=np.int64),
-                num_vertices=new_graph.num_vertices,
-            )
-        )
-        # Records older than every cached result can never be consulted again.
-        if entry.caches:
-            oldest = min(c.at_epoch for c in entry.caches.values())
-            entry.mutations = [m for m in entry.mutations if m.epoch > oldest]
+        if structural:
+            # The key order changed, so no cached answer can be repaired.
+            entry.caches.clear()
         else:
-            entry.mutations.clear()
+            # Ids recorded before an append stay valid after it, so each
+            # repairable answer's frontier is the union of its writes' dirty
+            # ids. An aggregate is never repaired.
+            dirty_by_kind = {"mis2": mis_dirty, "color": color_dirty}
+            budget = self._budget(new_graph.num_vertices)
+            for key, cached in list(entry.caches.items()):
+                if key[0] not in dirty_by_kind:
+                    del entry.caches[key]
+                elif cached is not _OUTGROWN:
+                    dirty = np.union1d(cached.dirty, dirty_by_kind[key[0]])
+                    entry.caches[key] = (
+                        _Cached(cached.at_epoch, cached.value, dirty)
+                        if dirty.size <= budget
+                        else _OUTGROWN
+                    )
         with self._stats_lock:
             self.stats.mutations += 1
             if structural:
                 self.stats.structural_mutations += 1
 
     # ---------------------------------------------------------------- queries
-    def submit(self, name: str, kind: str, **params) -> "Future[Any]":
+    def submit(self, name: str, kind: str, seed: int = 0) -> "Future[Any]":
         """Enqueue one query; returns its future.
 
-        Concurrent submissions of the same ``(graph, kind, params)`` at the
-        same epoch are coalesced by the dispatcher onto a single computation.
+        ``seed`` selects the fixed-scheme priorities of ``mis2`` and
+        ``aggregate``; ``color`` follows seed 0's key order and takes no
+        other. A seed that is not an integer in ``[0, 2**64)`` (a bool
+        included), or a nonzero seed on ``color``, resolves the future with
+        ``ValueError`` and never queues. Concurrent submissions of the same
+        ``(graph, kind, seed)`` at the same epoch are coalesced by the
+        dispatcher onto a single computation.
         """
         if kind not in ("mis2", "color", "aggregate"):
             raise ValueError(f"unknown query kind {kind!r}")
         future: "Future[Any]" = Future()
-        request = _Request(name, kind, tuple(sorted(params.items())), future)
+        try:
+            seed = check_seed(seed)
+            if kind == "color" and seed != 0:
+                raise ValueError(f"color takes no seed, got {seed!r}")
+        except ValueError as exc:
+            future.set_exception(exc)
+            return future
+        request = _Request(name, kind, seed, future)
         # The open check and the put are one step under the lock that close()
         # holds while it enqueues its stop sentinel, so no request can land
         # behind the sentinel, where the dispatcher would never drain it.
@@ -568,14 +581,14 @@ class GraphService:
             self._drain(batch)
 
     def _drain(self, batch: List[_Request]) -> None:
-        groups: Dict[Tuple, List[_Request]] = {}
+        groups: Dict[Tuple[str, str, int], List[_Request]] = {}
         for request in batch:
             groups.setdefault(
-                (request.name, request.kind, request.params), []
+                (request.name, request.kind, request.seed), []
             ).append(request)
-        for (name, kind, params), members in groups.items():
+        for (name, kind, seed), members in groups.items():
             try:
-                value = self._execute(name, kind, dict(params))
+                value = self._execute(name, kind, seed, len(members))
             except BaseException as exc:  # noqa: BLE001 - delivered to callers
                 for member in members:
                     member.future.set_exception(exc)
@@ -586,41 +599,41 @@ class GraphService:
                 member.future.set_result(value)
 
     # -------------------------------------------------------------- execution
-    def _execute(self, name: str, kind: str, params: Dict[str, Any]) -> Any:
+    def _execute(self, name: str, kind: str, seed: int, requests: int) -> Any:
+        """Answer one coalesced group of ``requests`` identical queries."""
         entry = self._entry(name)
         with self._stats_lock:
-            self.stats.queries += 1
+            self.stats.queries += requests
         with entry.lock:
-            value, hit = self._answer(entry, kind, params)
+            value, hit = self._answer(entry, kind, seed)
         if hit:
             with self._stats_lock:
                 self.stats.cache_hits += 1
         return value
 
     def _answer(
-        self, entry: _Entry, kind: str, params: Dict[str, Any]
+        self, entry: _Entry, kind: str, seed: int
     ) -> Tuple[Any, bool]:  # holds: lock
-        """The epoch-current answer to ``(kind, params)`` and whether it came
+        """The epoch-current answer to ``(kind, seed)`` and whether it came
         straight from the cache: a cache hit, else a repair of the cached
         answer, else a full compute, stored for the epoch either way. Counts
         the repair or the recompute it runs, never a query or a hit."""
-        key = (kind,) + tuple(sorted(params.items()))
+        key = (kind, seed)
         cached = entry.caches.get(key)
         if cached is not None and cached.at_epoch == entry.epoch:
             return cached.value, True
-        value = None
-        if (
-            cached is not None
-            and kind in self._REPAIRABLE
-            and entry.graph.num_vertices > 0
-        ):
-            value = self._try_repair(entry, kind, params, cached)
+        # Only a repairable answer outlives a write (_apply_mutation).
+        value = None if cached is None else self._try_repair(entry, kind, seed, cached)
         if value is None:
-            value = self._full_compute(entry, kind, params)
+            value = self._full_compute(entry, kind, seed)
             with self._stats_lock:
                 self.stats.full_recomputes += 1
         entry.caches[key] = _Cached(entry.epoch, value)
         return value, False
+
+    def _budget(self, num_vertices: int) -> int:
+        """How many vertices a repair may seed and touch before it falls back."""
+        return max(32, int(self._crossover * num_vertices))
 
     def _keys(self, entry: _Entry, seed: int) -> np.ndarray:  # holds: lock
         keys = entry.keys.get(seed)
@@ -629,42 +642,16 @@ class GraphService:
             entry.keys[seed] = keys
         return keys
 
-    def _pending_frontier(
-        self, entry: _Entry, since_epoch: int, kind: str
-    ) -> Optional[np.ndarray]:  # holds: lock
-        """Accumulated dirty frontier since ``since_epoch``, in current ids;
-        ``None`` when a structural mutation (or a pruned record) forces full
-        recompute. Non-structural histories are append-only, so ids recorded
-        at any epoch in the window remain valid in the latest numbering.
-        """
-        records = [m for m in entry.mutations if m.epoch > since_epoch]
-        if len(records) != entry.epoch - since_epoch:
-            return None  # history pruned past this cache entry
-        if any(m.structural for m in records):
-            return None
-        pieces = [
-            m.mis_dirty if kind == "mis2" else m.color_dirty for m in records
-        ]
-        return (
-            np.unique(np.concatenate(pieces))
-            if pieces
-            else np.zeros(0, dtype=np.int64)
-        )
-
     def _try_repair(
-        self, entry: _Entry, kind: str, params: Dict[str, Any], cached: _Cached
+        self, entry: _Entry, kind: str, seed: int, cached: _Cached
     ) -> Optional[Any]:  # holds: lock
-        frontier = self._pending_frontier(entry, cached.at_epoch, kind)
-        if frontier is None:
-            return None
-        n = entry.graph.num_vertices
-        budget = max(32, int(self._crossover * n))
-        if frontier.size > budget:
+        if cached is _OUTGROWN:
             with self._stats_lock:
                 self.stats.repair_fallbacks += 1
             return None
-        seed = int(params.get("seed", 0))
-        keys = self._keys(entry, seed if kind == "mis2" else 0)
+        n = entry.graph.num_vertices
+        budget = self._budget(n)
+        keys = self._keys(entry, seed)
         prev = np.asarray(cached.value)
         if prev.size < n:
             # Width-preserving appends: new vertices enter dirty, so their
@@ -673,11 +660,11 @@ class GraphService:
             prev = np.concatenate([prev, filler])
         if kind == "mis2":
             result = _repair.repair_mis2(
-                entry.graph, keys, prev, frontier, budget=budget
+                entry.graph, keys, prev, cached.dirty, budget=budget
             )
         else:
             result = _repair.repair_ordered_color(
-                entry.graph, keys, prev, frontier, budget=budget
+                entry.graph, keys, prev, cached.dirty, budget=budget
             )
         if result is None:
             with self._stats_lock:
@@ -689,8 +676,7 @@ class GraphService:
             self.stats.repair_touched += touched
         return _readonly(value)
 
-    def _full_compute(self, entry: _Entry, kind: str, params: Dict[str, Any]) -> Any:  # holds: lock
-        seed = params.get("seed", 0)
+    def _full_compute(self, entry: _Entry, kind: str, seed: int) -> Any:  # holds: lock
         if kind == "mis2":
             from ..mis.kk import kk_mis2
 
@@ -705,7 +691,7 @@ class GraphService:
 
             # Phase 1 takes the epoch's own MIS-2: the mis2 answer for this
             # seed, looked up (or repaired, or computed and cached) here.
-            mask, _ = self._answer(entry, "mis2", {"seed": seed})
+            mask, _ = self._answer(entry, "mis2", seed)
             mis = MISResult(np.flatnonzero(mask), mask, iterations=0)
             return mis2_aggregation(entry.graph, mis=mis)
         raise ValueError(f"unknown query kind {kind!r}")

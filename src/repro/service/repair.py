@@ -8,8 +8,7 @@ neighbourhood changed, plus the larger-key closure of any status that flips,
 can differ from the previous answer. Processing the dirty frontier in
 ascending key order therefore converges to *exactly* the from-scratch
 fixpoint: repair is bit-identical to full recompute, which the Hypothesis
-suite pins for every mutation sequence across every backend x partition
-count.
+suite pins for random mutation sequences.
 
 Two query kinds are repairable:
 

@@ -89,54 +89,25 @@ def test_cli_json_writes_record(capsys, tmp_path, monkeypatch):
     assert "wrote" in capsys.readouterr().out
 
 
-def test_cli_sweep(capsys):
-    code = main(["sweep", "smoke", "--parts", "2", "--backends", "numpy,distributed",
-                 "--jobs", "2"])
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "Sweep: smoke" in out
-    assert "identical" in out
-    assert "numpy" in out and "distributed" in out
+@pytest.mark.parametrize(
+    "argv",
+    [["sweep", "smoke", "--parts", "2"], ["partitioned", "smoke"]],
+    ids=["sweep", "partitioned"],
+)
+def test_cli_deleted_modes_are_usage_errors(argv, capsys):
+    # Neither mode exists: the cross-backend check is two --parts records
+    # and `compare`, and a partitioned run is `smoke --parts k`.
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"invalid choice: '{argv[0]}'" in capsys.readouterr().err
 
 
-def test_cli_sweep_defaults_to_every_backend(capsys, tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_BENCH_RESULTS", str(tmp_path))
-    assert main(["sweep", "smoke", "--parts", "2", "--json"]) == 0
-    assert sorted(p.name for p in tmp_path.iterdir()) == [
-        "BENCH_smoke_p2_distributed.json",
-        "BENCH_smoke_p2_numpy.json",
-        "BENCH_sweep_smoke_p2.json",
-    ]
-
-
-def test_cli_sweep_requires_target():
-    with pytest.raises(SystemExit):
-        main(["sweep"])
-
-
-def test_cli_sweep_rejects_unknown_target():
-    with pytest.raises(SystemExit):
-        main(["sweep", "table99"])
-
-
-def test_cli_sweep_rejects_unknown_backends():
-    with pytest.raises(SystemExit):
-        main(["sweep", "smoke", "--backends", "numpy,cuda"])
-
-
-def test_cli_sweep_rejects_duplicate_backends():
-    with pytest.raises(SystemExit):
-        main(["sweep", "smoke", "--backends", "numpy,numpy"])
-
-
-def test_cli_sweep_rejects_backend_flag():
-    with pytest.raises(SystemExit):
-        main(["sweep", "smoke", "--parts", "2", "--backend", "distributed"])
-
-
-def test_cli_rejects_backends_without_sweep():
-    with pytest.raises(SystemExit):
+def test_cli_backends_is_an_unrecognized_argument(capsys):
+    with pytest.raises(SystemExit) as exc:
         main(["smoke", "--parts", "2", "--backends", "numpy,distributed"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --backends" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -144,10 +115,8 @@ def test_cli_rejects_backends_without_sweep():
     [
         ["smoke", "--backend", "distributed"],
         ["smoke", "--backend", "numpy"],
-        ["sweep", "smoke"],
-        ["sweep", "smoke", "--backends", "numpy,distributed"],
     ],
-    ids=["backend-distributed", "backend-numpy", "sweep", "sweep-backends"],
+    ids=["backend-distributed", "backend-numpy"],
 )
 def test_cli_takes_a_backend_only_for_a_partitioned_run(argv, capsys):
     # A backend picks only where a partitioned call's parts run: on a flat
@@ -180,14 +149,6 @@ def test_cli_rejects_stray_target():
         main(["table1", "table2"])
 
 
-def test_cli_partitioned_mode_defaults_to_four_parts(capsys):
-    code = main(["partitioned", "smoke"])
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "parts: 4" in out
-    assert "partitioned runs bit-identical" in out
-
-
 def test_cli_parts_flag_on_plain_run(capsys):
     code = main(["smoke", "--parts", "2"])
     assert code == 0
@@ -195,23 +156,17 @@ def test_cli_parts_flag_on_plain_run(capsys):
     assert "parts: 2" in out and "smoke check: OK" in out
 
 
-def test_cli_sweep_with_parts_writes_partitioned_records(capsys, tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_BENCH_RESULTS", str(tmp_path))
-    code = main(["sweep", "smoke", "--parts", "2", "--backends", "numpy,distributed", "--json"])
-    assert code == 0
-    assert (tmp_path / "BENCH_smoke_p2_numpy.json").exists()
-    assert (tmp_path / "BENCH_smoke_p2_distributed.json").exists()
-    assert (tmp_path / "BENCH_sweep_smoke_p2.json").exists()
-    assert "2 parts/graph" in capsys.readouterr().out
-
-
-def test_cli_partitioned_sweep_passes_compare_gate(capsys, tmp_path, monkeypatch):
-    # CI's logical-accounting gate: a partitioned sweep's record on the
-    # socket ranks carries exactly the in-process run's deterministic counts,
+def test_cli_cross_backend_records_pass_compare_gate(capsys, tmp_path, monkeypatch):
+    # CI's logical-accounting gate: a partitioned run's record on the socket
+    # ranks carries exactly the in-process run's deterministic counts,
     # shipped bytes included, so `bench compare` passes it.
     monkeypatch.setenv("REPRO_BENCH_RESULTS", str(tmp_path))
-    code = main(["sweep", "smoke", "--parts", "2", "--backends", "numpy,distributed", "--json"])
-    assert code == 0
+    assert main(["smoke", "--parts", "2", "--json"]) == 0
+    assert main(["smoke", "--parts", "2", "--backend", "distributed", "--json"]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "BENCH_smoke_p2_distributed.json",
+        "BENCH_smoke_p2_numpy.json",
+    ]
     baseline = tmp_path / "BENCH_smoke_p2_numpy.json"
     record = tmp_path / "BENCH_smoke_p2_distributed.json"
     counts = json.loads(record.read_text())["counts"]
@@ -219,13 +174,6 @@ def test_cli_partitioned_sweep_passes_compare_gate(capsys, tmp_path, monkeypatch
     capsys.readouterr()
     assert main(["compare", str(baseline), str(record)]) == 0
     assert "deterministic counts: identical" in capsys.readouterr().out
-
-
-def test_cli_partitioned_requires_known_target():
-    with pytest.raises(SystemExit):
-        main(["partitioned"])
-    with pytest.raises(SystemExit):
-        main(["partitioned", "table99"])
 
 
 def test_cli_rejects_bad_parts():
@@ -252,10 +200,6 @@ def test_cli_rejects_parts_on_unaware_experiment():
     # parts=k on a record of an unpartitioned run.
     with pytest.raises(SystemExit):
         main(["table1", "--parts", "4", "--scale", "0.002", "--matrices", "ecology2"])
-    with pytest.raises(SystemExit):
-        main(["partitioned", "table1", "--scale", "0.002", "--matrices", "ecology2"])
-    with pytest.raises(SystemExit):
-        main(["sweep", "table1", "--parts", "4", "--backends", "numpy,distributed"])
 
 
 def test_run_rejects_parts_on_unaware_experiment():
@@ -458,6 +402,8 @@ def test_cli_compare_same_config_bytes_undercount_is_drift(capsys, tmp_path, mon
     assert "DRIFT" in out and "shipped bytes: improved" not in out
 
 
-def test_cli_rejects_candidate_without_compare():
-    with pytest.raises(SystemExit):
-        main(["sweep", "smoke", "extra.json"])
+def test_cli_rejects_candidate_without_compare(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["smoke", "base.json", "extra.json"])
+    assert exc.value.code == 2
+    assert "only valid with 'compare'" in capsys.readouterr().err

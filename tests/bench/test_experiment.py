@@ -1,4 +1,4 @@
-"""Tests for the Experiment framework: registry, JSON persistence, sweep driver."""
+"""Tests for the Experiment framework: registry, runs and pools, JSON persistence."""
 
 import dataclasses
 import os
@@ -10,18 +10,15 @@ import pytest
 from repro.bench import (
     BenchConfig,
     ExperimentResult,
-    SweepMismatchError,
     clear_suite_cache,
     experiment_names,
     get_experiment,
     run_experiment,
     suite_cache_stats,
-    sweep,
-    sweep_table,
 )
 from repro.bench.__main__ import EXPERIMENTS
 import repro.bench.experiment as experiment_module
-from repro.bench.experiment import SweepResult, _TaskInvocation
+from repro.bench.experiment import _TaskInvocation
 from repro.bench.table1 import Table1Row
 from repro.parallel import get_backend
 
@@ -110,7 +107,8 @@ class TestExperimentRun:
 
     def test_rows_preserve_plan_order_across_backends(self):
         for backend in ("numpy", "distributed"):
-            result = run_experiment("smoke", SMOKE_P2, backend=backend, jobs=2)
+            config = dataclasses.replace(SMOKE_P2, backend=backend)
+            result = run_experiment("smoke", config, jobs=2)
             assert [r.graph for r in result.rows] == SMOKE_GRAPHS
             assert result.backend == backend
             assert result.jobs == 2
@@ -129,7 +127,8 @@ class TestExperimentRun:
     def test_pooled_run_maps_units_in_worker_processes(self, backend, config):
         # jobs=2 maps the units over the harness's own pool on every backend,
         # the serial reference included.
-        result = PID_EXPERIMENT.run(config, backend=backend, jobs=2, task=_pid_task)
+        config = dataclasses.replace(config, backend=backend)
+        result = PID_EXPERIMENT.run(config, jobs=2, task=_pid_task)
         assert [r.matrix for r in result.rows] == list(TINY.matrices)
         assert os.getpid() not in {r.pid for r in result.rows}
         assert result.jobs == 2
@@ -168,15 +167,18 @@ class TestExperimentRun:
             get_experiment("table1").run(TINY, jobs=jobs, task=_unit_must_not_run)
 
     def test_flat_run_takes_no_backend_but_numpy(self):
-        # A flat run opens no session, so naming a backend, by argument or
-        # by config, would only stamp a record with code that never ran.
-        table1 = get_experiment("table1")
+        # A flat run opens no session, so naming a backend would only stamp
+        # a record with code that never ran.
         with pytest.raises(ValueError, match="flat run"):
-            table1.run(TINY, backend="distributed", task=_unit_must_not_run)
-        with pytest.raises(ValueError, match="flat run"):
-            table1.run(
+            get_experiment("table1").run(
                 dataclasses.replace(TINY, backend="distributed"), task=_unit_must_not_run
             )
+
+    def test_the_config_is_the_one_place_a_backend_is_named(self):
+        with pytest.raises(TypeError):
+            run_experiment("smoke", SMOKE_P2, backend="numpy")
+        with pytest.raises(TypeError):
+            get_experiment("smoke").run(SMOKE_P2, backend="numpy")
 
     def test_pooled_distributed_run_opens_sessions_in_its_workers(self):
         """jobs=2 on the distributed backend runs smoke's partitioned calls on
@@ -184,7 +186,7 @@ class TestExperimentRun:
         the serial numpy run's counts."""
         ranks = get_backend("distributed")
         before = ranks.measured_stats()
-        pooled = run_experiment("smoke", BenchConfig(parts=2), backend="distributed", jobs=2)
+        pooled = run_experiment("smoke", BenchConfig(parts=2, backend="distributed"), jobs=2)
         assert (pooled.backend, pooled.jobs) == ("distributed", 2)
         assert ranks.measured_stats() == before
         assert pooled.counts == run_experiment("smoke", BenchConfig(parts=2)).counts
@@ -196,7 +198,7 @@ class TestExperimentRun:
         elasticity3d(6^3), as the same calls do run directly."""
         ranks = get_backend("distributed")
         before = ranks.measured_stats()["messages_sent"]
-        result = run_experiment("smoke", BenchConfig(parts=2), backend="distributed")
+        result = run_experiment("smoke", BenchConfig(parts=2, backend="distributed"))
         assert result.backend == "distributed"
         assert ranks.measured_stats()["messages_sent"] - before == 254
 
@@ -267,77 +269,6 @@ class TestJsonRoundTrip:
         plain = run_experiment("smoke", TINY)
         for row in plain.rows:
             assert row.parts == 1 and row.ghost_supersteps == 0
-
-
-class TestSweep:
-    def test_smoke_sweep_across_backends(self):
-        """The acceptance smoke sweep: partitioned smoke, both backends."""
-        result = sweep("smoke", ["numpy", "distributed"], SMOKE_P2)
-        assert [r.backend for r in result.results] == ["numpy", "distributed"]
-        assert result.reference.backend == "numpy"
-        # Identical measured iteration counts across backends — the paper's claim.
-        assert result.results[0].counts == result.results[1].counts
-        assert result.speedup(result.reference) == pytest.approx(1.0)
-        text = sweep_table(result).render()
-        assert "numpy" in text and "distributed" in text and "identical" in text
-
-    def test_sweep_requires_backends(self):
-        with pytest.raises(ValueError, match="at least one backend"):
-            sweep("table1", [], TINY)
-
-    def test_sweep_requires_a_partitioned_run(self):
-        # Without parts every backend would run the same flat code; refused
-        # before the warm-up generates anything.
-        clear_suite_cache()
-        with pytest.raises(ValueError, match="partitioned run"):
-            sweep("table1", ["numpy", "distributed"], TINY)
-        assert suite_cache_stats() == {"graphs": 0, "matrices": 0}
-
-    @pytest.mark.parametrize("jobs, message", INVALID_COUNTS)
-    def test_invalid_jobs_raise_before_the_warm_up(self, jobs, message):
-        # The warm-up fills this process's suite caches; a bad pool width
-        # is refused before it generates anything.
-        clear_suite_cache()
-        with pytest.raises(ValueError, match=f"jobs must be {message}"):
-            sweep("table1", ["numpy", "distributed"], TINY, jobs=jobs)
-        assert suite_cache_stats() == {"graphs": 0, "matrices": 0}
-
-    def test_sweep_table_prints_a_serial_run_as_one_job(self):
-        result = sweep("smoke", ["numpy"], SMOKE_P2)
-        assert result.reference.jobs == 1
-        header, _, row = sweep_table(result).render().splitlines()[1:4]
-        assert header.split()[:2] == ["backend", "jobs"]
-        assert row.split()[:2] == ["numpy", "1"]
-
-    def test_sweep_detects_count_mismatch(self):
-        good = run_experiment("table1", TINY)
-        bad = ExperimentResult.from_dict(good.to_dict())
-        bad.backend = "distributed"
-        bad.counts = dict(bad.counts)
-        bad.counts["ecology2/xorstar"] = -99
-        from repro.bench.experiment import _check_counts
-
-        with pytest.raises(SweepMismatchError, match="ecology2/xorstar"):
-            _check_counts("table1", [good, bad])
-
-    def test_sweep_summary_round_trip(self, tmp_path):
-        result = sweep("smoke", ["numpy", "distributed"], SMOKE_P2)
-        path = result.save(tmp_path)
-        assert path.name == "BENCH_sweep_smoke_p2.json"
-        import json
-
-        summary = json.loads(path.read_text())
-        assert summary["experiment"] == "smoke"
-        assert summary["backends"] == ["numpy", "distributed"]
-        assert summary["speedups"]["numpy"] == pytest.approx(1.0)
-
-    def test_sweep_result_mismatch_renders_in_table(self):
-        good = run_experiment("smoke", TINY)
-        bad = ExperimentResult.from_dict(good.to_dict())
-        bad.backend = "distributed"
-        bad.counts = dict(bad.counts, extra=1)
-        text = sweep_table(SweepResult(experiment="smoke", results=[good, bad])).render()
-        assert "MISMATCH" in text
 
 
 class TestSuiteCache:

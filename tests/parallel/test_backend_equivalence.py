@@ -60,9 +60,10 @@ def test_experiment_rows_identical_at_every_pool_width(backend):
     pool width produces exactly the rows the serial NumPy reference produces.
     """
     experiment = get_experiment("smoke")
-    reference = experiment.run(_EXPERIMENT_CONFIG, backend="numpy").rows
+    reference = experiment.run(_EXPERIMENT_CONFIG).rows
+    config = dataclasses.replace(_EXPERIMENT_CONFIG, backend=backend.name)
     for jobs in (None, 1, 2):
-        result = experiment.run(_EXPERIMENT_CONFIG, backend=backend, jobs=jobs)
+        result = experiment.run(config, jobs=jobs)
         assert _untimed(result.rows) == _untimed(reference)
         assert result.counts == experiment.counts(reference)
 
@@ -71,9 +72,10 @@ def test_experiment_counts_identical_across_all_backends():
     """Deterministic counts of the partitioned smoke experiment agree on every
     backend."""
     experiment = get_experiment("smoke")
-    reference = experiment.run(_EXPERIMENT_CONFIG, backend="numpy")
+    reference = experiment.run(_EXPERIMENT_CONFIG)
     for name in available_backends():
-        assert experiment.run(_EXPERIMENT_CONFIG, backend=name, jobs=2).counts == reference.counts
+        config = dataclasses.replace(_EXPERIMENT_CONFIG, backend=name)
+        assert experiment.run(config, jobs=2).counts == reference.counts
 
 
 # --------------------------------------------------------------------------
@@ -433,16 +435,3 @@ def test_one_superstep_per_phase_and_counts_match_numpy(partition_run, graph_nam
             ref.partition_stats
         ), name
 
-
-def test_partitioned_smoke_sweep_counts_identical():
-    """The partitioned smoke sweep (CI's intra-graph sharding gate) passes and
-    records identical deterministic counts on every backend, pooled too."""
-    from repro.bench import BenchConfig as _BC
-    from repro.bench import sweep
-
-    config = _BC(parts=2)
-    result = sweep("smoke", ["numpy", "distributed"], config, jobs=2)
-    assert result.reference.parts == 2
-    for res in result.results:
-        assert res.counts == result.reference.counts
-        assert any(key.endswith("/boundary_vertices") for key in res.counts)

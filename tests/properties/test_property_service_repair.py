@@ -11,7 +11,9 @@ tests pin that claim three ways:
    (``kk_mis2(priority_scheme="fixed")``), so "repairable semantics" and
    "what the kernels compute" provably coincide;
 3. the full service — random mutation sequences, query-after-every-mutation,
-   compared bit-for-bit against fresh kernel runs. Its ``aggregate`` must
+   compared bit-for-bit against fresh kernel runs, with a second seed asked
+   only at some epochs, so its answer repairs across several writes. Every
+   cached frontier stays within the repair budget. Its ``aggregate`` must
    equal Algorithm 3 seeded with a from-scratch fixed-scheme MIS-2, whatever
    order the epoch's queries arrive in.
 
@@ -217,30 +219,46 @@ def _apply(svc: GraphService, name: str, kind: str, payload) -> None:
         getattr(svc, kind)(name, [(a % n, b % n) for a, b in payload])
 
 
-def _check_against_scratch(svc: GraphService, name: str, seed: int) -> None:
+def _check_against_scratch(svc: GraphService, name: str, *seeds: int) -> None:
     graph = svc.graph(name)
-    mask = svc.mis2(name, seed=seed)
-    expected = kk_mis2(graph, priority_scheme="fixed", seed=seed).in_mask
-    np.testing.assert_array_equal(np.asarray(mask), expected)
+    for seed in seeds:
+        mask = svc.mis2(name, seed=seed)
+        expected = kk_mis2(graph, priority_scheme="fixed", seed=seed).in_mask
+        np.testing.assert_array_equal(np.asarray(mask), expected)
     colors = svc.color(name)
     np.testing.assert_array_equal(
         np.asarray(colors), ordered_color(graph, mis_keys(graph.num_vertices, 0))
     )
 
 
+def _check_frontiers(svc: GraphService, name: str, crossover: float) -> None:
+    """Every cached frontier holds at most the repair budget."""
+    budget = max(32, int(crossover * svc.graph(name).num_vertices))
+    for cached in svc._entry(name).caches.values():
+        assert cached.dirty is None or cached.dirty.size <= budget
+
+
 @given(
     graph=graphs(max_vertices=16, max_extra_edges=30),
     ops=mutation_ops(),
     seed=st.integers(min_value=0, max_value=2),
+    other=st.integers(min_value=3, max_value=5),
+    data=st.data(),
 )
 @settings(**SERVICE_COMMON)
-def test_service_repair_bit_identical_across_mutations(graph, ops, seed):
+def test_service_repair_bit_identical_across_mutations(graph, ops, seed, other, data):
     with GraphService(repair_crossover=1.0) as svc:
         svc.add_graph("g", graph)
-        _check_against_scratch(svc, "g", seed)  # seed the caches
+        _check_against_scratch(svc, "g", seed, other)  # seed the caches
         for kind, payload in ops:
             _apply(svc, "g", kind, payload)
-            _check_against_scratch(svc, "g", seed)
+            _check_frontiers(svc, "g", 1.0)
+            # The second seed's answer, skipped at some epochs, repairs
+            # across every write since it was last asked.
+            if data.draw(st.booleans()):
+                _check_against_scratch(svc, "g", seed, other)
+            else:
+                _check_against_scratch(svc, "g", seed)
         # Whatever mix of repair / fallback / structural recompute ran, the
         # books must balance: every query was either a hit, a repair, or a
         # full recompute.
@@ -312,6 +330,7 @@ def test_service_crossover_zero_still_bit_identical(graph, ops):
         _check_against_scratch(svc, "g", 0)
         for kind, payload in ops:
             _apply(svc, "g", kind, payload)
+            _check_frontiers(svc, "g", 0.0)
             _check_against_scratch(svc, "g", 0)
 
 

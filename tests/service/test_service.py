@@ -24,7 +24,7 @@ from repro.service import (
     mis_keys,
     ordered_color,
 )
-from repro.service.core import _Request
+from repro.service.core import _OUTGROWN, _Request
 
 
 def _path_graph(n):
@@ -187,25 +187,50 @@ class TestQueries:
             svc.mis2("g", seed=1)
             assert svc.stats.full_recomputes == full_before + 1
 
+    def test_bool_seed_never_hits_the_int_seed_slot(self):
+        # True == 1 as a dict key, so a cache keyed by the raw argument
+        # answered seed=True with seed 1's mask; a fresh service raises.
+        with GraphService() as svc:
+            svc.add_graph("g", _path_graph(16))
+            svc.mis2("g", seed=1)
+            with pytest.raises(ValueError, match="seed must be an integer"):
+                svc.mis2("g", seed=True)
+            assert svc.stats_snapshot()["queries"] == 1
+
+    def test_seedless_submit_shares_the_seed_zero_slot(self):
+        with GraphService() as svc:
+            svc.add_graph("g", _path_graph(16))
+            first = svc.submit("g", "mis2").result(timeout=30)
+            assert svc.mis2("g") is first
+            stats = svc.stats_snapshot()
+            assert (stats["full_recomputes"], stats["cache_hits"]) == (1, 1)
+
+    def test_color_takes_no_seed(self):
+        with GraphService() as svc:
+            svc.add_graph("g", _path_graph(16))
+            future = svc.submit("g", "color", seed=3)
+            with pytest.raises(ValueError, match="color takes no seed"):
+                future.result(timeout=30)
+            with pytest.raises(TypeError):
+                svc.submit("g", "color", foo=1)
+            assert svc.stats_snapshot()["queries"] == 0
+            assert svc.submit("g", "color", seed=0).result(timeout=30) is svc.color("g")
+
 
 class TestBatching:
     def test_drain_coalesces_identical_requests(self):
         with GraphService() as svc:
             svc.add_graph("g", _grid_graph())
-            requests = [
-                _Request("g", "mis2", (("seed", 0),), Future()) for _ in range(8)
-            ]
+            requests = [_Request("g", "mis2", 0, Future()) for _ in range(8)]
             svc._drain(requests)
+            assert svc.stats.queries == 8
             assert svc.stats.coalesced == 7
             values = [r.future.result(timeout=5) for r in requests]
             assert all(v is values[0] for v in values)
 
     def test_drain_delivers_failure_to_every_member(self):
         with GraphService() as svc:
-            requests = [
-                _Request("ghost", "mis2", (("seed", 0),), Future())
-                for _ in range(3)
-            ]
+            requests = [_Request("ghost", "mis2", 0, Future()) for _ in range(3)]
             svc._drain(requests)
             for request in requests:
                 with pytest.raises(KeyError):
@@ -409,6 +434,61 @@ class TestRepairPath:
             np.testing.assert_array_equal(
                 np.asarray(mask),
                 kk_mis2(svc.graph("g"), priority_scheme="fixed").in_mask,
+            )
+
+
+class TestRepairFrontier:
+    """Each cached repairable answer carries the ids dirtied since its epoch;
+    the service keeps no write history beside them."""
+
+    @staticmethod
+    def _write_and_answer(svc, writes):
+        # One chord toggled per write, each answered by mis2(seed=0).
+        n = svc.graph("g").num_vertices
+        for r in range(writes):
+            a = (37 * r) % n
+            chord = [(a, (a + 211) % n)]
+            if svc.add_edges("g", chord) == 0:
+                svc.remove_edges("g", chord)
+            svc.mis2("g", seed=0)
+
+    @pytest.mark.parametrize("first", ["aggregate", "mis2-seed5"])
+    def test_writes_keep_no_aggregate_and_bounded_frontiers(self, first):
+        with GraphService() as svc:
+            svc.add_graph("g", laplace3d(10, 10, 10))
+            svc.mis2("g", seed=0)
+            if first == "aggregate":
+                svc.aggregate("g", seed=0)
+            else:
+                svc.mis2("g", seed=5)
+            self._write_and_answer(svc, 200)
+            caches = svc._entry("g").caches
+            budget = max(32, int(0.25 * svc.graph("g").num_vertices))
+            assert all(kind != "aggregate" for kind, _ in caches)
+            assert all(
+                cached.dirty is None or cached.dirty.size <= budget
+                for cached in caches.values()
+            )
+
+    def test_outgrown_answer_falls_back_once(self):
+        # seed 5's frontier outgrows the budget (250 of 1,000 vertices), so
+        # the answer keeps only a marker; its next query counts one fallback
+        # and one full recompute, as a history of 200 writes did.
+        with GraphService() as svc:
+            svc.add_graph("g", laplace3d(10, 10, 10))
+            svc.mis2("g", seed=0)
+            svc.mis2("g", seed=5)
+            self._write_and_answer(svc, 200)
+            assert svc._entry("g").caches[("mis2", 5)] is _OUTGROWN
+            mask = svc.mis2("g", seed=5)
+            np.testing.assert_array_equal(
+                np.asarray(mask),
+                kk_mis2(svc.graph("g"), priority_scheme="fixed", seed=5).in_mask,
+            )
+            assert svc.stats_snapshot() == dict(
+                queries=203, cache_hits=0, coalesced=0, full_recomputes=3,
+                repairs=200, repair_touched=3223, repair_fallbacks=1,
+                mutations=200, structural_mutations=0,
             )
 
 
