@@ -58,11 +58,6 @@ def build_parser() -> argparse.ArgumentParser:
         "'race-unguarded-write')",
     )
     parser.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="check modules with N worker processes (output is byte-identical "
-        "to serial; default 1)",
-    )
-    parser.add_argument(
         "--sarif", metavar="FILE", default=None,
         help="also write the report as a SARIF 2.1.0 log for code-scanning "
         "upload",
@@ -120,10 +115,6 @@ def _main(argv: Optional[Sequence[str]] = None) -> int:
         print(text)
         return 0
 
-    if args.jobs < 1:
-        print("error: --jobs must be >= 1", file=sys.stderr)
-        return 2
-
     paths = list(args.paths) or _default_paths()
     if not paths:
         print("error: no paths given and no src/repro directory found", file=sys.stderr)
@@ -138,7 +129,7 @@ def _main(argv: Optional[Sequence[str]] = None) -> int:
             return 2
 
     try:
-        report = run_analysis(paths=paths, baseline=baseline, jobs=args.jobs)
+        report = run_analysis(paths=paths, baseline=baseline)
     except (OSError, SyntaxError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -175,42 +175,16 @@ def _suppression_findings(info: ModuleInfo) -> Iterator[Finding]:
             )
 
 
-def _check_chunk(payload: Tuple[Sequence[str], Sequence[int]]) -> List[Finding]:
-    """Worker body for ``jobs > 1``: check one chunk of module indices.
-
-    Workers reparse the corpus from the full path list rather than receiving
-    pickled :class:`ModuleInfo` objects — the parent-map caches are keyed by
-    node ``id()`` and would go silently stale across a pickle round-trip.
-    Each worker sees the *whole* corpus (reachability and cross-module rules
-    need it) but only checks its own chunk, so the union over workers is
-    exactly the serial finding multiset.
-    """
-    paths, indices = payload
-    context = load_corpus(paths)
-    active = all_rules()
-    raw: List[Finding] = []
-    for index in indices:
-        info = context.modules[index]
-        raw.extend(_suppression_findings(info))
-        for rule in active:
-            raw.extend(rule.check(info, context))
-    return raw
-
-
 def run_analysis(
     paths: Optional[Sequence[str]] = None,
     context: Optional[AnalysisContext] = None,
     rules: Optional[Sequence[Rule]] = None,
     baseline: Optional["Counter[BaselineKey]"] = None,
-    jobs: int = 1,
 ) -> AnalysisReport:
     """Run ``rules`` over the corpus and split findings by suppression/baseline.
 
-    ``jobs > 1`` fans the per-module rule pass out over a process pool in
-    chunks.  Findings are sorted before suppression/baseline matching either
-    way, so parallel output is byte-identical to serial.  Custom ``rules``
-    always run serially (worker processes rebuild the default rule set; they
-    cannot receive arbitrary rule instances).
+    Findings are sorted before suppression/baseline matching, so the report
+    does not depend on the order the modules were checked in.
     """
     if context is None:
         if paths is None:
@@ -218,23 +192,11 @@ def run_analysis(
         context = load_corpus(paths)
 
     raw: List[Finding] = []
-    if jobs > 1 and rules is None and len(context.modules) > 1:
-        import multiprocessing
-
-        all_paths = [m.path for m in context.modules]
-        chunks = [
-            list(range(start, len(all_paths), jobs)) for start in range(jobs)
-        ]
-        chunks = [c for c in chunks if c]
-        with multiprocessing.Pool(processes=len(chunks)) as pool:
-            for part in pool.map(_check_chunk, [(all_paths, c) for c in chunks]):
-                raw.extend(part)
-    else:
-        active: Sequence[Rule] = all_rules() if rules is None else rules
-        for info in context.modules:
-            raw.extend(_suppression_findings(info))
-            for rule in active:
-                raw.extend(rule.check(info, context))
+    active: Sequence[Rule] = all_rules() if rules is None else rules
+    for info in context.modules:
+        raw.extend(_suppression_findings(info))
+        for rule in active:
+            raw.extend(rule.check(info, context))
     raw.sort()
 
     kept: List[Finding] = []

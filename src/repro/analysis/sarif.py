@@ -15,8 +15,7 @@ annotations instead of a log to grep.  The emitter maps:
   the run failing.
 
 Only stable, deterministic fields are emitted — no timestamps, GUIDs, or
-absolute paths — so two runs over the same tree produce byte-identical files
-(the same property the ``--jobs`` gate relies on).
+absolute paths — so two runs over the same tree produce byte-identical files.
 """
 
 from __future__ import annotations

@@ -68,9 +68,8 @@ same counts on every execution backend)::
         benchmarks/results/BENCH_smoke_p4_distributed.json
 
 ``compare`` fails (exit 1) on any deterministic-count drift between the two
-records, notes differing backends, partition counts and pool widths, and
-warns when the candidate's wall-clock regressed by more than ``--tolerance``
-(default 25%).
+records and on nothing else; it notes differing backends, partition counts
+and pool widths.
 """
 
 from __future__ import annotations
@@ -138,12 +137,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                              "the unpartitioned reference)")
     parser.add_argument("--json", action="store_true",
                         help="persist each run as benchmarks/results/BENCH_*.json")
-    parser.add_argument("--tolerance", type=float, default=0.25,
-                        help="with 'compare': allowed elapsed_seconds regression "
-                             "fraction before the warning fires (default 0.25)")
-    parser.add_argument("--strict-elapsed", action="store_true",
-                        help="with 'compare': fail (exit 1) on elapsed regression "
-                             "instead of warning")
     args = parser.parse_args(argv)
 
     if args.jobs is not None and args.jobs < 1:
@@ -164,16 +157,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                 "'compare benchmarks/results/BENCH_smoke_numpy.json "
                 "benchmarks/results/jobs2/BENCH_smoke_numpy.json'"
             )
-        if args.tolerance < 0:
-            parser.error("--tolerance must be >= 0")
         from .compare import compare_files
 
-        return compare_files(
-            args.target,
-            args.candidate,
-            elapsed_tolerance=args.tolerance,
-            strict_elapsed=args.strict_elapsed,
-        )
+        return compare_files(args.target, args.candidate)
 
     if args.target is not None:
         parser.error("record paths are only valid with 'compare'")

@@ -38,6 +38,5 @@ def distance2_color(
         colors=result.colors,
         num_colors=result.num_colors,
         rounds=result.rounds,
-        traffic=result.traffic,
         distance=2,
     )

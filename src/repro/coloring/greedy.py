@@ -10,14 +10,13 @@ identical across execution backends.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
 import numpy as np
 
 from ..graph.csr import CSRGraph
 from ..parallel.backends import ExecutionBackend
-from ..parallel.costmodel import TrafficCounter
 from ..parallel.primitives import expand_rows
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (partitioned imports us)
@@ -36,9 +35,6 @@ class ColoringResult:
     num_colors: int
     #: Number of speculative rounds executed.
     rounds: int
-    #: Memory-traffic counter (for the cost model). A partitioned run records
-    #: no kernels here; its halo traffic is in ``partition_stats``.
-    traffic: TrafficCounter = field(default_factory=TrafficCounter)
     #: Distance of the coloring (1 or 2).
     distance: int = 1
     #: Number of intra-graph partitions the run was sharded into (1 = unpartitioned).
@@ -118,9 +114,8 @@ def greedy_color(
             backend=backend,
         )
     n = graph.num_vertices
-    traffic = TrafficCounter()
     if n == 0:
-        return ColoringResult(np.zeros(0, dtype=np.int64), 0, 0, traffic)
+        return ColoringResult(np.zeros(0, dtype=np.int64), 0, 0)
     colors = -np.ones(n, dtype=np.int64)
     worklist = np.arange(n, dtype=np.int64)
     max_colors = graph.max_degree() + 1
@@ -136,11 +131,6 @@ def greedy_color(
         lens = np.diff(seg)
         colors[worklist] = _speculative_assign(colors, nbrs, lens, max_colors)
         owners = np.repeat(worklist, lens)
-        traffic.add(
-            "color_assign",
-            bytes_read=4 * worklist.size + 8 * worklist.size + 4 * slots.size + 8 * slots.size,
-            bytes_written=8 * worklist.size,
-        )
         # Conflict detection: an edge whose endpoints share a color uncolors the
         # higher-id endpoint (deterministic tie-break). Marking the losers and
         # reading the marks back yields them sorted, without a sort.
@@ -149,16 +139,11 @@ def greedy_color(
         lost[owners[conflict_mask]] = True
         losers = np.flatnonzero(lost).astype(np.int64, copy=False)
         colors[losers] = -1
-        traffic.add(
-            "color_conflicts",
-            bytes_read=8 * 2 * slots.size,
-            bytes_written=8 * losers.size,
-        )
         worklist = losers
         rounds += 1
 
     colors, num_colors = _compact_colors(colors)
-    return ColoringResult(colors, num_colors, rounds, traffic, distance=1)
+    return ColoringResult(colors, num_colors, rounds, distance=1)
 
 
 def _compact_colors(colors: np.ndarray) -> Tuple[np.ndarray, int]:

@@ -42,4 +42,4 @@ def sequential_distance2_color(graph: CSRGraph) -> ColoringResult:
     if graph.num_vertices == 0:
         return ColoringResult(np.zeros(0, dtype=np.int64), 0, 0, distance=2)
     result = sequential_greedy_color(square(graph))
-    return ColoringResult(result.colors, result.num_colors, result.rounds, result.traffic, distance=2)
+    return ColoringResult(result.colors, result.num_colors, result.rounds, distance=2)

@@ -13,13 +13,14 @@ processes run on localhost here (so CI exercises the full path), but nothing
 in the protocol assumes it — the transport seam is where an MPI or multi-host
 implementation drops in.
 
-Protocol (one coordinator connection per rank, request/response, pipelined):
+Protocol (one coordinator connection per rank, request/response):
 
 ``("install", token, part, payload|None, session_key, state)``
     Session open. ``payload=None`` when the coordinator believes the rank
-    already caches ``(token, part)``; the rank acks ``("ok", False)`` if it
-    does not (restarted rank, LRU eviction) and the coordinator re-sends the
-    payload. States always ship — they are per-session.
+    already caches ``(token, part)``; the rank acks ``("ok", False)`` and
+    stores nothing if it does not (restarted rank, LRU eviction), and the
+    coordinator re-sends the payload. States always ship — they are
+    per-session. Every part is installed before the session is returned.
 ``("phase", seq, session_key, part, fn, delta)``
     One superstep phase for one part. The rank executes ``fn(payload, state,
     delta)`` against the session's record and replies ``("result", value)``.
@@ -36,11 +37,11 @@ Protocol (one coordinator connection per rank, request/response, pipelined):
     Orderly rank exit.
 
 Every coordinator request ships wrapped as ``("req", rid, message)`` and is
-answered as ``("resp", rid, reply)`` — the **multiplexing layer** that lets
-several requests stay in flight per rank at once (a session's pipelined
-installs): the coordinator collects replies by request id in any order,
-parking early arrivals for their own collect, and a reconnect re-sends
-exactly the unanswered backlog.
+answered as ``("resp", rid, reply)``. A session writes each rank's batch
+(its installs, or one phase's tasks) to every rank before it reads a reply,
+so the ranks work concurrently; the request ids match replies to requests,
+park a reply that belongs to another caller's collect, and let a reconnect
+re-send exactly the unanswered backlog.
 
 Rank-side storage is this module's process-global store (:func:`_install`,
 :func:`_rank_reply`). Each session owns one record per part, ``(session,
@@ -63,8 +64,8 @@ Failure story, in two tiers:
   protocol exists to avoid. The current run fails *loudly* with
   :class:`RankDeathError` (never silently wrong results), the cluster
   respawns a fresh rank with empty caches, and the next session — including
-  an immediate rerun of the failed kernel — proceeds normally, re-shipping
-  payloads as its install acks demand.
+  an immediate rerun of the failed kernel — proceeds normally, shipping the
+  replacement every payload it lacks.
 
 Byte accounting is two-ledger: the session's logical ``shipped_nbytes``
 accounting (inherited from :class:`ResidentSession`, bit-identical across
@@ -83,7 +84,7 @@ import multiprocessing
 import os
 import threading
 from collections import OrderedDict
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import backends as _B
 from .backends import ExecutionBackend, ResidentSession
@@ -150,9 +151,9 @@ _PHASE_DONE: "OrderedDict[Tuple[int, int, int], Any]" = OrderedDict()
 #: LRU backstop for ``_PHASE_DONE``. A session's ``forget`` drops its entries
 #: exactly, but forgets are best-effort (a coordinator can die mid-session),
 #: so without a bound the cache grows for the rank's lifetime. Oldest-first
-#: eviction is safe because only the most recently submitted phases per part
-#: can still be replayed — the coordinator's pipelining depth (a handful of
-#: in-flight phases per part) is orders of magnitude below this capacity.
+#: eviction is safe because only a part's latest phase can still be
+#: replayed: every phase is a barrier, so a session has at most one phase
+#: per part in flight, orders of magnitude below this capacity.
 _PHASE_DONE_CAPACITY = 4096
 
 
@@ -352,7 +353,7 @@ class RankCluster:
         """Start (or replace) the rank process behind ``handle``.
 
         A replacement rank has empty stores, so the payload mirror is cleared
-        — the next session's install acks re-ship whatever it needs.
+        and the next session ships it every payload it needs.
         """
         ready_recv, ready_send = multiprocessing.Pipe(duplex=False)
         proc = multiprocessing.Process(
@@ -611,8 +612,9 @@ _SESSION_KEYS = itertools.count(1)
 class _DistributedResidentSession(ResidentSession):
     """Socket-transport session: part ``i`` resides on rank ``i % nranks``.
 
-    Session open ships each part's payload (unless the rank's cache mirror
-    says it already holds the layout token) and fresh state; every later
+    Session open installs every part and returns once every rank has acked:
+    each part's payload ships unless the rank's cache mirror says it already
+    holds the layout token, and its fresh state always ships. Every later
     superstep ships only ``(seq, session, part, fn, delta)`` messages.
     Inherits the logical shipped-bytes accounting unchanged — the logical
     ledger must be bit-identical across backends — while the transport
@@ -629,110 +631,86 @@ class _DistributedResidentSession(ResidentSession):
     ) -> None:
         super().__init__(token, payloads, states)
         self._cluster = cluster
-        #: Kept with the initial states for the re-send after a False
-        #: install ack (the rank's payload cache no longer held the part).
-        self._payloads = list(payloads)
-        self._init_states = list(states)
         self._key = next(_SESSION_KEYS)
         self._nranks = max(1, min(cluster.nranks, len(payloads)))
         self._seq = 0
         self._closed = False
-        by_rank: Dict[int, List[int]] = {}
-        for part in range(self.num_parts):
-            by_rank.setdefault(part % self._nranks, []).append(part)
-        # Pipelined install: the payload/state batches are *submitted* here but
-        # their acks resolve at the first phase submission (_finish_install),
-        # so the install latency overlaps the coordinator's superstep-0 prep.
-        pending: Dict[int, Tuple[List[Tuple[int, bool]], List[int]]] = {}
-        for rank, parts in by_rank.items():
-            try:
-                pending[rank] = self._submit_install(rank, parts)
-            except RankDeathError:
-                # Nothing of this session had landed on that rank yet, so a
-                # session-open failure is recoverable: the cluster already
-                # spawned a replacement (with empty caches — its mirror was
-                # cleared), submit the installs again from scratch.
-                pending[rank] = self._submit_install(rank, parts)
-        self._pending_install: Optional[Dict] = pending
+        try:
+            self._install(payloads, states)
+        except BaseException:
+            # The caller never gets the session, so drop what did install.
+            self.close()
+            raise
 
-    def _submit_install(
-        self, rank: int, parts: Sequence[int]
-    ) -> Tuple[List[Tuple[int, bool]], List[int]]:
-        """Ship one rank's install batch without waiting for the acks."""
-        cluster = self._cluster
-        entries = [(part, cluster.known(rank, (self.token, part))) for part in parts]
-        rids = cluster.submit(
-            rank,
-            [
-                ("install", self.token, part,
-                 None if known else self._payloads[part], self._key,
-                 self._init_states[part])
-                for part, known in entries
-            ],
-        )
-        return entries, rids
+    def _by_rank(self, parts: Iterable[int]) -> Dict[int, List[int]]:
+        """``parts`` grouped by the rank that holds them, in the given order."""
+        groups: Dict[int, List[int]] = {}
+        for part in parts:
+            groups.setdefault(part % self._nranks, []).append(part)
+        return groups
 
-    def _finish_install(self) -> None:
-        """Resolve the deferred install acks (idempotent).
+    def _install(self, payloads: Sequence, states: Sequence) -> None:
+        """Install every part on its rank and wait for every ack.
 
-        Must complete before any phase ships: a False ack means the rank
-        holds *neither* the payload nor this session's state (the install
-        installs nothing on a payload miss), so the full install re-ships
-        synchronously here. Per-connection FIFO on the rank guarantees the
-        installs themselves ran before any phase submitted after this call.
-        A rank that died while the installs were in flight is retried once
-        from scratch — nothing of this session had landed on the replacement
-        yet, so a fresh synchronous install is safe.
+        Every rank's batch goes out before the first ack is read, so the
+        ranks store their parts concurrently. A payload the mirror wrongly
+        believed cached (restarted rank, LRU eviction) acks False and
+        installs nothing, so it ships in full here. A rank found dead has
+        already been replaced by the cluster; nothing of this session is on
+        the replacement, so its installs go again from scratch, once.
         """
-        pending, self._pending_install = self._pending_install, None
-        if not pending:
-            return
-        for rank, (entries, rids) in pending.items():
-            try:
-                self._finish_install_on_rank(rank, entries, rids)
-            except RankDeathError:
-                parts = [part for part, _ in entries]
-                self._finish_install_on_rank(rank, *self._submit_install(rank, parts))
+        cluster, token = self._cluster, self.token
 
-    def _finish_install_on_rank(
-        self, rank: int, entries: Sequence[Tuple[int, bool]], rids: Sequence[int]
-    ) -> None:
-        cluster = self._cluster
-        replies = cluster.collect(rank, rids)
-        resend = []
-        for (part, known), reply in zip(entries, replies):
-            if not self._expect_ok(reply, "install", part):
-                # Stale mirror (rank restarted or evicted underneath us):
-                # drop the entry and ship the payload after all.
-                cluster.mark(rank, (self.token, part), present=False)
-                resend.append(part)
-        if resend:
-            for part, reply in zip(
-                resend,
-                cluster.request(
-                    rank,
-                    [
-                        ("install", self.token, part, self._payloads[part],
-                         self._key, self._init_states[part])
-                        for part in resend
-                    ],
-                ),
-            ):
-                self._expect_ok(reply, "install", part, required=True)
-        for part, _ in entries:
-            cluster.mark(rank, (self.token, part), present=True)
+        def send(rank: int, parts: Sequence[int]) -> List[int]:
+            return cluster.submit(
+                rank,
+                [
+                    ("install", token, part,
+                     None if cluster.known(rank, (token, part)) else payloads[part],
+                     self._key, states[part])
+                    for part in parts
+                ],
+            )
+
+        def ack(rank: int, parts: Sequence[int], rids: Sequence[int]) -> None:
+            replies = cluster.collect(rank, rids)
+            missed = [
+                part for part, reply in zip(parts, replies)
+                if not self._installed(reply, part)
+            ]
+            if missed:
+                for part in missed:
+                    cluster.mark(rank, (token, part), present=False)
+                for part, reply in zip(missed, cluster.collect(rank, send(rank, missed))):
+                    if not self._installed(reply, part):
+                        raise RuntimeError(
+                            f"rank rejected a full install of part {part} "
+                            f"(token {token!r}) — rank-side store failure"
+                        )
+            for part in parts:
+                cluster.mark(rank, (token, part), present=True)
+
+        groups = self._by_rank(range(self.num_parts))
+        sent: Dict[int, List[int]] = {}
+        for rank, parts in groups.items():
+            try:
+                sent[rank] = send(rank, parts)
+            except RankDeathError:
+                sent[rank] = send(rank, parts)
+        for rank, parts in groups.items():
+            try:
+                ack(rank, parts, sent[rank])
+            except RankDeathError:
+                ack(rank, parts, send(rank, parts))
 
     # ------------------------------------------------------------------ helpers
-    def _expect_ok(self, reply: tuple, what: str, part: int, required: bool = False) -> bool:
+    def _installed(self, reply: tuple, part: int) -> bool:
+        """An install ack: False when the rank lacked the payload it was
+        told to take from its cache."""
         if reply[0] == "ok":
-            if required and not reply[1]:
-                raise RuntimeError(
-                    f"rank rejected a full {what} of part {part} "
-                    f"(token {self.token!r}) — rank-side store failure"
-                )
             return bool(reply[1])
         raise RuntimeError(
-            f"rank-side {what} of part {part} (token {self.token!r}) failed: "
+            f"rank-side install of part {part} (token {self.token!r}) failed: "
             f"{reply[1] if len(reply) > 1 else reply!r}"
         )
 
@@ -748,34 +726,26 @@ class _DistributedResidentSession(ResidentSession):
 
     # --------------------------------------------------------------------- api
     def _submit(self, fn: Callable, tasks: Sequence[Tuple[int, Any]]) -> Callable[[], List]:
-        if self._pending_install is not None:
-            self._finish_install()
         self._seq += 1
         seq = self._seq
-        by_rank: Dict[int, List[Tuple[int, Any]]] = {}
-        for part, delta in tasks:
-            by_rank.setdefault(part % self._nranks, []).append((part, delta))
+        deltas = dict(tasks)
         submitted = [
             (
                 rank,
-                entries,
+                parts,
                 self._cluster.submit(
                     rank,
-                    [
-                        ("phase", seq, self._key, part, fn, delta)
-                        for part, delta in entries
-                    ],
+                    [("phase", seq, self._key, part, fn, deltas[part]) for part in parts],
                 ),
             )
-            for rank, entries in by_rank.items()
+            for rank, parts in self._by_rank(deltas).items()
         ]
 
         def collect() -> List:
-            replies_by_part: Dict[int, tuple] = {}
-            for rank, entries, rids in submitted:
-                for (part, _), reply in zip(entries, self._cluster.collect(rank, rids)):
-                    replies_by_part[part] = reply
-            return [self._result(part, replies_by_part[part]) for part, _ in tasks]
+            replies: Dict[int, tuple] = {}
+            for rank, parts, rids in submitted:
+                replies.update(zip(parts, self._cluster.collect(rank, rids)))
+            return [self._result(part, replies[part]) for part, _ in tasks]
 
         return collect
 
@@ -783,17 +753,7 @@ class _DistributedResidentSession(ResidentSession):
         if self._closed:
             return
         self._closed = True
-        if self._pending_install is not None:
-            # A session closed before its first phase still owes the install
-            # ack resolution (it makes the forget below exact); best effort.
-            try:
-                self._finish_install()
-            except (RankDeathError, RuntimeError):
-                pass
-        by_rank: Dict[int, List[int]] = {}
-        for part in range(self.num_parts):
-            by_rank.setdefault(part % self._nranks, []).append(part)
-        for rank, parts in by_rank.items():
+        for rank, parts in self._by_rank(range(self.num_parts)).items():
             try:
                 self._cluster.request(rank, [("forget", self._key, parts)])
             except (RankDeathError, RuntimeError):
@@ -836,7 +796,8 @@ class DistributedBackend(ExecutionBackend):
     def map_partitions_resident(
         self, token: str, payloads: Sequence, states: Sequence
     ) -> ResidentSession:
-        """Open a rank-pinned session over the socket transport.
+        """Open a rank-pinned session over the socket transport; it returns
+        once every part is installed on its rank.
 
         Single-rank configurations and single-part layouts fall back to the
         in-process session.

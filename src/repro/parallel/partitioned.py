@@ -207,6 +207,7 @@ class PartitionStats:
     compute_seconds: float = 0.0
     #: Wall-clock spent preparing and shipping phase deltas (the submit half
     #: of ``ResidentSession.run``: byte accounting + serialisation + send).
+    #: Session open, where the payloads install, is not timed.
     exchange_seconds: float = 0.0
     #: Wall-clock the coordinator spent blocked waiting for phase results.
     idle_seconds: float = 0.0

@@ -27,11 +27,11 @@ round and is not the fixpoint of any per-vertex local rule, so it cannot be
 repaired locally; the service's repairable coloring pins the order-greedy
 semantics instead.)
 
-Both repairs share one engine: a min-heap worklist drained in ascending key
-order. When a popped vertex's recomputed value differs from its current one,
-every *larger*-key dependent re-enters the worklist; dependencies only point
-from larger to smaller keys, so each settled vertex is final and the drain
-terminates. ``budget`` bounds the worklist drain — a repair that touches more
+Both repairs share one engine (:func:`_drain`): a min-heap worklist drained
+in ascending key order. When a popped vertex's recomputed value differs from
+its current one, every *larger*-key dependent re-enters the worklist;
+dependencies only point from larger to smaller keys, so each settled vertex
+is final and the drain terminates. ``budget`` bounds the worklist drain — a repair that touches more
 vertices than the caller's crossover threshold returns ``None`` so the
 service falls back to full recompute instead of crawling through a
 near-global repair one vertex at a time.
@@ -46,7 +46,7 @@ the service detects them and recomputes from scratch.
 from __future__ import annotations
 
 import heapq
-from typing import Optional, Tuple
+from typing import Callable, Iterable, Optional, Tuple
 
 import numpy as np
 
@@ -144,6 +144,39 @@ def _d2_larger(
     return d2[(keys[d2] > keys[v]) & (d2 != v)]
 
 
+def _drain(
+    keys: np.ndarray,
+    values: np.ndarray,
+    dirty: np.ndarray,
+    budget: Optional[int],
+    update: Callable[[int], Iterable[int]],
+) -> Optional[Tuple[np.ndarray, int]]:
+    """The repair engine: settle ``values`` from the ``dirty`` seeds.
+
+    Pops the worklist in ascending key order; ``update(v)`` recomputes
+    ``values[v]`` in place and returns the dependents to re-enqueue (none
+    when the value did not change). Returns ``(values, touched)``, or
+    ``None`` once more than ``budget`` vertices have been evaluated.
+    """
+    seeds = np.unique(np.asarray(dirty, dtype=np.int64))
+    pending = {int(v) for v in seeds}
+    heap = [(int(keys[v]), int(v)) for v in seeds]
+    heapq.heapify(heap)
+    touched = 0
+    while heap:
+        _, v = heapq.heappop(heap)
+        pending.discard(v)
+        touched += 1
+        if budget is not None and touched > budget:
+            return None
+        for w in update(v):
+            w = int(w)
+            if w not in pending:
+                pending.add(w)
+                heapq.heappush(heap, (int(keys[w]), w))
+    return values, touched
+
+
 def repair_mis2(
     graph: CSRGraph,
     keys: np.ndarray,
@@ -161,28 +194,15 @@ def repair_mis2(
     """
     in_mask = prev_mask.copy()
     rowmap, entries = graph.rowmap, graph.entries
-    seeds = np.unique(np.asarray(dirty, dtype=np.int64))
-    pending = {int(v) for v in seeds}
-    heap = [(int(keys[v]), int(v)) for v in seeds]
-    heapq.heapify(heap)
-    touched = 0
-    while heap:
-        _, v = heapq.heappop(heap)
-        if v not in pending:
-            continue
-        pending.discard(v)
-        touched += 1
-        if budget is not None and touched > budget:
-            return None
+
+    def update(v: int) -> Iterable[int]:
         should = not _has_smaller_in_d2(rowmap, entries, keys, in_mask, v)
-        if bool(in_mask[v]) != should:
-            in_mask[v] = should
-            for w in _d2_larger(rowmap, entries, keys, v):
-                w = int(w)
-                if w not in pending:
-                    pending.add(w)
-                    heapq.heappush(heap, (int(keys[w]), w))
-    return in_mask, touched
+        if bool(in_mask[v]) == should:
+            return ()
+        in_mask[v] = should
+        return _d2_larger(rowmap, entries, keys, v)
+
+    return _drain(keys, in_mask, dirty, budget, update)
 
 
 def ordered_color(graph: CSRGraph, keys: np.ndarray) -> np.ndarray:
@@ -229,27 +249,13 @@ def repair_ordered_color(
     """
     colors = prev_colors.copy()
     rowmap, entries = graph.rowmap, graph.entries
-    seeds = np.unique(np.asarray(dirty, dtype=np.int64))
-    pending = {int(v) for v in seeds}
-    heap = [(int(keys[v]), int(v)) for v in seeds]
-    heapq.heapify(heap)
-    touched = 0
-    while heap:
-        _, v = heapq.heappop(heap)
-        if v not in pending:
-            continue
-        pending.discard(v)
-        touched += 1
-        if budget is not None and touched > budget:
-            return None
+
+    def update(v: int) -> Iterable[int]:
         nbrs = _neighbors(rowmap, entries, v)
-        smaller = nbrs[keys[nbrs] < keys[v]]
-        want = _mex(colors[smaller])
-        if int(colors[v]) != want:
-            colors[v] = want
-            for w in nbrs[keys[nbrs] > keys[v]]:
-                w = int(w)
-                if w not in pending:
-                    pending.add(w)
-                    heapq.heappush(heap, (int(keys[w]), w))
-    return colors, touched
+        want = _mex(colors[nbrs[keys[nbrs] < keys[v]]])
+        if int(colors[v]) == want:
+            return ()
+        colors[v] = want
+        return nbrs[keys[nbrs] > keys[v]]
+
+    return _drain(keys, colors, dirty, budget, update)

@@ -183,52 +183,3 @@ def test_context_indexes_modules_by_path():
     info = context.by_path["src/repro/parallel/transport.py"]
     assert info.module == "repro.parallel.transport"
     assert set(context.by_path) == {m.path for m in context.modules}
-
-
-# ----------------------------------------------------------------------- jobs
-def _repo_src():
-    from pathlib import Path
-
-    return str(Path(__file__).resolve().parents[2] / "src" / "repro")
-
-
-def test_jobs_report_is_identical_to_serial():
-    serial = run_analysis(paths=[_repo_src()])
-    parallel = run_analysis(paths=[_repo_src()], jobs=4)
-    assert parallel.findings == serial.findings
-    assert parallel.suppressed == serial.suppressed
-    assert parallel.baselined == serial.baselined
-    assert parallel.modules_checked == serial.modules_checked
-    assert json_dump(parallel) == json_dump(serial)
-
-
-def json_dump(report):
-    import json
-
-    return json.dumps(report.to_dict(), sort_keys=True)
-
-
-def test_jobs_with_custom_rules_falls_back_to_serial():
-    # Custom rule instances cannot cross the process boundary; the engine
-    # must still honour them (serially) rather than silently dropping them.
-    report = run_analysis(
-        context=_context(), rules=[LockDisciplineRule()], jobs=4
-    )
-    assert [f.rule for f in report.findings] == ["lock-guard"]
-
-
-def test_jobs_larger_than_corpus_is_fine():
-    context = AnalysisContext(_mini_corpus(""))
-    paths = {m.path: m.source for m in context.modules}
-    import tempfile, os
-
-    with tempfile.TemporaryDirectory() as tmp:
-        tree = os.path.join(tmp, "src", "repro", "parallel")
-        os.makedirs(tree)
-        for path, source in paths.items():
-            with open(os.path.join(tree, os.path.basename(path)), "w") as fh:
-                fh.write(source)
-        serial = run_analysis(paths=[tree])
-        wide = run_analysis(paths=[tree], jobs=32)
-    assert wide.findings == serial.findings
-    assert wide.modules_checked == serial.modules_checked

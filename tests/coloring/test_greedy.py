@@ -87,7 +87,3 @@ class TestResultObject:
         a = greedy_color(small_laplace3d)
         b = greedy_color(small_laplace3d)
         assert np.array_equal(a.colors, b.colors)
-
-    def test_traffic_recorded(self, small_laplace3d):
-        result = greedy_color(small_laplace3d)
-        assert result.traffic.num_kernels >= 2

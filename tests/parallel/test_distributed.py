@@ -159,7 +159,6 @@ class TestDistributedSession:
         B = get_backend("distributed")
         _, session = _make_session(B, "tok/test-dist/messages", parts=4)
         with session:
-            # The first phase also resolves the pipelined install acks.
             session.run(_weighted_sum, [(part, 1) for part in range(4)])
             before = B.measured_stats()
             session.run(_weighted_sum, [(0, 1), (1, 1), (3, 1)])
@@ -313,6 +312,45 @@ class TestFaultInjection:
         # kernel run still matches the serial reference bit for bit.
         again = partitioned_kk_mis2(graph, 4, backend=B)
         assert np.array_equal(again.in_set, reference.in_set)
+
+
+class TestInstallAtOpen:
+    """A session is installed on its ranks before ``map_partitions_resident``
+    returns: no install ack is left for a phase to collect."""
+
+    def test_open_leaves_no_request_outstanding(self):
+        B = get_backend("distributed")
+        token = "tok/test-dist/open"
+        _, session = _make_session(B, token)
+        with session:
+            cluster = session._cluster
+            for handle in cluster._handles:
+                with handle.lock:
+                    assert not handle.outstanding
+            for part in range(4):
+                assert cluster.known(part % session._nranks, (token, part))
+
+    def test_rank_death_after_open_fails_the_next_phase(self):
+        # A dedicated rank count, as in TestFaultInjection.
+        B = DistributedBackend(ranks=3)
+        token = "tok/test-dist/death-after-open"
+        _, session = _make_session(B, token)
+        with session:
+            victim = session._cluster._handles[1]
+            victim.process.terminate()
+            victim.process.join(timeout=5.0)
+            assert not victim.process.is_alive()
+            # The part installed on the dead rank is gone with it.
+            with pytest.raises(RankDeathError, match="resident session states"):
+                session.run(_weighted_sum, [(part, 1) for part in range(4)])
+        _, retry = _make_session(B, token)
+        _, ref_session = _make_session(get_backend("numpy"), token)
+        with retry, ref_session:
+            for delta in (1, 2):
+                got = retry.run(_weighted_sum, [(part, delta) for part in range(4)])
+                want = ref_session.run(_weighted_sum, [(part, delta) for part in range(4)])
+                for g, w in zip(got, want):
+                    assert np.array_equal(g, w)
 
 
 class TestRunningSessionsOwnTheirPayloads:

@@ -302,7 +302,6 @@ class TestDrivers:
         # Halo traffic is recorded only in partition_stats; the traffic
         # counter holds no kernels.
         assert out.traffic.kernels == []
-        assert coloring.traffic.kernels == []
 
     def test_unpartitioned_results_have_default_fields(self):
         g = path_graph(5)

@@ -24,6 +24,8 @@ build of the new edge set.
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
@@ -155,6 +157,19 @@ def test_repair_budget_zero_forces_fallback_or_exact(graph):
     assert result is None
 
 
+@given(graph=graphs(max_vertices=14, max_extra_edges=30))
+@settings(**COMMON)
+def test_color_repair_budget_zero_forces_fallback(graph):
+    """The coloring repair honours its budget the same way."""
+    n = graph.num_vertices
+    if n == 0:
+        return
+    keys = mis_keys(n, seed=0)
+    prev = np.full(n, -1, dtype=np.int64)  # deliberately wrong cached colors
+    dirty = np.arange(n, dtype=np.int64)
+    assert repair_ordered_color(graph, keys, prev, dirty, budget=0) is None
+
+
 # --------------------------------------------------------------------------
 # Layer 3: the full service under random mutation sequences.
 # --------------------------------------------------------------------------
@@ -231,9 +246,9 @@ def _check_against_scratch(svc: GraphService, name: str, *seeds: int) -> None:
     )
 
 
-def _check_frontiers(svc: GraphService, name: str, crossover: float) -> None:
+def _check_frontiers(svc: GraphService, name: str) -> None:
     """Every cached frontier holds at most the repair budget."""
-    budget = max(32, int(crossover * svc.graph(name).num_vertices))
+    budget = svc._budget(svc.graph(name).num_vertices)
     for cached in svc._entry(name).caches.values():
         assert cached.dirty is None or cached.dirty.size <= budget
 
@@ -252,7 +267,7 @@ def test_service_repair_bit_identical_across_mutations(graph, ops, seed, other, 
         _check_against_scratch(svc, "g", seed, other)  # seed the caches
         for kind, payload in ops:
             _apply(svc, "g", kind, payload)
-            _check_frontiers(svc, "g", 1.0)
+            _check_frontiers(svc, "g")
             # The second seed's answer, skipped at some epochs, repairs
             # across every write since it was last asked.
             if data.draw(st.booleans()):
@@ -321,17 +336,35 @@ def test_service_aggregate_is_seeded_by_the_epochs_mis2(graph, ops, seed, data):
         assert stats["cache_hits"] == hits
 
 
+def _budget_without_floor(svc: GraphService, num_vertices: int) -> int:
+    """``GraphService._budget`` without its floor of 32 vertices, which every
+    graph these strategies draw stays below."""
+    return int(svc._crossover * num_vertices)
+
+
 @given(graph=graphs(max_vertices=16, max_extra_edges=30), ops=mutation_ops())
 @settings(**SERVICE_COMMON)
 def test_service_crossover_zero_still_bit_identical(graph, ops):
-    """With the tightest crossover, repair mostly falls back — results hold."""
-    with GraphService(repair_crossover=0.0) as svc:
+    """With a zero budget every repair falls back — results hold."""
+    with mock.patch.object(GraphService, "_budget", _budget_without_floor), GraphService(
+        repair_crossover=0.0
+    ) as svc:
         svc.add_graph("g", graph)
         _check_against_scratch(svc, "g", 0)
         for kind, payload in ops:
+            before = svc.stats_snapshot()
             _apply(svc, "g", kind, payload)
-            _check_frontiers(svc, "g", 0.0)
+            _check_frontiers(svc, "g")
+            after = svc.stats_snapshot()
             _check_against_scratch(svc, "g", 0)
+            if (
+                after["mutations"] > before["mutations"]
+                and after["structural_mutations"] == before["structural_mutations"]
+            ):
+                # The write outgrew both cached answers' frontiers: mis2 and
+                # color each fall back once.
+                fallbacks = svc.stats_snapshot()["repair_fallbacks"]
+                assert fallbacks - after["repair_fallbacks"] == 2
 
 
 # --------------------------------------------------------------------------
