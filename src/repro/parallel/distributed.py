@@ -62,7 +62,8 @@ Failure story, in two tiers:
   unrecoverable by design — reconstructing them would mean the coordinator
   shadowing every state mutation, which is exactly the traffic the resident
   protocol exists to avoid. The current run fails *loudly* with
-  :class:`RankDeathError` (never silently wrong results), the cluster
+  :class:`RankDeathError` (never silently wrong results) once the failed
+  phase's other ranks have answered and their replies are dropped, the cluster
   respawns a fresh rank with empty caches, and the next session — including
   an immediate rerun of the failed kernel — proceeds normally, shipping the
   replacement every payload it lacks.
@@ -729,25 +730,39 @@ class _DistributedResidentSession(ResidentSession):
         self._seq += 1
         seq = self._seq
         deltas = dict(tasks)
-        submitted = [
-            (
-                rank,
-                parts,
-                self._cluster.submit(
-                    rank,
-                    [("phase", seq, self._key, part, fn, deltas[part]) for part in parts],
-                ),
-            )
-            for rank, parts in self._by_rank(deltas).items()
-        ]
+        submitted: List[Tuple[int, List[int], List[int]]] = []
+        try:
+            for rank, parts in self._by_rank(deltas).items():
+                messages = [("phase", seq, self._key, part, fn, deltas[part]) for part in parts]
+                submitted.append((rank, parts, self._cluster.submit(rank, messages)))
+        except BaseException:
+            self._drain(submitted)
+            raise
 
         def collect() -> List:
             replies: Dict[int, tuple] = {}
-            for rank, parts, rids in submitted:
-                replies.update(zip(parts, self._cluster.collect(rank, rids)))
+            for i, (rank, parts, rids) in enumerate(submitted):
+                try:
+                    replies.update(zip(parts, self._cluster.collect(rank, rids)))
+                except BaseException:
+                    self._drain(submitted[i + 1:])
+                    raise
             return [self._result(part, replies[part]) for part, _ in tasks]
 
         return collect
+
+    def _drain(self, submitted: Sequence[Tuple[int, List[int], List[int]]]) -> None:
+        """Collect and drop the replies of a failed phase's other ranks.
+
+        Best effort: an uncollected reply would otherwise be parked in its
+        rank handle's ``arrived`` buffer by the next collect on that rank and
+        stay there for the cluster's lifetime.
+        """
+        for rank, _, rids in submitted:
+            try:
+                self._cluster.collect(rank, rids)
+            except (RankDeathError, RuntimeError):
+                pass
 
     def close(self) -> None:
         if self._closed:

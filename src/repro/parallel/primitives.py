@@ -87,19 +87,36 @@ def expand_rows(rowmap: np.ndarray, rows: np.ndarray) -> Tuple[np.ndarray, np.nd
     every adjacency slot of every selected row (in row order), and
     ``segment_offsets`` (length ``len(rows) + 1``) delimits each row's slots within
     ``slots``. Rows with empty adjacency lists contribute empty segments.
+
+    With ``seg = segment_offsets``, slot ``k`` of row ``j`` (``seg[j] <= k < seg[j + 1]``)
+    is ``rowmap[rows[j]] + k - seg[j]``, the ``Ap[i] + k`` of pyamg's CSR loops: one
+    repeat of each row's ``rowmap[rows[j]] - seg[j]``, plus ``arange(total)`` in
+    place. No per-slot owner index or gather is built.
     """
     rowmap = np.asarray(rowmap, dtype=np.int64)
     rows = np.asarray(rows, dtype=np.int64)
-    lens = row_lengths(rowmap, rows)
+    start = rowmap[rows]
+    lens = rowmap[rows + 1] - start
     seg_offsets = exclusive_scan(lens)
     total = int(seg_offsets[-1])
     if total == 0:
         return np.zeros(0, dtype=np.int64), seg_offsets
-    # slots[k] = rowmap[rows[j]] + (k - seg_offsets[j]) for the j owning slot k.
-    owner = np.repeat(np.arange(rows.size, dtype=np.int64), lens)
-    within = np.arange(total, dtype=np.int64) - np.repeat(seg_offsets[:-1], lens)
-    slots = rowmap[rows[owner]] + within
+    slots = np.repeat(start - seg_offsets[:-1], lens)
+    slots += np.arange(total, dtype=np.int64)
     return slots, seg_offsets
+
+
+def _nonempty_starts(seg_offsets: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(nonempty, starts)``: which segments hold values, and where each of those
+    begins.
+
+    ``ufunc.reduceat`` takes these starts. Because the segments partition the values
+    contiguously, the span from one non-empty start to the next (or to the end of the
+    array) holds exactly that segment's values.
+    """
+    starts = seg_offsets[:-1]
+    nonempty = seg_offsets[1:] > starts
+    return nonempty, starts[nonempty]
 
 
 def _segmented_reduce(
@@ -116,16 +133,8 @@ def _segmented_reduce(
     out = np.full(nseg, identity, dtype=values.dtype if values.size else np.asarray(identity).dtype)
     if values.size == 0 or nseg == 0:
         return out
-    starts = seg_offsets[:-1]
-    nonempty = seg_offsets[1:] > starts
-    if not np.any(nonempty):
-        return out
-    # Pass only non-empty segment starts to reduceat. Because the segments partition
-    # ``values`` contiguously, the span from one non-empty start to the next non-empty
-    # start (or to the end of the array) contains exactly that segment's values.
-    ne_starts = starts[nonempty].astype(np.int64)
-    reduced = op.reduceat(values, ne_starts)
-    out[nonempty] = reduced
+    nonempty, starts = _nonempty_starts(seg_offsets)
+    out[nonempty] = op.reduceat(values, starts)
     return out
 
 
@@ -153,15 +162,20 @@ def segmented_all_equal(
     """Per-segment test "every value in segment j equals reference[j]".
 
     Empty segments vacuously return True, matching the ``forall`` semantics of
-    Algorithm 1 line 28.
+    Algorithm 1 line 28. A segment passes when its minimum and its maximum both equal
+    its reference: one ``minimum`` and one ``maximum`` ``reduceat``, with no per-slot
+    copy of the reference or of the matches.
     """
     values = np.asarray(values)
     seg_offsets = np.asarray(seg_offsets, dtype=np.int64)
     reference = np.asarray(reference)
-    lens = np.diff(seg_offsets)
-    ref_expanded = np.repeat(reference, lens)
-    matches = (values == ref_expanded).astype(np.int64)
-    return segmented_sum(matches, seg_offsets) == lens
+    nonempty, starts = _nonempty_starts(seg_offsets)
+    ref = reference[nonempty]
+    out = np.ones(nonempty.size, dtype=bool)
+    out[nonempty] = (np.minimum.reduceat(values, starts) == ref) & (
+        np.maximum.reduceat(values, starts) == ref
+    )
+    return out
 
 
 def segmented_lexmin(
@@ -211,9 +225,9 @@ def segmented_any_equal(
     """Per-segment test "any value in segment j equals target" (scalar target).
 
     Empty segments return False, matching the ``exists`` semantics of Algorithm 1
-    line 25.
+    line 25. One ``logical_or`` ``reduceat`` over the boolean match mask, with no
+    per-slot integer copy of it.
     """
     values = np.asarray(values)
     seg_offsets = np.asarray(seg_offsets, dtype=np.int64)
-    matches = (values == target).astype(np.int64)
-    return segmented_sum(matches, seg_offsets) > 0
+    return _segmented_reduce(values == target, seg_offsets, np.logical_or, False)

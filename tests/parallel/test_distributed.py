@@ -299,6 +299,42 @@ class TestFaultInjection:
                 for g, w in zip(got, want):
                     assert np.array_equal(g, w)
 
+    @staticmethod
+    def _assert_no_reply_left(cluster):
+        for handle in cluster._handles:
+            with handle.lock:
+                assert not handle.arrived, f"rank {handle.index} holds parked replies"
+                assert not handle.outstanding, f"rank {handle.index} holds unanswered requests"
+
+    def test_dead_rank_at_submit_leaves_no_reply_behind(self):
+        # A phase submits rank by rank: rank 0 takes parts 0 and 3 before
+        # rank 1 is found dead, and those two replies must not outlive the
+        # failed phase.
+        B = self._backend()
+        _, session = _make_session(B, "tok/test-dist/drain-submit")
+        with session:
+            session.run(_weighted_sum, [(part, 1) for part in range(4)])
+            victim = session._cluster._handles[1]
+            victim.process.terminate()
+            victim.process.join(timeout=5.0)
+            with pytest.raises(RankDeathError, match="rank 1 died"):
+                session.run(_weighted_sum, [(part, 1) for part in range(4)])
+        self._assert_no_reply_left(session._cluster)
+
+    def test_dead_rank_at_collect_leaves_no_reply_behind(self):
+        # Every rank holds the phase when rank 1 dies, so collecting rank 1
+        # raises before rank 2's reply is read.
+        B = self._backend()
+        _, session = _make_session(B, "tok/test-dist/drain-collect")
+        with session:
+            collect = session._submit(_weighted_sum, [(part, 1) for part in range(4)])
+            victim = session._cluster._handles[1]
+            victim.process.terminate()
+            victim.process.join(timeout=5.0)
+            with pytest.raises(RankDeathError, match="rank 1 died"):
+                collect()
+        self._assert_no_reply_left(session._cluster)
+
     def test_partitioned_kernel_recovers_after_rank_death(self):
         B = self._backend()
         graph = laplace3d(5, 5, 5)
