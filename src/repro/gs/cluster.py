@@ -21,7 +21,10 @@ update. A row then reads the updated value of every neighbour that precedes it i
 sequential order and the old value of every neighbour that follows it, and computes
 the same per-row expression as the row-by-row loop, so ``apply`` equals the sequential
 Algorithm 4 order bit for bit. On ``laplace3d(40, 40, 40)`` the walk's 110 groups
-compress to 27 levels per direction.
+compress to 27 levels per direction. Setup then renumbers the rows level by level
+(:class:`~repro.gs.multicolor.SweepSchedule`), so each level is a contiguous row
+range: ``apply`` gathers ``b`` and ``x`` once, updates each level through slice views
+in place, and scatters the result once.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from ..coloring.greedy import greedy_color
 from ..graph.build import from_scipy
 from ..graph.csr import CSRGraph
 from ..parallel.primitives import expand_rows, segmented_max
-from .multicolor import row_blocks, sweep
+from .multicolor import SweepSchedule
 
 __all__ = ["ClusterMulticolorGaussSeidel"]
 
@@ -79,7 +82,7 @@ class ClusterMulticolorGaussSeidel:
         Coarsening used to form the clusters (Algorithm 3 by default; Algorithm 2 is
         the paper's other option).
     sweeps:
-        Number of sweeps per :meth:`apply`.
+        Number of sweeps per :meth:`apply`, at least 1.
     symmetric:
         Apply symmetric sweeps (forward colors then backward colors, with the row
         order inside each cluster reversed on the backward pass).
@@ -103,8 +106,9 @@ class ClusterMulticolorGaussSeidel:
         diag = self.A.diagonal()
         if np.any(diag == 0):
             raise ValueError("cluster Gauss-Seidel requires a nonzero diagonal")
-        self._diag = diag
         self.sweeps = int(sweeps)
+        if self.sweeps < 1:
+            raise ValueError("sweeps must be >= 1")
         self.symmetric = bool(symmetric)
 
         # --- Setup (Algorithm 4 lines 3-5): coarsen, then color the coarse graph.
@@ -131,20 +135,16 @@ class ClusterMulticolorGaussSeidel:
         # still order i and j, or i would read x[j] updated out of turn. The backward
         # pass (colors and the rows of each cluster reversed) orders every coupled
         # pair the other way round, so the same levels in reverse are its schedule.
-        self._blocks = row_blocks(self.A, diag, _level_schedule(fine_graph, groups))
-        self._backward_blocks = self._blocks[::-1]
+        self._schedule = SweepSchedule(self.A, diag, _level_schedule(fine_graph, groups))
         self.setup_seconds = time.perf_counter() - setup_start
 
     # ------------------------------------------------------------------ application
     def apply(self, b: np.ndarray, x: Optional[np.ndarray] = None) -> np.ndarray:
-        """Apply the configured number of cluster multicolor (S)GS sweeps."""
-        b = np.asarray(b, dtype=np.float64)
-        out = np.zeros_like(b) if x is None else np.array(x, dtype=np.float64, copy=True)
-        for _ in range(self.sweeps):
-            out = sweep(self._blocks, b, out)
-            if self.symmetric:
-                out = sweep(self._backward_blocks, b, out)
-        return out
+        """Apply the configured number of cluster multicolor (S)GS sweeps.
+
+        ``b`` and ``x`` must be 1-D of length n; anything else raises ``ValueError``.
+        """
+        return self._schedule.apply(b, x, self.sweeps, self.symmetric)
 
     def as_preconditioner(self):
         """Return ``M(r) -> z`` applying the sweeps with a zero initial guess."""

@@ -62,7 +62,7 @@ class PointGaussSeidel:
     A:
         System matrix.
     sweeps:
-        Number of sweeps per application.
+        Number of sweeps per application, at least 1.
     symmetric:
         Apply symmetric sweeps (forward+backward) — required when used as a CG
         preconditioner.
@@ -73,6 +73,8 @@ class PointGaussSeidel:
         if np.any(self.A.diagonal() == 0):
             raise ValueError("Gauss-Seidel requires a nonzero diagonal")
         self.sweeps = int(sweeps)
+        if self.sweeps < 1:
+            raise ValueError("sweeps must be >= 1")
         self.symmetric = bool(symmetric)
 
     def apply(self, b: np.ndarray, x: Optional[np.ndarray] = None) -> np.ndarray:

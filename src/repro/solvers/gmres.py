@@ -12,6 +12,7 @@ from typing import Callable, Optional
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg.blas import daxpy, ddot
 
 from .result import SolveResult
 
@@ -52,15 +53,24 @@ def gmres(
     Notes
     -----
     The Krylov basis ``Q`` and its preconditioned images ``Z`` are stored row-major,
-    one contiguous row per vector, so every modified Gram-Schmidt dot and axpy
-    reads contiguous memory.
+    one contiguous row per vector, and allocated once per call, at
+    ``min(restart, maxiter)`` rows; every restart cycle reuses them, writing each
+    row before it reads it.
+
+    Modified Gram-Schmidt runs in place through BLAS: each projection is one
+    ``ddot`` and one ``daxpy`` on a contiguous basis row, with no temporary. ``A``
+    is cast to float64 at entry, so ``w = A z`` is a float64 vector that BLAS
+    updates without converting it. ``daxpy`` may round ``w - h q`` once, as a
+    fused multiply-add, where numpy rounds the product and the difference
+    separately; that is the only way ``x`` differs from a numpy MGS, in the last
+    bits.
 
     Breakdown is judged relative to the step's own scale: when orthogonalisation
     leaves ``||w|| <= 1e-14 ||A z||`` the Krylov space is (numerically) invariant,
     the cycle ends, and the next restart checks the true residual. The test is
     unchanged by scaling ``A`` and ``b``, which an absolute threshold is not.
     """
-    A = sp.csr_matrix(A)
+    A = sp.csr_matrix(A, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     n = b.shape[0]
     if A.shape != (n, n):
@@ -78,6 +88,9 @@ def gmres(
     residuals = []
     total_iters = 0
     converged = False
+    basis = max(0, min(restart, maxiter))
+    Q = np.empty((basis + 1, n))
+    Z = np.empty((basis, n))  # preconditioned basis vectors (for the update)
     while total_iters < maxiter and not converged:
         r = b - A @ x
         beta = float(np.linalg.norm(r))
@@ -86,28 +99,26 @@ def gmres(
             converged = True
             break
         m = min(restart, maxiter - total_iters)
-        Q = np.zeros((m + 1, n))
         H = np.zeros((m + 1, m))
         cs = np.zeros(m)
         sn = np.zeros(m)
         g = np.zeros(m + 1)
         g[0] = beta
-        Q[0] = r / beta
-        Z = np.zeros((m, n))  # preconditioned basis vectors (for the update)
+        np.divide(r, beta, out=Q[0])
         k_used = 0
         for k in range(m):
-            z = precondition(Q[k])
-            Z[k] = z
-            w = A @ z
+            Z[k] = precondition(Q[k])
+            w = A @ Z[k]
             w_scale = float(np.linalg.norm(w))
             # Modified Gram-Schmidt.
             for i in range(k + 1):
-                H[i, k] = float(w @ Q[i])
-                w -= H[i, k] * Q[i]
+                h = ddot(w, Q[i])
+                w = daxpy(Q[i], w, a=-h)
+                H[i, k] = h
             H[k + 1, k] = float(np.linalg.norm(w))
             breakdown = H[k + 1, k] <= 1e-14 * w_scale
             if not breakdown:
-                Q[k + 1] = w / H[k + 1, k]
+                np.divide(w, H[k + 1, k], out=Q[k + 1])
             # Apply existing Givens rotations to the new column.
             for i in range(k):
                 temp = cs[i] * H[i, k] + sn[i] * H[i + 1, k]

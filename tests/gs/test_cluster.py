@@ -46,6 +46,22 @@ class TestSetup:
         with pytest.raises(ValueError):
             ClusterMulticolorGaussSeidel(sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]])))
 
+    @pytest.mark.parametrize("sweeps", [0, -1])
+    def test_sweeps_below_one_rejected(self, system, sweeps):
+        # Zero sweeps would make apply return zeros, a singular preconditioner.
+        A, _, _ = system
+        with pytest.raises(ValueError, match="sweeps"):
+            ClusterMulticolorGaussSeidel(A, sweeps=sweeps)
+
+
+#: Malformed ``(b, x)`` shapes for an 81-row system, keyed by what is wrong.
+MISSHAPEN = {
+    "long_b": ((82,), None),
+    "short_b": ((80,), None),
+    "2d_b": ((81, 1), None),
+    "long_x": ((81,), (82,)),
+}
+
 
 def _one_sided_laplace():
     """``laplace2d(9, 9)`` plus couplings stored on one side only."""
@@ -69,7 +85,19 @@ def _sequential_sweep(A, gs, b, x, backward):
     return x
 
 
+def _sequential_sweeps(A, gs, b, x, sweeps, symmetric):
+    """``sweeps`` row-by-row Algorithm 4 sweeps, each forward then, if ``symmetric``,
+    backward."""
+    for _ in range(sweeps):
+        x = _sequential_sweep(A, gs, b, x, backward=False)
+        if symmetric:
+            x = _sequential_sweep(A, gs, b, x, backward=True)
+    return x
+
+
 class TestApplySemantics:
+    @pytest.mark.parametrize("sweeps", [1, 2])
+    @pytest.mark.parametrize("start", ["zero", "nonzero"])
     @pytest.mark.parametrize("symmetric", [False, True], ids=["forward", "symmetric"])
     @pytest.mark.parametrize(
         "aggregation_fn", [None, mis2_basic_aggregation], ids=["default", "basic"]
@@ -79,18 +107,28 @@ class TestApplySemantics:
         [lambda: laplace2d(9, 9).tocsr(), _one_sided_laplace],
         ids=["laplace2d", "one_sided"],
     )
-    def test_sweep_matches_sequential_reference(self, matrix, aggregation_fn, symmetric):
+    def test_sweep_matches_sequential_reference(
+        self, matrix, aggregation_fn, symmetric, start, sweeps
+    ):
         # The level schedule must reproduce exactly the sequential within-cluster
         # Gauss-Seidel order of Algorithm 4, forward and (symmetric) backward, also
-        # when A couples a pair of rows on one side only.
+        # when A couples a pair of rows on one side only, and from any initial x.
         A = matrix()
-        b = np.linspace(0.5, 1.5, A.shape[0])
+        n = A.shape[0]
+        b = np.linspace(0.5, 1.5, n)
+        x0 = np.zeros(n) if start == "zero" else np.cos(np.arange(n))
         kwargs = {} if aggregation_fn is None else {"aggregation_fn": aggregation_fn}
-        gs = ClusterMulticolorGaussSeidel(A, sweeps=1, symmetric=symmetric, **kwargs)
-        x = _sequential_sweep(A, gs, b, np.zeros(A.shape[0]), backward=False)
-        if symmetric:
-            x = _sequential_sweep(A, gs, b, x, backward=True)
-        assert np.array_equal(gs.apply(b), x)
+        gs = ClusterMulticolorGaussSeidel(A, sweeps=sweeps, symmetric=symmetric, **kwargs)
+        x = _sequential_sweeps(A, gs, b, x0.copy(), sweeps, symmetric)
+        got = gs.apply(b) if start == "zero" else gs.apply(b, x0)
+        assert np.array_equal(got, x)
+
+    @pytest.mark.parametrize("b_shape, x_shape", MISSHAPEN.values(), ids=MISSHAPEN.keys())
+    def test_apply_rejects_misshapen_vectors(self, b_shape, x_shape):
+        gs = ClusterMulticolorGaussSeidel(laplace2d(9, 9))
+        x = None if x_shape is None else np.zeros(x_shape)
+        with pytest.raises(ValueError, match="must have shape"):
+            gs.apply(np.ones(b_shape), x)
 
     def test_sweeps_reduce_residual(self, system):
         A, _, b = system

@@ -8,6 +8,7 @@ from repro.coloring import is_valid_coloring
 from repro.graph import laplace2d, laplace3d_matrix
 from repro.gs import MulticolorGaussSeidel
 from repro.solvers import gmres, pcg
+from tests.gs.test_cluster import MISSHAPEN, _one_sided_laplace
 
 
 @pytest.fixture
@@ -43,6 +44,29 @@ class TestSetup:
         with pytest.raises(ValueError):
             MulticolorGaussSeidel(sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]])))
 
+    @pytest.mark.parametrize("sweeps", [0, -1])
+    def test_sweeps_below_one_rejected(self, system, sweeps):
+        # Zero sweeps would make apply return zeros, a singular preconditioner.
+        A, _, _ = system
+        with pytest.raises(ValueError, match="sweeps"):
+            MulticolorGaussSeidel(A, sweeps=sweeps)
+
+
+def _color_ordered_sweeps(A, gs, b, x, sweeps, symmetric):
+    """Point multicolor GS row by row: the colors in order, each color's rows in order;
+    a symmetric sweep then walks the colors back."""
+    A = sp.csr_matrix(A)
+    d = A.diagonal()
+    forward = list(gs.color_sets)
+    passes = [forward, forward[::-1]] if symmetric else [forward]
+    for _ in range(sweeps):
+        for colors in passes:
+            for rows in colors:
+                for i in rows:
+                    row_dot = float((A[i] @ x)[0])
+                    x[i] = (b[i] - row_dot + d[i] * x[i]) / d[i]
+    return x
+
 
 class TestApply:
     def test_sweeps_reduce_residual(self, system):
@@ -63,6 +87,33 @@ class TestApply:
         fwd = MulticolorGaussSeidel(A, symmetric=False).apply(b)
         sym = MulticolorGaussSeidel(A, symmetric=True).apply(b)
         assert not np.allclose(fwd, sym)
+
+    @pytest.mark.parametrize("sweeps", [1, 2])
+    @pytest.mark.parametrize("start", ["zero", "nonzero"])
+    @pytest.mark.parametrize("symmetric", [False, True], ids=["forward", "symmetric"])
+    @pytest.mark.parametrize(
+        "matrix",
+        [lambda: laplace2d(9, 9).tocsr(), _one_sided_laplace],
+        ids=["laplace2d", "one_sided"],
+    )
+    def test_apply_matches_color_ordered_reference(self, matrix, symmetric, start, sweeps):
+        # The contiguous per-color ranges must update every row exactly as the
+        # row-by-row loop does, also when A couples a pair of rows on one side only.
+        A = matrix()
+        n = A.shape[0]
+        b = np.linspace(0.5, 1.5, n)
+        x0 = np.zeros(n) if start == "zero" else np.cos(np.arange(n))
+        gs = MulticolorGaussSeidel(A, sweeps=sweeps, symmetric=symmetric)
+        expected = _color_ordered_sweeps(A, gs, b, x0.copy(), sweeps, symmetric)
+        got = gs.apply(b) if start == "zero" else gs.apply(b, x0)
+        assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("b_shape, x_shape", MISSHAPEN.values(), ids=MISSHAPEN.keys())
+    def test_apply_rejects_misshapen_vectors(self, b_shape, x_shape):
+        gs = MulticolorGaussSeidel(laplace2d(9, 9))
+        x = None if x_shape is None else np.zeros(x_shape)
+        with pytest.raises(ValueError, match="must have shape"):
+            gs.apply(np.ones(b_shape), x)
 
 
 class TestAsPreconditioner:

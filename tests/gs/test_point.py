@@ -76,3 +76,10 @@ class TestPreconditioner:
         A = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 1.0]]))
         with pytest.raises(ValueError):
             PointGaussSeidel(A)
+
+    @pytest.mark.parametrize("sweeps", [0, -1])
+    def test_sweeps_below_one_rejected(self, system, sweeps):
+        # Zero sweeps would make apply return None, which no solver can use.
+        A, _, _ = system
+        with pytest.raises(ValueError, match="sweeps"):
+            PointGaussSeidel(A, sweeps=sweeps)

@@ -1,5 +1,7 @@
 """Tests for CG, GMRES and the direct coarse solver."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -141,3 +143,59 @@ class TestGMRES:
             gmres(laplace2d(3, 3), np.zeros(5))
         with pytest.raises(ValueError):
             gmres(laplace2d(3, 3), np.zeros(9), restart=0)
+
+
+class TestGMRESInputs:
+    """Inputs that are not float64 vectors and matrices solve the float64 system."""
+
+    @pytest.fixture
+    def jacobi(self, spd_system):
+        A, _, _ = spd_system
+        d = A.diagonal()
+        return lambda r: r / d
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.int64])
+    def test_integer_valued_matrix_of_another_dtype(self, spd_system, jacobi, dtype):
+        A, _, b = spd_system
+        reference = gmres(A, b, M=jacobi)
+        result = gmres(A.astype(dtype), b, M=jacobi)
+        assert result.converged
+        assert result.iterations == reference.iterations
+        assert np.array_equal(result.x, reference.x)
+
+    def test_strided_right_hand_side(self, spd_system, jacobi):
+        A, _, b = spd_system
+        reference = gmres(A, b, M=jacobi)
+        storage = np.zeros(2 * b.size)
+        storage[::2] = b
+        result = gmres(A, storage[::2], M=jacobi)
+        assert result.converged
+        assert result.iterations == reference.iterations
+        assert np.array_equal(result.x, reference.x)
+
+    @pytest.mark.parametrize("matrix_dtype", [np.float64, np.float32])
+    def test_preconditioner_returning_float32(self, spd_system, jacobi, matrix_dtype):
+        A, x_exact, b = spd_system
+        reference = gmres(A, b, M=jacobi)
+        result = gmres(A.astype(matrix_dtype), b, M=lambda r: jacobi(r).astype(np.float32))
+        assert result.converged
+        assert result.iterations == reference.iterations
+        assert np.allclose(result.x, x_exact, atol=1e-5)
+
+
+def test_gmres_allocates_one_krylov_basis_per_call():
+    # Q (m + 1 rows) and Z (m rows) are allocated once and reused by every restart
+    # cycle; besides them a solve holds a few n-vectors at a time.
+    A = laplace2d(100, 100)
+    n = A.shape[0]
+    b = np.random.default_rng(0).random(n)
+    M = JacobiSmoother(A).apply
+    m = 20
+    tracemalloc.start()
+    try:
+        result = gmres(A, b, M=M, restart=m, maxiter=3 * m + m // 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.iterations == 3 * m + m // 2  # three restarts, the last one short
+    assert peak < (2 * m + 1) * n * 8 + 16 * n * 8
