@@ -25,15 +25,9 @@ import scipy.sparse as sp
 
 from ..coloring.greedy import greedy_color
 from ..graph.build import from_scipy
+from ..util.vectors import as_vector
 
 __all__ = ["MulticolorGaussSeidel"]
-
-
-def _vector(v: np.ndarray, n: int, name: str) -> np.ndarray:
-    v = np.asarray(v, dtype=np.float64)
-    if v.shape != (n,):
-        raise ValueError(f"{name} must have shape ({n},), got {v.shape}")
-    return v
 
 
 #: One level of a :class:`SweepSchedule`: its row range, ``A[rows]`` in the new
@@ -102,8 +96,8 @@ class SweepSchedule:
         once, every level updates a slice of it in place, and one scatter returns
         the result in the original numbering."""
         n = self._order.size
-        b = _vector(b, n, "b")[self._order]
-        x = np.zeros(n) if x is None else _vector(x, n, "x")[self._order]
+        b = as_vector(b, n, "b")[self._order]
+        x = np.zeros(n) if x is None else as_vector(x, n, "x")[self._order]
         for _ in range(sweeps):
             _sweep(self._levels, b, x)
             if symmetric:

@@ -12,6 +12,7 @@ from typing import Callable, Optional
 import numpy as np
 import scipy.sparse as sp
 
+from ..util.vectors import as_vector
 from .result import SolveResult
 
 __all__ = ["pcg"]
@@ -44,14 +45,31 @@ def pcg(
         Relative residual tolerance ``||r|| <= tol * ||b||``.
     maxiter:
         Iteration cap.
+
+    Notes
+    -----
+    ``b`` and ``x0`` must be 1-D of length n; anything else raises ``ValueError``
+    before any arithmetic. Neither is modified.
+
+    The iteration updates ``x``, ``r`` and ``p`` in place, scaling the fresh product
+    ``A p`` by ``alpha`` where it lies, and ``alpha p`` goes through one work vector
+    allocated per call. Each update rounds the same operands in the same order as
+    ``x + alpha p``, ``r - alpha A p`` and ``z + beta p``, so the iterates are those
+    of the allocating form bit for bit. With no initial guess the first residual is
+    ``b`` itself, without the product ``A @ 0``.
     """
     A = sp.csr_matrix(A)
-    b = np.asarray(b, dtype=np.float64)
-    n = b.shape[0]
+    n = A.shape[0]
     if A.shape != (n, n):
-        raise ValueError("A and b have incompatible shapes")
-    x = np.zeros(n) if x0 is None else np.array(x0, dtype=np.float64, copy=True)
-    r = b - A @ x
+        raise ValueError("A must be square")
+    b = as_vector(b, n, "b")
+    if x0 is None:
+        x = np.zeros(n)
+        r = b.copy()
+    else:
+        x = as_vector(x0, n, "x0").copy()
+        r = A @ x
+        np.subtract(b, r, out=r)
     b_norm = np.linalg.norm(b)
     if b_norm == 0:
         return SolveResult(x=np.zeros(n), iterations=0, converged=True, residual_norms=[0.0])
@@ -62,6 +80,7 @@ def pcg(
     z = M(r) if M is not None else r
     p = z.copy()
     rz = float(r @ z)
+    step = np.empty(n)
     iterations = 0
     converged = False
     for iterations in range(1, maxiter + 1):
@@ -71,8 +90,10 @@ def pcg(
             # Loss of positive-definiteness (preconditioner or matrix not SPD).
             break
         alpha = rz / pAp
-        x += alpha * p
-        r -= alpha * Ap
+        np.multiply(alpha, p, out=step)
+        x += step
+        Ap *= alpha
+        r -= Ap
         res_norm = float(np.linalg.norm(r))
         residuals.append(res_norm)
         if res_norm <= tol * b_norm:
@@ -82,5 +103,6 @@ def pcg(
         rz_new = float(r @ z)
         beta = rz_new / rz
         rz = rz_new
-        p = z + beta * p
+        p *= beta
+        p += z
     return SolveResult(x=x, iterations=iterations, converged=converged, residual_norms=residuals)

@@ -10,6 +10,12 @@ This is the Python analogue of the MueLu setup the paper's Table V experiment dr
   routines is recorded separately, matching the "Agg." column of Table V.
 * **Solve** — a standard V-cycle (pre/post smoothing with damped Jacobi, exact
   coarsest solve) used as a preconditioner for CG (:func:`repro.solvers.cg.pcg`).
+
+Each level keeps one transfer operator: the restriction ``R = P^T`` in CSR, with the
+prolongation as its transpose ``R.T``, a CSC view of the same arrays. A V-cycle does
+only the work its math needs: the zero-guess pre-smoothing skips ``A @ 0``, and the
+residual, the coarse-grid correction and the post-smoothing update vectors the cycle
+owns in place. It keeps no buffer between calls, so it is reentrant.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ from ..coarsen.mis2_agg import mis2_aggregation
 from ..coarsen.prolongation import smoothed_prolongation
 from ..graph.build import from_scipy
 from ..graph.csr import CSRGraph
+from ..util.vectors import as_vector
 from .cg import pcg
 from .direct import DirectSolver
 from .result import SolveResult
@@ -45,9 +52,10 @@ class AMGLevel:
     index: int
     #: System matrix on this level.
     A: sp.csr_matrix
-    #: Prolongation from the next-coarser level (None on the coarsest level).
-    P: Optional[sp.csr_matrix] = None
-    #: Restriction (transpose of P; None on the coarsest level).
+    #: Prolongation from the next-coarser level: ``R.T``, a CSC view of ``R``'s
+    #: arrays with no copy of its own (None on the coarsest level).
+    P: Optional[sp.csc_matrix] = None
+    #: Restriction ``P^T`` in CSR (None on the coarsest level).
     R: Optional[sp.csr_matrix] = None
     #: Aggregation used to coarsen this level (None on the coarsest level).
     aggregation: Optional[Aggregation] = None
@@ -82,20 +90,26 @@ class AMGHierarchy:
 
     # ------------------------------------------------------------------ V-cycle
     def vcycle(self, b: np.ndarray, x: Optional[np.ndarray] = None, level: int = 0) -> np.ndarray:
-        """One V(1,1)-style cycle (the Jacobi smoother applies its configured sweeps)."""
+        """One V(1,1)-style cycle from ``x`` (zero when omitted) on level ``level``;
+        the Jacobi smoother applies its configured sweeps.
+
+        Returns a new vector and leaves ``b`` and ``x`` unchanged. Both must be 1-D
+        of the level's size; anything else raises ``ValueError``.
+        """
         lvl = self.levels[level]
-        b = np.asarray(b, dtype=np.float64)
+        n = lvl.A.shape[0]
+        b = as_vector(b, n, "b")
+        if x is not None:
+            x = as_vector(x, n, "x")
         if level == self.num_levels - 1:
             assert self.coarse_solver is not None
             return self.coarse_solver.solve(b)
-        x = np.zeros_like(b) if x is None else np.asarray(x, dtype=np.float64)
         assert lvl.smoother is not None and lvl.P is not None and lvl.R is not None
         x = lvl.smoother.apply(b, x)
-        residual = b - lvl.A @ x
-        coarse_b = lvl.R @ residual
-        coarse_x = self.vcycle(coarse_b, None, level + 1)
-        x = x + lvl.P @ coarse_x
-        x = lvl.smoother.apply(b, x)
+        residual = lvl.A @ x
+        np.subtract(b, residual, out=residual)
+        x += lvl.P @ self.vcycle(lvl.R @ residual, None, level + 1)
+        lvl.smoother.smooth(b, x)
         return x
 
     def as_preconditioner(self) -> Callable[[np.ndarray], np.ndarray]:
@@ -140,10 +154,13 @@ def build_hierarchy(
     min_coarse_size:
         Stop coarsening once a level has at most this many unknowns.
     smoother_sweeps / smoother_omega:
-        Damped-Jacobi smoother configuration (the paper uses 2 sweeps).
+        Damped-Jacobi smoother configuration (the paper uses 2 sweeps); at least
+        one sweep.
     aggregation_name:
         Label recorded on the hierarchy (defaults to the function's ``__name__``).
     """
+    if smoother_sweeps < 1:
+        raise ValueError("smoother_sweeps must be >= 1")
     setup_start = time.perf_counter()
     A = sp.csr_matrix(A).astype(np.float64)
     hierarchy = AMGHierarchy(
@@ -164,8 +181,8 @@ def build_hierarchy(
             break
         P, _ = smoothed_prolongation(current, aggregation)
         coarse = galerkin_operator(current, P)
-        level.P = P
         level.R = sp.csr_matrix(P.T)
+        level.P = level.R.T
         level.aggregation = aggregation
         level.smoother = JacobiSmoother(current, omega=smoother_omega, sweeps=smoother_sweeps)
         current = coarse

@@ -14,12 +14,20 @@ from typing import Optional
 import numpy as np
 import scipy.sparse as sp
 
+from ..util.vectors import as_vector
+
 __all__ = ["JacobiSmoother", "ChebyshevSmoother"]
 
 
 @dataclass
 class JacobiSmoother:
     """Damped Jacobi smoother ``x <- x + omega D^{-1} (b - A x)``.
+
+    Set-up stores ``omega D^{-1}`` as one vector, so a sweep is one product with
+    ``A`` and in-place updates of its residual and of ``x``. Scaling once is exact:
+    ``omega * dinv * r`` evaluates as ``(omega * dinv) * r``. With no initial guess
+    the first sweep starts from ``x = 0``, whose residual is ``b`` itself, so it
+    sets ``x = omega D^{-1} b`` without the product ``A @ 0``.
 
     Parameters
     ----------
@@ -29,7 +37,7 @@ class JacobiSmoother:
         Damping factor (2/3 by default, the standard choice for Poisson-like
         problems; MueLu's default Jacobi damping).
     sweeps:
-        Number of sweeps applied per :meth:`apply` call.
+        Number of sweeps applied per :meth:`apply` call, at least 1.
     """
 
     A: sp.csr_matrix
@@ -38,20 +46,44 @@ class JacobiSmoother:
 
     def __post_init__(self) -> None:
         self.A = sp.csr_matrix(self.A)
+        if self.sweeps < 1:
+            raise ValueError("sweeps must be >= 1")
         diag = self.A.diagonal()
         if np.any(diag == 0):
             raise ValueError("Jacobi smoother requires a nonzero diagonal")
-        self._dinv = 1.0 / diag
+        self._omega_dinv = self.omega * (1.0 / diag)
 
     def apply(self, b: np.ndarray, x: Optional[np.ndarray] = None) -> np.ndarray:
         """Apply ``sweeps`` damped-Jacobi sweeps to ``A x = b`` starting from ``x``
-        (zero when omitted) and return the new iterate."""
-        b = np.asarray(b, dtype=np.float64)
-        out = np.zeros_like(b) if x is None else np.array(x, dtype=np.float64, copy=True)
-        for _ in range(self.sweeps):
-            residual = b - self.A @ out
-            out += self.omega * self._dinv * residual
+        (zero when omitted) and return the new iterate; ``b`` and ``x`` are left
+        unchanged. Both must be 1-D of length n; anything else raises ``ValueError``."""
+        n = self.A.shape[0]
+        b = as_vector(b, n, "b")
+        if x is None:
+            out = self._omega_dinv * b
+            self._sweep(b, out, self.sweeps - 1)
+        else:
+            out = as_vector(x, n, "x").copy()
+            self._sweep(b, out, self.sweeps)
         return out
+
+    def smooth(self, b: np.ndarray, x: np.ndarray) -> None:
+        """Apply ``sweeps`` sweeps to ``x`` in place: :meth:`apply` without the copy.
+
+        ``b`` must be 1-D of length n and ``x`` a float64 array of shape ``(n,)``;
+        anything else raises ``ValueError``.
+        """
+        n = self.A.shape[0]
+        if not isinstance(x, np.ndarray) or x.dtype != np.float64 or x.shape != (n,):
+            raise ValueError(f"x must be a float64 array of shape ({n},)")
+        self._sweep(as_vector(b, n, "b"), x, self.sweeps)
+
+    def _sweep(self, b: np.ndarray, x: np.ndarray, sweeps: int) -> None:
+        for _ in range(sweeps):
+            residual = self.A @ x
+            np.subtract(b, residual, out=residual)
+            residual *= self._omega_dinv
+            x += residual
 
 
 @dataclass

@@ -1,9 +1,10 @@
-"""Utility helpers shared across the reproduction: timing and tables."""
+"""Utility helpers shared across the reproduction: timing, tables and vector shape checks."""
 
 from __future__ import annotations
 
 from .timing import Timer, TimingStats, repeat_timed
 from .tables import Table, format_float, geometric_mean
+from .vectors import as_vector
 
 __all__ = [
     "Timer",
@@ -12,4 +13,5 @@ __all__ = [
     "Table",
     "format_float",
     "geometric_mean",
+    "as_vector",
 ]

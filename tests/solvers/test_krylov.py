@@ -8,6 +8,7 @@ import scipy.sparse as sp
 
 from repro.graph import laplace2d, laplace3d_matrix
 from repro.solvers import DirectSolver, JacobiSmoother, gmres, pcg
+from tests.solvers.test_smoothers import _traced_peak
 
 
 @pytest.fixture
@@ -16,6 +17,46 @@ def spd_system():
     rng = np.random.default_rng(2)
     x_exact = rng.random(A.shape[0])
     return A, x_exact, A @ x_exact
+
+
+def _pcg_reference(A, b, M=None, x0=None, tol=1e-10, maxiter=1000):
+    """The allocating PCG iteration: every update of ``x``, ``r`` and ``p`` makes new
+    arrays. Returns ``(x, iterations, converged, residual_norms)``."""
+    A = sp.csr_matrix(A)
+    b = np.asarray(b, dtype=np.float64)
+    n = b.shape[0]
+    x = np.zeros(n) if x0 is None else np.array(x0, dtype=np.float64, copy=True)
+    r = b - A @ x
+    b_norm = np.linalg.norm(b)
+    if b_norm == 0:
+        return np.zeros(n), 0, True, [0.0]
+    residuals = [float(np.linalg.norm(r))]
+    if residuals[0] <= tol * b_norm:
+        return x, 0, True, residuals
+    z = M(r) if M is not None else r
+    p = z.copy()
+    rz = float(r @ z)
+    iterations = 0
+    converged = False
+    for iterations in range(1, maxiter + 1):
+        Ap = A @ p
+        pAp = float(p @ Ap)
+        if pAp <= 0:
+            break
+        alpha = rz / pAp
+        x += alpha * p
+        r -= alpha * Ap
+        res_norm = float(np.linalg.norm(r))
+        residuals.append(res_norm)
+        if res_norm <= tol * b_norm:
+            converged = True
+            break
+        z = M(r) if M is not None else r
+        rz_new = float(r @ z)
+        beta = rz_new / rz
+        rz = rz_new
+        p = z + beta * p
+    return x, iterations, converged, residuals
 
 
 class TestDirectSolver:
@@ -81,6 +122,40 @@ class TestPCG:
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             pcg(laplace2d(3, 3), np.zeros(5))
+
+    @pytest.mark.parametrize("b_shape, x0_shape", [
+        ((226,), None), ((224,), None), ((225, 1), None), ((225,), (226,)), ((225,), (225, 1)),
+    ], ids=["long_b", "short_b", "2d_b", "long_x0", "2d_x0"])
+    def test_misshapen_vectors_rejected(self, spd_system, b_shape, x0_shape):
+        A, _, _ = spd_system
+        x0 = None if x0_shape is None else np.zeros(x0_shape)
+        with pytest.raises(ValueError, match="must have shape"):
+            pcg(A, np.ones(b_shape), x0=x0)
+
+    def test_column_rhs_rejected_before_any_arithmetic(self):
+        # A (n, 1) right-hand side once broadcast the first residual to n x n, and
+        # the iteration copied it and multiplied it by itself before failing.
+        A = laplace3d_matrix(6, 6, 6)
+        n = A.shape[0]
+        b = np.ones((n, 1))
+        assert _traced_peak(lambda: pcg(A, b)) < 4 * n * 8
+
+    @pytest.mark.parametrize("start", ["zero", "given"])
+    @pytest.mark.parametrize("preconditioner", ["none", "jacobi"])
+    @pytest.mark.parametrize("maxiter", [3, 2000])
+    def test_matches_allocating_reference(self, spd_system, start, preconditioner, maxiter):
+        A, _, b = spd_system
+        x0 = None if start == "zero" else np.random.default_rng(3).random(A.shape[0])
+        M = None if preconditioner == "none" else JacobiSmoother(A, sweeps=2).apply
+        b_before = b.copy()
+        x0_before = None if x0 is None else x0.copy()
+        result = pcg(A, b, M=M, x0=x0, tol=1e-10, maxiter=maxiter)
+        x, iterations, converged, residuals = _pcg_reference(A, b, M, x0, 1e-10, maxiter)
+        assert (result.iterations, result.converged) == (iterations, converged)
+        assert result.residual_norms == residuals
+        assert np.array_equal(result.x, x)
+        assert np.array_equal(b, b_before)
+        assert x0 is None or np.array_equal(x0, x0_before)
 
 
 class TestGMRES:
